@@ -105,17 +105,17 @@ def action(model: OrbitModel, params: ReducedParams,
     grid = _require_grid(model, grid)
     vel = sample_positions(model, params, grid.nodes, deriv=1)
     pos = sample_positions(model, params, grid.nodes)
-    return _report(model, grid, pos, vel, collision_threshold)
-
-
-def _report(model, grid, pos, vel, collision_threshold) -> ActionReport:
-    masses = model.masses
-    k_samples = 0.5 * np.einsum("i,itc,itc->t", masses, vel, vel)
-    v_samples = potential_energy(model.potential, masses, pos, times=grid.nodes,
+    v_samples = potential_energy(model.potential, model.masses, pos,
+                                 times=grid.nodes,
                                  collision_threshold=collision_threshold,
                                  context="action")
-    if np.isscalar(v_samples):
-        v_samples = np.full(grid.n, float(v_samples))
+    return _report(model, grid, vel, v_samples)
+
+
+def _report(model, grid, vel, v_samples) -> ActionReport:
+    """S from sampled velocities and the potential V on the grid, as
+    returned by :func:`.potential_energy` or :func:`.forces`."""
+    k_samples = 0.5 * np.einsum("i,itc,itc->t", model.masses, vel, vel)
     kin = grid.integrate(k_samples)
     pot = grid.integrate(v_samples)
     return ActionReport(S=float(kin - pot), kinetic=float(kin), potential=float(pot))
@@ -133,9 +133,9 @@ def action_with_gradient(model: OrbitModel, params: ReducedParams,
     v = params.values
     pos = kernel.positions(v)
     vel = kernel.velocities(v)
-    F, _ = forces(model.potential, model.masses, pos, times=grid.nodes,
+    F, V = forces(model.potential, model.masses, pos, times=grid.nodes,
                   collision_threshold=collision_threshold, context="gradient")
-    base = _report(model, grid, pos, vel, collision_threshold)
+    base = _report(model, grid, vel, V)
     # dS/dc = pi k^2 m_eff c + int F . dx/dc dt  (the potential term carries
     # +F because F = -dV/dx).
     k = kernel.layout.slot_k.astype(float)

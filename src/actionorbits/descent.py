@@ -197,7 +197,7 @@ def run(model: OrbitModel, params: ReducedParams,
             escape_body = int(np.unravel_index(np.argmax(radii), radii.shape)[0])
             break
         try:
-            F, _ = forces(model.potential, masses, pos, times=grid.nodes,
+            F, V = forces(model.potential, masses, pos, times=grid.nodes,
                           collision_threshold=stop.collision_threshold,
                           context=f"descent iteration {iteration}")
         except CollisionError as err:
@@ -205,7 +205,7 @@ def run(model: OrbitModel, params: ReducedParams,
             collision_pair, collision_time = err.pair, err.t
             break
         vel = kernel.velocities(v)
-        report = _report(model, grid, pos, vel, stop.collision_threshold)
+        report = _report(model, grid, vel, V)
         trace.append(report.S)
         grad = kinetic_diag * v + kernel.project_forces(F)
         grad_norm = float(np.max(np.abs(grad)))

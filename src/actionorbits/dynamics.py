@@ -1,13 +1,19 @@
 """Forces, energies, conserved quantities, and the equations-of-motion residual.
 
-All pair interactions follow the homogeneous law in :mod:`.potential`.
-Positions may be a single configuration of shape (n, 3) or a batch of
-shape (n, T, 3); forces and energies are evaluated vectorized over the
-batch axis with a deterministic reduction order.
+All pair interactions follow the homogeneous law in :mod:`.potential` and
+go through one :class:`PairTable` per (potential, masses): the index pairs
+i < j, the signed couplings c_ij (and -alpha * c_ij for the force), and the
+body-by-pair incidence matrix that sums pair forces onto bodies.  The table
+is built once and cached, so a force call only gathers separations, takes
+their norms and powers, and applies the incidence matrix.  Positions may be
+a single configuration of shape (n, 3) or a batch of shape (n, T, 3);
+forces and energies are evaluated vectorized over the batch axis with a
+deterministic reduction order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,28 +26,94 @@ from .symmetry import OrbitModel, ReducedParams, sample_positions
 COLLISION_THRESHOLD = 1e-8
 
 
-def _pair_terms(spec: PotentialSpec, masses: np.ndarray, x: np.ndarray,
-                times, collision_threshold: float, context: str):
-    """Shared pairwise machinery: returns (i_idx, j_idx, d, r_soft, coupling).
-
-    ``x`` has shape (n, T, 3).  Raises CollisionError when any true
-    separation drops below the threshold.
-    """
-    n = x.shape[0]
+@functools.lru_cache(maxsize=64)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     i_idx, j_idx = np.triu_indices(n, 1)
-    d = x[i_idx] - x[j_idx]                       # (P, T, 3)
-    r2 = np.einsum("ptc,ptc->pt", d, d)
-    r = np.sqrt(r2)
-    if collision_threshold > 0.0 and r.size and r.min() < collision_threshold:
-        p, jt = np.unravel_index(np.argmin(r), r.shape)
-        t = None if times is None else float(np.asarray(times).ravel()[jt])
-        raise CollisionError((i_idx[p], j_idx[p]), t=t, distance=r[p, jt],
-                             context=context)
-    if spec.softening > 0.0:
-        r = np.sqrt(r2 + spec.softening ** 2)
-    coupling = np.array([spec.pair_coupling(masses[i], masses[j])
-                         for i, j in zip(i_idx, j_idx)])
-    return i_idx, j_idx, d, r, coupling
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
+    return i_idx, j_idx
+
+
+def _separations(i_idx: np.ndarray, j_idx: np.ndarray, x: np.ndarray):
+    """Pair differences x_i - x_j and their squared norms for x of shape
+    (n, 3) or (n, T, 3)."""
+    d = x.take(i_idx, axis=0) - x.take(j_idx, axis=0)
+    return d, np.einsum("...c,...c->...", d, d)
+
+
+class PairTable:
+    """Everything about the pairs of one (potential, masses) that does not
+    depend on positions.  Build through :func:`pair_table`, which caches.
+
+    Methods take positions of shape (n, 3) or (n, T, 3); ``times`` is the
+    matching scalar or (T,) array, used only to report a collision.
+    """
+
+    def __init__(self, spec: PotentialSpec, masses: np.ndarray):
+        n = masses.size
+        self.alpha = spec.alpha
+        self.softening = spec.softening
+        self.i_idx, self.j_idx = _pair_index(n)
+        self.coupling = np.array([spec.pair_coupling(masses[i], masses[j])
+                                  for i, j in zip(self.i_idx, self.j_idx)])
+        # F_i = -dV/dx_i = -c * alpha * r**(alpha-2) * (x_i - x_j) per pair
+        self.force_coef = (-spec.alpha) * self.coupling
+        pairs = np.arange(self.i_idx.size)
+        self.incidence = np.zeros((n, pairs.size))
+        self.incidence[self.i_idx, pairs] = 1.0
+        self.incidence[self.j_idx, pairs] = -1.0
+        self.mass_column = masses[:, None]
+        for a in (self.coupling, self.force_coef, self.incidence,
+                  self.mass_column):
+            a.setflags(write=False)
+
+    def distances(self, x: np.ndarray, times, collision_threshold: float,
+                  context: str):
+        """Pair differences d and (softened) distances r.
+
+        Raises CollisionError when any true separation drops below the
+        threshold; softening applies only after that test.
+        """
+        d, r2 = _separations(self.i_idx, self.j_idx, x)
+        r = np.sqrt(r2)
+        if collision_threshold > 0.0 and r.size and r.min() < collision_threshold:
+            at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
+            t = None if times is None else float(
+                np.ravel(times)[at[1] if r.ndim == 2 else 0])
+            raise CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
+                                 distance=r[at], context=context)
+        if self.softening > 0.0:
+            r = np.sqrt(r2 + self.softening ** 2)
+        return d, r
+
+    def potential(self, r: np.ndarray):
+        """sum_ij c_ij r_ij**alpha, per configuration."""
+        return self.coupling @ (r ** self.alpha)
+
+    def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Per-body forces, shaped like the positions d and r came from."""
+        coef = self.force_coef.reshape(self.force_coef.shape + (1,) * (r.ndim - 1))
+        pair_f = (coef * r ** (self.alpha - 2.0))[..., None] * d
+        # the same BLAS product np.tensordot would form, without its
+        # per-call overhead (about 10 us, half a small force call)
+        F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
+        return F.reshape((-1,) + d.shape[1:])
+
+    def accelerations(self, pos: np.ndarray, t: float,
+                      collision_threshold: float) -> np.ndarray:
+        """F / m for one (n, 3) configuration: the integrator's right side."""
+        d, r = self.distances(pos, t, collision_threshold, "integration")
+        return self.forces(d, r) / self.mass_column
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_pair_table(spec: PotentialSpec, mass_bytes: bytes) -> PairTable:
+    return PairTable(spec, np.frombuffer(mass_bytes))
+
+
+def pair_table(spec: PotentialSpec, masses) -> PairTable:
+    """The (cached, read-only) pair table of a potential and mass vector."""
+    return _cached_pair_table(spec, np.asarray(masses, dtype=float).tobytes())
 
 
 def _batched(positions: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -58,12 +130,11 @@ def potential_energy(spec: PotentialSpec, masses, positions, times=None,
                      context: str = "") -> np.ndarray | float:
     """Total pair potential; scalar for a single configuration, else (T,)."""
     x, single = _batched(positions)
-    masses = np.asarray(masses, dtype=float)
     if x.shape[0] < 2:
         return 0.0 if single else np.zeros(x.shape[1])
-    _, _, _, r, coupling = _pair_terms(spec, masses, x, times,
-                                       collision_threshold, context)
-    v = coupling @ (r ** spec.alpha)
+    table = pair_table(spec, masses)
+    _, r = table.distances(x, times, collision_threshold, context)
+    v = table.potential(r)
     return float(v[0]) if single else v
 
 
@@ -77,21 +148,14 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
     same term with opposite signs.
     """
     x, single = _batched(positions)
-    masses = np.asarray(masses, dtype=float)
     n, T = x.shape[0], x.shape[1]
     if n < 2:
         F = np.zeros_like(x)
         return (F[:, 0, :], 0.0) if single else (F, np.zeros(T))
-    i_idx, j_idx, d, r, coupling = _pair_terms(spec, masses, x, times,
-                                               collision_threshold, context)
-    v = coupling @ (r ** spec.alpha)
-    # F_i = -dV/dx_i = -c * alpha * r**(alpha-2) * (x_i - x_j) per pair
-    mag = (-spec.alpha) * coupling[:, None] * r ** (spec.alpha - 2.0)
-    pair_f = mag[:, :, None] * d                  # force on i from j, (P, T, 3)
-    incidence = np.zeros((n, i_idx.size))
-    incidence[i_idx, np.arange(i_idx.size)] = 1.0
-    incidence[j_idx, np.arange(j_idx.size)] = -1.0
-    F = np.tensordot(incidence, pair_f, axes=(1, 0))
+    table = pair_table(spec, masses)
+    d, r = table.distances(x, times, collision_threshold, context)
+    v = table.potential(r)
+    F = table.forces(d, r)
     return (F[:, 0, :], float(v[0])) if single else (F, v)
 
 
@@ -100,9 +164,8 @@ def min_pair_distance(positions) -> float:
     x, _ = _batched(positions)
     if x.shape[0] < 2:
         return np.inf
-    i_idx, j_idx = np.triu_indices(x.shape[0], 1)
-    d = x[i_idx] - x[j_idx]
-    return float(np.sqrt(np.einsum("ptc,ptc->pt", d, d).min()))
+    _, r2 = _separations(*_pair_index(x.shape[0]), x)
+    return float(np.sqrt(r2.min()))
 
 
 @dataclass(frozen=True)

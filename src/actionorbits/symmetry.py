@@ -510,12 +510,6 @@ def sample_positions(model: OrbitModel, params: ReducedParams, times,
     return out[:, 0, :] if scalar else out
 
 
-def project_gradient(full_gradient: Sequence[np.ndarray],
-                     params: ReducedParams) -> np.ndarray:
-    """Project per-coefficient gradient tables onto the reduced slots."""
-    return params.layout.project(full_gradient)
-
-
 # ----------------------------------------------------------------------
 # family builders
 # ----------------------------------------------------------------------

@@ -156,6 +156,21 @@ class TestCollisionDetection:
         assert min_pair_distance(x[:1]) == np.inf
 
 
+@pytest.mark.parametrize("spec", [PotentialSpec(),
+                                  PotentialSpec(alpha=0.5, softening=0.2)])
+def test_batch_matches_single_configurations(spec):
+    rng = np.random.default_rng(8)
+    x = rng.normal(scale=2.0, size=(5, 7, 3))
+    masses = rng.uniform(0.5, 2.0, size=5)
+    v = potential_energy(spec, masses, x)
+    singles = [x[:, j] for j in range(7)]
+    # min and sqrt are exact, so the batch minimum is one of the singles
+    assert min_pair_distance(x) == min(min_pair_distance(s) for s in singles)
+    for j, s in enumerate(singles):
+        assert v[j] == pytest.approx(potential_energy(spec, masses, s),
+                                     rel=1e-14)
+
+
 class TestObservables:
     def test_hand_checked_configuration(self):
         masses = np.array([1.0, 2.0])

@@ -15,6 +15,7 @@ from actionorbits import (
     PotentialSpec,
     build_choreography,
     extract_ics,
+    forces,
     integrate,
     perturb_and_track,
     return_error,
@@ -91,9 +92,48 @@ class TestRK4:
     def test_head_on_collision_detected(self):
         pos = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         vel = np.zeros((2, 3))
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as exc:
             integrate(PhaseState(pos, vel), np.ones(2), PotentialSpec(),
                       dt=1e-3, horizon=TWO_PI, collision_threshold=1e-2)
+        err = exc.value
+        assert err.pair == (0, 1)
+        assert err.distance < 1e-2
+        # radial free fall from rest at separation 2 under the 1/r pair
+        # potential reaches the origin at t = (pi/2) sqrt(2)
+        assert err.t == pytest.approx(0.5 * math.pi * math.sqrt(2.0), abs=1e-2)
+        assert "[integration]" in str(err)
+
+    @pytest.mark.parametrize("softening", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
+    def test_matches_plain_rk4_on_public_forces(self, alpha, softening):
+        # the integrator's own pair path must reproduce, bit for bit, a
+        # textbook RK4 driven by the public force routine
+        spec = PotentialSpec(alpha=alpha, softening=softening)
+        masses = np.array([1.0, 2.5, 0.7, 1.9])
+        rng = np.random.default_rng(5)
+        pos = rng.normal(scale=1.5, size=(4, 3))
+        vel = rng.normal(scale=0.3, size=(4, 3))
+        dt, n_steps = 1e-3, 200
+
+        def acc(p):
+            return forces(spec, masses, p)[0] / masses[:, None]
+
+        p, v = pos.copy(), vel.copy()
+        for _ in range(n_steps):
+            a1 = acc(p)
+            p2, v2 = p + 0.5 * dt * v, v + 0.5 * dt * a1
+            a2 = acc(p2)
+            p3, v3 = p + 0.5 * dt * v2, v + 0.5 * dt * a2
+            a3 = acc(p3)
+            p4, v4 = p + dt * v3, v + dt * a3
+            a4 = acc(p4)
+            p, v = (p + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                    v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
+        traj = integrate(PhaseState(pos, vel), masses, spec, dt=dt,
+                         horizon=n_steps * dt, record_stride=n_steps)
+        assert traj.times.size == 2
+        assert np.array_equal(traj.positions[-1], p)
+        assert np.array_equal(traj.velocities[-1], v)
 
     def test_integrate_validation(self):
         state = _circle_state()
