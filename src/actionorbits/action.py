@@ -20,15 +20,14 @@ gradient are exactly the Fourier-projected equations of motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import COLLISION_THRESHOLD, forces, potential_energy
-from .fourier import COS, SIN
 from .quadrature import QuadratureGrid
 from .symmetry import (OrbitModel, ReducedParams, ScalarGenerator,
-                       channel_multiplicity, sample_positions)
+                       channel_multiplicity, sample_positions, sample_tables)
 
 
 def default_grid(model: OrbitModel) -> QuadratureGrid:
@@ -45,9 +44,10 @@ class EvalKernel:
     """Cached linear maps from reduced values to sampled kinematics.
 
     Sampling is linear in the reduced vector, so positions, velocities, and
-    accelerations on a fixed grid are matrix products with bases built once
-    by sampling each unit slot.  Used by the descent loop; one-shot calls
-    can let :func:`action` build a kernel on the fly.
+    accelerations on a fixed grid are matrix products with bases that are
+    the sampler's Jacobian: one batched :func:`.sample_tables` call per
+    derivative on the expanded identity, slot axis first.  Used by the
+    descent loop and :func:`action_with_gradient`.
     """
 
     def __init__(self, model: OrbitModel, params: ReducedParams,
@@ -55,18 +55,11 @@ class EvalKernel:
         self.model = model
         self.layout = params.layout
         self.grid = _require_grid(model, grid)
-        n_slots = self.layout.n_slots
-        shape = (n_slots, model.n_bodies, self.grid.n, 3)
-        self.basis_pos = np.empty(shape)
-        self.basis_vel = np.empty(shape)
-        self.basis_acc = np.empty(shape)
-        for s in range(n_slots):
-            unit = np.zeros(n_slots)
-            unit[s] = 1.0
-            probe = params.with_values(unit)
-            self.basis_pos[s] = sample_positions(model, probe, self.grid.nodes, 0)
-            self.basis_vel[s] = sample_positions(model, probe, self.grid.nodes, 1)
-            self.basis_acc[s] = sample_positions(model, probe, self.grid.nodes, 2)
+        units = self.layout.expand(np.eye(self.layout.n_slots))
+        self.basis_pos, self.basis_vel, self.basis_acc = (
+            np.ascontiguousarray(np.moveaxis(
+                sample_tables(model, units, self.grid.nodes, deriv), 2, 0))
+            for deriv in (0, 1, 2))
 
     def positions(self, values: np.ndarray) -> np.ndarray:
         return np.tensordot(values, self.basis_pos, axes=1)
@@ -129,19 +122,24 @@ def action_with_gradient(model: OrbitModel, params: ReducedParams,
     """Action plus its reduced gradient in one force evaluation."""
     if kernel is None:
         kernel = EvalKernel(model, params, grid)
-    grid = kernel.grid
     v = params.values
-    pos = kernel.positions(v)
-    vel = kernel.velocities(v)
+    return _with_gradient(kernel, v, kernel.positions(v), collision_threshold,
+                          "gradient")
+
+
+def _with_gradient(kernel: EvalKernel, v: np.ndarray, pos: np.ndarray,
+                   collision_threshold: float, context: str) -> ActionReport:
+    """Action and reduced gradient at values ``v`` whose sampled positions
+    ``pos`` the caller already holds; the descent loop iterates this."""
+    model, grid = kernel.model, kernel.grid
     F, V = forces(model.potential, model.masses, pos, times=grid.nodes,
-                  collision_threshold=collision_threshold, context="gradient")
-    base = _report(model, grid, vel, V)
+                  collision_threshold=collision_threshold, context=context)
+    report = _report(model, grid, kernel.velocities(v), V)
     # dS/dc = pi k^2 m_eff c + int F . dx/dc dt  (the potential term carries
     # +F because F = -dV/dx).
     k = kernel.layout.slot_k.astype(float)
     grad = math.pi * k * k * kernel.layout.kinetic_mass * v + kernel.project_forces(F)
-    return ActionReport(S=base.S, kinetic=base.kinetic, potential=base.potential,
-                        gradient=grad)
+    return replace(report, gradient=grad)
 
 
 def gradient(model: OrbitModel, params: ReducedParams,

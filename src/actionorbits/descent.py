@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .action import EvalKernel, _report
+from .action import EvalKernel, _with_gradient
 from .dynamics import COLLISION_THRESHOLD, forces, min_pair_distance, residual
 from .errors import CollisionError, LayoutError
 from .potential import PotentialSpec
@@ -178,9 +178,6 @@ def run(model: OrbitModel, params: ReducedParams,
     kernel = EvalKernel(model, params, grid)
     grid = kernel.grid
     dtau = schedule.step_sizes(params.layout)
-    k = params.layout.slot_k.astype(float)
-    kinetic_diag = math.pi * k * k * params.layout.kinetic_mass
-    masses = model.masses
 
     v = np.array(params.values, dtype=float)
     trace: list[float] = []
@@ -197,31 +194,26 @@ def run(model: OrbitModel, params: ReducedParams,
             escape_body = int(np.unravel_index(np.argmax(radii), radii.shape)[0])
             break
         try:
-            F, V = forces(model.potential, masses, pos, times=grid.nodes,
-                          collision_threshold=stop.collision_threshold,
-                          context=f"descent iteration {iteration}")
+            report = _with_gradient(kernel, v, pos, stop.collision_threshold,
+                                    f"descent iteration {iteration}")
         except CollisionError as err:
             outcome = COLLISION
             collision_pair, collision_time = err.pair, err.t
             break
-        vel = kernel.velocities(v)
-        report = _report(model, grid, vel, V)
         trace.append(report.S)
-        grad = kinetic_diag * v + kernel.project_forces(F)
-        grad_norm = float(np.max(np.abs(grad)))
-        current = params.with_values(v)
+        grad_norm = report.grad_norm
         if log_every and iteration % log_every == 0:
             logger.info("iter=%d S=%.12e grad_norm=%.3e min_dist=%.3e",
                         iteration, report.S, grad_norm, min_pair_distance(pos))
         if callback is not None:
-            callback(iteration, current, report.S, grad_norm)
+            callback(iteration, params.with_values(v), report.S, grad_norm)
         if grad_norm <= stop.grad_tol:
             outcome = CONVERGED
             break
         if iteration >= stop.max_iters:
             outcome = MAX_ITERS
             break
-        v = v - dtau * grad
+        v = v - dtau * report.gradient
         iteration += 1
 
     final = params.with_values(v)

@@ -39,6 +39,24 @@ class Parity(Enum):
         return k % 2 == 1 if self is Parity.ODD_ONLY else True
 
 
+def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
+    """Derivative of order 0, 1 or 2 at times ``t`` of the series whose
+    ``coeffs`` = (sin, cos) are indexed by harmonic along axis 0; a trailing
+    batch axis on the coefficients trails the result too."""
+    sin, cos = coeffs
+    a, b = sin[1:], cos[1:]
+    ks = np.arange(1, a.shape[0] + 1, dtype=float)
+    ang = np.multiply.outer(t, ks)
+    s, c = np.sin(ang), np.cos(ang)
+    if order == 0:
+        return s @ a + c @ b + cos[0]
+    ks = ks.reshape(ks.shape + (1,) * (a.ndim - 1))
+    if order == 1:
+        return c @ (ks * a) - s @ (ks * b)
+    k2 = ks * ks
+    return -(s @ (k2 * a) + c @ (k2 * b))
+
+
 def _frozen(values, length: int) -> np.ndarray:
     arr = np.zeros(length, dtype=float)
     if values is not None:
@@ -168,19 +186,8 @@ class FourierSeries:
 
     def _eval(self, t, order: int):
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        ks = np.arange(1, self.k_max + 1, dtype=float)
-        ang = np.multiply.outer(t_arr, ks)
-        s, c = np.sin(ang), np.cos(ang)
-        a, b = self.sin[1:], self.cos[1:]
-        if order == 0:
-            out = s @ a + c @ b + self.cos[0]
-        elif order == 1:
-            out = c @ (ks * a) - s @ (ks * b)
-        else:
-            k2 = ks * ks
-            out = -(s @ (k2 * a) + c @ (k2 * b))
-        return float(out) if scalar else out
+        out = evaluate((self.sin, self.cos), t_arr, order)
+        return float(out) if t_arr.ndim == 0 else out
 
     def normalize(self, eps: float = 1e-12) -> tuple["FourierSeries", float]:
         """Rescale so the k=1 sine coefficient equals one.

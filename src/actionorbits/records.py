@@ -27,9 +27,9 @@ from .fourier import COS, SIN, FourierSeries, Parity
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
-                       ReducedParams, ScalarGenerator, Slot, SpaceTimeSymmetry,
-                       VectorGenerator, build_choreography, build_crisscross,
-                       build_cubic_family, make_layout)
+                       ParamLayout, ReducedParams, ScalarGenerator, Slot,
+                       SpaceTimeSymmetry, VectorGenerator, build_choreography,
+                       build_crisscross, build_cubic_family, make_layout)
 
 SCHEMA_VERSION = 1
 RESIDUAL_CERTIFICATE = 1e-5
@@ -171,16 +171,17 @@ def _family_dict(model: OrbitModel) -> dict:
             "symmetries": symmetries}
 
 
-def _rebuild_model(record: OrbitRecord) -> OrbitModel:
+def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]:
+    """The record's model, plus the builder's layout for cubic and criss-cross."""
     fam = record.family
     pot = PotentialSpec(**record.potential)
     kind = fam["kind"]
     if kind == "cubic":
-        model, _ = build_cubic_family(fam["m"], record.k_max, pot)
-        return model
+        model, params = build_cubic_family(fam["m"], record.k_max, pot)
+        return model, params.layout
     if kind == "crisscross":
-        model, _ = build_crisscross(tuple(fam["masses"]), record.k_max, pot)
-        return model
+        model, params = build_crisscross(tuple(fam["masses"]), record.k_max, pot)
+        return model, params.layout
     if kind == "choreography":
         coords = "xyz"
         active: dict[str, tuple] = {}
@@ -193,7 +194,7 @@ def _rebuild_model(record: OrbitRecord) -> OrbitModel:
         model, _ = build_choreography(
             fam["n"], active=active or None, k_max=record.k_max,
             parity=Parity(fam["parity"]), potential=pot)
-        return model
+        return model, None
     generators = []
     for g in fam["generators"]:
         if g["type"] == "scalar":
@@ -208,12 +209,12 @@ def _rebuild_model(record: OrbitRecord) -> OrbitModel:
     symmetries = [SpaceTimeSymmetry(OrthTransform(s["matrix"]), s["time_shift"],
                                     s["time_reversal"]) for s in fam["symmetries"]]
     return OrbitModel(tuple(generators), tuple(bindings), pot,
-                      Family(kind="custom"), tuple(symmetries))
+                      Family(kind="custom"), tuple(symmetries)), None
 
 
 def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
     """Rebuild the orbit model and reduced parameters from a record."""
-    model = _rebuild_model(record)
+    model, reference = _rebuild_model(record)
     try:
         slots = [Slot(*s) for s in record.layout["slots"]]
         couplings = [Coupling(*c) for c in record.layout["couplings"]]
@@ -221,15 +222,9 @@ def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
         params = ReducedParams(layout, np.array(record.values, dtype=float))
     except Exception as err:
         raise RecordError(f"record layout is inconsistent: {err}") from err
-    if record.family["kind"] in ("cubic", "crisscross"):
-        builder = (build_cubic_family if record.family["kind"] == "cubic"
-                   else build_crisscross)
-        arg = (record.family["m"] if record.family["kind"] == "cubic"
-               else tuple(record.family["masses"]))
-        _, reference = builder(arg, record.k_max, model.potential)
-        if reference.layout.slots != layout.slots or \
-                reference.layout.couplings != layout.couplings:
-            raise RecordError("record layout does not match its family builder")
+    if reference is not None and (reference.slots != layout.slots or
+                                  reference.couplings != layout.couplings):
+        raise RecordError("record layout does not match its family builder")
     return model, params
 
 
@@ -343,8 +338,7 @@ def _column_name(slot: Slot, family_kind: str) -> str:
     if family_kind == "crisscross":
         letter = "a" if slot.basis == COS else "b"
         return f"{letter}_{slot.gen + 1}"
-    coord = "xyz"[slot.channel] if family_kind != "cubic" else "f"
-    return f"{coord}.{slot.basis}"
+    return f"{'xyz'[slot.channel]}.{slot.basis}"
 
 
 def export_table(record: OrbitRecord) -> str:

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CollisionError, LayoutError
-from .fourier import COS, SIN, FourierSeries, Parity
+from .fourier import COS, SIN, FourierSeries, Parity, evaluate
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 
@@ -176,6 +176,10 @@ class ScalarGenerator:
 
     n_channels = 1
 
+    @property
+    def columns(self) -> tuple[tuple[int, float], ...]:
+        return tuple((0, o) for o in self.offsets)
+
     def channel(self, c: int) -> FourierSeries:
         if c != 0:
             raise IndexError("scalar generator has a single channel")
@@ -184,11 +188,6 @@ class ScalarGenerator:
     def with_coeffs(self, table: np.ndarray) -> "ScalarGenerator":
         series = FourierSeries(table[0, 0], table[0, 1], self.series.parity)
         return ScalarGenerator(series, self.offsets)
-
-    def sample(self, t: np.ndarray, deriv: int = 0) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        cols = [self.series._eval(t + o, deriv) for o in self.offsets]
-        return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -200,6 +199,7 @@ class VectorGenerator:
     z: FourierSeries
 
     n_channels = 3
+    columns = ((0, 0.0), (1, 0.0), (2, 0.0))   # (channel, offset) per coordinate
 
     def channel(self, c: int) -> FourierSeries:
         return (self.x, self.y, self.z)[c]
@@ -208,11 +208,6 @@ class VectorGenerator:
         coords = [FourierSeries(table[c, 0], table[c, 1], self.channel(c).parity)
                   for c in range(3)]
         return VectorGenerator(*coords)
-
-    def sample(self, t: np.ndarray, deriv: int = 0) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        cols = [self.channel(c)._eval(t, deriv) for c in range(3)]
-        return np.stack(cols, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -380,9 +375,11 @@ class ParamLayout:
         return np.array([s.k for s in self.slots])
 
     def expand(self, values: np.ndarray) -> list[np.ndarray]:
-        """Reduced vector -> dense per-generator tables (channels, 2, k_max+1)."""
+        """Reduced vector -> dense per-generator tables (channels, 2, k_max+1);
+        values shaped (n_slots, B) add a trailing batch axis."""
         values = np.asarray(values, dtype=float)
-        tables = [np.zeros((nc, 2, self.k_max + 1)) for nc in self.gen_channels]
+        tables = [np.zeros((nc, 2, self.k_max + 1) + values.shape[1:])
+                  for nc in self.gen_channels]
         for i, s in enumerate(self.slots):
             tables[s.gen][s.channel, _BASIS_AXIS[s.basis], s.k] = values[i]
         for c in self.couplings:
@@ -433,7 +430,7 @@ def channel_multiplicity(model: OrbitModel, gen: int, channel: int) -> float:
     that makes the kinetic part of the action diagonal in the reduced
     coefficients: d(int K dt)/d(coeff) = pi * multiplicity * k^2 * coeff.
     """
-    reads = 3.0 if isinstance(model.generators[gen], ScalarGenerator) else 1.0
+    reads = sum(ch == channel for ch, _ in model.generators[gen].columns)
     return reads * sum(b.mass for b in model.bindings if b.generator == gen)
 
 
@@ -494,6 +491,19 @@ def _as_times(times) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
+                  t: np.ndarray, deriv: int) -> np.ndarray:
+    """Body coordinates (n_bodies, n_times[, B], 3) at 1-D times ``t`` from
+    :meth:`ParamLayout.expand` tables, with or without a batch axis B."""
+    out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
+    for i, b in enumerate(model.bindings):
+        table = tables[b.generator]
+        cols = [evaluate(table[ch], (t + b.phase) + off, deriv)
+                for ch, off in model.generators[b.generator].columns]
+        out[i] = np.stack(cols, axis=-1) @ b.transform.matrix.T
+    return out
+
+
 def sample_positions(model: OrbitModel, params: ReducedParams, times,
                      deriv: int = 0) -> np.ndarray:
     """Sample body positions (deriv=0), velocities (1), or accelerations (2).
@@ -502,11 +512,7 @@ def sample_positions(model: OrbitModel, params: ReducedParams, times,
     QuadratureGrid, an array, or a scalar (squeezed to (n_bodies, 3)).
     """
     t, scalar = _as_times(times)
-    gens = expand_generators(model, params)
-    out = np.empty((model.n_bodies, t.size, 3))
-    for i, b in enumerate(model.bindings):
-        pre = gens[b.generator].sample(t + b.phase, deriv)
-        out[i] = pre @ b.transform.matrix.T
+    out = sample_tables(model, params.layout.expand(params.values), t, deriv)
     return out[:, 0, :] if scalar else out
 
 

@@ -135,13 +135,34 @@ class TestGradient:
         assert np.max(np.abs(g)) < 1e-9
 
 
+KERNEL_MODELS = {
+    # scalar generator read at three time offsets
+    "cubic-m3": lambda: build_cubic_family(3, k_max=9),
+    # sign couplings across generators
+    "crisscross": lambda: build_crisscross(k_max=9),
+    "crisscross-123": lambda: build_crisscross((1.0, 2.0, 3.0), k_max=9),
+    # sin and cos on one channel, all harmonics
+    "choreography-sincos": lambda: build_choreography(
+        3, active={"x": ("sin", "cos"), "y": ("cos",)}, k_max=9,
+        parity=ao.Parity.ALL),
+}
+
+
 class TestEvalKernel:
-    def test_kernel_matches_direct_sampling(self):
-        model, params = build_crisscross(k_max=9)
-        rng = np.random.default_rng(23)
-        params = params.with_values(rng.normal(size=len(params)))
+    @pytest.mark.parametrize("name", list(KERNEL_MODELS))
+    def test_kernel_matches_direct_sampling(self, name):
+        model, params = KERNEL_MODELS[name]()
         kernel = EvalKernel(model, params)
         t = kernel.grid.nodes
+        # Each basis entry is exactly the sampled unit vector of its slot.
+        for s, unit in enumerate(np.eye(len(params))):
+            probe = params.with_values(unit)
+            for basis, deriv in ((kernel.basis_pos, 0), (kernel.basis_vel, 1),
+                                 (kernel.basis_acc, 2)):
+                assert np.array_equal(
+                    basis[s], sample_positions(model, probe, t, deriv)), (s, deriv)
+        rng = np.random.default_rng(23)
+        params = params.with_values(rng.normal(size=len(params)))
         assert np.allclose(kernel.positions(params.values),
                            sample_positions(model, params, t))
         assert np.allclose(kernel.velocities(params.values),

@@ -13,9 +13,11 @@ from actionorbits import (
     ESCAPE,
     MAX_ITERS,
     DescentSchedule,
+    EvalKernel,
     LayoutError,
     PotentialSpec,
     StopRule,
+    action_with_gradient,
     build_choreography,
     build_crisscross,
     build_cubic_family,
@@ -174,6 +176,22 @@ class TestRunOutcomes:
         assert np.array_equal(r1.params.values, r2.params.values)
         assert np.array_equal(r1.action_trace, r2.action_trace)
         assert r1.grad_norm == r2.grad_norm
+
+    def test_run_iterates_the_public_gradient_and_step(self):
+        model, params = build_crisscross(k_max=9)
+        schedule = DescentSchedule.preconditioned()
+        kernel = EvalKernel(model, params)
+        trace = []
+        current = params
+        for _ in range(5):
+            report = action_with_gradient(model, current, kernel=kernel)
+            trace.append(report.S)
+            current = step(current, report.gradient, schedule)
+        trace.append(action_with_gradient(model, current, kernel=kernel).S)
+        result = run(model, params, schedule, StopRule(max_iters=5))
+        assert result.iterations == 5
+        assert np.array_equal(result.action_trace, np.array(trace))
+        assert np.array_equal(result.params.values, current.values)
 
     def test_symmetry_preserved_every_iteration(self):
         model, params = build_crisscross(k_max=9)
