@@ -27,8 +27,8 @@ import numpy as np
 from .descent import DescentSchedule, StopRule, run
 from .dynamics import observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
-from .integrate import (DEFAULT_DT, BOUNDED, extract_ics, integrate,
-                        perturb_and_track, return_error, write_trajectory)
+from .integrate import (BOUNDED, extract_ics, integrate, perturb_and_track,
+                        return_error, write_trajectory)
 from .quadrature import QuadratureGrid
 from .records import (RESIDUAL_CERTIFICATE, export_table, load_record,
                       make_record, record_to_model, save_record, verify_record,
@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
     model, params = record_to_model(record)
     ok_residual, recomputed = verify_record(record)
     report = verify_symmetry(model, params, tol=args.symmetry_tol)
-    ret = return_error(model, params, dt=args.dt)
+    ret = return_error(model, params)
     ok_return = ret <= args.return_tol
     stored = "n/a" if record.residual is None else f"{record.residual:.6e}"
     print(f"residual: recomputed={recomputed:.6e} stored={stored} "
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("record")
     p.add_argument("--symmetry-tol", type=float, default=1e-9)
     p.add_argument("--return-tol", type=float, default=1e-3)
-    p.add_argument("--dt", type=float, default=DEFAULT_DT)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("perturb", help="track perturbed initial conditions")

@@ -187,6 +187,20 @@ class Observables:
     com: np.ndarray        # center of mass (3,)
 
 
+def _second_moments(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum m x x^T and sum m |x|^2 of one (n, 3) configuration."""
+    return (np.einsum("i,ic,id->cd", m, x, x),
+            float(np.einsum("i,ic,ic->", m, x, x)))
+
+
+def quadrupole(masses, positions) -> np.ndarray:
+    """The traceless quadrupole Q of :class:`Observables`, without the
+    potential energy the full set needs."""
+    xxt, r2 = _second_moments(np.asarray(masses, dtype=float),
+                              np.asarray(positions, dtype=float))
+    return 3.0 * xxt - r2 * np.eye(3)
+
+
 def observables(spec: PotentialSpec, masses, positions, velocities) -> Observables:
     """Compute E, J, P, I, Q, and the center of mass for one configuration."""
     x = np.asarray(positions, dtype=float)
@@ -198,8 +212,7 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
     pot = potential_energy(spec, m, x, collision_threshold=0.0)
     J = (m[:, None] * np.cross(x, v)).sum(axis=0)
     P = (m[:, None] * v).sum(axis=0)
-    xxt = np.einsum("i,ic,id->cd", m, x, x)
-    r2 = float(np.einsum("i,ic,ic->", m, x, x))
+    xxt, r2 = _second_moments(m, x)
     I = r2 * np.eye(3) - xxt
     Q = 3.0 * xxt - r2 * np.eye(3)
     com = (m[:, None] * x).sum(axis=0) / m.sum()

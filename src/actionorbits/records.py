@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
-from .dynamics import observables_series, residual
+from .dynamics import observables, quadrupole, residual
 from .errors import RecordError
 from .fourier import COS, SIN, FourierSeries, Parity
 from .potential import PotentialSpec
@@ -29,7 +29,8 @@ from .quadrature import QuadratureGrid
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
                        ParamLayout, ReducedParams, ScalarGenerator, Slot,
                        SpaceTimeSymmetry, VectorGenerator, build_choreography,
-                       build_crisscross, build_cubic_family, make_layout)
+                       build_crisscross, build_cubic_family, make_layout,
+                       sample_positions)
 
 SCHEMA_VERSION = 1
 RESIDUAL_CERTIFICATE = 1e-5
@@ -241,11 +242,14 @@ def designated_scale(model: OrbitModel, params: ReducedParams) -> float:
 
 
 def _observable_summary(model: OrbitModel, params: ReducedParams) -> dict | None:
+    t = QuadratureGrid(64).nodes
+    pos = sample_positions(model, params, t)
+    vel = sample_positions(model, params, t, deriv=1)
+    q_max = max(float(np.abs(quadrupole(model.masses, pos[:, j])).max())
+                for j in range(t.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, obs = observables_series(model, params, QuadratureGrid(64))
-        q_max = max(float(np.abs(o.Q).max()) for o in obs)
-        summary = {"E": obs[0].E, "J": [float(v) for v in obs[0].J],
-                   "Q_max": q_max}
+        obs = observables(model.potential, model.masses, pos[:, 0], vel[:, 0])
+    summary = {"E": obs.E, "J": [float(v) for v in obs.J], "Q_max": q_max}
     flat = [summary["E"], q_max, *summary["J"]]
     if not all(math.isfinite(v) for v in flat):
         return None   # degenerate configuration (e.g. coincident bodies)

@@ -496,11 +496,16 @@ def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
     """Body coordinates (n_bodies, n_times[, B], 3) at 1-D times ``t`` from
     :meth:`ParamLayout.expand` tables, with or without a batch axis B."""
     out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
+    sampled = {}   # bindings sharing (generator, phase) read the same columns
     for i, b in enumerate(model.bindings):
-        table = tables[b.generator]
-        cols = [evaluate(table[ch], (t + b.phase) + off, deriv)
-                for ch, off in model.generators[b.generator].columns]
-        out[i] = np.stack(cols, axis=-1) @ b.transform.matrix.T
+        key = (b.generator, b.phase)
+        if key not in sampled:
+            table = tables[b.generator]
+            sampled[key] = np.stack(
+                [evaluate(table[ch], (t + b.phase) + off, deriv)
+                 for ch, off in model.generators[b.generator].columns],
+                axis=-1)
+        out[i] = sampled[key] @ b.transform.matrix.T
     return out
 
 

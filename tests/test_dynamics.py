@@ -20,6 +20,7 @@ from actionorbits import (
     residual,
     sample_positions,
 )
+from actionorbits.dynamics import quadrupole
 
 TWO_PI = 2.0 * math.pi
 
@@ -189,6 +190,7 @@ class TestObservables:
         assert abs(np.trace(obs.Q)) < 1e-14
 
     def test_quadrupole_is_traceless_for_random_configs(self):
+        # quadrupole() is the same arithmetic without the potential
         rng = np.random.default_rng(9)
         for _ in range(10):
             n = rng.integers(2, 7)
@@ -198,6 +200,7 @@ class TestObservables:
             obs = observables(PotentialSpec(), masses, x, v)
             assert abs(np.trace(obs.Q)) < 1e-12 * max(1.0, np.abs(obs.Q).max())
             assert np.allclose(obs.I, obs.I.T)
+            assert np.array_equal(quadrupole(masses, x), obs.Q)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
-"""Tests for the fixed-step RK4 checks: return error and perturbation runs."""
+"""Tests for the integration checks: the DOP853 return error (with RK4 as
+its oracle), the fixed-step RK4 integrator and perturbation runs."""
 
+import importlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,13 +151,56 @@ class TestRK4:
 class TestReturnError:
     def test_converged_orbit_closes(self, circle):
         model, result = circle
-        err = return_error(model, result.params, dt=TWO_PI * 1e-4)
+        err = return_error(model, result.params)
         assert err < 1e-9
 
     def test_unchanged_seed_does_not_close(self):
         model, params = build_choreography(2, k_max=9)
-        err = return_error(model, params, dt=TWO_PI * 1e-3)
+        err = return_error(model, params)
         assert err > 1e-2
+
+    @pytest.mark.parametrize("fixture", ["circle", "crisscross"])
+    def test_agrees_with_fixed_step_rk4(self, fixture, request):
+        # the RK4 one-period map is the independent oracle for DOP853
+        model, result = request.getfixturevalue(fixture)
+        state = extract_ics(model, result.params)
+        traj = integrate(state, model.masses, model.potential,
+                         dt=ao.DEFAULT_DT, horizon=TWO_PI,
+                         record_stride=10_000)
+        rk4 = max(np.abs(traj.positions[-1] - state.positions).max(),
+                  np.abs(traj.velocities[-1] - state.velocities).max())
+        err = return_error(model, result.params)
+        assert abs(err - rk4) <= 2e-12 + 1e-6 * rk4
+
+    def test_collision_is_reported_not_a_solver_traceback(self, circle):
+        model, result = circle
+        with pytest.raises(CollisionError) as exc:
+            return_error(model, result.params, collision_threshold=10.0)
+        assert "[integration]" in str(exc.value)
+        assert exc.value.pair == (0, 1)
+
+    def test_non_finite_start_raises_instead_of_hanging(self, circle,
+                                                        monkeypatch):
+        # coincident bodies without a collision test give a NaN acceleration,
+        # from which DOP853 would pick a NaN first step and never finish
+        module = importlib.import_module("actionorbits.integrate")
+        start = PhaseState(np.zeros((2, 3)),
+                           [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]])
+        monkeypatch.setattr(module, "extract_ics", lambda model, params: start)
+        model, result = circle
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ao.IntegrationError):
+            return_error(model, result.params, collision_threshold=0.0)
+
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        # return_error imports DOP853 lazily, so start-up stays lean
+        code = ("import sys, actionorbits; "
+                "print('scipy.integrate' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(ao.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestPerturbAndTrack:

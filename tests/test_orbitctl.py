@@ -333,7 +333,7 @@ class TestCliMinimize:
 
 class TestCliVerify:
     def test_converged_record_passes(self, circle_record, capsys):
-        code = main(["verify", circle_record, "--dt", str(TWO_PI * 1e-3)])
+        code = main(["verify", circle_record])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("ok") == 3
@@ -342,7 +342,7 @@ class TestCliVerify:
         seed = str(tmp_path / "seed.json")
         assert main(["seed", "--family", "choreography", "--n", "2",
                      "--k-max", "9", "--out", seed]) == 0
-        code = main(["verify", seed, "--dt", str(TWO_PI * 1e-3)])
+        code = main(["verify", seed])
         assert code == 4
         assert "FAIL" in capsys.readouterr().out
 

@@ -33,6 +33,7 @@ from actionorbits import (
     sample_positions,
     verify_symmetry,
 )
+from actionorbits.fourier import evaluate
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
@@ -177,6 +178,24 @@ class TestCubicFamily:
         pos = sample_positions(model, params, t)
         for i, binding in enumerate(model.bindings):
             assert np.allclose(pos[i], pos[0] @ binding.transform.matrix.T)
+
+    @pytest.mark.parametrize("deriv", [0, 1, 2])
+    def test_sampler_matches_per_binding_evaluation(self, deriv):
+        # m=5 puts 20 bindings on 5 phases, so bindings share sampled
+        # columns; each body must still equal its own direct evaluation
+        model, params = build_cubic_family(5)
+        assert len({(b.generator, b.phase) for b in model.bindings}) == 5
+        rng = np.random.default_rng(5)
+        params = params.with_values(rng.normal(size=len(params)))
+        t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        tables = params.layout.expand(params.values)
+        pos = sample_positions(model, params, t, deriv=deriv)
+        for i, b in enumerate(model.bindings):
+            cols = [evaluate(tables[b.generator][ch], (t + b.phase) + off,
+                             deriv)
+                    for ch, off in model.generators[b.generator].columns]
+            expected = np.stack(cols, axis=-1) @ b.transform.matrix.T
+            assert np.array_equal(pos[i], expected), i
 
     def test_triple_occupancy_carries_full_rotation_set(self):
         model, _ = build_cubic_family(3, k_max=9)
