@@ -26,8 +26,8 @@ import numpy as np
 
 from .dynamics import COLLISION_THRESHOLD, forces, potential_energy
 from .quadrature import QuadratureGrid
-from .symmetry import (OrbitModel, ReducedParams, ScalarGenerator,
-                       channel_multiplicity, sample_positions, sample_tables)
+from .symmetry import (OrbitModel, ReducedParams, channel_multiplicity,
+                       sample_positions, sample_tables)
 
 
 def default_grid(model: OrbitModel) -> QuadratureGrid:
@@ -198,18 +198,11 @@ def full_gradient(model: OrbitModel, params: ReducedParams,
         for i, b in enumerate(model.bindings):
             if b.generator != g_idx:
                 continue
-            rotated = F[i] @ b.transform.matrix      # (T, 3); column c pairs
-            if isinstance(gen, ScalarGenerator):     # with basis at offset c
-                for c, off in enumerate(gen.offsets):
-                    ang = np.multiply.outer(ks, t + b.phase + off)
-                    table[0, 0] += grid.weight * (np.sin(ang) @ rotated[:, c])
-                    table[0, 1] += grid.weight * (np.cos(ang) @ rotated[:, c])
-            else:
-                ang = np.multiply.outer(ks, t + b.phase)
-                sin_m, cos_m = np.sin(ang), np.cos(ang)
-                for ch in range(3):
-                    table[ch, 0] += grid.weight * (sin_m @ rotated[:, ch])
-                    table[ch, 1] += grid.weight * (cos_m @ rotated[:, ch])
+            rotated = F[i] @ b.transform.matrix      # (T, 3); column c reads
+            for c, (ch, off) in enumerate(gen.columns):   # channel ch at off
+                ang = np.multiply.outer(ks, t + b.phase + off)
+                table[ch, 0] += grid.weight * (np.sin(ang) @ rotated[:, c])
+                table[ch, 1] += grid.weight * (np.cos(ang) @ rotated[:, c])
         table[:, 0, 0] = 0.0   # sine basis has no k=0 member
         out.append(table)
     return out

@@ -30,9 +30,9 @@ from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
 from .integrate import (BOUNDED, extract_ics, integrate, perturb_and_track,
                         return_error, write_trajectory)
 from .quadrature import QuadratureGrid
-from .records import (RESIDUAL_CERTIFICATE, export_table, load_record,
-                      make_record, record_to_model, save_record, verify_record,
-                      write_text)
+from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, export_table,
+                      load_record, make_record, record_to_model, save_record,
+                      verify_record, write_text)
 from .symmetry import (build_choreography, build_crisscross,
                        build_cubic_family, verify_symmetry)
 from .potential import PotentialSpec
@@ -105,7 +105,7 @@ def _schedule_from_args(args) -> DescentSchedule:
     chosen = [name for name, v in
               (("--dtau", args.dtau), ("--table", args.table)) if v]
     if len(chosen) > 1:
-        raise OrbitError("pick one of --delta, --dtau, --table")
+        raise OrbitError("pick one of --dtau, --table")
     if args.dtau is not None:
         return DescentSchedule.uniform(args.dtau)
     if args.table:
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     ok_return = ret <= args.return_tol
     stored = "n/a" if record.residual is None else f"{record.residual:.6e}"
     print(f"residual: recomputed={recomputed:.6e} stored={stored} "
-          f"{'ok' if ok_residual else 'FAIL (exceeds 2x stored)'}")
+          f"{'ok' if ok_residual else f'FAIL (exceeds {VERIFY_FACTOR:g}x stored)'}")
     print(f"symmetry: max_error={report.max_error:.3e} "
           f"{'ok' if report.passed else f'FAIL (tol {args.symmetry_tol:g})'}")
     print(f"return_error: {ret:.6e} "

@@ -6,7 +6,8 @@ i < j, the signed couplings c_ij (and -alpha * c_ij for the force), and the
 body-by-pair incidence matrix that sums pair forces onto bodies.  The table
 is built once and cached, so a force call only gathers separations, takes
 their norms and powers, and applies the incidence matrix.  Positions may be
-a single configuration of shape (n, 3) or a batch of shape (n, T, 3);
+a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
+reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
 deterministic reduction order.
 """
@@ -21,17 +22,9 @@ import numpy as np
 from .errors import CollisionError
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
-from .symmetry import OrbitModel, ReducedParams, sample_positions
+from .symmetry import OrbitModel, ReducedParams, _as_times, sample_positions
 
 COLLISION_THRESHOLD = 1e-8
-
-
-@functools.lru_cache(maxsize=64)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    i_idx, j_idx = np.triu_indices(n, 1)
-    i_idx.setflags(write=False)
-    j_idx.setflags(write=False)
-    return i_idx, j_idx
 
 
 def _separations(i_idx: np.ndarray, j_idx: np.ndarray, x: np.ndarray):
@@ -53,7 +46,7 @@ class PairTable:
         n = masses.size
         self.alpha = spec.alpha
         self.softening = spec.softening
-        self.i_idx, self.j_idx = _pair_index(n)
+        self.i_idx, self.j_idx = np.triu_indices(n, 1)
         self.coupling = np.array([spec.pair_coupling(masses[i], masses[j])
                                   for i, j in zip(self.i_idx, self.j_idx)])
         # F_i = -dV/dx_i = -c * alpha * r**(alpha-2) * (x_i - x_j) per pair
@@ -63,8 +56,8 @@ class PairTable:
         self.incidence[self.i_idx, pairs] = 1.0
         self.incidence[self.j_idx, pairs] = -1.0
         self.mass_column = masses[:, None]
-        for a in (self.coupling, self.force_coef, self.incidence,
-                  self.mass_column):
+        for a in (self.i_idx, self.j_idx, self.coupling, self.force_coef,
+                  self.incidence, self.mass_column):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, collision_threshold: float,
@@ -116,26 +109,22 @@ def pair_table(spec: PotentialSpec, masses) -> PairTable:
     return _cached_pair_table(spec, np.asarray(masses, dtype=float).tobytes())
 
 
-def _batched(positions: np.ndarray) -> tuple[np.ndarray, bool]:
+def _positions(positions) -> np.ndarray:
     x = np.asarray(positions, dtype=float)
-    if x.ndim == 2:
-        return x[:, None, :], True
-    if x.ndim == 3:
-        return x, False
-    raise ValueError(f"positions must have shape (n, 3) or (n, T, 3), got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ValueError(f"positions must have shape (n, 3) or (n, T, 3), got {x.shape}")
+    return x
 
 
 def potential_energy(spec: PotentialSpec, masses, positions, times=None,
                      collision_threshold: float = COLLISION_THRESHOLD,
                      context: str = "") -> np.ndarray | float:
     """Total pair potential; scalar for a single configuration, else (T,)."""
-    x, single = _batched(positions)
-    if x.shape[0] < 2:
-        return 0.0 if single else np.zeros(x.shape[1])
+    x = _positions(positions)
     table = pair_table(spec, masses)
     _, r = table.distances(x, times, collision_threshold, context)
     v = table.potential(r)
-    return float(v[0]) if single else v
+    return float(v) if x.ndim == 2 else v
 
 
 def forces(spec: PotentialSpec, masses, positions, times=None,
@@ -147,25 +136,19 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
     third law holds to machine precision because each pair contributes the
     same term with opposite signs.
     """
-    x, single = _batched(positions)
-    n, T = x.shape[0], x.shape[1]
-    if n < 2:
-        F = np.zeros_like(x)
-        return (F[:, 0, :], 0.0) if single else (F, np.zeros(T))
+    x = _positions(positions)
     table = pair_table(spec, masses)
     d, r = table.distances(x, times, collision_threshold, context)
     v = table.potential(r)
-    F = table.forces(d, r)
-    return (F[:, 0, :], float(v[0])) if single else (F, v)
+    F = table.forces(d, r) if d.size else np.zeros_like(x)   # no pairs: n < 2
+    return (F, float(v)) if x.ndim == 2 else (F, v)
 
 
 def min_pair_distance(positions) -> float:
     """Smallest body separation over a configuration or batch."""
-    x, _ = _batched(positions)
-    if x.shape[0] < 2:
-        return np.inf
-    _, r2 = _separations(*_pair_index(x.shape[0]), x)
-    return float(np.sqrt(r2.min()))
+    x = _positions(positions)
+    _, r2 = _separations(*np.triu_indices(x.shape[0], 1), x)
+    return float(np.sqrt(r2.min())) if r2.size else np.inf
 
 
 @dataclass(frozen=True)
@@ -222,8 +205,7 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
 
 def observables_series(model: OrbitModel, params: ReducedParams, times):
     """Observables along sampled times of a model trajectory."""
-    t = times.nodes if isinstance(times, QuadratureGrid) else np.atleast_1d(
-        np.asarray(times, dtype=float))
+    t, _ = _as_times(times)
     pos = sample_positions(model, params, t)
     vel = sample_positions(model, params, t, deriv=1)
     return t, [observables(model.potential, model.masses, pos[:, j], vel[:, j])

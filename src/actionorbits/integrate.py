@@ -38,6 +38,8 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_DT = TWO_PI * 1e-4
 # DOP853 rtol = atol for the return map (scipy floors rtol at 100 * eps)
 RETURN_TOL = 1e-13
+# reference-curve phases the perturbation tracker measures deviation against
+CURVE_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -264,9 +266,8 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
                       envelope: float | None = None,
                       dt: float = TWO_PI * 1e-3,
                       samples_per_period: int = 50,
-                      stop_on_exit: bool = True,
-                      collision_threshold: float = COLLISION_THRESHOLD,
-                      curve_samples: int = 2048) -> PerturbationReport:
+                      collision_threshold: float = COLLISION_THRESHOLD
+                      ) -> PerturbationReport:
     """Integrate from displaced initial positions and watch the deviation.
 
     ``deviation`` is an (n, 3) array added to the initial positions.  The
@@ -274,8 +275,12 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     configuration to the unperturbed orbit band (see :class:`_CurveMetric`:
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
-    applied displacement.
+    applied displacement.  ``n_periods`` must be positive; the run takes at
+    least one step, samples every ``samples_per_period``-th of a period and
+    the final state, and stops at the first sample outside the envelope.
     """
+    if not n_periods > 0.0:
+        raise ValueError(f"n_periods must be positive, got {n_periods}")
     dev = np.zeros((model.n_bodies, 3))
     dev += np.asarray(deviation, dtype=float)
     applied = float(np.abs(dev).max())
@@ -287,9 +292,9 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     steps_per_period -= steps_per_period % samples_per_period
     dt = TWO_PI / steps_per_period
     stride = steps_per_period // samples_per_period
-    n_steps = int(round(n_periods * steps_per_period))
+    n_steps = max(1, int(round(n_periods * steps_per_period)))
 
-    metric = _CurveMetric(model, params, curve_samples)
+    metric = _CurveMetric(model, params, CURVE_SAMPLES)
 
     base = extract_ics(model, params)
     pos = base.positions + dev
@@ -308,14 +313,13 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
             t = (i + 1) * dt
             if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
                 raise IntegrationError(f"non-finite state at t={t:.6f}")
-            if (i + 1) % stride == 0:
+            if (i + 1) % stride == 0 or i == n_steps - 1:
                 deviations.append(metric.distance(pos))
                 sample_times.append(t)
                 sections.append(pos.copy())
                 if deviations[-1] > envelope:
                     exit_time = t
-                    if stop_on_exit:
-                        break
+                    break
     except (CollisionError, IntegrationError):
         exit_time = t
     max_dev = float(max(deviations))

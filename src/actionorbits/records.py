@@ -34,6 +34,8 @@ from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
 
 SCHEMA_VERSION = 1
 RESIDUAL_CERTIFICATE = 1e-5
+# verify_record passes a recomputed residual up to this multiple of the stored one
+VERIFY_FACTOR = 2.0
 
 _TOP_KEYS = {"schema_version", "family", "potential", "k_max", "layout",
              "values", "scale", "converged", "outcome", "iterations",
@@ -317,18 +319,18 @@ def make_record(model: OrbitModel, params: ReducedParams,
     )
 
 
-def verify_record(record: OrbitRecord, factor: float = 2.0
-                  ) -> tuple[bool, float]:
+def verify_record(record: OrbitRecord) -> tuple[bool, float]:
     """Recompute the residual of a stored orbit.
 
     Returns (ok, recomputed); for converged records ok means the recomputed
-    residual is within ``factor`` times the stored value.
+    residual is within ``VERIFY_FACTOR`` times the stored value.
     """
     model, params = record_to_model(record)
     recomputed = residual(model, params).max_violation
     if record.residual is None:
         return True, float(recomputed)
-    return bool(recomputed <= factor * record.residual), float(recomputed)
+    return (bool(recomputed <= VERIFY_FACTOR * record.residual),
+            float(recomputed))
 
 
 # ----------------------------------------------------------------------

@@ -80,11 +80,27 @@ class TestPotentialEnergy:
         assert np.allclose(v, [-1.0, -0.5])
 
     def test_single_body_has_no_potential(self):
-        assert potential_energy(PotentialSpec(), [1.0], [[0.0, 0.0, 0.0]]) == 0.0
+        # no pairs: zero energy (per configuration) and zero force
+        spec = PotentialSpec()
+        x = np.full((1, 3), 0.3)
+        F, V = forces(spec, [1.0], x)
+        assert potential_energy(spec, [1.0], x) == 0.0 and V == 0.0
+        assert isinstance(V, float)
+        assert F.shape == (1, 3) and not F.any()
+        batch = np.full((1, 4, 3), 0.3)
+        F, V = forces(spec, [1.0], batch)
+        assert np.array_equal(potential_energy(spec, [1.0], batch), np.zeros(4))
+        assert np.array_equal(V, np.zeros(4))
+        assert F.shape == (1, 4, 3) and not F.any()
 
     def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            potential_energy(PotentialSpec(), [1.0], np.zeros(3))
+        spec = PotentialSpec()
+        for call in (lambda x: potential_energy(spec, [1.0], x),
+                     lambda x: forces(spec, [1.0], x),
+                     min_pair_distance):
+            for shape in ((3,), (1, 1, 1, 3)):
+                with pytest.raises(ValueError, match="shape"):
+                    call(np.zeros(shape))
 
 
 class TestForces:

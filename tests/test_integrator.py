@@ -209,6 +209,25 @@ class TestPerturbAndTrack:
         with pytest.raises(ValueError):
             perturb_and_track(model, result.params, np.zeros((2, 3)), 1.0)
 
+    @pytest.mark.parametrize("n_periods", [0.0, -1.0])
+    def test_empty_horizon_rejected(self, circle, n_periods):
+        model, result = circle
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            perturb_and_track(model, result.params, dev, n_periods)
+
+    @pytest.mark.parametrize("n_periods", [0.01, 1.01])
+    def test_horizon_end_is_sampled(self, circle, n_periods):
+        # 10 and 1010 steps against a stride of 20: the last sample is the
+        # end of the horizon, not the last whole stride before it
+        model, result = circle
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e-6
+        rep = perturb_and_track(model, result.params, dev, n_periods)
+        assert rep.sample_times[-1] == pytest.approx(n_periods * TWO_PI)
+        assert len(rep.sample_times) == len(rep.section_points)
+
     def test_tiny_perturbation_stays_bounded(self, circle):
         model, result = circle
         dev = np.zeros((2, 3))

@@ -12,6 +12,7 @@ import actionorbits as ao
 from actionorbits import (
     OrbitRecord,
     RecordError,
+    build_choreography,
     build_crisscross,
     build_cubic_family,
     designated_scale,
@@ -46,6 +47,15 @@ def _tampered(path, tmp_path, edit):
     return str(out)
 
 
+# builder models to re-tag as custom: a scalar generator read at three
+# offsets, three coupled vector generators, one shared vector curve
+CUSTOM_SOURCES = {
+    "cubic-m3": lambda: build_cubic_family(3, k_max=9),
+    "crisscross-123": lambda: build_crisscross((1.0, 2.0, 3.0), k_max=9),
+    "choreography": lambda: build_choreography(3, k_max=9),
+}
+
+
 class TestRecordRoundTrip:
     def test_save_load_preserves_everything(self, circle, tmp_path):
         model, result = circle
@@ -76,6 +86,33 @@ class TestRecordRoundTrip:
         t = np.linspace(0.0, TWO_PI, 13)
         assert np.allclose(ao.sample_positions(model2, params2, t),
                            ao.sample_positions(model, result.params, t))
+
+    @pytest.mark.parametrize("name", list(CUSTOM_SOURCES))
+    def test_custom_family_round_trips(self, name, tmp_path):
+        # a model tagged custom is stored with its generators, bindings and
+        # symmetries spelled out, and must come back sampling the same bytes
+        model, params = CUSTOM_SOURCES[name]()
+        model = dataclasses.replace(model, family=ao.Family(kind="custom"))
+        rng = np.random.default_rng(11)
+        params = params.with_values(params.values
+                                    + 0.05 * rng.normal(size=len(params)))
+        path = str(tmp_path / "custom.json")
+        save_record(make_record(model, params), path)
+        model2, params2 = record_to_model(load_record(path))
+        assert model2.family.kind == "custom"
+        t = np.linspace(0.0, TWO_PI, 13)
+        assert (ao.sample_positions(model2, params2, t).tobytes()
+                == ao.sample_positions(model, params, t).tobytes())
+        assert len(model2.bindings) == len(model.bindings)
+        for b2, b in zip(model2.bindings, model.bindings):
+            assert (b2.generator, b2.phase, b2.mass) == (b.generator, b.phase,
+                                                          b.mass)
+            assert np.array_equal(b2.transform.matrix, b.transform.matrix)
+        assert len(model2.symmetries) == len(model.symmetries)
+        for s2, s in zip(model2.symmetries, model.symmetries):
+            assert (s2.time_shift, s2.time_reversal) == (s.time_shift,
+                                                          s.time_reversal)
+            assert np.array_equal(s2.transform.matrix, s.transform.matrix)
 
     def test_invalid_save_leaves_no_file(self, circle, tmp_path):
         model, result = circle
@@ -368,6 +405,12 @@ class TestCliPerturb:
     def test_body_index_out_of_range(self, circle_record, capsys):
         code = main(["perturb", circle_record, "--body", "9", "--dx", "1e-4"])
         assert code == 1
+
+    def test_empty_horizon_is_usage_error(self, circle_record, capsys):
+        code = main(["perturb", circle_record, "--dx", "0.5",
+                     "--periods", "0"])
+        assert code == 1
+        assert "verdict" not in capsys.readouterr().out
 
 
 class TestCliObserve:
