@@ -30,12 +30,8 @@ from .symmetry import (OrbitModel, ReducedParams, channel_multiplicity,
                        sample_positions, sample_tables)
 
 
-def default_grid(model: OrbitModel) -> QuadratureGrid:
-    return QuadratureGrid.for_kmax(model.k_max)
-
-
 def _require_grid(model: OrbitModel, grid: QuadratureGrid | None) -> QuadratureGrid:
-    grid = grid or default_grid(model)
+    grid = grid or QuadratureGrid.for_kmax(model.k_max)
     grid.require(model.k_max)
     return grid
 

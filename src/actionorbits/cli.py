@@ -151,18 +151,23 @@ def cmd_minimize(args) -> int:
 def cmd_verify(args) -> int:
     record = load_record(args.record)
     model, params = record_to_model(record)
-    ok_residual, recomputed = verify_record(record)
+    ok_stored, recomputed = verify_record(record)
     report = verify_symmetry(model, params, tol=args.symmetry_tol)
     ret = return_error(model, params)
     ok_return = ret <= args.return_tol
     stored = "n/a" if record.residual is None else f"{record.residual:.6e}"
-    print(f"residual: recomputed={recomputed:.6e} stored={stored} "
-          f"{'ok' if ok_residual else f'FAIL (exceeds {VERIFY_FACTOR:g}x stored)'}")
+    if not recomputed <= RESIDUAL_CERTIFICATE:
+        status = f"FAIL (exceeds the certificate {RESIDUAL_CERTIFICATE:.1e})"
+    elif not ok_stored:
+        status = f"FAIL (exceeds {VERIFY_FACTOR:g}x stored)"
+    else:
+        status = "ok"
+    print(f"residual: recomputed={recomputed:.6e} stored={stored} {status}")
     print(f"symmetry: max_error={report.max_error:.3e} "
           f"{'ok' if report.passed else f'FAIL (tol {args.symmetry_tol:g})'}")
     print(f"return_error: {ret:.6e} "
           f"{'ok' if ok_return else f'FAIL (tol {args.return_tol:g})'}")
-    ok = ok_residual and report.passed and ok_return
+    ok = status == "ok" and report.passed and ok_return
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 

@@ -31,7 +31,15 @@ class CollisionError(OrbitError):
 
 
 class IntegrationError(OrbitError):
-    """Numerical integration produced a non-finite state."""
+    """Numerical integration failed or produced a non-finite state.
+
+    Attributes:
+        t: time at which the failure was detected, when known.
+    """
+
+    def __init__(self, message="", t=None):
+        self.t = None if t is None else float(t)
+        super().__init__(message)
 
 
 class ParityError(OrbitError, ValueError):

@@ -9,7 +9,9 @@ right-hand-side evaluations where fixed steps take 40,000.  A classical
 fixed-step fourth-order Runge-Kutta integrator tracks trajectories:
 ``integrate`` records samples along the way (and is the tests' independent
 oracle for the return map), and ``perturb_and_track`` follows deliberately
-perturbed initial conditions over many periods to probe stability.
+perturbed initial conditions over many periods to probe stability.  Both
+run one RK4 driver; a run cut short ends when the failure is detected: at
+``CollisionError.t``, or at the end of a step that left a non-finite state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
 cached :class:`.dynamics.PairTable`: one gather of pair differences, one
@@ -104,6 +106,35 @@ class Trajectory:
     angular_momentum: np.ndarray  # (M, 3)
 
 
+def _check_steps(span: str, length: float, dt: float, stride: str,
+                 count: int) -> None:
+    """ValueError unless length and dt are positive and finite, count >= 1."""
+    for name, x in ((span, length), ("dt", dt)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    if not (isinstance(count, (int, np.integer)) and count > 0):
+        raise ValueError(f"{stride} must be a positive integer, got {count!r}")
+
+
+def _rk4_samples(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
+                 vel: np.ndarray, t0: float, dt: float, n_steps: int,
+                 stride: int, threshold: float):
+    """Take ``n_steps`` RK4 steps of size dt from (pos, vel) at t0, yielding
+    (t, pos, vel) at t0, after every ``stride``-th step and after the last.
+
+    The one caller of :func:`rk4_step` (a module-global lookup, so tracing
+    counts every step) and the one non-finite-state check.
+    """
+    yield t0, pos, vel
+    for i in range(n_steps):
+        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt, threshold)
+        t = t0 + (i + 1) * dt
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+            raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
+        if (i + 1) % stride == 0 or i == n_steps - 1:
+            yield t, pos, vel
+
+
 def integrate(state: PhaseState, masses, spec: PotentialSpec,
               dt: float = DEFAULT_DT, horizon: float = TWO_PI,
               record_stride: int = 1,
@@ -111,40 +142,20 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     """Advance the state for ``horizon`` time units with fixed steps.
 
     Records every ``record_stride``-th step (plus the initial and final
-    states).  Raises CollisionError if bodies approach below the threshold
-    and IntegrationError on a non-finite state.
+    states).  Raises ValueError on a bad step, stride or horizon,
+    CollisionError if bodies approach below the threshold and
+    IntegrationError on a non-finite state.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
+    _check_steps("horizon", horizon, dt, "record_stride", record_stride)
     n_steps = max(1, int(round(horizon / dt)))
     masses = np.asarray(masses, dtype=float)
-    pos = np.array(state.positions)
-    vel = np.array(state.velocities)
-    times, positions, velocities, energies, angmom = [], [], [], [], []
-
-    def record(t, p, v):
-        obs = observables(spec, masses, p, v)
-        times.append(t)
-        positions.append(p.copy())
-        velocities.append(v.copy())
-        energies.append(obs.E)
-        angmom.append(obs.J)
-
-    record(state.t, pos, vel)
-    for i in range(n_steps):
-        t = state.t + i * dt
-        pos, vel = rk4_step(spec, masses, pos, vel, t, dt, collision_threshold)
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise IntegrationError(f"non-finite state at t={t + dt:.6f}")
-        if (i + 1) % record_stride == 0 or i == n_steps - 1:
-            record(state.t + (i + 1) * dt, pos, vel)
-    return Trajectory(
-        times=np.array(times),
-        positions=np.array(positions),
-        velocities=np.array(velocities),
-        energy=np.array(energies),
-        angular_momentum=np.array(angmom),
-    )
+    samples = list(_rk4_samples(spec, masses, state.positions,
+                                state.velocities, state.t, dt, n_steps,
+                                record_stride, collision_threshold))
+    obs = [observables(spec, masses, p, v) for _, p, v in samples]
+    return Trajectory(*(np.array(column) for column in zip(*samples)),
+                      energy=np.array([o.E for o in obs]),
+                      angular_momentum=np.array([o.J for o in obs]))
 
 
 def return_error(model: OrbitModel, params: ReducedParams,
@@ -224,9 +235,8 @@ class _CurveMetric:
     registers at full size.
     """
 
-    def __init__(self, model: OrbitModel, params: ReducedParams,
-                 curve_samples: int):
-        phases = np.arange(curve_samples) * (TWO_PI / curve_samples)
+    def __init__(self, model: OrbitModel, params: ReducedParams):
+        phases = np.arange(CURVE_SAMPLES) * (TWO_PI / CURVE_SAMPLES)
         self.curve = sample_positions(model, params, phases).transpose(1, 0, 2)
         self.n = self.curve.shape[1]
         self.planar = bool(np.abs(self.curve[:, :, 2]).max() < 1e-9)
@@ -275,12 +285,12 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     configuration to the unperturbed orbit band (see :class:`_CurveMetric`:
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
-    applied displacement.  ``n_periods`` must be positive; the run takes at
-    least one step, samples every ``samples_per_period``-th of a period and
-    the final state, and stops at the first sample outside the envelope.
+    applied displacement.  The run takes at least one step, samples every
+    ``samples_per_period``-th of a period and the final state, and stops at
+    the first later sample outside the envelope.
     """
-    if not n_periods > 0.0:
-        raise ValueError(f"n_periods must be positive, got {n_periods}")
+    _check_steps("n_periods", n_periods, dt, "samples_per_period",
+                 samples_per_period)
     dev = np.zeros((model.n_bodies, 3))
     dev += np.asarray(deviation, dtype=float)
     applied = float(np.abs(dev).max())
@@ -288,40 +298,28 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         raise ValueError("perturbation must displace at least one body")
     if envelope is None:
         envelope = 100.0 * applied
-    steps_per_period = max(samples_per_period, int(round(TWO_PI / dt)))
-    steps_per_period -= steps_per_period % samples_per_period
+    stride = max(1, int(round(TWO_PI / dt)) // samples_per_period)
+    steps_per_period = stride * samples_per_period
     dt = TWO_PI / steps_per_period
-    stride = steps_per_period // samples_per_period
     n_steps = max(1, int(round(n_periods * steps_per_period)))
 
-    metric = _CurveMetric(model, params, CURVE_SAMPLES)
-
+    metric = _CurveMetric(model, params)
     base = extract_ics(model, params)
-    pos = base.positions + dev
-    vel = np.array(base.velocities)
-    masses = model.masses
-
-    sample_times = [0.0]
-    sections = [pos.copy()]
-    deviations = [metric.distance(pos)]
+    samples = _rk4_samples(model.potential, model.masses,
+                           base.positions + dev, base.velocities, 0.0, dt,
+                           n_steps, stride, collision_threshold)
+    sample_times, sections, deviations = [], [], []
     exit_time = None
-    t = 0.0
     try:
-        for i in range(n_steps):
-            pos, vel = rk4_step(model.potential, masses, pos, vel, t, dt,
-                                collision_threshold)
-            t = (i + 1) * dt
-            if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-                raise IntegrationError(f"non-finite state at t={t:.6f}")
-            if (i + 1) % stride == 0 or i == n_steps - 1:
-                deviations.append(metric.distance(pos))
-                sample_times.append(t)
-                sections.append(pos.copy())
-                if deviations[-1] > envelope:
-                    exit_time = t
-                    break
-    except (CollisionError, IntegrationError):
-        exit_time = t
+        for t, pos, _ in samples:
+            sample_times.append(t)
+            sections.append(pos)
+            deviations.append(metric.distance(pos))
+            if deviations[-1] > envelope and t > 0.0:
+                exit_time = t
+                break
+    except (CollisionError, IntegrationError) as err:
+        exit_time = err.t
     max_dev = float(max(deviations))
     verdict = EXITED if (exit_time is not None or max_dev > envelope) else BOUNDED
     sections_arr = np.array(sections)

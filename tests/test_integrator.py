@@ -144,8 +144,15 @@ class TestRK4:
         state = _circle_state()
         with pytest.raises(ValueError):
             integrate(state, np.ones(2), PotentialSpec(), dt=-1e-3)
+        for horizon in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                integrate(state, np.ones(2), PotentialSpec(), horizon=horizon)
+        for stride in (0, -1, 1.5):
+            with pytest.raises(ValueError):
+                integrate(state, np.ones(2), PotentialSpec(),
+                          record_stride=stride)
         with pytest.raises(ValueError):
-            integrate(state, np.ones(2), PotentialSpec(), horizon=0.0)
+            integrate(state, np.ones(2), PotentialSpec(), dt=math.nan)
 
 
 class TestReturnError:
@@ -209,7 +216,7 @@ class TestPerturbAndTrack:
         with pytest.raises(ValueError):
             perturb_and_track(model, result.params, np.zeros((2, 3)), 1.0)
 
-    @pytest.mark.parametrize("n_periods", [0.0, -1.0])
+    @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan])
     def test_empty_horizon_rejected(self, circle, n_periods):
         model, result = circle
         dev = np.zeros((2, 3))
@@ -227,6 +234,35 @@ class TestPerturbAndTrack:
         rep = perturb_and_track(model, result.params, dev, n_periods)
         assert rep.sample_times[-1] == pytest.approx(n_periods * TWO_PI)
         assert len(rep.sample_times) == len(rep.section_points)
+
+    @pytest.mark.parametrize("options", [
+        {"dt": 0.0}, {"dt": -1.0}, {"dt": math.nan}, {"dt": math.inf},
+        {"samples_per_period": 0}, {"samples_per_period": -5},
+        {"samples_per_period": 2.5}])
+    def test_bad_step_rejected(self, circle, options):
+        model, result = circle
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e-6
+        with pytest.raises(ValueError):
+            perturb_and_track(model, result.params, dev, 1.0, **options)
+
+    def test_collision_exit_time_is_when_it_was_detected(self, circle):
+        # pulling one body halfway to the centre closes the pair from 0.94
+        # to below 0.7 within the first period
+        model, result = circle
+        base = extract_ics(model, result.params)
+        dev = np.zeros((2, 3))
+        dev[0] = -0.5 * base.positions[0]
+        dt, threshold = TWO_PI / 300, 0.7
+        rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0,
+                                dt=dt, collision_threshold=threshold)
+        with pytest.raises(CollisionError) as exc:
+            integrate(PhaseState(base.positions + dev, base.velocities),
+                      model.masses, model.potential, dt=dt, horizon=TWO_PI,
+                      collision_threshold=threshold)
+        assert rep.verdict == EXITED
+        assert rep.exit_time == exc.value.t
+        assert rep.sample_times[-1] <= rep.exit_time
 
     def test_tiny_perturbation_stays_bounded(self, circle):
         model, result = circle
@@ -259,7 +295,7 @@ class TestPerturbAndTrack:
         from actionorbits.integrate import _CurveMetric
 
         model, result = circle
-        metric = _CurveMetric(model, result.params, curve_samples=2048)
+        metric = _CurveMetric(model, result.params)
         rng = np.random.default_rng(6)
         for t in (0.0, 0.31, 2.17, 5.9):
             pos = ao.sample_positions(model, result.params, t)
@@ -274,7 +310,7 @@ class TestPerturbAndTrack:
         from actionorbits.integrate import _CurveMetric
 
         model, result = circle
-        metric = _CurveMetric(model, result.params, curve_samples=2048)
+        metric = _CurveMetric(model, result.params)
         pos = ao.sample_positions(model, result.params, 0.0)
         assert metric.distance(1.3 * pos) > 0.1
         out_of_plane = pos + np.array([0.0, 0.0, 0.2])

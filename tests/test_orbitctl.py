@@ -375,6 +375,20 @@ class TestCliVerify:
         assert code == 0
         assert out.count("ok") == 3
 
+    def test_uncertified_record_fails(self, tmp_path, capsys):
+        # cubic m=3 at k_max=27 stops on the gradient with a residual of
+        # 2.6e-5, above the certificate, so minimize refuses to certify it
+        path = str(tmp_path / "m3.json")
+        assert main(["seed", "--family", "cubic", "--m", "3",
+                     "--out", path]) == 0
+        assert main(["minimize", path]) == 4
+        capsys.readouterr()
+        code = main(["verify", path])
+        out = capsys.readouterr().out
+        assert code == 4
+        residual_line = out.splitlines()[0]
+        assert "FAIL (exceeds the certificate 1.0e-05)" in residual_line
+
     def test_unconverged_seed_fails_return_error(self, tmp_path, capsys):
         seed = str(tmp_path / "seed.json")
         assert main(["seed", "--family", "choreography", "--n", "2",
@@ -411,6 +425,24 @@ class TestCliPerturb:
                      "--periods", "0"])
         assert code == 1
         assert "verdict" not in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("argv", [
+        ["perturb", "--dx", "1e-4", "--periods", "1", "--dt", "0"],
+        ["perturb", "--dx", "1e-4", "--periods", "1", "--dt", "-1"],
+        ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
+        ["perturb", "--dx", "1e-4", "--periods", "inf"],
+        ["export-traj", "--stride", "0"],
+        ["export-traj", "--periods", "inf"]])
+    def test_bad_step_option_is_usage_error(self, circle_record, capsys,
+                                            argv):
+        command, *options = argv
+        code = main([command, circle_record, *options])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "verdict" not in captured.out
 
 
 class TestCliObserve:

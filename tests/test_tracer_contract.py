@@ -8,9 +8,14 @@ library test, so the contract is checked here.
 
 import importlib
 import importlib.util
+import math
 import pathlib
 
-from actionorbits import EvalKernel, build_cubic_family
+import numpy as np
+
+from actionorbits import BOUNDED, EvalKernel, build_cubic_family
+
+TWO_PI = 2.0 * math.pi
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,3 +40,28 @@ def test_kernel_exposes_the_traced_bases():
     kernel = EvalKernel(model, params)
     bases = [kernel.basis_pos, kernel.basis_vel, kernel.basis_acc]
     assert tracer._kernel_bytes(kernel) == sum(b.nbytes for b in bases)
+
+
+def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
+    # the tracer counts ``integrate.rk4_steps`` by rebinding the module
+    # global, so every fixed-step run must reach the step through it
+    module = importlib.import_module("actionorbits.integrate")
+    step, calls = module.rk4_step, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(module, "rk4_step", counting)
+    model, result = circle
+    state = module.extract_ics(model, result.params)
+    module.integrate(state, model.masses, model.potential, dt=TWO_PI / 100,
+                     horizon=1.5 * TWO_PI, record_stride=7)
+    assert len(calls) == 150
+    calls.clear()
+    dev = np.zeros((2, 3))
+    dev[0, 0] = 1e-6
+    report = module.perturb_and_track(model, result.params, dev, 1.5,
+                                      dt=TWO_PI / 100, samples_per_period=10)
+    assert report.verdict == BOUNDED
+    assert len(calls) == 150
