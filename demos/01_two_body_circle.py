@@ -55,7 +55,7 @@ def main():
     print("\nangular momentum of the converged orbit (J_z = -2 a^2 for the")
     print("clockwise seed orientation):")
     _, obs = ao.observables_series(model, result.params, np.array([0.0]))
-    print(f"  J = {obs[0].J}   -2 a^2 = {-2.0 * a_found**2:.9f}")
+    print(f"  J = {obs.J[0]}   -2 a^2 = {-2.0 * a_found**2:.9f}")
 
     print("\nperiod rescaling: the same orbit at period T scales all")
     print("amplitudes by (T / 2 pi)^(2/(2-alpha)); for alpha = -1 doubling")

@@ -42,10 +42,10 @@ def main():
         show_table(result)
 
         grid = ao.QuadratureGrid(64)
-        _, series = ao.observables_series(model, result.params, grid)
-        j_max = max(float(np.abs(o.J).max()) for o in series)
-        q_max = max(float(np.abs(o.Q).max()) for o in series)
-        inertia = np.array([np.trace(o.I) / 2.0 for o in series])
+        _, obs = ao.observables_series(model, result.params, grid)
+        j_max = np.abs(obs.J).max()
+        q_max = np.abs(obs.Q).max()
+        inertia = np.trace(obs.I, axis1=1, axis2=2) / 2.0
         print(f"max |J| over 64 times   = {j_max:.2e}  (structural zero)")
         print(f"max |Q| over 64 times   = {q_max:.2e}"
               + ("  (scalar inertia: m divisible by 3)" if m % 3 == 0 else ""))

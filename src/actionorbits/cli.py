@@ -199,15 +199,14 @@ def cmd_perturb(args) -> int:
 def cmd_observe(args) -> int:
     record = load_record(args.record)
     model, params = record_to_model(record)
-    times, series = observables_series(model, params,
-                                       QuadratureGrid(args.samples))
+    times, obs = observables_series(model, params,
+                                    QuadratureGrid(args.samples))
+    rows = np.column_stack((times, obs.E, obs.J,
+                            np.trace(obs.I, axis1=1, axis2=2) / 2.0,
+                            np.linalg.eigvalsh(obs.I),
+                            np.abs(obs.Q).max(axis=(1, 2))))
     lines = ["# t E Jx Jy Jz I I_eig1 I_eig2 I_eig3 Q_max"]
-    for t, obs in zip(times, series):
-        eigs = np.sort(np.linalg.eigvalsh(obs.I))
-        scalar_inertia = float(np.trace(obs.I)) / 2.0
-        row = [t, obs.E, *obs.J, scalar_inertia, *eigs,
-               float(np.abs(obs.Q).max())]
-        lines.append(" ".join(f"{v:.12e}" for v in row))
+    lines += [" ".join(f"{v:.12e}" for v in row) for row in rows]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -9,7 +9,9 @@ their norms and powers, and applies the incidence matrix.  Positions may be
 a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
 reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
-deterministic reduction order.
+deterministic reduction order.  :func:`observables` takes the same two
+shapes: for a batch every field gains a leading T axis, so a time series
+is one call, not a loop over samples.
 """
 
 from __future__ import annotations
@@ -153,63 +155,53 @@ def min_pair_distance(positions) -> float:
 
 @dataclass(frozen=True)
 class Observables:
-    """Mechanical invariants of one configuration.
+    """Mechanical invariants of one configuration, or of a batch.
 
     I is the standard inertia tensor sum m (|x|^2 1 - x x^T); Q is the
     traceless quadrupole sum m (3 x x^T - |x|^2 1).  A body exactly at the
-    origin contributes zero to both.
+    origin contributes zero to both.  For a batch of T configurations every
+    field leads with the T axis: E, kinetic and potential are (T,) arrays,
+    J, P and com (T, 3), I and Q (T, 3, 3).
     """
 
-    E: float
-    kinetic: float
-    potential: float
-    J: np.ndarray          # angular momentum (3,)
-    P: np.ndarray          # linear momentum (3,)
-    I: np.ndarray          # inertia tensor (3, 3)
-    Q: np.ndarray          # quadrupole tensor (3, 3)
-    com: np.ndarray        # center of mass (3,)
-
-
-def _second_moments(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum m x x^T and sum m |x|^2 of one (n, 3) configuration."""
-    return (np.einsum("i,ic,id->cd", m, x, x),
-            float(np.einsum("i,ic,ic->", m, x, x)))
-
-
-def quadrupole(masses, positions) -> np.ndarray:
-    """The traceless quadrupole Q of :class:`Observables`, without the
-    potential energy the full set needs."""
-    xxt, r2 = _second_moments(np.asarray(masses, dtype=float),
-                              np.asarray(positions, dtype=float))
-    return 3.0 * xxt - r2 * np.eye(3)
+    E: float | np.ndarray
+    kinetic: float | np.ndarray
+    potential: float | np.ndarray
+    J: np.ndarray          # angular momentum ([T,] 3)
+    P: np.ndarray          # linear momentum ([T,] 3)
+    I: np.ndarray          # inertia tensor ([T,] 3, 3)
+    Q: np.ndarray          # quadrupole tensor ([T,] 3, 3)
+    com: np.ndarray        # center of mass ([T,] 3)
 
 
 def observables(spec: PotentialSpec, masses, positions, velocities) -> Observables:
-    """Compute E, J, P, I, Q, and the center of mass for one configuration."""
-    x = np.asarray(positions, dtype=float)
+    """E, J, P, I, Q and the center of mass of an (n, 3) configuration or
+    an (n, T, 3) batch, with velocities of the same shape."""
+    x = _positions(positions)
     v = np.asarray(velocities, dtype=float)
     m = np.asarray(masses, dtype=float)
-    if x.ndim != 2 or x.shape != v.shape:
-        raise ValueError("observables expects matching (n, 3) positions/velocities")
-    kin = 0.5 * float(m @ np.einsum("ic,ic->i", v, v))
+    if x.shape != v.shape:
+        raise ValueError("observables expects matching positions/velocities")
+    mw = m.reshape(m.shape + (1,) * (x.ndim - 1))
+    kin = 0.5 * (m @ np.einsum("i...c,i...c->i...", v, v))
     pot = potential_energy(spec, m, x, collision_threshold=0.0)
-    J = (m[:, None] * np.cross(x, v)).sum(axis=0)
-    P = (m[:, None] * v).sum(axis=0)
-    xxt, r2 = _second_moments(m, x)
-    I = r2 * np.eye(3) - xxt
-    Q = 3.0 * xxt - r2 * np.eye(3)
-    com = (m[:, None] * x).sum(axis=0) / m.sum()
-    return Observables(E=kin + float(pot), kinetic=kin, potential=float(pot),
-                       J=J, P=P, I=I, Q=Q, com=com)
+    if x.ndim == 2:
+        kin = float(kin)
+    xxt = np.einsum("i,i...c,i...d->...cd", m, x, x)
+    r2 = np.einsum("i,i...c,i...c->...", m, x, x)[..., None, None]
+    return Observables(E=kin + pot, kinetic=kin, potential=pot,
+                       J=(mw * np.cross(x, v)).sum(axis=0),
+                       P=(mw * v).sum(axis=0),
+                       I=r2 * np.eye(3) - xxt, Q=3.0 * xxt - r2 * np.eye(3),
+                       com=(mw * x).sum(axis=0) / m.sum())
 
 
 def observables_series(model: OrbitModel, params: ReducedParams, times):
-    """Observables along sampled times of a model trajectory."""
+    """Observables along sampled times of a model trajectory, as one batch."""
     t, _ = _as_times(times)
     pos = sample_positions(model, params, t)
     vel = sample_positions(model, params, t, deriv=1)
-    return t, [observables(model.potential, model.masses, pos[:, j], vel[:, j])
-               for j in range(t.size)]
+    return t, observables(model.potential, model.masses, pos, vel)
 
 
 @dataclass(frozen=True)

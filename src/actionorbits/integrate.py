@@ -149,13 +149,13 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     _check_steps("horizon", horizon, dt, "record_stride", record_stride)
     n_steps = max(1, int(round(horizon / dt)))
     masses = np.asarray(masses, dtype=float)
-    samples = list(_rk4_samples(spec, masses, state.positions,
-                                state.velocities, state.t, dt, n_steps,
-                                record_stride, collision_threshold))
-    obs = [observables(spec, masses, p, v) for _, p, v in samples]
-    return Trajectory(*(np.array(column) for column in zip(*samples)),
-                      energy=np.array([o.E for o in obs]),
-                      angular_momentum=np.array([o.J for o in obs]))
+    samples = _rk4_samples(spec, masses, state.positions, state.velocities,
+                           state.t, dt, n_steps, record_stride,
+                           collision_threshold)
+    times, pos, vel = (np.array(column) for column in zip(*samples))
+    obs = observables(spec, masses, pos.transpose(1, 0, 2),
+                      vel.transpose(1, 0, 2))
+    return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
 
 
 def return_error(model: OrbitModel, params: ReducedParams,
@@ -285,7 +285,8 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     configuration to the unperturbed orbit band (see :class:`_CurveMetric`:
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
-    applied displacement.  The run takes at least one step, samples every
+    applied displacement; a given envelope must be positive and finite, and
+    the deviation finite.  The run takes at least one step, samples every
     ``samples_per_period``-th of a period and the final state, and stops at
     the first later sample outside the envelope.
     """
@@ -293,11 +294,13 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
                  samples_per_period)
     dev = np.zeros((model.n_bodies, 3))
     dev += np.asarray(deviation, dtype=float)
-    applied = float(np.abs(dev).max())
-    if applied == 0.0:
-        raise ValueError("perturbation must displace at least one body")
+    applied = float(np.abs(dev).max())   # NaN when any entry is NaN
+    if not 0.0 < applied < math.inf:
+        raise ValueError("perturbation must be finite and displace at least one body")
     if envelope is None:
         envelope = 100.0 * applied
+    if not 0.0 < envelope < math.inf:
+        raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
     stride = max(1, int(round(TWO_PI / dt)) // samples_per_period)
     steps_per_period = stride * samples_per_period
     dt = TWO_PI / steps_per_period

@@ -16,12 +16,12 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
-from .dynamics import observables, quadrupole, residual
+from .dynamics import observables_series, residual
 from .errors import RecordError
 from .fourier import COS, SIN, FourierSeries, Parity
 from .potential import PotentialSpec
@@ -29,17 +29,13 @@ from .quadrature import QuadratureGrid
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
                        ParamLayout, ReducedParams, ScalarGenerator, Slot,
                        SpaceTimeSymmetry, VectorGenerator, build_choreography,
-                       build_crisscross, build_cubic_family, make_layout,
-                       sample_positions)
+                       build_crisscross, build_cubic_family, make_layout)
 
 SCHEMA_VERSION = 1
 RESIDUAL_CERTIFICATE = 1e-5
 # verify_record passes a recomputed residual up to this multiple of the stored one
 VERIFY_FACTOR = 2.0
 
-_TOP_KEYS = {"schema_version", "family", "potential", "k_max", "layout",
-             "values", "scale", "converged", "outcome", "iterations",
-             "grad_norm", "residual", "observables", "descent"}
 _FAMILY_KEYS = {
     "cubic": {"kind", "m"},
     "crisscross": {"kind", "masses"},
@@ -73,6 +69,12 @@ class OrbitRecord:
     descent: dict | None
 
 
+_TOP_KEYS = {f.name for f in fields(OrbitRecord)}
+# the Python types of the JSON values each OrbitRecord annotation names
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+               "list": list, "dict": dict, "None": type(None)}
+
+
 def _check_keys(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -82,6 +84,15 @@ def _check_keys(mapping: dict, allowed: set, where: str) -> None:
         raise RecordError(f"missing field(s) {sorted(missing)} in {where}")
 
 
+def _is_a(value, annotation: str) -> bool:
+    """Whether a JSON value fits an annotation such as 'float | None'; a bool
+    fits only where 'bool' is named, and a float only when it is finite."""
+    kinds = annotation.split(" | ")
+    return (isinstance(value, bool) == ("bool" in kinds) and
+            any(isinstance(value, _JSON_TYPES[k]) for k in kinds) and
+            not (isinstance(value, float) and not math.isfinite(value)))
+
+
 def validate_record(record: OrbitRecord) -> None:
     """Structural validation shared by save and load."""
     if record.schema_version != SCHEMA_VERSION:
@@ -89,14 +100,26 @@ def validate_record(record: OrbitRecord) -> None:
             f"unsupported schema version {record.schema_version}; "
             f"this build reads version {SCHEMA_VERSION}"
         )
+    for f in fields(OrbitRecord):
+        value = getattr(record, f.name)
+        if not _is_a(value, f.type):
+            raise RecordError(f"{f.name} must be {f.type}, got {value!r}")
     kind = record.family.get("kind")
     if kind not in _FAMILY_KEYS:
         raise RecordError(f"unknown family kind {kind!r}")
     _check_keys(record.family, _FAMILY_KEYS[kind], "family")
     _check_keys(record.potential, _POTENTIAL_KEYS, "potential")
     _check_keys(record.layout, _LAYOUT_KEYS, "layout")
+    numbers = {"potential": list(record.potential.values()),
+               "values": record.values}
     if record.observables is not None:
-        _check_keys(record.observables, _OBSERVABLE_KEYS, "observables")
+        obs = record.observables
+        _check_keys(obs, _OBSERVABLE_KEYS, "observables")
+        numbers.update({"observables": [obs["E"], obs["Q_max"]],
+                        "observables.J": obs["J"]})
+    for where, group in numbers.items():
+        if not (isinstance(group, list) and all(_is_a(v, "float") for v in group)):
+            raise RecordError(f"{where} must hold finite numbers, got {group!r}")
     if record.descent is not None:
         _check_keys(record.descent, _DESCENT_KEYS, "descent")
     if len(record.values) != len(record.layout["slots"]):
@@ -111,9 +134,6 @@ def validate_record(record: OrbitRecord) -> None:
                 f"converged record fails the residual certificate: "
                 f"{record.residual:.3e} > {RESIDUAL_CERTIFICATE:.1e}"
             )
-    for v in record.values:
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise RecordError("record values must be finite numbers")
 
 
 def save_record(record: OrbitRecord, path: str) -> None:
@@ -244,14 +264,11 @@ def designated_scale(model: OrbitModel, params: ReducedParams) -> float:
 
 
 def _observable_summary(model: OrbitModel, params: ReducedParams) -> dict | None:
-    t = QuadratureGrid(64).nodes
-    pos = sample_positions(model, params, t)
-    vel = sample_positions(model, params, t, deriv=1)
-    q_max = max(float(np.abs(quadrupole(model.masses, pos[:, j])).max())
-                for j in range(t.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        obs = observables(model.potential, model.masses, pos[:, 0], vel[:, 0])
-    summary = {"E": obs.E, "J": [float(v) for v in obs.J], "Q_max": q_max}
+        _, obs = observables_series(model, params, QuadratureGrid(64))
+    q_max = float(np.abs(obs.Q).max())
+    summary = {"E": float(obs.E[0]), "J": [float(v) for v in obs.J[0]],
+               "Q_max": q_max}
     flat = [summary["E"], q_max, *summary["J"]]
     if not all(math.isfinite(v) for v in flat):
         return None   # degenerate configuration (e.g. coincident bodies)

@@ -533,6 +533,8 @@ SWAP_YZ = OrthTransform([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
 def _odd_harmonics(k_max: int) -> list[int]:
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max!r}")
     return list(range(1, k_max + 1, 2))
 
 

@@ -93,17 +93,15 @@ def test_criterion_4_conservation_suite(capsys, cubic1, cubic3):
     checks = []
     grid = ao.QuadratureGrid(64)
     for label, (model, result) in (("m=1", cubic1), ("m=3", cubic3)):
-        _, series = ao.observables_series(model, result.params, grid)
-        j_max = max(float(np.abs(o.J).max()) for o in series)
+        _, obs = ao.observables_series(model, result.params, grid)
+        j_max = float(np.abs(obs.J).max())
         checks.append((f"J=0 ({label})", j_max <= 1e-10, f"|J|={j_max:.2e}"))
     model3, result3 = cubic3
-    _, series3 = ao.observables_series(model3, result3.params, grid)
-    q_max = max(float(np.abs(o.Q).max()) for o in series3)
-    spread = 0.0
-    for o in series3:
-        eigs = np.linalg.eigvalsh(o.I)
-        spread = max(spread, float(np.ptp(eigs) / np.mean(eigs)))
-    inertia = np.array([np.trace(o.I) / 2.0 for o in series3])
+    _, obs3 = ao.observables_series(model3, result3.params, grid)
+    q_max = float(np.abs(obs3.Q).max())
+    eigs = np.linalg.eigvalsh(obs3.I)
+    spread = float((np.ptp(eigs, axis=1) / np.mean(eigs, axis=1)).max())
+    inertia = np.trace(obs3.I, axis1=1, axis2=2) / 2.0
     variation = float(np.ptp(inertia) / np.mean(inertia))
     checks += [
         ("Q=0 (m=3)", q_max <= 1e-8, f"|Q|={q_max:.2e}"),

@@ -20,7 +20,6 @@ from actionorbits import (
     residual,
     sample_positions,
 )
-from actionorbits.dynamics import quadrupole
 
 TWO_PI = 2.0 * math.pi
 
@@ -206,7 +205,6 @@ class TestObservables:
         assert abs(np.trace(obs.Q)) < 1e-14
 
     def test_quadrupole_is_traceless_for_random_configs(self):
-        # quadrupole() is the same arithmetic without the potential
         rng = np.random.default_rng(9)
         for _ in range(10):
             n = rng.integers(2, 7)
@@ -216,11 +214,38 @@ class TestObservables:
             obs = observables(PotentialSpec(), masses, x, v)
             assert abs(np.trace(obs.Q)) < 1e-12 * max(1.0, np.abs(obs.Q).max())
             assert np.allclose(obs.I, obs.I.T)
-            assert np.array_equal(quadrupole(masses, x), obs.Q)
+
+    def test_batch_matches_single_configurations(self):
+        rng = np.random.default_rng(17)
+        spec = PotentialSpec()
+        for n in range(2, 8):
+            masses = rng.uniform(0.5, 2.0, size=n)
+            x = rng.normal(scale=2.0, size=(n, 16, 3))
+            v = rng.normal(size=(n, 16, 3))
+            batch = observables(spec, masses, x, v)
+            singles = [observables(spec, masses, x[:, j], v[:, j])
+                       for j in range(16)]
+            for field, shape in (("E", ()), ("kinetic", ()), ("potential", ()),
+                                 ("J", (3,)), ("P", (3,)), ("com", (3,)),
+                                 ("I", (3, 3)), ("Q", (3, 3))):
+                got = getattr(batch, field)
+                want = np.array([getattr(o, field) for o in singles])
+                assert got.shape == (16,) + shape, field
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-14 * scale, field
 
     def test_shape_validation(self):
+        spec = PotentialSpec()
         with pytest.raises(ValueError):
-            observables(PotentialSpec(), [1.0], np.zeros(3), np.zeros(3))
+            observables(spec, [1.0], np.zeros(3), np.zeros(3))
+        masses = np.ones(2)
+        with pytest.raises(ValueError):   # batch lengths differ
+            observables(spec, masses, np.ones((2, 4, 3)), np.ones((2, 5, 3)))
+        with pytest.raises(ValueError):   # batch against one configuration
+            observables(spec, masses, np.ones((2, 4, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError):   # 4-D input
+            observables(spec, masses, np.ones((2, 4, 1, 3)),
+                        np.ones((2, 4, 1, 3)))
 
 
 class TestCircleConstants:
@@ -230,14 +255,14 @@ class TestCircleConstants:
         model, result = circle
         params = result.params
         a = abs(params.values[0])
-        t, series = observables_series(model, params, np.linspace(0, TWO_PI, 32))
-        E = np.array([o.E for o in series])
-        assert np.ptp(E) < 1e-9
-        for o in series:
-            # two unit masses on a radius-a circle at unit angular rate,
-            # traversed clockwise by the seed orientation: J_z = -2 a^2
-            assert o.J[2] == pytest.approx(-2.0 * a * a, abs=1e-9)
-            assert np.allclose(o.P, 0.0, atol=1e-12)
+        t, obs = observables_series(model, params, np.linspace(0, TWO_PI, 32))
+        assert obs.E.shape == t.shape
+        assert np.ptp(obs.E) < 1e-9
+        # two unit masses on a radius-a circle at unit angular rate,
+        # traversed clockwise by the seed orientation: J_z = -2 a^2
+        assert obs.J[:, 2] == pytest.approx(np.full(t.size, -2.0 * a * a),
+                                            abs=1e-9)
+        assert np.allclose(obs.P, 0.0, atol=1e-12)
 
 
 class TestResidual:

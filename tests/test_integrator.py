@@ -86,6 +86,22 @@ class TestRK4:
         assert np.ptp(traj.energy) < 1e-12
         assert np.ptp(traj.angular_momentum[:, 2]) < 1e-12
 
+    def test_recorded_invariants_match_single_configurations(self):
+        spec = PotentialSpec()
+        masses = np.array([1.0, 2.5, 0.7, 1.9])
+        rng = np.random.default_rng(11)
+        state = PhaseState(rng.normal(scale=1.5, size=(4, 3)),
+                           rng.normal(scale=0.3, size=(4, 3)))
+        traj = integrate(state, masses, spec, dt=1e-3, horizon=0.05,
+                         record_stride=3)
+        singles = [ao.observables(spec, masses, p, v)
+                   for p, v in zip(traj.positions, traj.velocities)]
+        for got, want in ((traj.energy, np.array([o.E for o in singles])),
+                          (traj.angular_momentum,
+                           np.array([o.J for o in singles]))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
     def test_single_step_signature(self):
         state = _circle_state()
         pos, vel = rk4_step(PotentialSpec(), np.ones(2), state.positions,

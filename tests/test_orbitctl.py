@@ -180,6 +180,31 @@ class TestRecordValidation:
         with pytest.raises(RecordError, match="finite"):
             load_record(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_max", 7.5), ("k_max", "7"), ("potential.alpha", "x"),
+        ("values", 3), ("family", [1]), ("scale", math.nan),
+        ("grad_norm", math.inf)])
+    def test_malformed_field_is_record_error(self, tmp_path, capsys, field,
+                                             value):
+        seed = str(tmp_path / "seed.json")
+        assert main(["seed", "--family", "cubic", "--m", "1", "--k-max", "9",
+                     "--out", seed]) == 0
+
+        def edit(d):
+            *path, key = field.split(".")
+            for name in path:
+                d = d[name]
+            d[key] = value
+
+        bad = _tampered(seed, tmp_path, edit)
+        capsys.readouterr()
+        for command in ("verify", "minimize", "export-table"):
+            code = main([command, bad, "--max-iters", "1"]
+                        if command == "minimize" else [command, bad])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert "record error:" in err, command
+
     def test_length_mismatch_rejected(self, record_path, tmp_path):
         bad = _tampered(record_path, tmp_path,
                         lambda d: d["values"].append(0.0))
@@ -287,6 +312,16 @@ class TestCliSeed:
                      "--k-max", "9", "--out", path]) == 0
         record = load_record(path)
         assert record.family["masses"] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("family", [["cubic", "--m", "1"], ["crisscross"]])
+    def test_k_max_below_one_is_usage_error(self, tmp_path, capsys, family):
+        code = main(["seed", "--family", *family, "--k-max", "0",
+                     "--out", str(tmp_path / "x.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "k_max" in captured.err
+        assert "Traceback" not in captured.err
+        assert not os.path.exists(tmp_path / "x.json")
 
     def test_wrong_mass_count(self, tmp_path, capsys):
         code = main(["seed", "--family", "crisscross", "--masses", "1,2",
@@ -433,7 +468,10 @@ class TestCliPerturb:
         ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
         ["perturb", "--dx", "1e-4", "--periods", "inf"],
         ["export-traj", "--stride", "0"],
-        ["export-traj", "--periods", "inf"]])
+        ["export-traj", "--periods", "inf"],
+        ["perturb", "--dx", "1e-3", "--envelope", "nan"],
+        ["perturb", "--dx", "1e-3", "--envelope", "-1"],
+        ["perturb", "--dx", "nan"]])
     def test_bad_step_option_is_usage_error(self, circle_record, capsys,
                                             argv):
         command, *options = argv

@@ -301,6 +301,17 @@ class TestCrisscrossFamily:
         assert report.max_error > 1e-3
 
 
+@pytest.mark.parametrize("build", [
+    lambda k: build_cubic_family(1, k_max=k),
+    lambda k: build_crisscross(k_max=k),
+    lambda k: build_crisscross((1.0, 2.0, 3.0), k_max=k)],
+    ids=["cubic", "crisscross", "crisscross-123"])
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_builders_reject_k_max_below_one(build, k_max):
+    with pytest.raises(ValueError, match="k_max"):
+        build(k_max)
+
+
 class TestChoreography:
     def test_default_seed_is_unit_circle(self):
         model, params = build_choreography(3, k_max=9)
