@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -127,12 +128,34 @@ def step(params: ReducedParams, grad: np.ndarray,
 
 @dataclass(frozen=True)
 class StopRule:
-    """Termination settings for :func:`run`."""
+    """Termination settings for :func:`run`.
+
+    Raises ValueError for settings that could only end in a false or silent
+    outcome: a NaN or negative ``grad_tol`` or ``collision_threshold``, a
+    ``max_iters`` that is not a non-negative integer, and an
+    ``escape_radius`` that is NaN or not positive (``inf`` turns escape
+    detection off).
+    """
 
     grad_tol: float = 1e-10
     max_iters: int = 200_000
     escape_radius: float = 50.0
     collision_threshold: float = COLLISION_THRESHOLD
+
+    def __post_init__(self):
+        if not self.grad_tol >= 0.0:
+            raise ValueError(f"grad_tol must be non-negative, got {self.grad_tol}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 0):
+            raise ValueError(
+                f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        if not self.escape_radius > 0.0:
+            raise ValueError(
+                f"escape_radius must be positive, got {self.escape_radius}")
+        if not self.collision_threshold >= 0.0:
+            raise ValueError("collision_threshold must be non-negative, "
+                             f"got {self.collision_threshold}")
 
 
 @dataclass(frozen=True)

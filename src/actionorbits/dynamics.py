@@ -176,9 +176,13 @@ class Observables:
 
 def observables(spec: PotentialSpec, masses, positions, velocities) -> Observables:
     """E, J, P, I, Q and the center of mass of an (n, 3) configuration or
-    an (n, T, 3) batch, with velocities of the same shape."""
-    x = _positions(positions)
-    v = np.asarray(velocities, dtype=float)
+    an (n, T, 3) batch, with velocities of the same shape.
+
+    Both are copied to C order first: einsum's summation order follows the
+    strides, so a strided view would otherwise change the last bits.
+    """
+    x = np.ascontiguousarray(_positions(positions))
+    v = np.ascontiguousarray(velocities, dtype=float)
     m = np.asarray(masses, dtype=float)
     if x.shape != v.shape:
         raise ValueError("observables expects matching positions/velocities")

@@ -546,9 +546,9 @@ def build_cubic_family(m: int, k_max: int = 27,
     The single generator is an odd-harmonic sine series f; the base loop is
     (f(t), f(t + 2*pi/3), f(t + 4*pi/3)) and each loop carries m bodies at
     phases 2*pi*j/m.  The seed sets a_1 = 1 (a circle of amplitude 1 in the
-    plane normal to (1, 1, 1)).  Even m is rejected with a collision error;
-    for m divisible by 3 the model additionally carries the full 12-element
-    rotation set (its inertia tensor is then scalar and Q vanishes).
+    plane normal to (1, 1, 1)).  Even m is rejected with a collision error.
+    The claimed rotations are the Klein group or, for m divisible by 3, the
+    12 rotations that contain it (the inertia tensor is then scalar, Q = 0).
     """
     if collision_parity_check(m) is Verdict.COLLISION:
         raise CollisionError(
@@ -563,15 +563,14 @@ def build_cubic_family(m: int, k_max: int = 27,
         BodyBinding(0, R, TWO_PI * j / m, 1.0)
         for R in klein_elements() for j in range(m)
     ]
-    symmetries = [SpaceTimeSymmetry(R) for R in klein_elements()]
+    rotations = a4_elements() if m % 3 == 0 else klein_elements()
+    symmetries = [SpaceTimeSymmetry(R) for R in rotations]
     if m > 1:
         symmetries.append(SpaceTimeSymmetry(IDENTITY, time_shift=TWO_PI / m))
     symmetries.append(SpaceTimeSymmetry(
         OrthTransform(-np.eye(3, dtype=int)), time_shift=math.pi))
     symmetries.append(SpaceTimeSymmetry(
         OrthTransform(-SWAP_YZ.matrix), time_reversal=True))
-    if m % 3 == 0:
-        symmetries.extend(SpaceTimeSymmetry(R) for R in a4_elements())
     model = OrbitModel(
         generators=(gen,),
         bindings=tuple(bindings),
@@ -756,7 +755,7 @@ def build_choreography(n: int,
 
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Worst set-matching distance for each claimed space-time symmetry."""
+    """Worst distance per claimed symmetry under its one body permutation."""
 
     element_errors: tuple[float, ...]
     tol: float
@@ -774,26 +773,25 @@ def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
                     tol: float = 1e-9) -> SymmetryReport:
     """Check that every claimed symmetry maps the sampled body set to itself.
 
-    For each element, positions at sigma(t) are optimally matched (Hungarian
-    assignment) against the transformed positions at t; the report carries
-    the worst matched distance per element.
+    A symmetry of a collision-free orbit keeps one body permutation for the
+    whole period, so each element gets one Hungarian assignment on
+    cost[i, l] = max_t |R x_i(t) - x_l(sigma(t))|; its error is the largest
+    matched cost.  ``times`` must be non-empty and finite.
     """
     from scipy.optimize import linear_sum_assignment
 
     if times is None:
         times = QuadratureGrid(64)
     t, _ = _as_times(times)
+    if t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("verify_symmetry needs a non-empty set of finite times")
     base = sample_positions(model, params, t)  # (n, T, 3)
     errors = []
     for sym in model.symmetries:
         shifted_t = -t if sym.time_reversal else t + sym.time_shift
         target = sample_positions(model, params, shifted_t)
-        moved = base @ sym.transform.matrix.T
-        worst = 0.0
-        for j in range(t.size):
-            diff = moved[:, j, :][:, None, :] - target[:, j, :][None, :, :]
-            cost = np.sqrt(np.einsum("ilc,ilc->il", diff, diff))
-            rows, cols = linear_sum_assignment(cost)
-            worst = max(worst, float(cost[rows, cols].max()))
-        errors.append(worst)
+        diff = (base @ sym.transform.matrix.T)[:, None] - target[None]
+        cost = np.sqrt(np.einsum("iltc,iltc->ilt", diff, diff).max(axis=2))
+        rows, cols = linear_sum_assignment(cost)
+        errors.append(float(cost[rows, cols].max()))
     return SymmetryReport(tuple(errors), tol)

@@ -70,6 +70,25 @@ class TestScheduleConstruction:
         assert np.allclose(cus, [1e-3, 2e-3, 0.0])
 
 
+class TestStopRule:
+    def test_accepts_its_limits(self):
+        StopRule(grad_tol=0.0, max_iters=0, escape_radius=math.inf,
+                 collision_threshold=0.0)
+        StopRule(max_iters=np.int64(5))
+
+    @pytest.mark.parametrize("setting", [
+        {"grad_tol": math.nan}, {"grad_tol": -1.0},
+        {"max_iters": -5}, {"max_iters": 2.5}, {"max_iters": 10.0},
+        {"max_iters": True},
+        {"escape_radius": -1.0}, {"escape_radius": 0.0},
+        {"escape_radius": math.nan},
+        {"collision_threshold": math.nan}, {"collision_threshold": -1e-8}],
+        ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+    def test_rejects_false_or_silent_settings(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            StopRule(**setting)
+
+
 class TestStabilityBound:
     def test_uniform_bound_shrinks_with_harmonics(self):
         sched = DescentSchedule.uniform(1e-4)

@@ -234,6 +234,31 @@ class TestObservables:
                 scale = np.abs(want).max()
                 assert np.abs(got - want).max() <= 1e-14 * scale, field
 
+    def test_bits_do_not_depend_on_memory_layout(self):
+        # the 1:2:3 criss-cross once gave different I and Q for a strided
+        # sample and its C-ordered copy
+        model, params = build_crisscross((1.0, 2.0, 3.0), k_max=35)
+        t = QuadratureGrid(64).nodes
+        pos = sample_positions(model, params, t)
+        vel = sample_positions(model, params, t, deriv=1)
+        spec, masses = model.potential, model.masses
+        pairs = [(observables(spec, masses, pos[:, j], vel[:, j]),
+                  observables(spec, masses, np.ascontiguousarray(pos[:, j]),
+                              np.ascontiguousarray(vel[:, j])))
+                 for j in range(t.size)]
+        # an (n, T, 3) view of (T, n, 3) samples, as integrate passes them
+        pairs.append((observables(spec, masses,
+                                  np.ascontiguousarray(pos.transpose(1, 0, 2))
+                                  .transpose(1, 0, 2),
+                                  np.ascontiguousarray(vel.transpose(1, 0, 2))
+                                  .transpose(1, 0, 2)),
+                      observables(spec, masses, pos, vel)))
+        for strided, contiguous in pairs:
+            for field in ("E", "kinetic", "potential", "J", "P", "I", "Q",
+                          "com"):
+                assert np.array_equal(getattr(strided, field),
+                                      getattr(contiguous, field)), field
+
     def test_shape_validation(self):
         spec = PotentialSpec()
         with pytest.raises(ValueError):

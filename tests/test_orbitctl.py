@@ -4,6 +4,9 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from actionorbits import (
 from actionorbits.cli import main
 
 TWO_PI = 2.0 * math.pi
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="session")
@@ -395,12 +400,49 @@ class TestCliMinimize:
         assert code == 0
         assert load_record(seed).converged
 
+    @pytest.mark.parametrize("option", [
+        ["--escape-radius", "-1"], ["--escape-radius", "0"],
+        ["--escape-radius", "nan"], ["--grad-tol", "nan"],
+        ["--grad-tol", "-1"], ["--max-iters", "-5"]], ids="=".join)
+    def test_bad_stop_option_is_usage_error(self, circle_record, tmp_path,
+                                            capsys, option):
+        out = tmp_path / "out.json"
+        code = main(["minimize", circle_record, *option, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "minimize:" not in captured.out
+        assert not out.exists()
+
     def test_minimize_overwrites_in_place(self, tmp_path):
         seed = str(tmp_path / "seed.json")
         assert main(["seed", "--family", "choreography", "--n", "2",
                      "--k-max", "9", "--out", seed]) == 0
         assert main(["minimize", seed]) == 0
         assert load_record(seed).converged
+
+
+class TestReadmeQuickStart:
+    def test_transcript_matches_the_cli(self, tmp_path, monkeypatch, capsys):
+        # the CLI quick start: one sh block of commands, then the output
+        # block they print, where a line "..." skips any number of lines
+        section = README.read_text().split("## Quick start (CLI)")[1]
+        commands, expected = re.findall(r"```\w*\n(.*?)```", section,
+                                        re.S)[:2]
+        monkeypatch.chdir(tmp_path)
+        for line in commands.splitlines():
+            program, *argv = shlex.split(line)
+            assert program == "orbitctl"
+            assert main(argv) == 0, line
+        printed = capsys.readouterr().out.splitlines()
+        at = 0
+        for chunk in expected.rstrip("\n").split("\n...\n"):
+            lines = chunk.splitlines()
+            starts = [i for i in range(at, len(printed) - len(lines) + 1)
+                      if printed[i:i + len(lines)] == lines]
+            assert starts, f"README lines not printed in order: {lines}"
+            at = starts[0] + len(lines)
 
 
 class TestCliVerify:

@@ -38,6 +38,40 @@ from actionorbits.fourier import evaluate
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
 
+def _per_sample_matching_errors(model, params, times):
+    """Reference: one Hungarian assignment per (symmetry, sample), so the
+    body permutation may change from sample to sample."""
+    from scipy.optimize import linear_sum_assignment
+
+    base = sample_positions(model, params, times)
+    errors = []
+    for sym in model.symmetries:
+        shifted = -times if sym.time_reversal else times + sym.time_shift
+        target = sample_positions(model, params, shifted)
+        moved = base @ sym.transform.matrix.T
+        worst = 0.0
+        for j in range(times.size):
+            diff = moved[:, j, :][:, None, :] - target[:, j, :][None, :, :]
+            cost = np.sqrt(np.einsum("ilc,ilc->il", diff, diff))
+            rows, cols = linear_sum_assignment(cost)
+            worst = max(worst, float(cost[rows, cols].max()))
+        errors.append(worst)
+    return tuple(errors)
+
+
+def _random_values(build, seed, scale):
+    model, params = build()
+    rng = np.random.default_rng(seed)
+    return model, params.with_values(scale * rng.normal(size=len(params)))
+
+
+# random-coefficient models for the oracle comparison: (builder, seed, scale)
+RANDOM_MODELS = {
+    "cubic3-random": (lambda: build_cubic_family(3, k_max=9), 11, 0.5),
+    "choreography4-random": (lambda: build_choreography(4, k_max=9), 13, 0.3),
+}
+
+
 class TestOrthTransform:
     def test_rejects_bad_shapes_and_entries(self):
         with pytest.raises(ValueError):
@@ -197,6 +231,16 @@ class TestCubicFamily:
             expected = np.stack(cols, axis=-1) @ b.transform.matrix.T
             assert np.array_equal(pos[i], expected), i
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 9])
+    def test_each_symmetry_is_claimed_once(self, m):
+        model, _ = build_cubic_family(m, k_max=3)
+        claims = [(s.transform.key(), s.time_shift, s.time_reversal)
+                  for s in model.symmetries]
+        assert len(claims) == len(set(claims))
+        rotations = {c[0] for c in claims if c[1:] == (0.0, False)}
+        expected = a4_elements() if m % 3 == 0 else klein_elements()
+        assert rotations == {r.key() for r in expected}
+
     def test_triple_occupancy_carries_full_rotation_set(self):
         model, _ = build_cubic_family(3, k_max=9)
         keys = {s.transform.key() for s in model.symmetries}
@@ -299,6 +343,32 @@ class TestCrisscrossFamily:
         report = verify_symmetry(bogus, params, tol=1e-9)
         assert not report.passed
         assert report.max_error > 1e-3
+
+
+class TestVerifySymmetry:
+    @pytest.mark.parametrize("orbit", [
+        "cubic1", "cubic5", "cubic3-random", "crisscross", "crisscross123",
+        "choreography4-random"])
+    def test_one_permutation_per_element_matches_per_sample_matching(
+            self, request, orbit):
+        if orbit in RANDOM_MODELS:
+            model, params = _random_values(*RANDOM_MODELS[orbit])
+        else:
+            model, result = request.getfixturevalue(orbit)
+            params = result.params
+        times = ao.QuadratureGrid(64).nodes
+        report = verify_symmetry(model, params)
+        assert report.element_errors == _per_sample_matching_errors(
+            model, params, times)
+        assert report.passed
+
+    @pytest.mark.parametrize("times", [[], np.array([]), [0.0, math.nan],
+                                       [math.inf], [0.5, -math.inf]],
+                             ids=["list", "array", "nan", "inf", "-inf"])
+    def test_times_must_be_nonempty_and_finite(self, times):
+        model, params = build_crisscross(k_max=9)
+        with pytest.raises(ValueError, match="finite times"):
+            verify_symmetry(model, params, times=times)
 
 
 @pytest.mark.parametrize("build", [
