@@ -41,9 +41,9 @@ class EvalKernel:
 
     Sampling is linear in the reduced vector, so positions, velocities, and
     accelerations on a fixed grid are matrix products with bases that are
-    the sampler's Jacobian: one batched :func:`.sample_tables` call per
-    derivative on the expanded identity, slot axis first.  Used by the
-    descent loop and :func:`action_with_gradient`.
+    the sampler's Jacobian: one batched :func:`.sample_tables` call for
+    all three derivatives on the expanded identity, slot axis first.  Used
+    by the descent loop and :func:`action_with_gradient`.
     """
 
     def __init__(self, model: OrbitModel, params: ReducedParams,
@@ -52,10 +52,11 @@ class EvalKernel:
         self.layout = params.layout
         self.grid = _require_grid(model, grid)
         units = self.layout.expand(np.eye(self.layout.n_slots))
+        sampled = sample_tables(model, units, self.grid.nodes, (0, 1, 2))
+        # slot axis first; each sampled array is dropped once copied
         self.basis_pos, self.basis_vel, self.basis_acc = (
-            np.ascontiguousarray(np.moveaxis(
-                sample_tables(model, units, self.grid.nodes, deriv), 2, 0))
-            for deriv in (0, 1, 2))
+            np.ascontiguousarray(np.moveaxis(sampled.pop(0), 2, 0))
+            for _ in range(3))
 
     def positions(self, values: np.ndarray) -> np.ndarray:
         return np.tensordot(values, self.basis_pos, axes=1)

@@ -57,9 +57,11 @@ class PairTable:
         self.incidence = np.zeros((n, pairs.size))
         self.incidence[self.i_idx, pairs] = 1.0
         self.incidence[self.j_idx, pairs] = -1.0
-        self.mass_column = masses[:, None]
+        # masses along the body axis of (n, 3) and (n, T, 3) forces
+        self.mass_axes = {nd: masses.reshape((n,) + (1,) * (nd - 1))
+                          for nd in (2, 3)}
         for a in (self.i_idx, self.j_idx, self.coupling, self.force_coef,
-                  self.incidence, self.mass_column):
+                  self.incidence, *self.mass_axes.values()):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, collision_threshold: float,
@@ -94,11 +96,12 @@ class PairTable:
         F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
         return F.reshape((-1,) + d.shape[1:])
 
-    def accelerations(self, pos: np.ndarray, t: float,
+    def accelerations(self, pos: np.ndarray, t,
                       collision_threshold: float) -> np.ndarray:
-        """F / m for one (n, 3) configuration: the integrator's right side."""
+        """F / m, divided along the body axis, for positions (n, 3) or
+        (n, T, 3): the integrator's right side."""
         d, r = self.distances(pos, t, collision_threshold, "integration")
-        return self.forces(d, r) / self.mass_column
+        return self.forces(d, r) / self.mass_axes[pos.ndim]
 
 
 @functools.lru_cache(maxsize=64)

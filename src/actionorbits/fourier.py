@@ -39,22 +39,37 @@ class Parity(Enum):
         return k % 2 == 1 if self is Parity.ODD_ONLY else True
 
 
-def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
-    """Derivative of order 0, 1 or 2 at times ``t`` of the series whose
-    ``coeffs`` = (sin, cos) are indexed by harmonic along axis 0; a trailing
-    batch axis on the coefficients trails the result too."""
+def trig_table(t: np.ndarray, harmonics: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sin(k t), cos(k t)) for k = 1..``harmonics``, harmonic along the
+    last axis: the part of an evaluation that depends only on the times."""
+    ang = np.multiply.outer(t, np.arange(1, harmonics + 1, dtype=float))
+    return np.sin(ang), np.cos(ang)
+
+
+def contract(table, coeffs, order: int) -> np.ndarray:
+    """Derivative of order 0, 1 or 2 of the series whose ``coeffs`` = (sin,
+    cos) are indexed by harmonic along axis 0, at the times of a
+    :func:`trig_table` with as many harmonics; a trailing batch axis on the
+    coefficients trails the result too."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
+    s, c = table
     sin, cos = coeffs
     a, b = sin[1:], cos[1:]
-    ks = np.arange(1, a.shape[0] + 1, dtype=float)
-    ang = np.multiply.outer(t, ks)
-    s, c = np.sin(ang), np.cos(ang)
     if order == 0:
         return s @ a + c @ b + cos[0]
+    ks = np.arange(1, a.shape[0] + 1, dtype=float)
     ks = ks.reshape(ks.shape + (1,) * (a.ndim - 1))
     if order == 1:
         return c @ (ks * a) - s @ (ks * b)
     k2 = ks * ks
     return -(s @ (k2 * a) + c @ (k2 * b))
+
+
+def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
+    """Derivative of order 0, 1 or 2 at times ``t``: :func:`contract` on
+    the series' own :func:`trig_table`."""
+    return contract(trig_table(t, coeffs[0].shape[0] - 1), coeffs, order)
 
 
 def _frozen(values, length: int) -> np.ndarray:

@@ -142,13 +142,18 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     """Advance the state for ``horizon`` time units with fixed steps.
 
     Records every ``record_stride``-th step (plus the initial and final
-    states).  Raises ValueError on a bad step, stride or horizon,
-    CollisionError if bodies approach below the threshold and
-    IntegrationError on a non-finite state.
+    states).  Raises ValueError on a bad step, stride or horizon or a mass
+    vector that does not match the bodies, CollisionError if bodies
+    approach below the threshold and IntegrationError on a non-finite
+    state.
     """
     _check_steps("horizon", horizon, dt, "record_stride", record_stride)
     n_steps = max(1, int(round(horizon / dt)))
     masses = np.asarray(masses, dtype=float)
+    n = state.positions.shape[0]
+    if masses.shape != (n,):
+        raise ValueError(f"{n} bodies need {n} masses, "
+                         f"got shape {masses.shape}")
     samples = _rk4_samples(spec, masses, state.positions, state.velocities,
                            state.t, dt, n_steps, record_stride,
                            collision_threshold)
@@ -280,7 +285,8 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
                       ) -> PerturbationReport:
     """Integrate from displaced initial positions and watch the deviation.
 
-    ``deviation`` is an (n, 3) array added to the initial positions.  The
+    ``deviation`` is an (n, 3) array added to the initial positions; any
+    other shape is a ValueError, not a broadcast.  The
     deviation at each sample time is the distance from the perturbed
     configuration to the unperturbed orbit band (see :class:`_CurveMetric`:
     phase drift and, for planar orbits, slow precession are quotiented out
@@ -292,8 +298,10 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     """
     _check_steps("n_periods", n_periods, dt, "samples_per_period",
                  samples_per_period)
-    dev = np.zeros((model.n_bodies, 3))
-    dev += np.asarray(deviation, dtype=float)
+    dev = np.array(deviation, dtype=float)
+    if dev.shape != (model.n_bodies, 3):
+        raise ValueError(f"deviation must have shape ({model.n_bodies}, 3), "
+                         f"got {dev.shape}")
     applied = float(np.abs(dev).max())   # NaN when any entry is NaN
     if not 0.0 < applied < math.inf:
         raise ValueError("perturbation must be finite and displace at least one body")

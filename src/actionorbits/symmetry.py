@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CollisionError, LayoutError
-from .fourier import COS, SIN, FourierSeries, Parity, evaluate
+from .fourier import COS, SIN, FourierSeries, Parity, contract, trig_table
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 
@@ -492,20 +492,39 @@ def _as_times(times) -> tuple[np.ndarray, bool]:
 
 
 def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
-                  t: np.ndarray, deriv: int) -> np.ndarray:
+                  t: np.ndarray, orders: Sequence[int]) -> list[np.ndarray]:
     """Body coordinates (n_bodies, n_times[, B], 3) at 1-D times ``t`` from
-    :meth:`ParamLayout.expand` tables, with or without a batch axis B."""
-    out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
-    sampled = {}   # bindings sharing (generator, phase) read the same columns
-    for i, b in enumerate(model.bindings):
-        key = (b.generator, b.phase)
-        if key not in sampled:
-            table = tables[b.generator]
-            sampled[key] = np.stack(
-                [evaluate(table[ch], (t + b.phase) + off, deriv)
-                 for ch, off in model.generators[b.generator].columns],
-                axis=-1)
-        out[i] = sampled[key] @ b.transform.matrix.T
+    :meth:`ParamLayout.expand` tables, with or without a batch axis B: one
+    array per derivative order in ``orders``.
+
+    Every column of every (generator, phase) evaluates its series at the
+    angles (t + phase) + offset.  Columns with the same (phase, offset,
+    harmonic count) read one trig table, built once and contracted for each
+    of them and each order; one table is alive at a time.
+    """
+    shape = (t.size,) + tables[0].shape[3:] + (3,)
+    # bindings sharing (generator, phase) read the same sampled columns
+    keys = dict.fromkeys((b.generator, b.phase) for b in model.bindings)
+    sampled = [{key: np.empty(shape) for key in keys} for _ in orders]
+    readers = {}   # (phase, offset, harmonics) -> [(key, column, coeffs)]
+    for gen, phase in keys:
+        table = tables[gen]
+        for j, (ch, off) in enumerate(model.generators[gen].columns):
+            readers.setdefault((phase, off, table.shape[2] - 1), []).append(
+                ((gen, phase), j, table[ch]))
+    for (phase, off, harmonics), reads in readers.items():
+        trig = trig_table((t + phase) + off, harmonics)
+        for key, j, coeffs in reads:
+            for columns, order in zip(sampled, orders):
+                columns[key][..., j] = contract(trig, coeffs, order)
+        del trig
+    out = []
+    while sampled:   # each order's columns are dropped once placed
+        columns = sampled.pop(0)
+        bodies = np.empty((model.n_bodies,) + shape)
+        for i, b in enumerate(model.bindings):
+            bodies[i] = columns[(b.generator, b.phase)] @ b.transform.matrix.T
+        out.append(bodies)
     return out
 
 
@@ -517,7 +536,8 @@ def sample_positions(model: OrbitModel, params: ReducedParams, times,
     QuadratureGrid, an array, or a scalar (squeezed to (n_bodies, 3)).
     """
     t, scalar = _as_times(times)
-    out = sample_tables(model, params.layout.expand(params.values), t, deriv)
+    out, = sample_tables(model, params.layout.expand(params.values), t,
+                         (deriv,))
     return out[:, 0, :] if scalar else out
 
 
@@ -788,8 +808,11 @@ def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
     base = sample_positions(model, params, t)  # (n, T, 3)
     errors = []
     for sym in model.symmetries:
-        shifted_t = -t if sym.time_reversal else t + sym.time_shift
-        target = sample_positions(model, params, shifted_t)
+        if sym.time_reversal or sym.time_shift != 0.0:
+            shifted_t = -t if sym.time_reversal else t + sym.time_shift
+            target = sample_positions(model, params, shifted_t)
+        else:   # sigma is the identity: the targets are the base samples
+            target = base
         diff = (base @ sym.transform.matrix.T)[:, None] - target[None]
         cost = np.sqrt(np.einsum("iltc,iltc->ilt", diff, diff).max(axis=2))
         rows, cols = linear_sum_assignment(cost)

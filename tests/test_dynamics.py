@@ -7,6 +7,7 @@ import pytest
 
 import actionorbits as ao
 from actionorbits import (
+    COLLISION_THRESHOLD,
     CollisionError,
     PotentialSpec,
     QuadratureGrid,
@@ -20,6 +21,7 @@ from actionorbits import (
     residual,
     sample_positions,
 )
+from actionorbits.dynamics import pair_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,6 +149,23 @@ class TestForces:
             Fj, Vj = forces(PotentialSpec(), masses, x[:, j])
             assert np.allclose(Fb[:, j], Fj)
             assert Vb[j] == pytest.approx(Vj)
+
+
+def test_batched_accelerations_divide_along_the_body_axis():
+    # with as many configurations as bodies, dividing the (n, B, 3) forces
+    # by an (n, 1) mass column would broadcast the masses over B instead
+    spec, masses = PotentialSpec(), np.array([1.0, 2.0, 3.0])
+    x = np.random.default_rng(4).normal(scale=2.0, size=(3, 3, 3))
+    times = np.arange(3.0)
+    table = pair_table(spec, masses)
+    batch = table.accelerations(x, times, COLLISION_THRESHOLD)
+    F, _ = forces(spec, masses, x)
+    assert np.array_equal(batch, F / masses[:, None, None])
+    for j in range(3):
+        single = table.accelerations(x[:, j], times[j], COLLISION_THRESHOLD)
+        assert np.allclose(batch[:, j], single, rtol=1e-14, atol=0.0), j
+        assert np.array_equal(single, forces(spec, masses, x[:, j])[0]
+                              / masses[:, None])
 
 
 class TestCollisionDetection:

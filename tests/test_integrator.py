@@ -170,6 +170,14 @@ class TestRK4:
         with pytest.raises(ValueError):
             integrate(state, np.ones(2), PotentialSpec(), dt=math.nan)
 
+    @pytest.mark.parametrize("n_masses", [1, 3])
+    def test_mass_count_must_match_bodies(self, n_masses):
+        # n + 1 masses used to end in an IndexError, n - 1 in a broadcast
+        # error, both from inside the first RK4 stage
+        with pytest.raises(ValueError, match=f"2 bodies need 2 masses, "
+                                             f"got shape \\({n_masses},\\)"):
+            integrate(_circle_state(), np.ones(n_masses), PotentialSpec())
+
 
 class TestReturnError:
     def test_converged_orbit_closes(self, circle):
@@ -231,6 +239,18 @@ class TestPerturbAndTrack:
         model, result = circle
         with pytest.raises(ValueError):
             perturb_and_track(model, result.params, np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("deviation", [
+        [1e-3, 0.0, 0.0], np.full((1, 3), 1e-3), np.full((3, 1), 1e-3),
+        np.full((4, 3), 1e-3), np.full((3, 3, 1), 1e-3), 1e-3],
+        ids=["vector", "one-row", "column", "extra-body", "3d", "scalar"])
+    def test_deviation_must_have_one_row_per_body(self, deviation):
+        # a (3,) deviation used to be broadcast onto every body: a rigid
+        # translation of the criss-cross that reported "bounded"
+        model, params = ao.build_crisscross(k_max=9)
+        with pytest.raises(ValueError,
+                           match=r"deviation must have shape \(3, 3\)"):
+            perturb_and_track(model, params, deviation, 1.0)
 
     @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan])
     def test_empty_horizon_rejected(self, circle, n_periods):

@@ -1,6 +1,7 @@
 """Tests for transform groups, family builders, and reduced layouts."""
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from actionorbits import (
     verify_symmetry,
 )
 from actionorbits.fourier import evaluate
+from actionorbits.symmetry import sample_tables
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
@@ -70,6 +72,50 @@ RANDOM_MODELS = {
     "cubic3-random": (lambda: build_cubic_family(3, k_max=9), 11, 0.5),
     "choreography4-random": (lambda: build_choreography(4, k_max=9), 13, 0.3),
 }
+
+
+# the seven orbits of the benchmark's catalogue, at their builder seeds
+BENCHMARK_FAMILIES = {
+    "cubic-m1": lambda: build_cubic_family(1, k_max=27),
+    "cubic-m3": lambda: build_cubic_family(3, k_max=27),
+    "cubic-m5": lambda: build_cubic_family(5, k_max=27),
+    "cubic-m7": lambda: build_cubic_family(7, k_max=27),
+    "crisscross": lambda: build_crisscross(k_max=35),
+    "crisscross-123": lambda: build_crisscross((1.0, 2.0, 3.0), k_max=35),
+    "figure-eight": lambda: build_choreography(
+        3, active={"x": ("sin",), "y": ("sin",)},
+        seed={("x", "sin", 1): 1.1, ("y", "sin", 2): 0.35},
+        k_max=32, parity=Parity.ALL),
+}
+
+
+def _per_column_sampler(model, tables, t, deriv):
+    """Reference: the sampler with one ``evaluate`` (one trig table) per
+    column of every (generator, phase)."""
+    out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
+    sampled = {}
+    for i, b in enumerate(model.bindings):
+        key = (b.generator, b.phase)
+        if key not in sampled:
+            table = tables[b.generator]
+            sampled[key] = np.stack(
+                [evaluate(table[ch], (t + b.phase) + off, deriv)
+                 for ch, off in model.generators[b.generator].columns],
+                axis=-1)
+        out[i] = sampled[key] @ b.transform.matrix.T
+    return out
+
+
+def _counting(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that records each call."""
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class TestOrthTransform:
@@ -369,6 +415,78 @@ class TestVerifySymmetry:
         model, params = build_crisscross(k_max=9)
         with pytest.raises(ValueError, match="finite times"):
             verify_symmetry(model, params, times=times)
+
+
+class TestSharedTrigTables:
+    """The sampler builds one trig table per distinct (phase, offset,
+    harmonic count) and must match one evaluation per column bit for bit."""
+
+    @pytest.fixture(params=list(BENCHMARK_FAMILIES) + list(RANDOM_MODELS))
+    def orbit(self, request):
+        if request.param in RANDOM_MODELS:
+            return _random_values(*RANDOM_MODELS[request.param])
+        return BENCHMARK_FAMILIES[request.param]()
+
+    def test_positions_match_per_column_evaluation(self, orbit):
+        model, params = orbit
+        tables = params.layout.expand(params.values)
+        rng = np.random.default_rng(17)
+        for t in (np.array([0.37]), rng.uniform(-7.0, 7.0, 17),
+                  np.arange(2048) * (2.0 * math.pi / 2048)):
+            for deriv in (0, 1, 2):
+                expected = _per_column_sampler(model, tables, t, deriv)
+                got = sample_positions(model, params, t, deriv)
+                assert np.array_equal(got, expected), (t.size, deriv)
+        for deriv in (0, 1, 2):
+            expected = _per_column_sampler(model, tables, np.array([0.37]),
+                                           deriv)[:, 0]
+            got = sample_positions(model, params, 0.37, deriv)
+            assert np.array_equal(got, expected), deriv
+
+    def test_batched_units_match_per_column_evaluation(self, orbit):
+        model, params = orbit
+        units = params.layout.expand(np.eye(len(params)))
+        t = ao.QuadratureGrid.for_kmax(model.k_max).nodes
+        sampled = sample_tables(model, units, t, (0, 1, 2))
+        for deriv, got in zip((0, 1, 2), sampled):
+            assert np.array_equal(
+                got, _per_column_sampler(model, units, t, deriv)), deriv
+
+    @pytest.mark.parametrize("family, tables", [
+        ("crisscross", 1), ("figure-eight", 3), ("cubic-m3", 9)])
+    def test_each_distinct_table_is_built_once_per_call(
+            self, monkeypatch, family, tables):
+        # criss-cross: 3 generators x 3 columns at phase 0, offset 0;
+        # figure-eight: 3 phases; cubic m=3: 3 phases x 3 offsets
+        module = importlib.import_module("actionorbits.symmetry")
+        calls = _counting(monkeypatch, module, "trig_table")
+        model, params = BENCHMARK_FAMILIES[family]()
+        sample_positions(model, params, np.linspace(0.0, 6.0, 50), deriv=2)
+        assert len(calls) == tables
+        calls.clear()
+        ao.EvalKernel(model, params)   # all three derivative orders
+        assert len(calls) == tables
+
+    @pytest.mark.parametrize("deriv", [3, -1, 5])
+    def test_derivative_order_outside_0_to_2_rejected(self, deriv):
+        model, params = build_crisscross(k_max=9)
+        with pytest.raises(ValueError, match="derivative order"):
+            sample_positions(model, params, 0.1, deriv=deriv)
+        with pytest.raises(ValueError, match="derivative order"):
+            sample_tables(model, params.layout.expand(params.values),
+                          np.array([0.1]), (0, deriv))
+
+    def test_verify_symmetry_samples_only_moved_times(self, monkeypatch):
+        # cubic m=3 claims 15 elements; 12 keep the times (sigma is the
+        # identity) and reuse the base samples
+        module = importlib.import_module("actionorbits.symmetry")
+        model, params = _random_values(*RANDOM_MODELS["cubic3-random"])
+        moved = [s for s in model.symmetries
+                 if s.time_reversal or s.time_shift != 0.0]
+        assert (len(model.symmetries), len(moved)) == (15, 3)
+        calls = _counting(monkeypatch, module, "sample_positions")
+        verify_symmetry(model, params)
+        assert len(calls) == 1 + len(moved)
 
 
 @pytest.mark.parametrize("build", [

@@ -42,17 +42,23 @@ def test_kernel_exposes_the_traced_bases():
     assert tracer._kernel_bytes(kernel) == sum(b.nbytes for b in bases)
 
 
+def _counted(monkeypatch, module, attr):
+    """Rebind ``module.attr`` to a wrapper that records each call."""
+    real, calls = getattr(module, attr), []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
 def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
     # the tracer counts ``integrate.rk4_steps`` by rebinding the module
     # global, so every fixed-step run must reach the step through it
     module = importlib.import_module("actionorbits.integrate")
-    step, calls = module.rk4_step, []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return step(*args, **kwargs)
-
-    monkeypatch.setattr(module, "rk4_step", counting)
+    calls = _counted(monkeypatch, module, "rk4_step")
     model, result = circle
     state = module.extract_ics(model, result.params)
     module.integrate(state, model.masses, model.potential, dt=TWO_PI / 100,
@@ -65,3 +71,22 @@ def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
                                       dt=TWO_PI / 100, samples_per_period=10)
     assert report.verdict == BOUNDED
     assert len(calls) == 150
+
+
+def test_samplers_go_through_the_traced_bindings(monkeypatch, circle):
+    # the tracer counts ``symmetry.sample_calls`` by rebinding
+    # ``sample_positions`` in each module that calls it, so these callers
+    # must sample through their module's global, not a private path
+    model, result = circle
+    integrate = importlib.import_module("actionorbits.integrate")
+    dynamics = importlib.import_module("actionorbits.dynamics")
+    by_integrate = _counted(monkeypatch, integrate, "sample_positions")
+    by_dynamics = _counted(monkeypatch, dynamics, "sample_positions")
+    integrate.extract_ics(model, result.params)
+    assert len(by_integrate) == 2          # positions, velocities
+    integrate._CurveMetric(model, result.params)
+    assert len(by_integrate) == 3          # the reference curve
+    dynamics.residual(model, result.params)
+    assert len(by_dynamics) == 2           # positions, accelerations
+    dynamics.observables_series(model, result.params, np.linspace(0, 1, 5))
+    assert len(by_dynamics) == 4           # positions, velocities
