@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import COLLISION_THRESHOLD, forces, potential_energy
+from .dynamics import forces, potential_energy
 from .quadrature import QuadratureGrid
 from .symmetry import (OrbitModel, ReducedParams, channel_multiplicity,
                        sample_positions, sample_tables)
@@ -89,16 +89,12 @@ class ActionReport:
 
 
 def action(model: OrbitModel, params: ReducedParams,
-           grid: QuadratureGrid | None = None,
-           collision_threshold: float = COLLISION_THRESHOLD) -> ActionReport:
+           grid: QuadratureGrid | None = None) -> ActionReport:
     """Evaluate S = int (K - V) dt on the grid."""
     grid = _require_grid(model, grid)
-    vel = sample_positions(model, params, grid.nodes, deriv=1)
-    pos = sample_positions(model, params, grid.nodes)
+    pos, vel = sample_positions(model, params, grid.nodes, deriv=(0, 1))
     v_samples = potential_energy(model.potential, model.masses, pos,
-                                 times=grid.nodes,
-                                 collision_threshold=collision_threshold,
-                                 context="action")
+                                 times=grid.nodes, context="action")
     return _report(model, grid, vel, v_samples)
 
 
@@ -113,24 +109,21 @@ def _report(model, grid, vel, v_samples) -> ActionReport:
 
 def action_with_gradient(model: OrbitModel, params: ReducedParams,
                          grid: QuadratureGrid | None = None,
-                         kernel: EvalKernel | None = None,
-                         collision_threshold: float = COLLISION_THRESHOLD
-                         ) -> ActionReport:
+                         kernel: EvalKernel | None = None) -> ActionReport:
     """Action plus its reduced gradient in one force evaluation."""
     if kernel is None:
         kernel = EvalKernel(model, params, grid)
     v = params.values
-    return _with_gradient(kernel, v, kernel.positions(v), collision_threshold,
-                          "gradient")
+    return _with_gradient(kernel, v, kernel.positions(v), "gradient")
 
 
 def _with_gradient(kernel: EvalKernel, v: np.ndarray, pos: np.ndarray,
-                   collision_threshold: float, context: str) -> ActionReport:
+                   context: str) -> ActionReport:
     """Action and reduced gradient at values ``v`` whose sampled positions
     ``pos`` the caller already holds; the descent loop iterates this."""
     model, grid = kernel.model, kernel.grid
     F, V = forces(model.potential, model.masses, pos, times=grid.nodes,
-                  collision_threshold=collision_threshold, context=context)
+                  context=context)
     report = _report(model, grid, kernel.velocities(v), V)
     # dS/dc = pi k^2 m_eff c + int F . dx/dc dt  (the potential term carries
     # +F because F = -dV/dx).

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import io
-import logging
 import math
 import sys
 
 import numpy as np
 
+from .action import EvalKernel
 from .descent import DescentSchedule, StopRule, run
-from .dynamics import observables_series
+from .dynamics import min_pair_distance, observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
 from .integrate import (BOUNDED, extract_ics, integrate, perturb_and_track,
                         return_error, write_trajectory)
@@ -117,16 +117,30 @@ def _schedule_from_args(args) -> DescentSchedule:
     return DescentSchedule.preconditioned(args.delta)
 
 
+def _progress(model, params, every: int):
+    """A ``run`` callback printing every ``every``-th iterate's S, gradient
+    norm and minimum pair distance on the descent grid to stderr; None for
+    ``every`` = 0."""
+    if not every:
+        return None
+    kernel = EvalKernel(model, params)
+
+    def report(iteration, current, S, grad_norm):
+        if iteration % every == 0:
+            dist = min_pair_distance(kernel.positions(current.values))
+            print(f"iter={iteration} S={S:.12e} grad_norm={grad_norm:.3e} "
+                  f"min_dist={dist:.3e}", file=sys.stderr)
+    return report
+
+
 def cmd_minimize(args) -> int:
     record = load_record(args.record)
     model, params = record_to_model(record)
     schedule = _schedule_from_args(args)
     stop = StopRule(grad_tol=args.grad_tol, max_iters=args.max_iters,
                     escape_radius=args.escape_radius)
-    if args.log_every:
-        logging.basicConfig(level=logging.INFO, stream=sys.stderr,
-                            format="%(message)s")
-    result = run(model, params, schedule, stop, log_every=args.log_every)
+    result = run(model, params, schedule, stop,
+                 callback=_progress(model, params, args.log_every))
     out = args.out or args.record
     updated = make_record(model, result.params, result, schedule, stop)
     save_record(updated, out)
@@ -272,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=200_000)
     p.add_argument("--escape-radius", type=float, default=50.0)
     p.add_argument("--log-every", type=int, default=0,
-                   help="log progress every N iterations (0 = silent)")
+                   help="print progress to stderr every N iterations "
+                        "(0 = silent)")
     p.set_defaults(handler=cmd_minimize)
 
     p = sub.add_parser("verify",

@@ -27,7 +27,6 @@ preconditioner removes.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -36,13 +35,11 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .action import EvalKernel, _with_gradient
-from .dynamics import COLLISION_THRESHOLD, forces, min_pair_distance, residual
+from .dynamics import forces, residual
 from .errors import CollisionError, LayoutError
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .symmetry import OrbitModel, ParamLayout, ReducedParams
-
-logger = logging.getLogger(__name__)
 
 UNIFORM = "uniform"
 PRECONDITIONED = "preconditioned"
@@ -131,16 +128,15 @@ class StopRule:
     """Termination settings for :func:`run`.
 
     Raises ValueError for settings that could only end in a false or silent
-    outcome: a NaN or negative ``grad_tol`` or ``collision_threshold``, a
-    ``max_iters`` that is not a non-negative integer, and an
-    ``escape_radius`` that is NaN or not positive (``inf`` turns escape
-    detection off).
+    outcome: a NaN or negative ``grad_tol``, a ``max_iters`` that is not a
+    non-negative integer, and an ``escape_radius`` that is NaN or not
+    positive (``inf`` turns escape detection off).  Collisions are judged
+    by :data:`.dynamics.COLLISION_THRESHOLD`, as in every other layer.
     """
 
     grad_tol: float = 1e-10
     max_iters: int = 200_000
     escape_radius: float = 50.0
-    collision_threshold: float = COLLISION_THRESHOLD
 
     def __post_init__(self):
         if not self.grad_tol >= 0.0:
@@ -153,9 +149,6 @@ class StopRule:
         if not self.escape_radius > 0.0:
             raise ValueError(
                 f"escape_radius must be positive, got {self.escape_radius}")
-        if not self.collision_threshold >= 0.0:
-            raise ValueError("collision_threshold must be non-negative, "
-                             f"got {self.collision_threshold}")
 
 
 @dataclass(frozen=True)
@@ -188,12 +181,13 @@ def run(model: OrbitModel, params: ReducedParams,
         schedule: DescentSchedule | None = None,
         stop: StopRule | None = None,
         grid: QuadratureGrid | None = None,
-        log_every: int = 0,
         callback: Callable[[int, ReducedParams, float, float], None] | None = None,
         ) -> RunResult:
     """Iterate gradient descent until convergence or a terminal event.
 
     Collision and escape are reported in the outcome rather than raised.
+    ``callback(iteration, params, S, grad_norm)``, when given, runs once per
+    evaluated iterate; it is the one progress hook.
     With fixed inputs the result is deterministic down to the bit level.
     """
     schedule = schedule or DescentSchedule.preconditioned()
@@ -217,7 +211,7 @@ def run(model: OrbitModel, params: ReducedParams,
             escape_body = int(np.unravel_index(np.argmax(radii), radii.shape)[0])
             break
         try:
-            report = _with_gradient(kernel, v, pos, stop.collision_threshold,
+            report = _with_gradient(kernel, v, pos,
                                     f"descent iteration {iteration}")
         except CollisionError as err:
             outcome = COLLISION
@@ -225,9 +219,6 @@ def run(model: OrbitModel, params: ReducedParams,
             break
         trace.append(report.S)
         grad_norm = report.grad_norm
-        if log_every and iteration % log_every == 0:
-            logger.info("iter=%d S=%.12e grad_norm=%.3e min_dist=%.3e",
-                        iteration, report.S, grad_norm, min_pair_distance(pos))
         if callback is not None:
             callback(iteration, params.with_values(v), report.S, grad_norm)
         if grad_norm <= stop.grad_tol:
@@ -242,9 +233,7 @@ def run(model: OrbitModel, params: ReducedParams,
     final = params.with_values(v)
     final_residual = None
     try:
-        final_residual = residual(model, final, grid,
-                                  collision_threshold=stop.collision_threshold
-                                  ).max_violation
+        final_residual = residual(model, final, grid).max_violation
     except CollisionError:
         pass
     return RunResult(
@@ -305,8 +294,7 @@ def _nyquist_amplitude(paths: np.ndarray) -> float:
 
 
 def naive_time_descent(paths: np.ndarray, masses, spec: PotentialSpec,
-                       delta_tau: float, iters: int,
-                       collision_threshold: float = COLLISION_THRESHOLD
+                       delta_tau: float, iters: int
                        ) -> tuple[np.ndarray, ZigZagDiagnostic]:
     """Descend the action on raw sampled paths (no Fourier parameterization).
 
@@ -326,8 +314,7 @@ def naive_time_descent(paths: np.ndarray, masses, spec: PotentialSpec,
     amplitudes = [_nyquist_amplitude(x)]
     for _ in range(int(iters)):
         acc = (np.roll(x, -1, axis=1) - 2.0 * x + np.roll(x, 1, axis=1)) / (h * h)
-        F, _ = forces(spec, masses, x, collision_threshold=collision_threshold,
-                      context="naive descent")
+        F, _ = forces(spec, masses, x, context="naive descent")
         x = x + delta_tau * (masses[:, None, None] * acc - F)
         amplitudes.append(_nyquist_amplitude(x))
     diag = ZigZagDiagnostic(

@@ -26,6 +26,9 @@ from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .symmetry import OrbitModel, ReducedParams, _as_times, sample_positions
 
+# The one collision test of every layer: the action is singular only at
+# collisions, so a pair closer than this raises CollisionError wherever
+# distances are taken.  PairTable reads it at each call.
 COLLISION_THRESHOLD = 1e-8
 
 
@@ -64,16 +67,17 @@ class PairTable:
                   self.incidence, *self.mass_axes.values()):
             a.setflags(write=False)
 
-    def distances(self, x: np.ndarray, times, collision_threshold: float,
-                  context: str):
+    def distances(self, x: np.ndarray, times, context: str,
+                  check: bool = True):
         """Pair differences d and (softened) distances r.
 
-        Raises CollisionError when any true separation drops below the
-        threshold; softening applies only after that test.
+        Raises CollisionError when any true separation drops below
+        :data:`COLLISION_THRESHOLD`, read at each call, unless ``check`` is
+        false; softening applies only after that test.
         """
         d, r2 = _separations(self.i_idx, self.j_idx, x)
         r = np.sqrt(r2)
-        if collision_threshold > 0.0 and r.size and r.min() < collision_threshold:
+        if check and r.size and r.min() < COLLISION_THRESHOLD:
             at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
             t = None if times is None else float(
                 np.ravel(times)[at[1] if r.ndim == 2 else 0])
@@ -96,11 +100,10 @@ class PairTable:
         F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
         return F.reshape((-1,) + d.shape[1:])
 
-    def accelerations(self, pos: np.ndarray, t,
-                      collision_threshold: float) -> np.ndarray:
+    def accelerations(self, pos: np.ndarray, t) -> np.ndarray:
         """F / m, divided along the body axis, for positions (n, 3) or
         (n, T, 3): the integrator's right side."""
-        d, r = self.distances(pos, t, collision_threshold, "integration")
+        d, r = self.distances(pos, t, "integration")
         return self.forces(d, r) / self.mass_axes[pos.ndim]
 
 
@@ -122,18 +125,16 @@ def _positions(positions) -> np.ndarray:
 
 
 def potential_energy(spec: PotentialSpec, masses, positions, times=None,
-                     collision_threshold: float = COLLISION_THRESHOLD,
                      context: str = "") -> np.ndarray | float:
     """Total pair potential; scalar for a single configuration, else (T,)."""
     x = _positions(positions)
     table = pair_table(spec, masses)
-    _, r = table.distances(x, times, collision_threshold, context)
+    _, r = table.distances(x, times, context)
     v = table.potential(r)
     return float(v) if x.ndim == 2 else v
 
 
 def forces(spec: PotentialSpec, masses, positions, times=None,
-           collision_threshold: float = COLLISION_THRESHOLD,
            context: str = "") -> tuple[np.ndarray, np.ndarray | float]:
     """Pairwise forces and total potential energy.
 
@@ -143,7 +144,7 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
     """
     x = _positions(positions)
     table = pair_table(spec, masses)
-    d, r = table.distances(x, times, collision_threshold, context)
+    d, r = table.distances(x, times, context)
     v = table.potential(r)
     F = table.forces(d, r) if d.size else np.zeros_like(x)   # no pairs: n < 2
     return (F, float(v)) if x.ndim == 2 else (F, v)
@@ -182,7 +183,8 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
     an (n, T, 3) batch, with velocities of the same shape.
 
     Both are copied to C order first: einsum's summation order follows the
-    strides, so a strided view would otherwise change the last bits.
+    strides, so a strided view would otherwise change the last bits.  It
+    never raises a collision: coincident bodies give a non-finite energy.
     """
     x = np.ascontiguousarray(_positions(positions))
     v = np.ascontiguousarray(velocities, dtype=float)
@@ -191,9 +193,10 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
         raise ValueError("observables expects matching positions/velocities")
     mw = m.reshape(m.shape + (1,) * (x.ndim - 1))
     kin = 0.5 * (m @ np.einsum("i...c,i...c->i...", v, v))
-    pot = potential_energy(spec, m, x, collision_threshold=0.0)
+    table = pair_table(spec, m)
+    pot = table.potential(table.distances(x, None, "", check=False)[1])
     if x.ndim == 2:
-        kin = float(kin)
+        kin, pot = float(kin), float(pot)
     xxt = np.einsum("i,i...c,i...d->...cd", m, x, x)
     r2 = np.einsum("i,i...c,i...c->...", m, x, x)[..., None, None]
     return Observables(E=kin + pot, kinetic=kin, potential=pot,
@@ -206,8 +209,7 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
 def observables_series(model: OrbitModel, params: ReducedParams, times):
     """Observables along sampled times of a model trajectory, as one batch."""
     t, _ = _as_times(times)
-    pos = sample_positions(model, params, t)
-    vel = sample_positions(model, params, t, deriv=1)
+    pos, vel = sample_positions(model, params, t, deriv=(0, 1))
     return t, observables(model.potential, model.masses, pos, vel)
 
 
@@ -222,8 +224,7 @@ class ResidualReport:
 
 
 def residual(model: OrbitModel, params: ReducedParams,
-             grid: QuadratureGrid | None = None,
-             collision_threshold: float = COLLISION_THRESHOLD) -> ResidualReport:
+             grid: QuadratureGrid | None = None) -> ResidualReport:
     """Equations-of-motion defect max_{i,t} |m_i x_i''(t) - F_i(t)|.
 
     The spectrum entry at harmonic q is the largest one-sided Fourier
@@ -234,10 +235,9 @@ def residual(model: OrbitModel, params: ReducedParams,
         grid = QuadratureGrid.for_kmax(model.k_max)
     grid.require(model.k_max)
     t = grid.nodes
-    pos = sample_positions(model, params, t)
-    acc = sample_positions(model, params, t, deriv=2)
+    pos, acc = sample_positions(model, params, t, deriv=(0, 2))
     F, _ = forces(model.potential, model.masses, pos, times=t,
-                  collision_threshold=collision_threshold, context="residual")
+                  context="residual")
     defect = model.masses[:, None, None] * acc - F             # (n, T, 3)
     norms = np.sqrt(np.einsum("itc,itc->it", defect, defect))
     i, j = np.unravel_index(np.argmax(norms), norms.shape)

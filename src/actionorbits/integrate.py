@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import COLLISION_THRESHOLD, observables, pair_table
+from .dynamics import observables, pair_table
 from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces integrate.forces)
 from .errors import CollisionError, IntegrationError
 from .potential import PotentialSpec
@@ -69,27 +69,25 @@ def extract_ics(model: OrbitModel, params: ReducedParams,
                 t: float = 0.0) -> PhaseState:
     """Initial conditions read directly off the Fourier series at time t,
     at the physical (unnormalized) scale."""
-    pos = sample_positions(model, params, float(t))
-    vel = sample_positions(model, params, float(t), deriv=1)
+    pos, vel = sample_positions(model, params, float(t), deriv=(0, 1))
     return PhaseState(pos, vel, float(t))
 
 
 def rk4_step(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
-             vel: np.ndarray, t: float, dt: float,
-             collision_threshold: float = COLLISION_THRESHOLD
+             vel: np.ndarray, t: float, dt: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """One classical Runge-Kutta step of size dt."""
     table = pair_table(spec, masses)
-    a1 = table.accelerations(pos, t, collision_threshold)
+    a1 = table.accelerations(pos, t)
     p2 = pos + 0.5 * dt * vel
     v2 = vel + 0.5 * dt * a1
-    a2 = table.accelerations(p2, t + 0.5 * dt, collision_threshold)
+    a2 = table.accelerations(p2, t + 0.5 * dt)
     p3 = pos + 0.5 * dt * v2
     v3 = vel + 0.5 * dt * a2
-    a3 = table.accelerations(p3, t + 0.5 * dt, collision_threshold)
+    a3 = table.accelerations(p3, t + 0.5 * dt)
     p4 = pos + dt * v3
     v4 = vel + dt * a3
-    a4 = table.accelerations(p4, t + dt, collision_threshold)
+    a4 = table.accelerations(p4, t + dt)
     new_pos = pos + (dt / 6.0) * (vel + 2.0 * v2 + 2.0 * v3 + v4)
     new_vel = vel + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return new_pos, new_vel
@@ -118,7 +116,7 @@ def _check_steps(span: str, length: float, dt: float, stride: str,
 
 def _rk4_samples(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
                  vel: np.ndarray, t0: float, dt: float, n_steps: int,
-                 stride: int, threshold: float):
+                 stride: int):
     """Take ``n_steps`` RK4 steps of size dt from (pos, vel) at t0, yielding
     (t, pos, vel) at t0, after every ``stride``-th step and after the last.
 
@@ -127,7 +125,7 @@ def _rk4_samples(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
     """
     yield t0, pos, vel
     for i in range(n_steps):
-        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt, threshold)
+        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt)
         t = t0 + (i + 1) * dt
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
             raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
@@ -137,15 +135,14 @@ def _rk4_samples(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
 
 def integrate(state: PhaseState, masses, spec: PotentialSpec,
               dt: float = DEFAULT_DT, horizon: float = TWO_PI,
-              record_stride: int = 1,
-              collision_threshold: float = COLLISION_THRESHOLD) -> Trajectory:
+              record_stride: int = 1) -> Trajectory:
     """Advance the state for ``horizon`` time units with fixed steps.
 
     Records every ``record_stride``-th step (plus the initial and final
     states).  Raises ValueError on a bad step, stride or horizon or a mass
     vector that does not match the bodies, CollisionError if bodies
-    approach below the threshold and IntegrationError on a non-finite
-    state.
+    approach below :data:`.dynamics.COLLISION_THRESHOLD` and
+    IntegrationError on a non-finite state.
     """
     _check_steps("horizon", horizon, dt, "record_stride", record_stride)
     n_steps = max(1, int(round(horizon / dt)))
@@ -155,23 +152,22 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
         raise ValueError(f"{n} bodies need {n} masses, "
                          f"got shape {masses.shape}")
     samples = _rk4_samples(spec, masses, state.positions, state.velocities,
-                           state.t, dt, n_steps, record_stride,
-                           collision_threshold)
+                           state.t, dt, n_steps, record_stride)
     times, pos, vel = (np.array(column) for column in zip(*samples))
     obs = observables(spec, masses, pos.transpose(1, 0, 2),
                       vel.transpose(1, 0, 2))
     return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
 
 
-def return_error(model: OrbitModel, params: ReducedParams,
-                 collision_threshold: float = COLLISION_THRESHOLD) -> float:
+def return_error(model: OrbitModel, params: ReducedParams) -> float:
     """Max-norm phase-space mismatch after integrating one full period.
 
     The one-period map is computed with scipy's adaptive DOP853 at
     ``RETURN_TOL`` on the flat state [positions, velocities], stepped
     without dense output.  Raises CollisionError (context 'integration')
-    if bodies approach below the threshold at any stage, and
-    IntegrationError if the solver fails, or starts or ends non-finite.
+    if bodies approach below :data:`.dynamics.COLLISION_THRESHOLD` at any
+    stage, and IntegrationError if the solver fails, or starts or ends
+    non-finite.
     """
     from scipy.integrate import DOP853
 
@@ -181,8 +177,7 @@ def return_error(model: OrbitModel, params: ReducedParams,
     half = state.positions.size
 
     def rhs(t, y):
-        acc = table.accelerations(y[:half].reshape(shape), t,
-                                  collision_threshold)
+        acc = table.accelerations(y[:half].reshape(shape), t)
         return np.concatenate((y[half:], acc.ravel()))
 
     y0 = np.concatenate((state.positions.ravel(), state.velocities.ravel()))
@@ -280,9 +275,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
                       deviation, n_periods: float,
                       envelope: float | None = None,
                       dt: float = TWO_PI * 1e-3,
-                      samples_per_period: int = 50,
-                      collision_threshold: float = COLLISION_THRESHOLD
-                      ) -> PerturbationReport:
+                      samples_per_period: int = 50) -> PerturbationReport:
     """Integrate from displaced initial positions and watch the deviation.
 
     ``deviation`` is an (n, 3) array added to the initial positions; any
@@ -318,7 +311,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     base = extract_ics(model, params)
     samples = _rk4_samples(model.potential, model.masses,
                            base.positions + dev, base.velocities, 0.0, dt,
-                           n_steps, stride, collision_threshold)
+                           n_steps, stride)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

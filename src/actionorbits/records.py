@@ -22,7 +22,7 @@ import numpy as np
 
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
 from .dynamics import observables_series, residual
-from .errors import RecordError
+from .errors import CollisionError, RecordError
 from .fourier import COS, SIN, FourierSeries, Parity
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
@@ -42,6 +42,8 @@ _FAMILY_KEYS = {
     "choreography": {"kind", "n", "parity"},
     "custom": {"kind", "generators", "bindings", "symmetries"},
 }
+# the JSON types of the family fields the builders take (masses: numbers)
+_FAMILY_TYPES = {"m": "int", "n": "int", "parity": "str"}
 _POTENTIAL_KEYS = {"alpha", "G", "softening"}
 _LAYOUT_KEYS = {"slots", "couplings"}
 _OBSERVABLE_KEYS = {"E", "J", "Q_max"}
@@ -108,10 +110,16 @@ def validate_record(record: OrbitRecord) -> None:
     if kind not in _FAMILY_KEYS:
         raise RecordError(f"unknown family kind {kind!r}")
     _check_keys(record.family, _FAMILY_KEYS[kind], "family")
+    for key, annotation in _FAMILY_TYPES.items():
+        if key in record.family and not _is_a(record.family[key], annotation):
+            raise RecordError(f"family.{key} must be {annotation}, "
+                              f"got {record.family[key]!r}")
     _check_keys(record.potential, _POTENTIAL_KEYS, "potential")
     _check_keys(record.layout, _LAYOUT_KEYS, "layout")
     numbers = {"potential": list(record.potential.values()),
                "values": record.values}
+    if kind == "crisscross":
+        numbers["family.masses"] = record.family["masses"]
     if record.observables is not None:
         obs = record.observables
         _check_keys(obs, _OBSERVABLE_KEYS, "observables")
@@ -236,8 +244,15 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
 
 
 def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
-    """Rebuild the orbit model and reduced parameters from a record."""
-    model, reference = _rebuild_model(record)
+    """Rebuild the orbit model and reduced parameters from a record.
+
+    A family its builder refuses (an even cubic m, a bad parity or mass)
+    is a RecordError, like any other inconsistent record.
+    """
+    try:
+        model, reference = _rebuild_model(record)
+    except (CollisionError, ValueError) as err:
+        raise RecordError(f"record family cannot be built: {err}") from err
     try:
         slots = [Slot(*s) for s in record.layout["slots"]]
         couplings = [Coupling(*c) for c in record.layout["couplings"]]

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -100,36 +100,11 @@ class OrthTransform:
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
-# Cyclic coordinate rotation x -> y -> z -> x, i.e. (x, y, z) |-> (z, x, y).
-CYCLIC_XYZ = OrthTransform([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
-
 
 def klein_elements() -> list[OrthTransform]:
     """Identity plus the three diagonal double sign flips."""
     patterns = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
     return [OrthTransform(np.diag(p)) for p in patterns]
-
-
-def _closure(seed: Iterable[OrthTransform]) -> list[OrthTransform]:
-    elems = {t.key(): t for t in seed}
-    while True:
-        new = {}
-        for a in elems.values():
-            for b in elems.values():
-                c = a.compose(b)
-                if c.key() not in elems and c.key() not in new:
-                    new[c.key()] = c
-        if not new:
-            break
-        elems.update(new)
-    return [elems[k] for k in sorted(elems)]
-
-
-def a4_elements() -> list[OrthTransform]:
-    """Rotation group of the cube orientation class: closure of the Klein
-    four-group and the cyclic coordinate rotation (12 elements, det +1,
-    even number of -1 entries)."""
-    return _closure(klein_elements() + [CYCLIC_XYZ])
 
 
 def all_signed_permutations() -> list[OrthTransform]:
@@ -142,6 +117,14 @@ def all_signed_permutations() -> list[OrthTransform]:
                 m[row, col] = signs[row]
             out.append(OrthTransform(m))
     return sorted(out, key=OrthTransform.key)
+
+
+def a4_elements() -> list[OrthTransform]:
+    """Rotation group of the cube orientation class: the 12 signed
+    permutations with det +1 and an even number of -1 entries, which the
+    Klein four-group and the cyclic rotation x -> y -> z -> x generate."""
+    return [g for g in all_signed_permutations()
+            if g.det == 1 and g.n_negative % 2 == 0]
 
 
 class Verdict(Enum):
@@ -529,16 +512,21 @@ def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
 
 
 def sample_positions(model: OrbitModel, params: ReducedParams, times,
-                     deriv: int = 0) -> np.ndarray:
+                     deriv: int | tuple[int, ...] = 0
+                     ) -> np.ndarray | list[np.ndarray]:
     """Sample body positions (deriv=0), velocities (1), or accelerations (2).
 
     Returns an array of shape (n_bodies, n_times, 3); ``times`` may be a
-    QuadratureGrid, an array, or a scalar (squeezed to (n_bodies, 3)).
+    QuadratureGrid, an array, or a scalar (squeezed to (n_bodies, 3)).  A
+    tuple of orders returns a list with one such array per order, all from
+    one sampler pass.
     """
     t, scalar = _as_times(times)
-    out, = sample_tables(model, params.layout.expand(params.values), t,
-                         (deriv,))
-    return out[:, 0, :] if scalar else out
+    orders = deriv if isinstance(deriv, tuple) else (deriv,)
+    out = sample_tables(model, params.layout.expand(params.values), t, orders)
+    if scalar:
+        out = [a[:, 0, :] for a in out]
+    return out if isinstance(deriv, tuple) else out[0]
 
 
 # ----------------------------------------------------------------------

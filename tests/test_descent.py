@@ -1,6 +1,5 @@
 """Tests for the coefficient-space descent loop and its diagnostics."""
 
-import logging
 import math
 
 import numpy as np
@@ -72,8 +71,7 @@ class TestScheduleConstruction:
 
 class TestStopRule:
     def test_accepts_its_limits(self):
-        StopRule(grad_tol=0.0, max_iters=0, escape_radius=math.inf,
-                 collision_threshold=0.0)
+        StopRule(grad_tol=0.0, max_iters=0, escape_radius=math.inf)
         StopRule(max_iters=np.int64(5))
 
     @pytest.mark.parametrize("setting", [
@@ -81,8 +79,7 @@ class TestStopRule:
         {"max_iters": -5}, {"max_iters": 2.5}, {"max_iters": 10.0},
         {"max_iters": True},
         {"escape_radius": -1.0}, {"escape_radius": 0.0},
-        {"escape_radius": math.nan},
-        {"collision_threshold": math.nan}, {"collision_threshold": -1e-8}],
+        {"escape_radius": math.nan}],
         ids=lambda d: "{}={}".format(*next(iter(d.items()))))
     def test_rejects_false_or_silent_settings(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -223,12 +220,6 @@ class TestRunOutcomes:
 
         run(model, params, stop=StopRule(max_iters=25), callback=check)
         assert worst <= 1e-12
-
-    def test_log_every_emits_progress(self, caplog):
-        model, params = build_choreography(2, k_max=5)
-        with caplog.at_level(logging.INFO, logger="actionorbits.descent"):
-            run(model, params, stop=StopRule(max_iters=10), log_every=5)
-        assert any("grad_norm" in rec.message for rec in caplog.records)
 
     def test_radial_mode_instability_above_the_homogeneity_bound(self):
         # for alpha = -1 the scale mode diverges once delta exceeds

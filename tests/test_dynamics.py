@@ -1,5 +1,6 @@
 """Tests for forces, energies, conserved quantities, and the EOM residual."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 import actionorbits as ao
 from actionorbits import (
-    COLLISION_THRESHOLD,
     CollisionError,
     PotentialSpec,
     QuadratureGrid,
@@ -24,6 +24,39 @@ from actionorbits import (
 from actionorbits.dynamics import pair_table
 
 TWO_PI = 2.0 * math.pi
+dynamics = importlib.import_module("actionorbits.dynamics")
+integrate = importlib.import_module("actionorbits.integrate")
+
+
+def _collides(call) -> bool:
+    try:
+        call()
+    except CollisionError:
+        return True
+    return False
+
+
+def _perturbed_exits(model, params) -> bool:
+    dev = np.zeros((model.n_bodies, 3))
+    dev[0, 0] = 1e-6
+    report = integrate.perturb_and_track(model, params, dev, 0.5,
+                                         dt=TWO_PI / 100)
+    return report.exit_time is not None
+
+
+# whether each layer meets a collision on a model's orbit
+COLLIDES = {
+    "run": lambda model, params: ao.run(model, params).outcome == ao.COLLISION,
+    "residual": lambda model, params: _collides(
+        lambda: residual(model, params)),
+    "return_error": lambda model, params: _collides(
+        lambda: integrate.return_error(model, params)),
+    "integrate": lambda model, params: _collides(
+        lambda: integrate.integrate(integrate.extract_ics(model, params),
+                                    model.masses, model.potential,
+                                    dt=TWO_PI / 100)),
+    "perturb_and_track": _perturbed_exits,
+}
 
 
 def _pair(r):
@@ -158,11 +191,11 @@ def test_batched_accelerations_divide_along_the_body_axis():
     x = np.random.default_rng(4).normal(scale=2.0, size=(3, 3, 3))
     times = np.arange(3.0)
     table = pair_table(spec, masses)
-    batch = table.accelerations(x, times, COLLISION_THRESHOLD)
+    batch = table.accelerations(x, times)
     F, _ = forces(spec, masses, x)
     assert np.array_equal(batch, F / masses[:, None, None])
     for j in range(3):
-        single = table.accelerations(x[:, j], times[j], COLLISION_THRESHOLD)
+        single = table.accelerations(x[:, j], times[j])
         assert np.allclose(batch[:, j], single, rtol=1e-14, atol=0.0), j
         assert np.array_equal(single, forces(spec, masses, x[:, j])[0]
                               / masses[:, None])
@@ -180,10 +213,24 @@ class TestCollisionDetection:
         assert err.distance < 1e-8
         assert "unit test" in str(err)
 
-    def test_threshold_zero_disables_detection(self):
-        v = potential_energy(PotentialSpec(alpha=-1.0), np.ones(2),
-                             _pair(1e-12), collision_threshold=0.0)
-        assert np.isfinite(v)
+    def test_observables_do_not_raise_on_close_bodies(self):
+        # observables summarize degenerate records, so they skip the test
+        x = _pair(1e-12)
+        obs = observables(PotentialSpec(alpha=-1.0), np.ones(2), x,
+                          np.zeros_like(x))
+        assert np.isfinite(obs.potential) and np.isfinite(obs.E)
+
+    @pytest.mark.parametrize("layer", sorted(COLLIDES))
+    def test_one_patched_threshold_moves_every_layer(self, circle, layer,
+                                                     monkeypatch):
+        # the circle's bodies stay about 1.26 apart; one name moves the
+        # collision test of descent, residual and both integrators
+        model, result = circle
+        gap = min_pair_distance(sample_positions(model, result.params,
+                                                 QuadratureGrid(256)))
+        for threshold, collides in ((0.5 * gap, False), (2.0 * gap, True)):
+            monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", threshold)
+            assert COLLIDES[layer](model, result.params) is collides, threshold
 
     def test_min_pair_distance(self):
         x = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -29,6 +29,7 @@ from actionorbits import (
 )
 
 TWO_PI = 2.0 * math.pi
+dynamics = importlib.import_module("actionorbits.dynamics")
 
 
 def _circle_state(a=1.0):
@@ -110,12 +111,13 @@ class TestRK4:
         assert vel.shape == (2, 3)
         assert not np.allclose(pos, state.positions)
 
-    def test_head_on_collision_detected(self):
+    def test_head_on_collision_detected(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", 1e-2)
         pos = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         vel = np.zeros((2, 3))
         with pytest.raises(CollisionError) as exc:
             integrate(PhaseState(pos, vel), np.ones(2), PotentialSpec(),
-                      dt=1e-3, horizon=TWO_PI, collision_threshold=1e-2)
+                      dt=1e-3, horizon=TWO_PI)
         err = exc.value
         assert err.pair == (0, 1)
         assert err.distance < 1e-2
@@ -203,10 +205,12 @@ class TestReturnError:
         err = return_error(model, result.params)
         assert abs(err - rk4) <= 2e-12 + 1e-6 * rk4
 
-    def test_collision_is_reported_not_a_solver_traceback(self, circle):
+    def test_collision_is_reported_not_a_solver_traceback(self, circle,
+                                                          monkeypatch):
+        monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", 10.0)
         model, result = circle
         with pytest.raises(CollisionError) as exc:
-            return_error(model, result.params, collision_threshold=10.0)
+            return_error(model, result.params)
         assert "[integration]" in str(exc.value)
         assert exc.value.pair == (0, 1)
 
@@ -218,10 +222,11 @@ class TestReturnError:
         start = PhaseState(np.zeros((2, 3)),
                            [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]])
         monkeypatch.setattr(module, "extract_ics", lambda model, params: start)
+        monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", 0.0)
         model, result = circle
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(ao.IntegrationError):
-            return_error(model, result.params, collision_threshold=0.0)
+            return_error(model, result.params)
 
     def test_import_leaves_scipy_integrate_unloaded(self):
         # return_error imports DOP853 lazily, so start-up stays lean
@@ -282,20 +287,21 @@ class TestPerturbAndTrack:
         with pytest.raises(ValueError):
             perturb_and_track(model, result.params, dev, 1.0, **options)
 
-    def test_collision_exit_time_is_when_it_was_detected(self, circle):
+    def test_collision_exit_time_is_when_it_was_detected(self, circle,
+                                                         monkeypatch):
         # pulling one body halfway to the centre closes the pair from 0.94
         # to below 0.7 within the first period
+        monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", 0.7)
         model, result = circle
         base = extract_ics(model, result.params)
         dev = np.zeros((2, 3))
         dev[0] = -0.5 * base.positions[0]
-        dt, threshold = TWO_PI / 300, 0.7
+        dt = TWO_PI / 300
         rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0,
-                                dt=dt, collision_threshold=threshold)
+                                dt=dt)
         with pytest.raises(CollisionError) as exc:
             integrate(PhaseState(base.positions + dev, base.velocities),
-                      model.masses, model.potential, dt=dt, horizon=TWO_PI,
-                      collision_threshold=threshold)
+                      model.masses, model.potential, dt=dt, horizon=TWO_PI)
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time

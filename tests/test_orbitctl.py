@@ -210,6 +210,31 @@ class TestRecordValidation:
             assert code == 1, command
             assert "record error:" in err, command
 
+    @pytest.mark.parametrize("family, key, value", [
+        ("cubic", "m", 2), ("cubic", "m", 0), ("cubic", "m", True),
+        ("cubic", "m", 1.0), ("crisscross", "masses", [1.0, -1.0, 1.0]),
+        ("crisscross", "masses", [1, True, 1]),
+        ("crisscross", "masses", "1,1,1"),
+        ("choreography", "parity", "prime"), ("choreography", "parity", 1),
+        ("choreography", "n", True), ("choreography", "n", 2.5)])
+    def test_family_the_builder_refuses_is_record_error(
+            self, tmp_path, capsys, family, key, value):
+        # an edited family must not load as another orbit or exit as a
+        # collision: it is a malformed record
+        seed = str(tmp_path / "seed.json")
+        size = {"cubic": ["--m", "1"], "choreography": ["--n", "2"]}
+        assert main(["seed", "--family", family, *size.get(family, []),
+                     "--k-max", "9", "--out", seed]) == 0
+        bad = _tampered(seed, tmp_path,
+                        lambda d: d["family"].__setitem__(key, value))
+        capsys.readouterr()
+        for command in ("verify", "minimize", "export-table"):
+            code = main([command, bad, "--max-iters", "1"]
+                        if command == "minimize" else [command, bad])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert "record error:" in err, command
+
     def test_length_mismatch_rejected(self, record_path, tmp_path):
         bad = _tampered(record_path, tmp_path,
                         lambda d: d["values"].append(0.0))
@@ -414,6 +439,40 @@ class TestCliMinimize:
         assert "Traceback" not in captured.err
         assert "minimize:" not in captured.out
         assert not out.exists()
+
+    def test_log_every_prints_progress_to_stderr(self, tmp_path, capsys):
+        seed = str(tmp_path / "seed.json")
+        assert main(["seed", "--family", "choreography", "--n", "2",
+                     "--k-max", "5", "--out", seed]) == 0
+        quiet, loud = str(tmp_path / "quiet.json"), str(tmp_path / "loud.json")
+        capsys.readouterr()
+        assert main(["minimize", seed, "--max-iters", "12",
+                     "--out", quiet]) == 4
+        plain = capsys.readouterr()
+        assert main(["minimize", seed, "--max-iters", "12", "--out", loud,
+                     "--log-every", "5"]) == 4
+        logged = capsys.readouterr()
+        # the same iterates through the library's callback, in the format
+        # the progress lines have always had
+        model, params = record_to_model(load_record(seed))
+        grid = ao.QuadratureGrid.for_kmax(model.k_max)
+        expected = []
+
+        def keep(iteration, current, S, grad_norm):
+            if iteration % 5 == 0:
+                dist = ao.min_pair_distance(
+                    ao.sample_positions(model, current, grid))
+                expected.append(f"iter={iteration} S={S:.12e} "
+                                f"grad_norm={grad_norm:.3e} min_dist={dist:.3e}")
+
+        ao.run(model, params, stop=ao.StopRule(max_iters=12), callback=keep)
+        assert [e.split()[0] for e in expected] == ["iter=0", "iter=5",
+                                                    "iter=10"]
+        assert logged.err.splitlines() == expected
+        assert plain.err == ""
+        assert logged.out.replace(loud, quiet) == plain.out
+        assert (pathlib.Path(loud).read_bytes()
+                == pathlib.Path(quiet).read_bytes())
 
     def test_minimize_overwrites_in_place(self, tmp_path):
         seed = str(tmp_path / "seed.json")

@@ -190,6 +190,7 @@ class TestGroups:
         assert len(elems) == 12
         keys = {r.key() for r in elems}
         assert len(keys) == 12
+        assert [r.key() for r in elems] == sorted(keys)
         for r in elems:
             assert r.det == 1
             assert r.n_negative % 2 == 0
@@ -433,15 +434,19 @@ class TestSharedTrigTables:
         rng = np.random.default_rng(17)
         for t in (np.array([0.37]), rng.uniform(-7.0, 7.0, 17),
                   np.arange(2048) * (2.0 * math.pi / 2048)):
+            together = sample_positions(model, params, t, (0, 1, 2))
             for deriv in (0, 1, 2):
                 expected = _per_column_sampler(model, tables, t, deriv)
                 got = sample_positions(model, params, t, deriv)
                 assert np.array_equal(got, expected), (t.size, deriv)
+                assert np.array_equal(together[deriv], expected), deriv
+        together = sample_positions(model, params, 0.37, (0, 1, 2))
         for deriv in (0, 1, 2):
             expected = _per_column_sampler(model, tables, np.array([0.37]),
                                            deriv)[:, 0]
             got = sample_positions(model, params, 0.37, deriv)
             assert np.array_equal(got, expected), deriv
+            assert np.array_equal(together[deriv], expected), deriv
 
     def test_batched_units_match_per_column_evaluation(self, orbit):
         model, params = orbit

@@ -83,10 +83,10 @@ def test_samplers_go_through_the_traced_bindings(monkeypatch, circle):
     by_integrate = _counted(monkeypatch, integrate, "sample_positions")
     by_dynamics = _counted(monkeypatch, dynamics, "sample_positions")
     integrate.extract_ics(model, result.params)
-    assert len(by_integrate) == 2          # positions, velocities
+    assert len(by_integrate) == 1          # positions and velocities
     integrate._CurveMetric(model, result.params)
-    assert len(by_integrate) == 3          # the reference curve
+    assert len(by_integrate) == 2          # the reference curve
     dynamics.residual(model, result.params)
-    assert len(by_dynamics) == 2           # positions, accelerations
+    assert len(by_dynamics) == 1           # positions and accelerations
     dynamics.observables_series(model, result.params, np.linspace(0, 1, 5))
-    assert len(by_dynamics) == 4           # positions, velocities
+    assert len(by_dynamics) == 2           # positions and velocities
