@@ -18,9 +18,8 @@ from .dynamics import (COLLISION_THRESHOLD, Observables, ResidualReport,
                        forces, min_pair_distance, observables,
                        observables_series, potential_energy, residual)
 from .errors import (CollisionError, IntegrationError, LayoutError,
-                     NormalizationError, OrbitError, ParityError, RecordError)
-from .fourier import (COS, SIN, FourierSeries, Parity, ScalingLaw,
-                      rescale_period)
+                     OrbitError, RecordError)
+from .fourier import COS, SIN, Harmonics, Parity, ScalingLaw
 from .integrate import (BOUNDED, DEFAULT_DT, EXITED, PerturbationReport,
                         PhaseState, Trajectory, extract_ics, integrate,
                         perturb_and_track, return_error, rk4_step,
@@ -39,8 +38,8 @@ from .symmetry import (BodyBinding, Coupling, Family, OrbitModel,
                        build_choreography, build_crisscross,
                        build_cubic_family, collision_parity_check,
                        compute_kinetic_mass, crisscross_coupling_sign,
-                       expand_generators, klein_elements, make_layout,
-                       sample_positions, verify_symmetry)
+                       klein_elements, make_layout, sample_positions,
+                       verify_symmetry)
 
 __version__ = "0.1.0"
 
@@ -49,10 +48,10 @@ __all__ = [
     "COLLISION_THRESHOLD",
     "CONVERGED", "COS", "CollisionError", "Coupling", "DEFAULT_DT",
     "DescentSchedule", "ESCAPE", "EXITED", "EvalKernel", "Family",
-    "FourierSeries", "MAX_ITERS",
-    "IntegrationError", "LayoutError", "NormalizationError", "Observables",
+    "Harmonics", "MAX_ITERS",
+    "IntegrationError", "LayoutError", "Observables",
     "OrbitError", "OrbitModel", "OrbitRecord", "OrthTransform",
-    "ParamLayout", "Parity", "ParityError", "PerturbationReport",
+    "ParamLayout", "Parity", "PerturbationReport",
     "PhaseState", "PotentialSpec", "QuadratureGrid", "RESIDUAL_CERTIFICATE",
     "RecordError", "ReducedParams", "ResidualReport", "RunResult",
     "SCHEMA_VERSION", "SIN", "ScalarGenerator", "ScalingLaw", "Slot",
@@ -61,14 +60,13 @@ __all__ = [
     "action", "action_with_gradient", "all_signed_permutations",
     "build_choreography", "build_crisscross", "build_cubic_family",
     "collision_parity_check", "compute_kinetic_mass",
-    "crisscross_coupling_sign", "designated_scale", "expand_generators",
-    "export_table",
+    "crisscross_coupling_sign", "designated_scale", "export_table",
     "extract_ics", "fd_gradient_oracle", "forces", "full_gradient",
     "gradient", "integrate", "klein_elements", "load_record", "make_layout",
     "make_record", "min_pair_distance", "naive_stability_bound",
     "naive_time_descent", "observables", "observables_series",
     "perturb_and_track", "potential_energy", "record_to_model",
-    "rescale_period", "residual", "return_error", "rk4_step", "run",
+    "residual", "return_error", "rk4_step", "run",
     "sample_positions", "save_record", "stability_bound", "step",
     "validate_record", "verify_record", "verify_symmetry",
     "write_text", "write_trajectory",

@@ -42,14 +42,6 @@ class IntegrationError(OrbitError):
         super().__init__(message)
 
 
-class ParityError(OrbitError, ValueError):
-    """Attempt to store a coefficient at a harmonic the parity mask forbids."""
-
-
-class NormalizationError(OrbitError, ValueError):
-    """Normalization requested for a series whose leading coefficient vanishes."""
-
-
 class LayoutError(OrbitError, ValueError):
     """Inconsistent reduced-coefficient layout or schedule/layout mismatch."""
 

@@ -23,7 +23,7 @@ import numpy as np
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
 from .dynamics import observables_series, residual
 from .errors import CollisionError, RecordError
-from .fourier import COS, SIN, FourierSeries, Parity
+from .fourier import COS, SIN, Harmonics, Parity
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
@@ -42,8 +42,21 @@ _FAMILY_KEYS = {
     "choreography": {"kind", "n", "parity"},
     "custom": {"kind", "generators", "bindings", "symmetries"},
 }
-# the JSON types of the family fields the builders take (masses: numbers)
-_FAMILY_TYPES = {"m": "int", "n": "int", "parity": "str"}
+# the JSON types of the family fields (masses: numbers)
+_FAMILY_TYPES = {"m": "int", "n": "int", "parity": "str", "generators": "list",
+                 "bindings": "list", "symmetries": "list"}
+# the JSON types of the fields of each entry of a custom family, with two
+# list shapes of their own
+_CUSTOM_ENTRIES = {
+    "scalar": {"type": "str", "offsets": "list", "k_max": "int",
+               "parity": "str"},
+    "vector": {"type": "str", "coords": "three entries"},
+    "coord": {"k_max": "int", "parity": "str"},
+    "binding": {"generator": "int", "matrix": "3x3 int", "phase": "float",
+                "mass": "float"},
+    "symmetry": {"matrix": "3x3 int", "time_shift": "float",
+                 "time_reversal": "bool"},
+}
 _POTENTIAL_KEYS = {"alpha", "G", "softening"}
 _LAYOUT_KEYS = {"slots", "couplings"}
 _OBSERVABLE_KEYS = {"E", "J", "Q_max"}
@@ -95,6 +108,46 @@ def _is_a(value, annotation: str) -> bool:
             not (isinstance(value, float) and not math.isfinite(value)))
 
 
+def _is_shape(value, shape: str) -> bool:
+    """Whether a JSON value is a list of three entries or, for "3x3 int",
+    three such lists of integers."""
+    if shape == "three entries":
+        return isinstance(value, list) and len(value) == 3
+    return (_is_shape(value, "three entries") and
+            all(_is_shape(row, "three entries") and
+                all(_is_a(v, "int") for v in row) for row in value))
+
+
+def _check_entry(entry, kind: str, where: str) -> None:
+    """Keys and JSON types of one entry of a custom family."""
+    if not isinstance(entry, dict):
+        raise RecordError(f"{where} must be an object, got {entry!r}")
+    types = _CUSTOM_ENTRIES[kind]
+    _check_keys(entry, set(types), where)
+    for key, annotation in types.items():
+        value = entry[key]
+        if not (_is_a(value, annotation) if annotation in _JSON_TYPES
+                else _is_shape(value, annotation)):
+            raise RecordError(f"{where}.{key} must be {annotation}, got {value!r}")
+
+
+def _check_custom(family: dict) -> None:
+    """Type-check each generator, binding and symmetry of a custom family;
+    the model's constructors check their values."""
+    for i, gen in enumerate(family["generators"]):
+        where = f"family.generators[{i}]"
+        kind = gen.get("type") if isinstance(gen, dict) else None
+        if kind not in ("scalar", "vector"):
+            raise RecordError(f"{where} must be a scalar or vector generator, "
+                              f"got {gen!r}")
+        _check_entry(gen, kind, where)
+        for c, coord in enumerate(gen.get("coords", [])):
+            _check_entry(coord, "coord", f"{where}.coords[{c}]")
+    for key, kind in (("bindings", "binding"), ("symmetries", "symmetry")):
+        for i, entry in enumerate(family[key]):
+            _check_entry(entry, kind, f"family.{key}[{i}]")
+
+
 def validate_record(record: OrbitRecord) -> None:
     """Structural validation shared by save and load."""
     if record.schema_version != SCHEMA_VERSION:
@@ -114,6 +167,8 @@ def validate_record(record: OrbitRecord) -> None:
         if key in record.family and not _is_a(record.family[key], annotation):
             raise RecordError(f"family.{key} must be {annotation}, "
                               f"got {record.family[key]!r}")
+    if kind == "custom":
+        _check_custom(record.family)
     _check_keys(record.potential, _POTENTIAL_KEYS, "potential")
     _check_keys(record.layout, _LAYOUT_KEYS, "layout")
     numbers = {"potential": list(record.potential.values()),
@@ -173,7 +228,7 @@ def load_record(path: str) -> OrbitRecord:
 # ----------------------------------------------------------------------
 
 
-def _series_meta(series: FourierSeries) -> dict:
+def _series_meta(series: Harmonics) -> dict:
     return {"k_max": series.k_max, "parity": series.parity.value}
 
 
@@ -229,10 +284,10 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
     generators = []
     for g in fam["generators"]:
         if g["type"] == "scalar":
-            series = FourierSeries.zeros(g["k_max"], Parity(g["parity"]))
+            series = Harmonics(g["k_max"], Parity(g["parity"]))
             generators.append(ScalarGenerator(series, tuple(g["offsets"])))
         else:
-            coords = [FourierSeries.zeros(c["k_max"], Parity(c["parity"]))
+            coords = [Harmonics(c["k_max"], Parity(c["parity"]))
                       for c in g["coords"]]
             generators.append(VectorGenerator(*coords))
     bindings = [BodyBinding(b["generator"], OrthTransform(b["matrix"]),

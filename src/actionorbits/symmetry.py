@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import CollisionError, LayoutError
-from .fourier import COS, SIN, FourierSeries, Parity, contract, trig_table
+from .fourier import COS, SIN, Harmonics, Parity, contract, trig_table
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 
@@ -154,43 +154,43 @@ class ScalarGenerator:
     """One scalar series f feeding all three coordinates at fixed offsets:
     g(t) = (f(t + o_0), f(t + o_1), f(t + o_2))."""
 
-    series: FourierSeries
+    series: Harmonics
     offsets: tuple[float, float, float] = (0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0)
 
     n_channels = 1
+
+    def __post_init__(self):
+        offsets = tuple(self.offsets)
+        if not (len(offsets) == 3 and all(
+                isinstance(o, (int, float)) and not isinstance(o, bool)
+                and math.isfinite(o) for o in offsets)):
+            raise ValueError(f"a scalar generator needs three finite offsets, "
+                             f"got {self.offsets!r}")
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def columns(self) -> tuple[tuple[int, float], ...]:
         return tuple((0, o) for o in self.offsets)
 
-    def channel(self, c: int) -> FourierSeries:
+    def channel(self, c: int) -> Harmonics:
         if c != 0:
             raise IndexError("scalar generator has a single channel")
         return self.series
-
-    def with_coeffs(self, table: np.ndarray) -> "ScalarGenerator":
-        series = FourierSeries(table[0, 0], table[0, 1], self.series.parity)
-        return ScalarGenerator(series, self.offsets)
 
 
 @dataclass(frozen=True)
 class VectorGenerator:
     """Three independent coordinate series (x, y, z)."""
 
-    x: FourierSeries
-    y: FourierSeries
-    z: FourierSeries
+    x: Harmonics
+    y: Harmonics
+    z: Harmonics
 
     n_channels = 3
     columns = ((0, 0.0), (1, 0.0), (2, 0.0))   # (channel, offset) per coordinate
 
-    def channel(self, c: int) -> FourierSeries:
+    def channel(self, c: int) -> Harmonics:
         return (self.x, self.y, self.z)[c]
-
-    def with_coeffs(self, table: np.ndarray) -> "VectorGenerator":
-        coords = [FourierSeries(table[c, 0], table[c, 1], self.channel(c).parity)
-                  for c in range(3)]
-        return VectorGenerator(*coords)
 
 
 @dataclass(frozen=True)
@@ -458,15 +458,6 @@ def make_layout(model: OrbitModel, slots: Sequence[Slot],
 # ----------------------------------------------------------------------
 
 
-def expand_generators(model: OrbitModel, params: ReducedParams) -> list:
-    """Instantiate the model's generators with the reduced values filled in.
-
-    All coefficients outside the layout (slots plus couplings) are zero.
-    """
-    tables = params.layout.expand(params.values)
-    return [gen.with_coeffs(tables[i]) for i, gen in enumerate(model.generators)]
-
-
 def _as_times(times) -> tuple[np.ndarray, bool]:
     if isinstance(times, QuadratureGrid):
         return times.nodes, False
@@ -565,7 +556,7 @@ def build_cubic_family(m: int, k_max: int = 27,
                     "bodies at a crossing; only odd m avoids collision",
         )
     potential = potential or PotentialSpec()
-    series = FourierSeries.zeros(k_max, Parity.ODD_ONLY)
+    series = Harmonics(k_max, Parity.ODD_ONLY)
     gen = ScalarGenerator(series, _ODD_OFFSETS)
     bindings = [
         BodyBinding(0, R, TWO_PI * j / m, 1.0)
@@ -603,9 +594,9 @@ def crisscross_coupling_sign(k: int) -> float:
 
 def _crisscross_generator(k_max: int) -> VectorGenerator:
     return VectorGenerator(
-        x=FourierSeries.zeros(k_max, Parity.ODD_ONLY),
-        y=FourierSeries.zeros(k_max, Parity.ODD_ONLY),
-        z=FourierSeries.zeros(k_max, Parity.ODD_ONLY),
+        x=Harmonics(k_max, Parity.ODD_ONLY),
+        y=Harmonics(k_max, Parity.ODD_ONLY),
+        z=Harmonics(k_max, Parity.ODD_ONLY),
     )
 
 
@@ -714,9 +705,9 @@ def build_choreography(n: int,
         if name not in coords:
             raise LayoutError(f"unknown coordinate {name!r}")
     gen = VectorGenerator(
-        x=FourierSeries.zeros(k_max, parity),
-        y=FourierSeries.zeros(k_max, parity),
-        z=FourierSeries.zeros(k_max, parity),
+        x=Harmonics(k_max, parity),
+        y=Harmonics(k_max, parity),
+        z=Harmonics(k_max, parity),
     )
     bindings = tuple(BodyBinding(0, IDENTITY, TWO_PI * j / n, 1.0) for j in range(n))
     symmetries = [SpaceTimeSymmetry(IDENTITY, time_shift=TWO_PI / n)] if n > 1 else []

@@ -1,4 +1,4 @@
-"""Fourier series, parity masks, scaling law, and periodic quadrature."""
+"""Fourier evaluation, harmonic shapes, scaling law, and periodic quadrature."""
 
 import math
 
@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 import actionorbits as ao
-from actionorbits import COS, SIN, FourierSeries, Parity, QuadratureGrid
+from actionorbits import Harmonics, Parity, QuadratureGrid
+from actionorbits.fourier import contract, evaluate, trig_table
 
 TWO_PI = 2.0 * math.pi
 
 
-def _random_series(rng, k_max, parity):
+def _random_coeffs(rng, k_max, parity):
     sin = rng.normal(size=k_max + 1)
     cos = rng.normal(size=k_max + 1)
     sin[0] = 0.0
     if parity is Parity.ODD_ONLY:
         sin[::2] = 0.0
         cos[::2] = 0.0
-        cos[0] = 0.0
-    return FourierSeries(sin, cos, parity=parity)
+    return sin, cos
 
 
 class TestEvaluation:
@@ -28,109 +28,51 @@ class TestEvaluation:
         for _ in range(20):
             k_max = int(rng.integers(1, 13))
             parity = Parity.ALL if rng.random() < 0.5 else Parity.ODD_ONLY
-            f = _random_series(rng, k_max, parity)
+            sin, cos = _random_coeffs(rng, k_max, parity)
             ts = rng.uniform(0.0, TWO_PI, size=17)
             ks = np.arange(k_max + 1)
-            direct = (f.sin[None, :] * np.sin(np.outer(ts, ks))
-                      + f.cos[None, :] * np.cos(np.outer(ts, ks))).sum(axis=1)
-            assert np.allclose(f.eval(ts), direct, atol=1e-12, rtol=0.0)
+            direct = (sin[None, :] * np.sin(np.outer(ts, ks))
+                      + cos[None, :] * np.cos(np.outer(ts, ks))).sum(axis=1)
+            value = contract(trig_table(ts, k_max), (sin, cos), 0)
+            assert np.allclose(value, direct, atol=1e-12, rtol=0.0)
 
     def test_derivatives_match_direct_sum(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             k_max = int(rng.integers(1, 10))
-            f = _random_series(rng, k_max, Parity.ALL)
+            sin, cos = _random_coeffs(rng, k_max, Parity.ALL)
             ts = rng.uniform(0.0, TWO_PI, size=11)
             ks = np.arange(k_max + 1)
-            d1 = (f.sin[None, :] * ks * np.cos(np.outer(ts, ks))
-                  - f.cos[None, :] * ks * np.sin(np.outer(ts, ks))).sum(axis=1)
-            d2 = (-f.sin[None, :] * ks**2 * np.sin(np.outer(ts, ks))
-                  - f.cos[None, :] * ks**2 * np.cos(np.outer(ts, ks))).sum(axis=1)
-            assert np.allclose(f.eval_deriv(ts, 1), d1, atol=1e-11, rtol=0.0)
-            assert np.allclose(f.eval_deriv(ts, 2), d2, atol=1e-10, rtol=0.0)
-
-    def test_scalar_time_gives_scalar(self):
-        f = FourierSeries.from_coeffs(sin={1: 2.0})
-        assert f.eval(0.25) == pytest.approx(2.0 * math.sin(0.25))
-        assert np.shape(f.eval(0.25)) == ()
-        assert f.eval(np.array([0.0, 0.1])).shape == (2,)
+            d1 = (sin[None, :] * ks * np.cos(np.outer(ts, ks))
+                  - cos[None, :] * ks * np.sin(np.outer(ts, ks))).sum(axis=1)
+            d2 = (-sin[None, :] * ks**2 * np.sin(np.outer(ts, ks))
+                  - cos[None, :] * ks**2 * np.cos(np.outer(ts, ks))).sum(axis=1)
+            table = trig_table(ts, k_max)
+            assert np.allclose(contract(table, (sin, cos), 1), d1,
+                               atol=1e-11, rtol=0.0)
+            assert np.allclose(contract(table, (sin, cos), 2), d2,
+                               atol=1e-10, rtol=0.0)
 
     def test_periodicity(self):
-        f = FourierSeries.from_coeffs(sin={1: 1.0, 3: -0.2}, cos={2: 0.4})
+        sin = np.array([0.0, 1.0, 0.0, -0.2])
+        cos = np.array([0.0, 0.0, 0.4, 0.0])
         ts = np.linspace(0.0, TWO_PI, 9)
-        assert np.allclose(f.eval(ts), f.eval(ts + TWO_PI), atol=1e-12)
+        assert np.allclose(evaluate((sin, cos), ts, 0),
+                           evaluate((sin, cos), ts + TWO_PI, 0), atol=1e-12)
 
 
 class TestParity:
-    def test_odd_only_rejects_even_harmonics_at_construction(self):
-        sin = np.zeros(5)
-        sin[2] = 0.5
-        with pytest.raises(ao.ParityError):
-            FourierSeries(sin, np.zeros(5), parity=Parity.ODD_ONLY)
-
-    def test_odd_only_rejects_constant_term(self):
-        cos = np.zeros(3)
-        cos[0] = 1.0
-        with pytest.raises(ao.ParityError):
-            FourierSeries(np.zeros(3), cos, parity=Parity.ODD_ONLY)
-
-    def test_from_coeffs_rejects_disallowed_key_even_when_zero(self):
-        with pytest.raises(ao.ParityError):
-            FourierSeries.from_coeffs(sin={1: 1.0, 2: 0.0},
-                                      parity=Parity.ODD_ONLY)
-
-    def test_with_coeff_respects_parity(self):
-        f = FourierSeries.zeros(5, Parity.ODD_ONLY)
-        g = f.with_coeff(SIN, 3, 0.7)
-        assert g.sin_coeffs[3] == 0.7
-        with pytest.raises(ao.ParityError):
-            f.with_coeff(COS, 2, 0.1)
-
     def test_parity_allows(self):
         assert Parity.ALL.allows(2)
         assert Parity.ODD_ONLY.allows(3)
         assert not Parity.ODD_ONLY.allows(2)
 
-
-class TestConstruction:
-    def test_zeros(self):
-        f = FourierSeries.zeros(4)
-        assert f.k_max == 4
-        assert np.all(f.sin == 0.0) and np.all(f.cos == 0.0)
-
-    def test_from_coeffs_infers_k_max(self):
-        f = FourierSeries.from_coeffs(sin={5: 1.0}, cos={2: 3.0})
-        assert f.k_max == 5
-        assert f.sin_coeffs == {5: 1.0}
-        assert f.cos_coeffs == {2: 3.0}
-
-    def test_coefficients_read_only(self):
-        f = FourierSeries.from_coeffs(sin={1: 1.0})
+    @pytest.mark.parametrize("k_max, parity", [
+        (-1, Parity.ALL), (9.5, Parity.ALL), (True, Parity.ALL),
+        ("9", Parity.ALL), (9, "odd_only")])
+    def test_harmonics_rejects_malformed_shape(self, k_max, parity):
         with pytest.raises(ValueError):
-            f.sin[1] = 2.0
-
-    def test_algebra_matches_pointwise(self):
-        rng = np.random.default_rng(11)
-        f = _random_series(rng, 6, Parity.ALL)
-        g = _random_series(rng, 6, Parity.ALL)
-        ts = rng.uniform(0.0, TWO_PI, size=13)
-        assert np.allclose((f + g).eval(ts), f.eval(ts) + g.eval(ts), atol=1e-12)
-        assert np.allclose((2.5 * f).eval(ts), 2.5 * f.eval(ts), atol=1e-12)
-        assert np.allclose((f * -0.5).eval(ts), -0.5 * f.eval(ts), atol=1e-12)
-
-
-class TestNormalize:
-    def test_normalize_scales_to_unit_a1(self):
-        f = FourierSeries.from_coeffs(sin={1: -0.8, 3: 0.2})
-        g, scale = f.normalize()
-        assert scale == pytest.approx(-0.8)
-        assert g.sin_coeffs[1] == pytest.approx(1.0)
-        assert g.sin_coeffs[3] == pytest.approx(-0.25)
-
-    def test_normalize_rejects_tiny_a1(self):
-        f = FourierSeries.from_coeffs(sin={1: 1e-15, 3: 1.0})
-        with pytest.raises(ao.NormalizationError):
-            f.normalize()
+            Harmonics(k_max, parity)
 
 
 class TestScalingLaw:
@@ -153,21 +95,6 @@ class TestScalingLaw:
             ao.ScalingLaw(alpha=0.0, period=TWO_PI)
         with pytest.raises(ValueError):
             ao.ScalingLaw(alpha=-1.0, period=0.0)
-
-    def test_rescale_period_walks_containers(self):
-        f = FourierSeries.from_coeffs(sin={1: 1.0})
-        law = ao.ScalingLaw(alpha=-1.0, period=2.0 * TWO_PI)
-        out = ao.rescale_period({"a": [f, f], "b": (f,)}, law)
-        factor = 2.0 ** (2.0 / 3.0)
-        assert out["a"][0].sin_coeffs[1] == pytest.approx(factor)
-        assert out["a"][1].sin_coeffs[1] == pytest.approx(factor)
-        assert out["b"][0].sin_coeffs[1] == pytest.approx(factor)
-        assert isinstance(out["b"], tuple)
-
-    def test_rescale_period_rejects_non_series_leaf(self):
-        law = ao.ScalingLaw(alpha=-1.0, period=2.0 * TWO_PI)
-        with pytest.raises(TypeError):
-            ao.rescale_period({"a": 2.0}, law)
 
 
 class TestQuadrature:

@@ -52,6 +52,16 @@ def _tampered(path, tmp_path, edit):
     return str(out)
 
 
+def _exits_as_record_error(path, capsys):
+    capsys.readouterr()
+    for command in ("verify", "minimize", "export-table"):
+        code = main([command, path, "--max-iters", "1"]
+                    if command == "minimize" else [command, path])
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert "record error:" in err, command
+
+
 # builder models to re-tag as custom: a scalar generator read at three
 # offsets, three coupled vector generators, one shared vector curve
 CUSTOM_SOURCES = {
@@ -202,13 +212,7 @@ class TestRecordValidation:
             d[key] = value
 
         bad = _tampered(seed, tmp_path, edit)
-        capsys.readouterr()
-        for command in ("verify", "minimize", "export-table"):
-            code = main([command, bad, "--max-iters", "1"]
-                        if command == "minimize" else [command, bad])
-            err = capsys.readouterr().err
-            assert code == 1, command
-            assert "record error:" in err, command
+        _exits_as_record_error(bad, capsys)
 
     @pytest.mark.parametrize("family, key, value", [
         ("cubic", "m", 2), ("cubic", "m", 0), ("cubic", "m", True),
@@ -227,13 +231,36 @@ class TestRecordValidation:
                      "--k-max", "9", "--out", seed]) == 0
         bad = _tampered(seed, tmp_path,
                         lambda d: d["family"].__setitem__(key, value))
-        capsys.readouterr()
-        for command in ("verify", "minimize", "export-table"):
-            code = main([command, bad, "--max-iters", "1"]
-                        if command == "minimize" else [command, bad])
-            err = capsys.readouterr().err
-            assert code == 1, command
-            assert "record error:" in err, command
+        _exits_as_record_error(bad, capsys)
+
+    @pytest.mark.parametrize("source, edit", [
+        ("cubic-m3", lambda f: f["generators"][0].pop("k_max")),
+        ("cubic-m3", lambda f: f["generators"][0].__setitem__("k_max", 9.5)),
+        ("cubic-m3", lambda f: f["generators"][0].__setitem__("offsets",
+                                                              [0.0])),
+        ("choreography", lambda f: f["generators"][0].pop("coords")),
+        ("choreography", lambda f: f["generators"][0]["coords"].pop()),
+        ("cubic-m3", lambda f: f.__setitem__("generators", {"a": 1})),
+        ("cubic-m3", lambda f: f["bindings"][0].__setitem__("generator",
+                                                            "0")),
+        ("cubic-m3", lambda f: f["bindings"][0].__setitem__(
+            "matrix", [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])),
+        ("cubic-m3", lambda f: f.__setitem__("bindings", [1])),
+        ("cubic-m3", lambda f: f["symmetries"][0].__setitem__(
+            "time_reversal", "yes"))],
+        ids=["no-k_max", "float-k_max", "one-offset", "no-coords",
+             "two-coords", "generators-object", "string-generator",
+             "string-matrix", "int-binding", "string-time_reversal"])
+    def test_malformed_custom_entry_is_record_error(self, tmp_path, capsys,
+                                                    source, edit):
+        # every generator, binding and symmetry of a custom family is
+        # type-checked, so an edited one exits 1 and never as a traceback
+        model, params = CUSTOM_SOURCES[source]()
+        model = dataclasses.replace(model, family=ao.Family(kind="custom"))
+        seed = str(tmp_path / "custom.json")
+        save_record(make_record(model, params), seed)
+        bad = _tampered(seed, tmp_path, lambda d: edit(d["family"]))
+        _exits_as_record_error(bad, capsys)
 
     def test_length_mismatch_rejected(self, record_path, tmp_path):
         bad = _tampered(record_path, tmp_path,

@@ -28,7 +28,6 @@ from actionorbits import (
     build_cubic_family,
     collision_parity_check,
     crisscross_coupling_sign,
-    expand_generators,
     klein_elements,
     make_layout,
     sample_positions,
@@ -336,15 +335,13 @@ class TestCrisscrossFamily:
         model, params = build_crisscross(k_max=9)
         rng = np.random.default_rng(5)
         params = params.with_values(rng.normal(size=len(params)))
-        gens = expand_generators(model, params)
+        # per generator: (channel x|y|z, basis sin|cos, harmonic k)
+        tables = params.layout.expand(params.values)
         for k in (1, 3, 5, 7, 9):
             s = crisscross_coupling_sign(k)
-            assert gens[1].x.cos_coeffs[k] == pytest.approx(
-                s * gens[0].y.sin_coeffs[k])
-            assert gens[1].y.sin_coeffs[k] == pytest.approx(
-                s * gens[0].x.cos_coeffs[k])
-            assert gens[2].y.sin_coeffs[k] == pytest.approx(
-                s * gens[2].x.cos_coeffs[k])
+            assert tables[1][0, 1, k] == s * tables[0][1, 0, k]
+            assert tables[1][1, 0, k] == s * tables[0][0, 1, k]
+            assert tables[2][1, 0, k] == s * tables[2][0, 1, k]
         # z stays identically zero
         t = np.linspace(0.0, 2.0 * math.pi, 33)
         pos = sample_positions(model, params, t)
@@ -520,9 +517,9 @@ class TestChoreography:
     def test_seed_entries_and_validation(self):
         model, params = build_choreography(
             2, seed={("x", SIN, 3): 0.25, ("y", COS, 1): 1.0}, k_max=9)
-        gens = expand_generators(model, params)
-        assert gens[0].x.sin_coeffs[3] == 0.25
-        assert gens[0].y.cos_coeffs[1] == 1.0
+        (table,) = params.layout.expand(params.values)
+        assert table[0, 0, 3] == 0.25   # x, sin, k = 3
+        assert table[1, 1, 1] == 1.0    # y, cos, k = 1
         with pytest.raises(LayoutError):
             build_choreography(2, seed={("x", COS, 1): 1.0}, k_max=9)
         with pytest.raises(LayoutError):
@@ -572,6 +569,8 @@ class TestLayout:
             make_layout(model, [Slot(0, 0, SIN, 2)])  # even harmonic
         with pytest.raises(LayoutError):
             make_layout(model, [Slot(0, 0, SIN, 11)])  # beyond k_max
+        with pytest.raises(LayoutError):
+            make_layout(model, [Slot(0, 0, COS, 0)])  # constant under ODD_ONLY
 
     def test_project_is_the_transpose_of_expand(self):
         # project is the chain-rule adjoint, so project(expand(v)) scales

@@ -1,9 +1,11 @@
-"""The benchmark's per-layer tracer still finds what it wraps.
+"""The benchmark's per-layer tracer still finds what it wraps, and every
+exported name still resolves.
 
 ``perfbench/tracer.py`` times the library by rebinding names in its module
 namespaces and reads the sampled bases of every ``EvalKernel`` it sees.  A
 name that stops resolving breaks traced benchmark runs without failing any
-library test, so the contract is checked here.
+library test, so the contract is checked here.  So is ``__all__``: a
+deleted name left in it breaks ``from actionorbits import *`` only.
 """
 
 import importlib
@@ -13,6 +15,7 @@ import pathlib
 
 import numpy as np
 
+import actionorbits
 from actionorbits import BOUNDED, EvalKernel, build_cubic_family
 
 TWO_PI = 2.0 * math.pi
@@ -32,6 +35,16 @@ def test_every_traced_binding_resolves():
     for mod_name, attr, layer in tracer.BINDINGS:
         module = importlib.import_module(f"actionorbits.{mod_name}")
         assert callable(getattr(module, attr, None)), (mod_name, attr, layer)
+
+
+def test_every_exported_name_resolves():
+    names = actionorbits.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(actionorbits, name), name
+    namespace = {}
+    exec("from actionorbits import *", namespace)
+    assert set(names) <= set(namespace)
 
 
 def test_kernel_exposes_the_traced_bases():
