@@ -3,9 +3,9 @@
 The library parameterizes symmetry-constrained periodic trajectories with
 truncated Fourier series, minimizes the action with per-harmonic
 preconditioned gradient descent, certifies candidates against the
-equations of motion, and stress-tests them with a fixed-step RK4
-integrator.  The ``orbitctl`` console script drives the same machinery
-from the command line.
+equations of motion, and stress-tests them by tracking perturbed initial
+conditions with an adaptive DOP853 integrator.  The ``orbitctl`` console
+script drives the same machinery from the command line.
 """
 
 from .action import (ActionReport, EvalKernel, action, action_with_gradient,

@@ -1,17 +1,17 @@
 """Direct integration checks: does the Fourier orbit solve the ODE?
 
 Two integrators advance the phase state (positions, velocities) under the
-same pair forces the action uses.  ``return_error`` measures how well a
-converged orbit closes after one period with scipy's adaptive 8th-order
-Dormand-Prince method (DOP853) at a fixed tight tolerance: a return map
-needs only the end state, and at that tolerance it takes a few thousand
-right-hand-side evaluations where fixed steps take 40,000.  A classical
-fixed-step fourth-order Runge-Kutta integrator tracks trajectories:
-``integrate`` records samples along the way (and is the tests' independent
-oracle for the return map), and ``perturb_and_track`` follows deliberately
-perturbed initial conditions over many periods to probe stability.  Both
-run one RK4 driver; a run cut short ends when the failure is detected: at
-``CollisionError.t``, or at the end of a step that left a non-finite state.
+same pair forces the action uses.  One adaptive driver, scipy's 8th-order
+Dormand-Prince method (DOP853) at a fixed tight tolerance with its dense
+output, serves both checks: ``return_error`` measures how well a converged
+orbit closes after one period, and ``perturb_and_track`` follows
+deliberately perturbed initial conditions over many periods to probe
+stability.  At that tolerance one period takes a few hundred steps where
+fixed steps take 10,000.  A classical fixed-step fourth-order Runge-Kutta
+integrator, ``integrate``, records trajectory samples for export and is
+the tests' independent oracle for both.  A run cut short ends when the
+failure is detected: at ``CollisionError.t``, or at the end of a step that
+left a non-finite state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
 cached :class:`.dynamics.PairTable`: one gather of pair differences, one
@@ -38,8 +38,11 @@ from .symmetry import OrbitModel, ReducedParams, sample_positions
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DT = TWO_PI * 1e-4
-# DOP853 rtol = atol for the return map (scipy floors rtol at 100 * eps)
+# DOP853 rtol = atol (scipy floors rtol at 100 * eps)
 RETURN_TOL = 1e-13
+# DOP853 steps per period of the horizon: over 10x the 310 of cubic m=7 at
+# k_max=27, the most a shipped orbit needs, so a non-orbit cannot crawl
+MAX_STEPS_PER_PERIOD = 4000
 # reference-curve phases the perturbation tracker measures deviation against
 CURVE_SAMPLES = 2048
 
@@ -104,33 +107,13 @@ class Trajectory:
     angular_momentum: np.ndarray  # (M, 3)
 
 
-def _check_steps(span: str, length: float, dt: float, stride: str,
-                 count: int) -> None:
-    """ValueError unless length and dt are positive and finite, count >= 1."""
-    for name, x in ((span, length), ("dt", dt)):
+def _check_steps(stride: str, count: int, **spans: float) -> None:
+    """ValueError unless every span is positive and finite and count >= 1."""
+    for name, x in spans.items():
         if not 0.0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
     if not (isinstance(count, (int, np.integer)) and count > 0):
         raise ValueError(f"{stride} must be a positive integer, got {count!r}")
-
-
-def _rk4_samples(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
-                 vel: np.ndarray, t0: float, dt: float, n_steps: int,
-                 stride: int):
-    """Take ``n_steps`` RK4 steps of size dt from (pos, vel) at t0, yielding
-    (t, pos, vel) at t0, after every ``stride``-th step and after the last.
-
-    The one caller of :func:`rk4_step` (a module-global lookup, so tracing
-    counts every step) and the one non-finite-state check.
-    """
-    yield t0, pos, vel
-    for i in range(n_steps):
-        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt)
-        t = t0 + (i + 1) * dt
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
-        if (i + 1) % stride == 0 or i == n_steps - 1:
-            yield t, pos, vel
 
 
 def integrate(state: PhaseState, masses, spec: PotentialSpec,
@@ -144,54 +127,89 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     approach below :data:`.dynamics.COLLISION_THRESHOLD` and
     IntegrationError on a non-finite state.
     """
-    _check_steps("horizon", horizon, dt, "record_stride", record_stride)
+    _check_steps("record_stride", record_stride, horizon=horizon, dt=dt)
     n_steps = max(1, int(round(horizon / dt)))
     masses = np.asarray(masses, dtype=float)
     n = state.positions.shape[0]
     if masses.shape != (n,):
         raise ValueError(f"{n} bodies need {n} masses, "
                          f"got shape {masses.shape}")
-    samples = _rk4_samples(spec, masses, state.positions, state.velocities,
-                           state.t, dt, n_steps, record_stride)
+    pos, vel, t0 = state.positions, state.velocities, state.t
+    samples = [(t0, pos, vel)]
+    for i in range(n_steps):
+        # a module-global lookup, so per-layer tracing counts every step
+        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt)
+        t = t0 + (i + 1) * dt
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+            raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
+        if (i + 1) % record_stride == 0 or i == n_steps - 1:
+            samples.append((t, pos, vel))
     times, pos, vel = (np.array(column) for column in zip(*samples))
     obs = observables(spec, masses, pos.transpose(1, 0, 2),
                       vel.transpose(1, 0, 2))
     return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
 
 
-def return_error(model: OrbitModel, params: ReducedParams) -> float:
-    """Max-norm phase-space mismatch after integrating one full period.
+def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
+                    times):
+    """Step DOP853 from (pos, vel) at t = 0 to the last of the ascending
+    ``times``, yielding (t, pos, vel) at 0 and at each of them: the step's
+    end state where a time ends a step, its dense interpolant elsewhere.
 
-    The one-period map is computed with scipy's adaptive DOP853 at
-    ``RETURN_TOL`` on the flat state [positions, velocities], stepped
-    without dense output.  Raises CollisionError (context 'integration')
-    if bodies approach below :data:`.dynamics.COLLISION_THRESHOLD` at any
-    stage, and IntegrationError if the solver fails, or starts or ends
-    non-finite.
+    Raises IntegrationError (with ``t``) on a failed step, a non-finite
+    state or a spent step budget, and CollisionError (context
+    'integration') below :data:`.dynamics.COLLISION_THRESHOLD`.
     """
     from scipy.integrate import DOP853
 
-    state = extract_ics(model, params)
     table = pair_table(model.potential, model.masses)
-    shape = state.positions.shape
-    half = state.positions.size
+    shape, half = pos.shape, pos.size
 
     def rhs(t, y):
         acc = table.accelerations(y[:half].reshape(shape), t)
         return np.concatenate((y[half:], acc.ravel()))
 
-    y0 = np.concatenate((state.positions.ravel(), state.velocities.ravel()))
-    solver = DOP853(rhs, 0.0, y0, TWO_PI, rtol=RETURN_TOL, atol=RETURN_TOL)
+    yield 0.0, pos, vel
+    y0 = np.concatenate((pos.ravel(), vel.ravel()))
+    solver = DOP853(rhs, 0.0, y0, times[-1], rtol=RETURN_TOL, atol=RETURN_TOL)
     if not np.all(np.isfinite(solver.f)):
         # a non-finite start gives a NaN first step and a loop that never ends
-        raise IntegrationError("non-finite acceleration at t=0")
-    message = None
-    while solver.status == "running":
+        raise IntegrationError("non-finite acceleration at t=0", t=0.0)
+    budget = math.ceil(MAX_STEPS_PER_PERIOD * times[-1] / TWO_PI)
+    i = 0
+    for _ in range(budget):
         message = solver.step()
-    if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
-        raise IntegrationError(f"return map failed at t={solver.t:.6f} "
-                               f"({message or 'non-finite state'})")
-    return float(np.abs(solver.y - y0).max())
+        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
+            raise IntegrationError(f"integration failed at t={solver.t:.6f} "
+                                   f"({message or 'non-finite state'})",
+                                   t=solver.t)
+        dense = None
+        while i < len(times) and times[i] <= solver.t:
+            if times[i] == solver.t:
+                y = solver.y
+            else:
+                if dense is None:
+                    dense = solver.dense_output()
+                y = dense(times[i])
+            yield times[i], y[:half].reshape(shape), y[half:].reshape(shape)
+            i += 1
+        if i == len(times):
+            return
+    raise IntegrationError(f"step budget of {budget} spent by "
+                           f"t={solver.t:.6f}", t=solver.t)
+
+
+def return_error(model: OrbitModel, params: ReducedParams) -> float:
+    """Max-norm phase-space mismatch after integrating one full period.
+
+    The one-period map is the end state of :func:`_dop853_samples` with no
+    interior samples, so it raises what that driver raises.
+    """
+    state = extract_ics(model, params)
+    *_, (_, pos, vel) = _dop853_samples(model, state.positions,
+                                        state.velocities, (TWO_PI,))
+    return float(max(np.abs(pos - state.positions).max(),
+                     np.abs(vel - state.velocities).max()))
 
 
 BOUNDED = "bounded"
@@ -274,7 +292,6 @@ class _CurveMetric:
 def perturb_and_track(model: OrbitModel, params: ReducedParams,
                       deviation, n_periods: float,
                       envelope: float | None = None,
-                      dt: float = TWO_PI * 1e-3,
                       samples_per_period: int = 50) -> PerturbationReport:
     """Integrate from displaced initial positions and watch the deviation.
 
@@ -285,12 +302,11 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
     applied displacement; a given envelope must be positive and finite, and
-    the deviation finite.  The run takes at least one step, samples every
-    ``samples_per_period``-th of a period and the final state, and stops at
-    the first later sample outside the envelope.
+    the deviation finite.  The run is one :func:`_dop853_samples` drive; it
+    samples every ``samples_per_period``-th of a period and the end of the
+    horizon, and stops at the first later sample outside the envelope.
     """
-    _check_steps("n_periods", n_periods, dt, "samples_per_period",
-                 samples_per_period)
+    _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
     dev = np.array(deviation, dtype=float)
     if dev.shape != (model.n_bodies, 3):
         raise ValueError(f"deviation must have shape ({model.n_bodies}, 3), "
@@ -302,16 +318,17 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         envelope = 100.0 * applied
     if not 0.0 < envelope < math.inf:
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
-    stride = max(1, int(round(TWO_PI / dt)) // samples_per_period)
-    steps_per_period = stride * samples_per_period
-    dt = TWO_PI / steps_per_period
-    n_steps = max(1, int(round(n_periods * steps_per_period)))
+    horizon = n_periods * TWO_PI
+    interval = TWO_PI / samples_per_period
+    times = [k * interval
+             for k in range(1, math.ceil(n_periods * samples_per_period))
+             if k * interval < horizon]
+    times.append(horizon)
 
     metric = _CurveMetric(model, params)
     base = extract_ics(model, params)
-    samples = _rk4_samples(model.potential, model.masses,
-                           base.positions + dev, base.velocities, 0.0, dt,
-                           n_steps, stride)
+    samples = _dop853_samples(model, base.positions + dev, base.velocities,
+                              times)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

@@ -308,6 +308,9 @@ def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
         model, reference = _rebuild_model(record)
     except (CollisionError, ValueError) as err:
         raise RecordError(f"record family cannot be built: {err}") from err
+    if record.k_max != model.k_max:
+        raise RecordError(f"record k_max {record.k_max} does not match its "
+                          f"generators' {model.k_max}")
     try:
         slots = [Slot(*s) for s in record.layout["slots"]]
         couplings = [Coupling(*c) for c in record.layout["couplings"]]

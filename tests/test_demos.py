@@ -1,7 +1,8 @@
 """Every demo script runs to a clean finish.
 
 Demo 04 is left out: its 40-period stability experiments take about
-17 s, and acceptance criterion 7 already runs them.
+10 s (16 s when they tracked with fixed-step RK4), and acceptance
+criterion 7 already runs them.
 """
 
 import contextlib

@@ -39,8 +39,7 @@ def _collides(call) -> bool:
 def _perturbed_exits(model, params) -> bool:
     dev = np.zeros((model.n_bodies, 3))
     dev[0, 0] = 1e-6
-    report = integrate.perturb_and_track(model, params, dev, 0.5,
-                                         dt=TWO_PI / 100)
+    report = integrate.perturb_and_track(model, params, dev, 0.5)
     return report.exit_time is not None
 
 

@@ -30,6 +30,7 @@ from actionorbits import (
 
 TWO_PI = 2.0 * math.pi
 dynamics = importlib.import_module("actionorbits.dynamics")
+integrate_module = importlib.import_module("actionorbits.integrate")
 
 
 def _circle_state(a=1.0):
@@ -239,6 +240,43 @@ class TestReturnError:
         assert out.stdout.strip() == "False"
 
 
+class TestDOP853Driver:
+    def test_tracker_samples_agree_with_fixed_step_rk4(self, crisscross):
+        # one period of a displaced criss-cross at the tracker's sample
+        # times; RK4 at 1000 steps per period is the independent oracle
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 0.005
+        rep = perturb_and_track(model, result.params, dev, 1.0)
+        traj = integrate(PhaseState(base.positions + dev, base.velocities),
+                         model.masses, model.potential, dt=TWO_PI / 1000,
+                         horizon=TWO_PI, record_stride=20)
+        assert rep.verdict == BOUNDED
+        assert np.allclose(rep.sample_times, traj.times, rtol=0, atol=1e-12)
+        assert np.abs(rep.section_points - traj.positions).max() <= 1e-7
+
+    def test_step_budget_ends_a_crawling_run(self, monkeypatch):
+        # the criss-cross seed needs over 100 steps a period; a budget of
+        # 10 makes both callers stop where the driver gave up
+        monkeypatch.setattr(integrate_module, "MAX_STEPS_PER_PERIOD", 10)
+        model, params = ao.build_crisscross(k_max=35)
+        with pytest.raises(ao.IntegrationError,
+                           match="step budget of 10 spent") as exc:
+            return_error(model, params)
+        assert 0.0 < exc.value.t < TWO_PI
+        base = extract_ics(model, params)
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 1e-3
+        rep = perturb_and_track(model, params, dev, 1.0, envelope=10.0)
+        with pytest.raises(ao.IntegrationError) as exc:
+            list(integrate_module._dop853_samples(
+                model, base.positions + dev, base.velocities, (TWO_PI,)))
+        assert rep.verdict == EXITED
+        assert rep.exit_time == exc.value.t
+        assert rep.sample_times[-1] <= rep.exit_time
+
+
 class TestPerturbAndTrack:
     def test_zero_perturbation_rejected(self, circle):
         model, result = circle
@@ -277,7 +315,6 @@ class TestPerturbAndTrack:
         assert len(rep.sample_times) == len(rep.section_points)
 
     @pytest.mark.parametrize("options", [
-        {"dt": 0.0}, {"dt": -1.0}, {"dt": math.nan}, {"dt": math.inf},
         {"samples_per_period": 0}, {"samples_per_period": -5},
         {"samples_per_period": 2.5}])
     def test_bad_step_rejected(self, circle, options):
@@ -296,12 +333,10 @@ class TestPerturbAndTrack:
         base = extract_ics(model, result.params)
         dev = np.zeros((2, 3))
         dev[0] = -0.5 * base.positions[0]
-        dt = TWO_PI / 300
-        rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0,
-                                dt=dt)
+        rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0)
         with pytest.raises(CollisionError) as exc:
-            integrate(PhaseState(base.positions + dev, base.velocities),
-                      model.masses, model.potential, dt=dt, horizon=TWO_PI)
+            list(integrate_module._dop853_samples(
+                model, base.positions + dev, base.velocities, (TWO_PI,)))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
@@ -310,8 +345,7 @@ class TestPerturbAndTrack:
         model, result = circle
         dev = np.zeros((2, 3))
         dev[0, 0] = 1e-6
-        rep = perturb_and_track(model, result.params, dev, n_periods=3.0,
-                                dt=TWO_PI / 300)
+        rep = perturb_and_track(model, result.params, dev, n_periods=3.0)
         assert rep.verdict == BOUNDED
         assert rep.exit_time is None
         assert rep.max_deviation <= rep.envelope
@@ -325,7 +359,7 @@ class TestPerturbAndTrack:
         dev = np.zeros((2, 3))
         dev[0, 0] = 0.3
         rep = perturb_and_track(model, result.params, dev, n_periods=3.0,
-                                envelope=0.05, dt=TWO_PI / 300)
+                                envelope=0.05)
         assert rep.verdict == EXITED
         assert rep.exit_time is not None
 

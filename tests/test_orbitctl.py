@@ -26,6 +26,7 @@ from actionorbits import (
     save_record,
     verify_record,
 )
+from actionorbits import cli
 from actionorbits.cli import main
 
 TWO_PI = 2.0 * math.pi
@@ -260,6 +261,18 @@ class TestRecordValidation:
         seed = str(tmp_path / "custom.json")
         save_record(make_record(model, params), seed)
         bad = _tampered(seed, tmp_path, lambda d: edit(d["family"]))
+        _exits_as_record_error(bad, capsys)
+
+    def test_custom_k_max_must_match_its_generators(self, tmp_path, capsys):
+        # a custom record stores k_max beside its generators' own; an edited
+        # one used to load and head the exported table as "# k_max: 99"
+        model, params = CUSTOM_SOURCES["cubic-m3"]()
+        model = dataclasses.replace(model, family=ao.Family(kind="custom"))
+        seed = str(tmp_path / "custom.json")
+        save_record(make_record(model, params), seed)
+        bad = _tampered(seed, tmp_path, lambda d: d.__setitem__("k_max", 99))
+        with pytest.raises(RecordError, match="k_max 99"):
+            record_to_model(load_record(bad))
         _exits_as_record_error(bad, capsys)
 
     def test_length_mismatch_rejected(self, record_path, tmp_path):
@@ -552,19 +565,32 @@ class TestCliVerify:
         residual_line = out.splitlines()[0]
         assert "FAIL (exceeds the certificate 1.0e-05)" in residual_line
 
-    def test_unconverged_seed_fails_return_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family", [
+        ["--family", "choreography", "--n", "2"],
+        ["--family", "cubic", "--m", "3"]], ids=["circle", "cubic-m3"])
+    def test_seed_failing_the_certificate_skips_return_error(
+            self, tmp_path, capsys, monkeypatch, family):
+        # far from an orbit the adaptive return map crawls: the cubic m=3
+        # seed kept it stepping for minutes, so verify must not start it
+        def never(model, params):
+            raise AssertionError("return_error ran on a failed residual")
+
+        monkeypatch.setattr(cli, "return_error", never)
         seed = str(tmp_path / "seed.json")
-        assert main(["seed", "--family", "choreography", "--n", "2",
-                     "--k-max", "9", "--out", seed]) == 0
+        assert main(["seed", *family, "--k-max", "9", "--out", seed]) == 0
+        capsys.readouterr()
         code = main(["verify", seed])
+        out = capsys.readouterr().out
         assert code == 4
-        assert "FAIL" in capsys.readouterr().out
+        assert "FAIL (exceeds the certificate" in out.splitlines()[0]
+        assert out.splitlines()[-1] == ("return_error: not run "
+                                        "(residual fails the certificate)")
 
 
 class TestCliPerturb:
     def test_small_perturbation_is_bounded(self, circle_record, capsys):
         code = main(["perturb", circle_record, "--dz", "1e-4",
-                     "--periods", "3", "--dt", str(TWO_PI / 200)])
+                     "--periods", "3"])
         assert code == 0
         assert "verdict=bounded" in capsys.readouterr().out
 
@@ -573,7 +599,7 @@ class TestCliPerturb:
         out = str(tmp_path / "section.txt")
         code = main(["perturb", circle_record, "--dx", "0.4",
                      "--envelope", "0.05", "--periods", "3",
-                     "--dt", str(TWO_PI / 200), "--out", out])
+                     "--out", out])
         assert code == 3
         assert "verdict=exited" in capsys.readouterr().out
         header = open(out).readline()
@@ -591,8 +617,6 @@ class TestCliPerturb:
 
 
     @pytest.mark.parametrize("argv", [
-        ["perturb", "--dx", "1e-4", "--periods", "1", "--dt", "0"],
-        ["perturb", "--dx", "1e-4", "--periods", "1", "--dt", "-1"],
         ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
         ["perturb", "--dx", "1e-4", "--periods", "inf"],
         ["export-traj", "--stride", "0"],
