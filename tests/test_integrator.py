@@ -256,6 +256,24 @@ class TestDOP853Driver:
         assert np.allclose(rep.sample_times, traj.times, rtol=0, atol=1e-12)
         assert np.abs(rep.section_points - traj.positions).max() <= 1e-7
 
+    def test_interior_samples_agree_with_step_ends(self, crisscross):
+        # interior times read a step's dense interpolant; a drive that ends
+        # at the same time reads the step's end state instead
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        times = (1.0, 2.5, TWO_PI)
+        drive = list(integrate_module._dop853_samples(
+            model, base.positions, base.velocities, times))
+        assert [t for t, _, _ in drive] == [0.0, *times]
+        assert np.array_equal(drive[0][1], base.positions)
+        assert np.array_equal(drive[0][2], base.velocities)
+        for t, pos, vel in drive[1:]:
+            *_, (end, pos_end, vel_end) = integrate_module._dop853_samples(
+                model, base.positions, base.velocities, (t,))
+            assert end == t
+            assert np.abs(pos - pos_end).max() <= 1e-11
+            assert np.abs(vel - vel_end).max() <= 1e-11
+
     def test_step_budget_ends_a_crawling_run(self, monkeypatch):
         # the criss-cross seed needs over 100 steps a period; a budget of
         # 10 makes both callers stop where the driver gave up

@@ -411,6 +411,14 @@ class TestCliUsageErrors:
             main(["seed", "--family", "cubic", "--frob", "1"])
         assert exc.value.code == 1
 
+    def test_perturb_takes_no_step_size(self, circle_record, capsys):
+        # the tracker steps adaptively; a script still passing --dt must
+        # fail loudly rather than have its step silently ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["perturb", circle_record, "--dx", "1e-4", "--dt", "0.01"])
+        assert exc.value.code == 1
+        assert "--dt" in capsys.readouterr().err
+
     def test_no_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -620,6 +628,8 @@ class TestCliPerturb:
         ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
         ["perturb", "--dx", "1e-4", "--periods", "inf"],
         ["export-traj", "--stride", "0"],
+        ["export-traj", "--dt", "0"],
+        ["export-traj", "--dt", "-1"],
         ["export-traj", "--periods", "inf"],
         ["perturb", "--dx", "1e-3", "--envelope", "nan"],
         ["perturb", "--dx", "1e-3", "--envelope", "-1"],

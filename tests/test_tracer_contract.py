@@ -79,6 +79,23 @@ def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
     assert len(calls) == 150
 
 
+def test_adaptive_checks_make_one_dop853_drive_each(monkeypatch, circle):
+    # the return map and the tracker both run on the one DOP853 driver;
+    # neither takes a fixed step the tracer would count as integrate.rk4_step
+    module = importlib.import_module("actionorbits.integrate")
+    steps = _counted(monkeypatch, module, "rk4_step")
+    drives = _counted(monkeypatch, module, "_dop853_samples")
+    model, result = circle
+    module.return_error(model, result.params)
+    assert len(drives) == 1
+    dev = np.zeros((2, 3))
+    dev[0, 0] = 1e-6
+    report = module.perturb_and_track(model, result.params, dev, 1.5,
+                                      samples_per_period=10)
+    assert report.verdict == module.BOUNDED
+    assert len(drives) == 2
+    assert steps == []
+
 def test_samplers_go_through_the_traced_bindings(monkeypatch, circle):
     # the tracer counts ``symmetry.sample_calls`` by rebinding
     # ``sample_positions`` in each module that calls it, so these callers
