@@ -2,10 +2,12 @@
 
 All pair interactions follow the homogeneous law in :mod:`.potential` and
 go through one :class:`PairTable` per (potential, masses): the index pairs
-i < j, the signed couplings c_ij (and -alpha * c_ij for the force), and the
-body-by-pair incidence matrix that sums pair forces onto bodies.  The table
-is built once and cached, so a force call only gathers separations, takes
-their norms and powers, and applies the incidence matrix.  Positions may be
+i < j, the pair-by-body difference matrix, the signed couplings c_ij (and
+-alpha * c_ij for the force), and the body-by-pair incidence matrix that
+sums pair forces onto bodies.  The table is built once and cached, so a
+force call only forms separations (one difference-matrix product for a
+configuration, a gather for a batch), takes their norms and powers, and
+applies the incidence matrix.  Positions may be
 a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
 reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
@@ -32,11 +34,44 @@ from .symmetry import OrbitModel, ReducedParams, _as_times, sample_positions
 COLLISION_THRESHOLD = 1e-8
 
 
-def _separations(i_idx: np.ndarray, j_idx: np.ndarray, x: np.ndarray):
+# sums the squares of a pair difference over its last axis in coordinate
+# order, ((dx^2 + dy^2) + dz^2), for one configuration and a batch alike
+_ONES3 = np.ones(3)
+_ONES3.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_index(n: int):
+    """Read-only (i_idx, j_idx, difference) of the pairs i < j of n bodies.
+
+    ``difference`` is the (P, n) matrix with +1 at body i and -1 at body j
+    of each pair row.  Each product ``difference @ x`` adds one +x_i and one
+    -x_j to exact zeros, so it rounds once and gives the bits of x_i - x_j.
+    """
+    i_idx, j_idx = np.triu_indices(n, 1)
+    difference = np.zeros((i_idx.size, n))
+    difference[np.arange(i_idx.size), i_idx] = 1.0
+    difference[np.arange(i_idx.size), j_idx] = -1.0
+    for a in (i_idx, j_idx, difference):
+        a.setflags(write=False)
+    return i_idx, j_idx, difference
+
+
+def _separations(i_idx: np.ndarray, j_idx: np.ndarray,
+                 difference: np.ndarray, x: np.ndarray):
     """Pair differences x_i - x_j and their squared norms for x of shape
-    (n, 3) or (n, T, 3)."""
+    (n, 3) or (n, T, 3).
+
+    One configuration takes one product with the difference matrix, which
+    costs less per call than two gathers and a subtraction; a batch keeps
+    the gather, which is cheaper for many bodies (28 bodies at 64 times).
+    Both give the same bits.
+    """
+    if x.ndim == 2:
+        d = np.dot(difference, x)
+        return d, np.dot(d * d, _ONES3)
     d = x.take(i_idx, axis=0) - x.take(j_idx, axis=0)
-    return d, np.einsum("...c,...c->...", d, d)
+    return d, (d * d) @ _ONES3
 
 
 class PairTable:
@@ -51,20 +86,22 @@ class PairTable:
         n = masses.size
         self.alpha = spec.alpha
         self.softening = spec.softening
-        self.i_idx, self.j_idx = np.triu_indices(n, 1)
+        self.i_idx, self.j_idx, self.difference = _pair_index(n)
         self.coupling = np.array([spec.pair_coupling(masses[i], masses[j])
                                   for i, j in zip(self.i_idx, self.j_idx)])
         # F_i = -dV/dx_i = -c * alpha * r**(alpha-2) * (x_i - x_j) per pair
         self.force_coef = (-spec.alpha) * self.coupling
-        pairs = np.arange(self.i_idx.size)
-        self.incidence = np.zeros((n, pairs.size))
-        self.incidence[self.i_idx, pairs] = 1.0
-        self.incidence[self.j_idx, pairs] = -1.0
-        # masses along the body axis of (n, 3) and (n, T, 3) forces
+        # a C-order copy: BLAS sums products with a transposed view in
+        # another order, which would change the forces' last bits
+        self.incidence = np.ascontiguousarray(self.difference.T)
+        # force coefficients along the pair axis and masses along the body
+        # axis of (n, 3) and (n, T, 3) positions
+        self.coef_axes = {nd: self.force_coef.reshape((-1,) + (1,) * (nd - 2))
+                          for nd in (2, 3)}
         self.mass_axes = {nd: masses.reshape((n,) + (1,) * (nd - 1))
                           for nd in (2, 3)}
-        for a in (self.i_idx, self.j_idx, self.coupling, self.force_coef,
-                  self.incidence, *self.mass_axes.values()):
+        for a in (self.coupling, self.force_coef, self.incidence,
+                  *self.coef_axes.values(), *self.mass_axes.values()):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, context: str,
@@ -75,7 +112,7 @@ class PairTable:
         :data:`COLLISION_THRESHOLD`, read at each call, unless ``check`` is
         false; softening applies only after that test.
         """
-        d, r2 = _separations(self.i_idx, self.j_idx, x)
+        d, r2 = _separations(self.i_idx, self.j_idx, self.difference, x)
         r = np.sqrt(r2)
         if check and r.size and r.min() < COLLISION_THRESHOLD:
             at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
@@ -93,8 +130,9 @@ class PairTable:
 
     def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Per-body forces, shaped like the positions d and r came from."""
-        coef = self.force_coef.reshape(self.force_coef.shape + (1,) * (r.ndim - 1))
-        pair_f = (coef * r ** (self.alpha - 2.0))[..., None] * d
+        pair_f = (self.coef_axes[d.ndim] * r ** (self.alpha - 2.0))[..., None] * d
+        if d.ndim == 2:
+            return np.dot(self.incidence, pair_f)
         # the same BLAS product np.tensordot would form, without its
         # per-call overhead (about 10 us, half a small force call)
         F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
@@ -153,7 +191,7 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
 def min_pair_distance(positions) -> float:
     """Smallest body separation over a configuration or batch."""
     x = _positions(positions)
-    _, r2 = _separations(*np.triu_indices(x.shape[0], 1), x)
+    _, r2 = _separations(*_pair_index(x.shape[0]), x)
     return float(np.sqrt(r2.min())) if r2.size else np.inf
 
 

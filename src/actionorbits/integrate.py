@@ -14,9 +14,10 @@ failure is detected: at ``CollisionError.t``, or at the end of a step that
 left a non-finite state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
-cached :class:`.dynamics.PairTable`: one gather of pair differences, one
-square root, one power and one incidence product, with no batching
-reshapes, potential energy or per-call set-up.  The arithmetic is the one
+cached :class:`.dynamics.PairTable`: one difference-matrix product for the
+pair differences, one product for their squared norms, one square root,
+one power and one incidence product, with no batching reshapes, potential
+energy or per-call set-up.  The arithmetic is the one
 :func:`.dynamics.forces` performs, so the two agree to the bit.
 ``rk4_step`` fetches the table from the cache on every call (well under a
 microsecond against tens per stage); a run therefore builds it once, and
@@ -166,11 +167,16 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
     shape, half = pos.shape, pos.size
 
     def rhs(t, y):
-        acc = table.accelerations(y[:half].reshape(shape), t)
-        return np.concatenate((y[half:], acc.ravel()))
+        out = np.empty_like(y)
+        out[:half] = y[half:]
+        out[half:] = table.accelerations(y[:half].reshape(shape), t).ravel()
+        return out
 
     yield 0.0, pos, vel
     y0 = np.concatenate((pos.ravel(), vel.ravel()))
+    if not np.all(np.isfinite(y0)):
+        # scipy would reject it with a ValueError of its own
+        raise IntegrationError("non-finite state at t=0", t=0.0)
     solver = DOP853(rhs, 0.0, y0, times[-1], rtol=RETURN_TOL, atol=RETURN_TOL)
     if not np.all(np.isfinite(solver.f)):
         # a non-finite start gives a NaN first step and a loop that never ends
@@ -255,32 +261,44 @@ class _CurveMetric:
 
     def __init__(self, model: OrbitModel, params: ReducedParams):
         phases = np.arange(CURVE_SAMPLES) * (TWO_PI / CURVE_SAMPLES)
-        self.curve = sample_positions(model, params, phases).transpose(1, 0, 2)
-        self.n = self.curve.shape[1]
-        self.planar = bool(np.abs(self.curve[:, :, 2]).max() < 1e-9)
-        self.curve_sq = np.einsum("mic,mic->m", self.curve, self.curve)
+        curve = sample_positions(model, params, phases).transpose(1, 0, 2)
+        self.n = curve.shape[1]
+        self.planar = bool(np.abs(curve[:, :, 2]).max() < 1e-9)
+        self.curve_sq = np.einsum("mic,mic->m", curve, curve)
+        # rows of 2c, so that one product gives 2 p.c per phase; for a
+        # planar curve, the in-plane dot and cross products of p with c,
+        # whose norm is the largest 2 p.c over rotations about the normal
+        if self.planar:
+            zero = np.zeros_like(curve[:, :, 0])
+            rows = np.concatenate((
+                np.stack((curve[:, :, 0], curve[:, :, 1], zero), axis=-1),
+                np.stack((curve[:, :, 1], -curve[:, :, 0], zero), axis=-1)))
+        else:
+            rows = curve
+        self.rows = 2.0 * rows.reshape(rows.shape[0], -1)
 
     def _per_phase(self, pos: np.ndarray) -> np.ndarray:
+        """n times the squared rms distance from pos to each curve sample
+        (rotated optimally for a planar curve): |p|^2 + |c|^2 - 2 p.c."""
+        p = pos.ravel()
+        dots = np.dot(self.rows, p)
         if self.planar:
-            pos_sq = float(np.einsum("ic,ic->", pos, pos))
-            dots = np.einsum("ic,mic->m", pos, self.curve)
-            cross = np.einsum("i,mi->m",
-                              pos[:, 0], self.curve[:, :, 1]) - \
-                    np.einsum("i,mi->m", pos[:, 1], self.curve[:, :, 0])
-            along = dots - np.einsum("i,mi->m", pos[:, 2], self.curve[:, :, 2])
-            best = np.sqrt(along * along + cross * cross)
-            sq = pos_sq + self.curve_sq - 2.0 * best
-        else:
-            diff = pos[None, :, :] - self.curve
-            sq = np.einsum("mic,mic->m", diff, diff)
-        return np.sqrt(np.maximum(sq, 0.0) / self.n)
+            along, cross = dots[:CURVE_SAMPLES], dots[CURVE_SAMPLES:]
+            dots = np.sqrt(along * along + cross * cross)
+        return (np.dot(p, p) + self.curve_sq) - dots
 
     def distance(self, pos: np.ndarray) -> float:
-        per_phase = self._per_phase(pos)
-        j = int(np.argmin(per_phase))
+        """The refined minimum over phases; inf when the sample overflows
+        the expanded form, which a far enough displacement does."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_phase = self._per_phase(pos)
+        j = int(np.argmin(per_phase))    # a NaN or -inf overflow wins here
+        if not math.isfinite(per_phase[j]):
+            return math.inf
         m = per_phase.shape[0]
         # parabolic refinement through the cyclic neighbors
-        f0, f1, f2 = per_phase[j - 1], per_phase[j], per_phase[(j + 1) % m]
+        f0, f1, f2 = (math.sqrt(max(per_phase[k], 0.0) / self.n)
+                      for k in (j - 1, j, (j + 1) % m))
         denom = f0 - 2.0 * f1 + f2
         if denom > 0.0:
             offset = 0.5 * (f0 - f2) / denom
@@ -304,7 +322,9 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     applied displacement; a given envelope must be positive and finite, and
     the deviation finite.  The run is one :func:`_dop853_samples` drive; it
     samples every ``samples_per_period``-th of a period and the end of the
-    horizon, and stops at the first later sample outside the envelope.
+    horizon, and stops at the first later sample outside the envelope, or
+    at any sample, the start included, too far out for the metric to
+    measure (an infinite ``max_deviation``).
     """
     _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
     dev = np.array(deviation, dtype=float)
@@ -336,7 +356,9 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
             sample_times.append(t)
             sections.append(pos)
             deviations.append(metric.distance(pos))
-            if deviations[-1] > envelope and t > 0.0:
+            # the start may exceed a given envelope, but not be unmeasurable
+            if not math.isfinite(deviations[-1]) or (deviations[-1] > envelope
+                                                     and t > 0.0):
                 exit_time = t
                 break
     except (CollisionError, IntegrationError) as err:

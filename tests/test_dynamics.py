@@ -200,6 +200,32 @@ def test_batched_accelerations_divide_along_the_body_axis():
                               / masses[:, None])
 
 
+@pytest.mark.parametrize("n", [2, 3, 28])
+def test_pair_differences_match_the_gather_bit_for_bit(n):
+    # a difference-matrix row adds one +x_i and one -x_j to exact zeros,
+    # so the product rounds once, as x_i - x_j does; the squared norms sum
+    # in coordinate order, so a batch and its columns agree to the bit
+    i_idx, j_idx, difference = dynamics._pair_index(n)
+    rng = np.random.default_rng(n)
+    for shape in [(n, 3), (n, 5, 3)]:
+        for _ in range(200):
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-4, 4, shape)
+            gather = x.take(i_idx, axis=0) - x.take(j_idx, axis=0)
+            product = np.dot(difference, x.reshape(n, -1))
+            assert product.reshape(gather.shape).tobytes() == gather.tobytes()
+            d, r2 = dynamics._separations(i_idx, j_idx, difference, x)
+            assert d.tobytes() == gather.tobytes()
+            sq = gather * gather
+            assert r2.tobytes() == (sq[..., 0] + sq[..., 1]
+                                    + sq[..., 2]).tobytes()
+            if x.ndim == 3:
+                for j in range(shape[1]):
+                    single = dynamics._separations(i_idx, j_idx, difference,
+                                                   x[:, j])
+                    assert single[0].tobytes() == d[:, j].tobytes()
+                    assert single[1].tobytes() == r2[:, j].tobytes()
+
+
 class TestCollisionDetection:
     def test_collision_error_carries_details(self):
         x = np.stack([_pair(1.0), _pair(1e-12)], axis=1)

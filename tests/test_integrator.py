@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,35 @@ class TestDOP853Driver:
             assert np.abs(pos - pos_end).max() <= 1e-11
             assert np.abs(vel - vel_end).max() <= 1e-11
 
+    def test_non_finite_start_is_an_integration_error(self, circle):
+        # checked before scipy, which would raise a ValueError of its own
+        model, result = circle
+        base = extract_ics(model, result.params)
+        pos = base.positions.copy()
+        pos[1, 2] = math.nan
+        drive = integrate_module._dop853_samples(model, pos, base.velocities,
+                                                 (TWO_PI,))
+        assert next(drive)[0] == 0.0
+        with pytest.raises(ao.IntegrationError, match="non-finite") as exc:
+            next(drive)
+        assert exc.value.t == 0.0
+
+    def test_tracked_deviation_agrees_with_fixed_step_rk4(self, crisscross):
+        # two periods of a displaced criss-cross: the same curve metric on
+        # RK4 samples at 1000 steps per period agrees to 1.2e-8 relative
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 0.005
+        rep = perturb_and_track(model, result.params, dev, 2.0)
+        traj = integrate(PhaseState(base.positions + dev, base.velocities),
+                         model.masses, model.potential, dt=TWO_PI / 1000,
+                         horizon=2.0 * TWO_PI, record_stride=20)
+        metric = integrate_module._CurveMetric(model, result.params)
+        rk4 = max(metric.distance(pos) for pos in traj.positions)
+        assert rep.verdict == BOUNDED
+        assert abs(rep.max_deviation - rk4) <= 1e-6 * rk4
+
     def test_step_budget_ends_a_crawling_run(self, monkeypatch):
         # the criss-cross seed needs over 100 steps a period; a budget of
         # 10 makes both callers stop where the driver gave up
@@ -409,6 +439,52 @@ class TestPerturbAndTrack:
         assert metric.distance(1.3 * pos) > 0.1
         out_of_plane = pos + np.array([0.0, 0.0, 0.2])
         assert metric.distance(out_of_plane) > 0.1
+
+    def test_unmeasurable_displacement_exits_without_warnings(self):
+        # |p|^2 overflows at 1e160; such a start is outside any envelope
+        model, params = build_choreography(2, k_max=9)
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = perturb_and_track(model, params, dev, 1.0)
+        assert rep.verdict == EXITED
+        assert rep.exit_time == rep.sample_times[-1] == 0.0
+        assert rep.max_deviation == math.inf
+
+    @pytest.mark.parametrize("fixture", ["crisscross", "cubic1"])
+    def test_one_product_metric_matches_direct_differences(self, fixture,
+                                                           request):
+        # |p|^2 + |c|^2 - 2 p.c per phase against the differences p - c,
+        # with p rotated about z to its best alignment on a planar curve
+        model, result = request.getfixturevalue(fixture)
+        metric = integrate_module._CurveMetric(model, result.params)
+        assert metric.planar == (fixture == "crisscross")
+        phases = np.arange(integrate_module.CURVE_SAMPLES) * (
+            TWO_PI / integrate_module.CURVE_SAMPLES)
+        curve = ao.sample_positions(model, result.params,
+                                    phases).transpose(1, 0, 2)
+        radius = math.sqrt(np.einsum("mic,mic->m", curve, curve).max()
+                           / metric.n)
+        rng = np.random.default_rng(9)
+        for t in rng.uniform(0.0, TWO_PI, 4):
+            pos = ao.sample_positions(model, result.params, t)
+            pos = pos + rng.normal(scale=0.05, size=pos.shape)
+            p = np.broadcast_to(pos, curve.shape)
+            if metric.planar:
+                along = np.einsum("mi,mi->m", p[..., 0], curve[..., 0]) + \
+                    np.einsum("mi,mi->m", p[..., 1], curve[..., 1])
+                cross = np.einsum("mi,mi->m", p[..., 0], curve[..., 1]) - \
+                    np.einsum("mi,mi->m", p[..., 1], curve[..., 0])
+                ang = np.arctan2(cross, along)[:, None]
+                cos, sin = np.cos(ang), np.sin(ang)
+                p = np.stack((cos * p[..., 0] - sin * p[..., 1],
+                              sin * p[..., 0] + cos * p[..., 1],
+                              p[..., 2]), axis=-1)
+            diff = p - curve
+            direct = np.sqrt(np.einsum("mic,mic->m", diff, diff) / metric.n)
+            fast = np.sqrt(np.maximum(metric._per_phase(pos), 0.0) / metric.n)
+            assert np.abs(fast - direct).max() <= 1e-12 * radius
 
 
 class TestWriteTrajectory:
