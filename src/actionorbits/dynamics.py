@@ -78,8 +78,9 @@ class PairTable:
     """Everything about the pairs of one (potential, masses) that does not
     depend on positions.  Build through :func:`pair_table`, which caches.
 
-    Methods take positions of shape (n, 3) or (n, T, 3); ``times`` is the
-    matching scalar or (T,) array, used only to report a collision.
+    Methods take positions of shape (n, 3) or (n, T, 3); ``times`` is a
+    scalar or one-element array (the time of every configuration) or a
+    (T,) array, used only to report a collision.
     """
 
     def __init__(self, spec: PotentialSpec, masses: np.ndarray):
@@ -116,8 +117,11 @@ class PairTable:
         r = np.sqrt(r2)
         if check and r.size and r.min() < COLLISION_THRESHOLD:
             at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
-            t = None if times is None else float(
-                np.ravel(times)[at[1] if r.ndim == 2 else 0])
+            t = None
+            if times is not None:
+                # one time stands for every member of a batch
+                times = np.ravel(times)
+                t = float(times[at[1] if times.size > 1 else 0])
             raise CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
                                  distance=r[at], context=context)
         if self.softening > 0.0:

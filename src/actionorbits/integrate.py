@@ -1,13 +1,15 @@
 """Direct integration checks: does the Fourier orbit solve the ODE?
 
 Two integrators advance the phase state (positions, velocities) under the
-same pair forces the action uses.  One adaptive driver, scipy's 8th-order
-Dormand-Prince method (DOP853) at a fixed tight tolerance with its dense
-output, serves both checks: ``return_error`` measures how well a converged
-orbit closes after one period, and ``perturb_and_track`` follows
-deliberately perturbed initial conditions over many periods to probe
-stability.  At that tolerance one period takes a few hundred steps where
-fixed steps take 10,000.  A classical fixed-step fourth-order Runge-Kutta
+same pair forces the action uses.  One adaptive driver, the 8th-order
+Dormand-Prince method (DOP853, :mod:`.dop853`) at a fixed tight tolerance
+with its dense output, serves both checks: ``return_error`` measures how
+well a converged orbit closes after one period, and ``perturb_and_track``
+follows deliberately perturbed initial conditions over many periods to
+probe stability.  At that tolerance one period takes a few hundred steps
+where fixed steps take 10,000.  The driver runs its own step loop on
+NumPy alone and builds a step's interpolant only when a sample time falls
+inside that step.  A classical fixed-step fourth-order Runge-Kutta
 integrator, ``integrate``, records trajectory samples for export and is
 the tests' independent oracle for both.  A run cut short ends when the
 failure is detected: at ``CollisionError.t``, or at the end of a step that
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dop853
 from .dynamics import observables, pair_table
 from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces integrate.forces)
 from .errors import CollisionError, IntegrationError
@@ -39,7 +42,7 @@ from .symmetry import OrbitModel, ReducedParams, sample_positions
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DT = TWO_PI * 1e-4
-# DOP853 rtol = atol (scipy floors rtol at 100 * eps)
+# DOP853 rtol = atol
 RETURN_TOL = 1e-13
 # DOP853 steps per period of the horizon: over 10x the 310 of cubic m=7 at
 # k_max=27, the most a shipped orbit needs, so a non-orbit cannot crawl
@@ -161,8 +164,6 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
     state or a spent step budget, and CollisionError (context
     'integration') below :data:`.dynamics.COLLISION_THRESHOLD`.
     """
-    from scipy.integrate import DOP853
-
     table = pair_table(model.potential, model.masses)
     shape, half = pos.shape, pos.size
 
@@ -173,36 +174,45 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
         return out
 
     yield 0.0, pos, vel
-    y0 = np.concatenate((pos.ravel(), vel.ravel()))
-    if not np.all(np.isfinite(y0)):
-        # scipy would reject it with a ValueError of its own
+    y = np.concatenate((pos.ravel(), vel.ravel()))
+    if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state at t=0", t=0.0)
-    solver = DOP853(rhs, 0.0, y0, times[-1], rtol=RETURN_TOL, atol=RETURN_TOL)
-    if not np.all(np.isfinite(solver.f)):
+    t, t_bound = 0.0, times[-1]
+    f = rhs(t, y)
+    if not np.all(np.isfinite(f)):
         # a non-finite start gives a NaN first step and a loop that never ends
         raise IntegrationError("non-finite acceleration at t=0", t=0.0)
-    budget = math.ceil(MAX_STEPS_PER_PERIOD * times[-1] / TWO_PI)
+    h_abs = dop853.initial_step(rhs, t, y, f, t_bound, RETURN_TOL)
+    stages = dop853.stage_buffer(y.size)
+    budget = math.ceil(MAX_STEPS_PER_PERIOD * t_bound / TWO_PI)
     i = 0
     for _ in range(budget):
-        message = solver.step()
-        if solver.status == "failed" or not np.all(np.isfinite(solver.y)):
-            raise IntegrationError(f"integration failed at t={solver.t:.6f} "
-                                   f"({message or 'non-finite state'})",
-                                   t=solver.t)
+        taken = dop853.step(rhs, t, y, f, h_abs, t_bound, RETURN_TOL, stages)
+        if taken is None:
+            raise IntegrationError(f"integration failed at t={t:.6f} (required"
+                                   f" step size is less than spacing between"
+                                   f" numbers)", t=t)
+        t_old, y_old = t, y
+        t, y, f, h_abs = taken
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"integration failed at t={t:.6f} "
+                                   f"(non-finite state)", t=t)
         dense = None
-        while i < len(times) and times[i] <= solver.t:
-            if times[i] == solver.t:
-                y = solver.y
+        while i < len(times) and times[i] <= t:
+            if times[i] == t:
+                sample = y
             else:
                 if dense is None:
-                    dense = solver.dense_output()
-                y = dense(times[i])
-            yield times[i], y[:half].reshape(shape), y[half:].reshape(shape)
+                    dense = dop853.dense_output(rhs, t_old, t, y_old, y, f,
+                                                stages)
+                sample = dense(times[i])
+            yield (times[i], sample[:half].reshape(shape),
+                   sample[half:].reshape(shape))
             i += 1
         if i == len(times):
             return
     raise IntegrationError(f"step budget of {budget} spent by "
-                           f"t={solver.t:.6f}", t=solver.t)
+                           f"t={t:.6f}", t=t)
 
 
 def return_error(model: OrbitModel, params: ReducedParams) -> float:

@@ -768,24 +768,11 @@ class SymmetryReport:
         return self.max_error <= self.tol
 
 
-def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
-                    tol: float = 1e-9) -> SymmetryReport:
-    """Check that every claimed symmetry maps the sampled body set to itself.
-
-    A symmetry of a collision-free orbit keeps one body permutation for the
-    whole period, so each element gets one Hungarian assignment on
-    cost[i, l] = max_t |R x_i(t) - x_l(sigma(t))|; its error is the largest
-    matched cost.  ``times`` must be non-empty and finite.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    if times is None:
-        times = QuadratureGrid(64)
-    t, _ = _as_times(times)
-    if t.size == 0 or not np.all(np.isfinite(t)):
-        raise ValueError("verify_symmetry needs a non-empty set of finite times")
+def _element_costs(model: OrbitModel, params: ReducedParams,
+                   t: np.ndarray):
+    """Per claimed element, cost[i, l] = max_t |R x_i(t) - x_l(sigma(t))|
+    over the times t: how far body l strays from the image of body i."""
     base = sample_positions(model, params, t)  # (n, T, 3)
-    errors = []
     for sym in model.symmetries:
         if sym.time_reversal or sym.time_shift != 0.0:
             shifted_t = -t if sym.time_reversal else t + sym.time_shift
@@ -793,7 +780,39 @@ def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
         else:   # sigma is the identity: the targets are the base samples
             target = base
         diff = (base @ sym.transform.matrix.T)[:, None] - target[None]
-        cost = np.sqrt(np.einsum("iltc,iltc->ilt", diff, diff).max(axis=2))
-        rows, cols = linear_sum_assignment(cost)
-        errors.append(float(cost[rows, cols].max()))
-    return SymmetryReport(tuple(errors), tol)
+        yield np.sqrt(np.einsum("iltc,iltc->ilt", diff, diff).max(axis=2))
+
+
+def _nearest_image_error(cost: np.ndarray) -> float:
+    """The largest cost[i, l] when each body i takes its nearest image l
+    and those images are distinct bodies, else inf.
+
+    A permutation of row minima is an optimal assignment (the row minima
+    bound every assignment's sum from below, and only row minima reach
+    it), so this equals the optimal assignment's largest matched cost.
+    Otherwise no one body permutation matches the element.
+    """
+    nearest = cost.argmin(axis=1)
+    if np.unique(nearest).size < nearest.size:
+        return math.inf
+    return float(cost[np.arange(nearest.size), nearest].max())
+
+
+def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
+                    tol: float = 1e-9) -> SymmetryReport:
+    """Check that every claimed symmetry maps the sampled body set to itself.
+
+    A symmetry of a collision-free orbit keeps one body permutation for the
+    whole period.  On cost[i, l] = max_t |R x_i(t) - x_l(sigma(t))| each
+    body takes its nearest image; an element's error is the largest of
+    those costs when they form a permutation, and inf when two bodies
+    share a nearest image.  ``times`` must be non-empty and finite.
+    """
+    if times is None:
+        times = QuadratureGrid(64)
+    t, _ = _as_times(times)
+    if t.size == 0 or not np.all(np.isfinite(t)):
+        raise ValueError("verify_symmetry needs a non-empty set of finite times")
+    errors = tuple(_nearest_image_error(cost)
+                   for cost in _element_costs(model, params, t))
+    return SymmetryReport(errors, tol)

@@ -238,6 +238,20 @@ class TestCollisionDetection:
         assert err.distance < 1e-8
         assert "unit test" in str(err)
 
+    def test_one_time_stands_for_every_batch_member(self):
+        # three bodies at two times: bodies 0 and 1 meet in member 1 only;
+        # a scalar or one-element time is the time of every member
+        pos = np.zeros((3, 2, 3))
+        pos[:, :, 0] = [[0.0, 0.0], [1.0, 0.0], [3.0, 3.0]]
+        table = pair_table(PotentialSpec(), np.ones(3))
+        with pytest.raises(CollisionError) as exc:
+            table.accelerations(pos, 0.25)
+        assert (exc.value.pair, exc.value.t) == ((0, 1), 0.25)
+        with pytest.raises(CollisionError) as exc:
+            potential_energy(PotentialSpec(), np.ones(3), pos,
+                             times=np.array([0.75]))
+        assert (exc.value.pair, exc.value.t) == ((0, 1), 0.75)
+
     def test_observables_do_not_raise_on_close_bodies(self):
         # observables summarize degenerate records, so they skip the test
         x = _pair(1e-12)

@@ -230,15 +230,27 @@ class TestReturnError:
                 pytest.raises(ao.IntegrationError):
             return_error(model, result.params)
 
-    def test_import_leaves_scipy_integrate_unloaded(self):
-        # return_error imports DOP853 lazily, so start-up stays lean
-        code = ("import sys, actionorbits; "
-                "print('scipy.integrate' in sys.modules)")
+    def test_verify_and_perturb_load_no_scipy(self, crisscross, tmp_path):
+        # the certificate and the tracker run on NumPy alone: a fresh
+        # interpreter verifies a certified record and tracks it one period
+        model, result = crisscross
+        path = str(tmp_path / "crisscross.json")
+        ao.save_record(ao.make_record(model, result.params, result), path)
+        assert ao.load_record(path).converged
+        code = ("import sys\n"
+                "from actionorbits.cli import main\n"
+                f"assert main(['verify', {path!r}]) == 0\n"
+                f"assert main(['perturb', {path!r}, '--dx', '0.005',"
+                " '--periods', '1']) == 0\n"
+                "print(sorted(m for m in sys.modules"
+                " if m == 'scipy' or m.startswith('scipy.')))\n")
         src = os.path.dirname(os.path.dirname(ao.__file__))
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "False"
+        lines = out.stdout.splitlines()
+        assert lines[2].startswith("return_error:")
+        assert lines[-1] == "[]"
 
 
 class TestDOP853Driver:
@@ -276,7 +288,7 @@ class TestDOP853Driver:
             assert np.abs(vel - vel_end).max() <= 1e-11
 
     def test_non_finite_start_is_an_integration_error(self, circle):
-        # checked before scipy, which would raise a ValueError of its own
+        # checked before the first right-hand side call
         model, result = circle
         base = extract_ics(model, result.params)
         pos = base.positions.copy()
@@ -287,6 +299,26 @@ class TestDOP853Driver:
         with pytest.raises(ao.IntegrationError, match="non-finite") as exc:
             next(drive)
         assert exc.value.t == 0.0
+
+    def test_a_step_that_cannot_shrink_enough_fails(self, circle,
+                                                    monkeypatch):
+        # a NaN right-hand side rejects every step size until it falls
+        # below ten spacings of floats; the driver reports where it stood
+        dop = importlib.import_module("actionorbits.dop853")
+
+        def nan(t, y):
+            return np.full_like(y, math.nan)
+
+        assert dop.step(nan, 1.0, np.ones(4), np.ones(4), 0.1, 2.0, 1e-13,
+                        dop.stage_buffer(4)) is None
+        real = dop.step
+        monkeypatch.setattr(dop, "step", lambda fun, t, *args: None
+                            if t > 1.0 else real(fun, t, *args))
+        model, result = circle
+        with pytest.raises(ao.IntegrationError,
+                           match="spacing between numbers") as exc:
+            return_error(model, result.params)
+        assert 1.0 < exc.value.t < TWO_PI
 
     def test_tracked_deviation_agrees_with_fixed_step_rk4(self, crisscross):
         # two periods of a displaced criss-cross: the same curve metric on
@@ -323,6 +355,98 @@ class TestDOP853Driver:
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
+
+
+def _scipy_drive(model, pos, vel, times):
+    """Reference: scipy's DOP853 object on the driver's right-hand side,
+    keyed by time: the state at t = 0 and at every step end, and the
+    step's dense output at each of ``times`` inside a step."""
+    from scipy.integrate import DOP853
+
+    table = dynamics.pair_table(model.potential, model.masses)
+    shape, half = pos.shape, pos.size
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        out[:half] = y[half:]
+        out[half:] = table.accelerations(y[:half].reshape(shape), t).ravel()
+        return out
+
+    y0 = np.concatenate((pos.ravel(), vel.ravel()))
+    tol = integrate_module.RETURN_TOL
+    solver = DOP853(rhs, 0.0, y0, times[-1], rtol=tol, atol=tol)
+    states, i = {0.0: y0}, 0
+    while solver.status == "running":
+        solver.step()
+        states[solver.t] = solver.y
+        dense = None
+        while i < len(times) and times[i] <= solver.t:
+            if times[i] < solver.t:
+                if dense is None:
+                    dense = solver.dense_output()
+                states[times[i]] = dense(times[i])
+            i += 1
+    assert solver.status == "finished"
+    return states
+
+
+class TestSciPyOracle:
+    """The in-repo DOP853 is scipy's, transcribed: same tableau, same
+    steps, same interpolant, to the bit."""
+
+    def test_tableau_and_controller_are_scipys(self):
+        from scipy.integrate import DOP853
+        from scipy.integrate._ivp import rk
+
+        dop = importlib.import_module("actionorbits.dop853")
+        s = DOP853.n_stages
+        for ours, theirs in ((dop._A[:s, :s], DOP853.A), (dop._B, DOP853.B),
+                             (dop._C[:s], DOP853.C), (dop._E3, DOP853.E3),
+                             (dop._E5, DOP853.E5), (dop._D, DOP853.D),
+                             (dop._A[s + 1:], DOP853.A_EXTRA),
+                             (dop._C[s + 1:], DOP853.C_EXTRA)):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+        assert (dop.N_STAGES, dop.ERROR_ORDER) == (
+            s, DOP853.error_estimator_order)
+        assert (dop.SAFETY, dop.MIN_FACTOR, dop.MAX_FACTOR) == (
+            rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+
+    @pytest.mark.parametrize("case", ["crisscross-10-periods",
+                                      "cubic1-return-map"])
+    def test_drive_matches_scipy_bit_for_bit(self, request, case):
+        # every step end and every interior (dense) sample of the drive
+        if case == "crisscross-10-periods":
+            model, result = request.getfixturevalue("crisscross")
+            dev = np.zeros((3, 3))
+            dev[0, 0] = 0.005
+            interval = TWO_PI / 50
+            times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
+        else:
+            model, result = request.getfixturevalue("cubic1")
+            dev = np.zeros((model.n_bodies, 3))
+            times = [TWO_PI]
+        base = extract_ics(model, result.params)
+        pos = base.positions + dev
+        states = _scipy_drive(model, pos, base.velocities, times)
+        asked = sorted(states)[1:]
+        drive = list(integrate_module._dop853_samples(
+            model, pos, base.velocities, asked))
+        assert [t for t, _, _ in drive] == [0.0, *asked]
+        for t, p, v in drive:
+            assert np.concatenate((p.ravel(), v.ravel())).tobytes() \
+                == states[t].tobytes(), t
+        assert len(asked) > len(times) + 50    # many step ends as well
+
+    def test_return_error_is_scipys_end_state(self, cubic1):
+        model, result = cubic1
+        base = extract_ics(model, result.params)
+        end = _scipy_drive(model, base.positions, base.velocities,
+                           [TWO_PI])[TWO_PI]
+        half = base.positions.size
+        expected = max(np.abs(end[:half] - base.positions.ravel()).max(),
+                       np.abs(end[half:] - base.velocities.ravel()).max())
+        assert return_error(model, result.params) == float(expected)
 
 
 class TestPerturbAndTrack:

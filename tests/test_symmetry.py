@@ -34,7 +34,7 @@ from actionorbits import (
     verify_symmetry,
 )
 from actionorbits.fourier import evaluate
-from actionorbits.symmetry import sample_tables
+from actionorbits.symmetry import _element_costs, sample_tables
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
@@ -58,6 +58,30 @@ def _per_sample_matching_errors(model, params, times):
             worst = max(worst, float(cost[rows, cols].max()))
         errors.append(worst)
     return tuple(errors)
+
+
+def _assignment_errors(model, params):
+    """Reference: the optimal assignment's largest matched cost per
+    element where the nearest images form a permutation, else inf."""
+    from scipy.optimize import linear_sum_assignment
+
+    errors = []
+    for cost in _element_costs(model, params, ao.QuadratureGrid(64).nodes):
+        nearest = cost.argmin(axis=1)
+        if len(set(nearest)) < len(nearest):
+            errors.append(math.inf)
+            continue
+        rows, cols = linear_sum_assignment(cost)
+        errors.append(float(cost[rows, cols].max()))
+    return tuple(errors)
+
+
+# claimed elements that the criss-cross does not have
+BOGUS_ELEMENTS = (
+    SpaceTimeSymmetry(OrthTransform([[0, 1, 0], [1, 0, 0], [0, 0, 1]])),
+    SpaceTimeSymmetry(OrthTransform(np.diag([-1, 1, 1])),
+                      time_reversal=True),
+)
 
 
 def _random_values(build, seed, scale):
@@ -381,12 +405,14 @@ class TestCrisscrossFamily:
         model, params = build_crisscross(k_max=9)
         rng = np.random.default_rng(7)
         params = params.with_values(rng.normal(size=len(params)))
-        swap_xy = OrthTransform([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        bogus = dataclasses.replace(
-            model, symmetries=(SpaceTimeSymmetry(swap_xy),))
+        bogus = dataclasses.replace(model, symmetries=BOGUS_ELEMENTS)
         report = verify_symmetry(bogus, params, tol=1e-9)
         assert not report.passed
-        assert report.max_error > 1e-3
+        # swap_xy sends every body nearest to body 2: no permutation
+        # matches it; the reversed x-flip has one, which fails by 3.2
+        assert report.element_errors[0] == math.inf
+        assert 1e-3 < report.element_errors[1] < math.inf
+        assert report.element_errors == _assignment_errors(bogus, params)
 
 
 class TestVerifySymmetry:
@@ -405,6 +431,27 @@ class TestVerifySymmetry:
         assert report.element_errors == _per_sample_matching_errors(
             model, params, times)
         assert report.passed
+
+    @pytest.mark.parametrize("orbit", [
+        "cubic1", "cubic5", "cubic3-random", "crisscross", "crisscross123",
+        "choreography4-random", "bogus-random"])
+    def test_nearest_images_give_the_optimal_assignment(self, request,
+                                                        orbit):
+        # bit for bit, on the claimed elements of converged and random
+        # orbits and on bogus elements of a random criss-cross
+        if orbit == "bogus-random":
+            model, params = _random_values(
+                lambda: build_crisscross(k_max=9), 23, 1.0)
+            model = dataclasses.replace(model, symmetries=BOGUS_ELEMENTS)
+        elif orbit in RANDOM_MODELS:
+            model, params = _random_values(*RANDOM_MODELS[orbit])
+        else:
+            model, result = request.getfixturevalue(orbit)
+            params = result.params
+        errors = verify_symmetry(model, params).element_errors
+        assert errors == _assignment_errors(model, params)
+        if orbit == "bogus-random":   # both fail, each with a permutation
+            assert all(1.0 < e < math.inf for e in errors)
 
     @pytest.mark.parametrize("times", [[], np.array([]), [0.0, math.nan],
                                        [math.inf], [0.5, -math.inf]],
