@@ -10,12 +10,23 @@ are written with SciPy's NumPy expressions in SciPy's order, so a drive
 here reproduces a ``scipy.integrate.DOP853`` drive at the same tolerance
 bit for bit.  The tests hold the two together.
 
-The functions take a right-hand side ``fun(t, y)`` returning a new array
-and integrate forwards only, with ``rtol = atol = tol``.  The caller owns
-the loop: :func:`.integrate._dop853_samples` is the one place it runs.
+A drive builds one :class:`StagePlan` for its state size
+(:func:`stage_buffer`) and hands it to every :func:`step` and
+:func:`dense_output`: the stage array with, per stage, its fixed views
+and tableau row, so no step slices the tableau or the stages again.  The
+controller's scalars (step sizes, norms, factors) are Python floats; each
+operation on them is the IEEE operation SciPy's NumPy scalars perform.
+The plan is scratch space: every state, derivative and interpolated
+sample these functions return is a new array, so a caller may keep it.
+
+The right-hand side ``fun(t, y)`` returns a new array, and the
+integration runs forwards only, with ``rtol = atol = tol``.
+:func:`.integrate._dop853_samples` is the one drive.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -184,8 +195,9 @@ for _a in (_C, _A, _E3, _E5, _D):
     _a.setflags(write=False)
 
 
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size ** 0.5
+def _rms(x: np.ndarray) -> float:
+    """The rms of a 1-D array: np.linalg.norm(x) / sqrt(size), on floats."""
+    return math.sqrt(np.dot(x, x)) / x.size ** 0.5
 
 
 def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
@@ -210,46 +222,77 @@ def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
     return min(100 * h0, h1, interval_length)
 
 
-def stage_buffer(size: int) -> np.ndarray:
-    """Storage for the stages of one step and of its dense output."""
-    return np.empty((N_STAGES_EXTENDED, size))
+class StagePlan:
+    """The stage storage of one drive and its fixed views, built once.
+
+    ``K`` is the (16, size) array of a step's stages and of its dense
+    output's three extra stages.  For each stage s it holds the read-only
+    view K[:s].T of the stages before it, the tableau row _A[s, :s] and the
+    node c_s as a float, so a step slices nothing; ``error`` is the view
+    K[:13].T the error estimate reads.  Only K's rows are written, and no
+    array a step or an interpolant returns is one of them.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.K = np.empty((N_STAGES_EXTENDED, size))
+        rows = []
+        for s in range(N_STAGES_EXTENDED):
+            before = self.K[:s].T
+            before.setflags(write=False)
+            rows.append((s, before, _A[s, :s], float(_C[s])))
+        self.step_rows = rows[1:N_STAGES]
+        self.solution = rows[N_STAGES][1]
+        self.extra_rows = rows[N_STAGES + 1:]
+        self.error = self.K[:N_STAGES + 1].T
+        self.error.setflags(write=False)
 
 
-def _stages(fun, t, y, f, h, K):
+def stage_buffer(size: int) -> StagePlan:
+    """The stage plan of a drive whose state has ``size`` entries."""
+    return StagePlan(size)
+
+
+def _stages(fun, t, y, f, h, plan: StagePlan):
     """The 8th-order solution at t + h and its derivative, with the
     stages in K[:13] (the last one being that derivative)."""
+    K = plan.K
     K[0] = f
-    for s in range(1, N_STAGES):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t + _C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:N_STAGES].T, _B)
+    for s, before, a, c in plan.step_rows:
+        dy = np.dot(before, a) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(plan.solution, _B)
     f_new = fun(t + h, y_new)
     K[N_STAGES] = f_new
     return y_new, f_new
 
 
-def _error_norm(K, h, scale):
-    """The combined 5th/3rd-order error estimate, in units of ``scale``."""
-    err5 = np.dot(K[:N_STAGES + 1].T, _E5) / scale
-    err3 = np.dot(K[:N_STAGES + 1].T, _E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+def _error_norm(plan: StagePlan, h: float, scale: np.ndarray) -> float:
+    """The combined 5th/3rd-order error estimate, in units of ``scale``.
+
+    Each squared norm is sqrt(e . e)**2, the value np.linalg.norm(e)**2
+    takes for a 1-D float array, on Python floats.
+    """
+    err5 = np.dot(plan.error, _E5) / scale
+    err3 = np.dot(plan.error, _E3) / scale
+    err5_norm_2 = math.sqrt(np.dot(err5, err5))**2
+    err3_norm_2 = math.sqrt(np.dot(err3, err3))**2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * plan.size)
 
 
 def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
-         tol: float, K: np.ndarray):
+         tol: float, plan: StagePlan):
     """One accepted step from (t, y), with f = fun(t, y), trying ``h_abs``
     first and never passing ``t_bound``.
 
     Returns (t_new, y_new, f_new, next h_abs), with the step's stages left
-    in K for :func:`dense_output`, or None when the step size needed
+    in the plan for :func:`dense_output`, or None when the step size needed
     falls below ten spacings of floats at t.
     """
-    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, math.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
@@ -260,10 +303,10 @@ def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
         if t_new - t_bound > 0:
             t_new = t_bound
         h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _stages(fun, t, y, f, h, K)
+        h_abs = abs(h)
+        y_new, f_new = _stages(fun, t, y, f, h, plan)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        error_norm = _error_norm(K, h, scale)
+        error_norm = _error_norm(plan, h, scale)
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
@@ -277,17 +320,19 @@ def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
 
 
 def dense_output(fun, t_old, t, y_old: np.ndarray, y: np.ndarray,
-                 f: np.ndarray, K: np.ndarray):
+                 f: np.ndarray, plan: StagePlan):
     """The 7th-order interpolant of the step from (t_old, y_old) to (t, y)
-    that :func:`step` just took, with f = fun(t, y) and its stages in K.
+    that :func:`step` just took, with f = fun(t, y) and its stages in the
+    plan.
 
     Evaluates the three extra stages into K[13:] and returns a function
-    of the time, for t_old <= time <= t.
+    of the time, for t_old <= time <= t, that returns a new array.
     """
+    K = plan.K
     h = t - t_old
-    for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, _A[s, :s]) * h
-        K[s] = fun(t_old + _C[s] * h, y_old + dy)
+    for s, before, a, c in plan.extra_rows:
+        dy = np.dot(before, a) * h
+        K[s] = fun(t_old + c * h, y_old + dy)
     F = np.empty((7, y_old.size))
     f_old = K[0]
     delta_y = y - y_old

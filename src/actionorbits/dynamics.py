@@ -115,7 +115,9 @@ class PairTable:
         """
         d, r2 = _separations(self.i_idx, self.j_idx, self.difference, x)
         r = np.sqrt(r2)
-        if check and r.size and r.min() < COLLISION_THRESHOLD:
+        # the reduction r.min() makes, without its Python layers
+        if check and r.size and np.minimum.reduce(r, axis=None) \
+                < COLLISION_THRESHOLD:
             at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
             t = None
             if times is not None:

@@ -126,12 +126,16 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     """Advance the state for ``horizon`` time units with fixed steps.
 
     Records every ``record_stride``-th step (plus the initial and final
-    states).  Raises ValueError on a bad step, stride or horizon or a mass
-    vector that does not match the bodies, CollisionError if bodies
-    approach below :data:`.dynamics.COLLISION_THRESHOLD` and
-    IntegrationError on a non-finite state.
+    states).  Raises ValueError on a bad step, stride or horizon, a step
+    count horizon / dt that is not finite or a mass vector that does not
+    match the bodies, CollisionError if bodies approach below
+    :data:`.dynamics.COLLISION_THRESHOLD` and IntegrationError on a
+    non-finite state.
     """
     _check_steps("record_stride", record_stride, horizon=horizon, dt=dt)
+    if not horizon / dt < math.inf:    # a subnormal dt overflows the count
+        raise ValueError(f"horizon / dt must be finite, got {horizon!r} / "
+                         f"{dt!r}")
     n_steps = max(1, int(round(horizon / dt)))
     masses = np.asarray(masses, dtype=float)
     n = state.positions.shape[0]
@@ -168,10 +172,8 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
     shape, half = pos.shape, pos.size
 
     def rhs(t, y):
-        out = np.empty_like(y)
-        out[:half] = y[half:]
-        out[half:] = table.accelerations(y[:half].reshape(shape), t).ravel()
-        return out
+        acc = table.accelerations(y[:half].reshape(shape), t)
+        return np.concatenate((y[half:], acc.ravel()))
 
     yield 0.0, pos, vel
     y = np.concatenate((pos.ravel(), vel.ravel()))
@@ -183,18 +185,18 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
         # a non-finite start gives a NaN first step and a loop that never ends
         raise IntegrationError("non-finite acceleration at t=0", t=0.0)
     h_abs = dop853.initial_step(rhs, t, y, f, t_bound, RETURN_TOL)
-    stages = dop853.stage_buffer(y.size)
+    plan = dop853.stage_buffer(y.size)
     budget = math.ceil(MAX_STEPS_PER_PERIOD * t_bound / TWO_PI)
     i = 0
     for _ in range(budget):
-        taken = dop853.step(rhs, t, y, f, h_abs, t_bound, RETURN_TOL, stages)
+        taken = dop853.step(rhs, t, y, f, h_abs, t_bound, RETURN_TOL, plan)
         if taken is None:
             raise IntegrationError(f"integration failed at t={t:.6f} (required"
                                    f" step size is less than spacing between"
                                    f" numbers)", t=t)
         t_old, y_old = t, y
         t, y, f, h_abs = taken
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():    # half the cost of np.all per step
             raise IntegrationError(f"integration failed at t={t:.6f} "
                                    f"(non-finite state)", t=t)
         dense = None
@@ -204,7 +206,7 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
             else:
                 if dense is None:
                     dense = dop853.dense_output(rhs, t_old, t, y_old, y, f,
-                                                stages)
+                                                plan)
                 sample = dense(times[i])
             yield (times[i], sample[:half].reshape(shape),
                    sample[half:].reshape(shape))

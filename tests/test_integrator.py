@@ -173,6 +173,10 @@ class TestRK4:
                           record_stride=stride)
         with pytest.raises(ValueError):
             integrate(state, np.ones(2), PotentialSpec(), dt=math.nan)
+        # a subnormal step overflows horizon / dt, which used to end in an
+        # OverflowError from the step count
+        with pytest.raises(ValueError, match="horizon / dt must be finite"):
+            integrate(state, np.ones(2), PotentialSpec(), dt=1e-320)
 
     @pytest.mark.parametrize("n_masses", [1, 3])
     def test_mass_count_must_match_bodies(self, n_masses):
@@ -360,7 +364,8 @@ class TestDOP853Driver:
 def _scipy_drive(model, pos, vel, times):
     """Reference: scipy's DOP853 object on the driver's right-hand side,
     keyed by time: the state at t = 0 and at every step end, and the
-    step's dense output at each of ``times`` inside a step."""
+    step's dense output at each of ``times`` inside a step; with the
+    solver's count of right-hand-side evaluations."""
     from scipy.integrate import DOP853
 
     table = dynamics.pair_table(model.potential, model.masses)
@@ -387,7 +392,7 @@ def _scipy_drive(model, pos, vel, times):
                 states[times[i]] = dense(times[i])
             i += 1
     assert solver.status == "finished"
-    return states
+    return states, solver.nfev
 
 
 class TestSciPyOracle:
@@ -412,10 +417,26 @@ class TestSciPyOracle:
         assert (dop.SAFETY, dop.MIN_FACTOR, dop.MAX_FACTOR) == (
             rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
+    @staticmethod
+    def _assert_drive_is_scipys(model, pos, vel, times):
+        """Every step end and every interior (dense) sample of a drive
+        equals scipy's, byte for byte; returns the number of step ends
+        that are not among ``times``."""
+        states, _ = _scipy_drive(model, pos, vel, times)
+        asked = sorted(states)[1:]
+        drive = list(integrate_module._dop853_samples(model, pos, vel, asked))
+        assert [t for t, _, _ in drive] == [0.0, *asked]
+        for t, p, v in drive:
+            assert np.concatenate((p.ravel(), v.ravel())).tobytes() \
+                == states[t].tobytes(), t
+        return len(asked) - len(times)
+
     @pytest.mark.parametrize("case", ["crisscross-10-periods",
-                                      "cubic1-return-map"])
+                                      "cubic1-return-map",
+                                      "cubic5-return-map"])
     def test_drive_matches_scipy_bit_for_bit(self, request, case):
-        # every step end and every interior (dense) sample of the drive
+        # a 3-body track with interior samples, and one-period maps of 4
+        # and of 20 bodies (a 120-entry state)
         if case == "crisscross-10-periods":
             model, result = request.getfixturevalue("crisscross")
             dev = np.zeros((3, 3))
@@ -423,26 +444,56 @@ class TestSciPyOracle:
             interval = TWO_PI / 50
             times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
         else:
-            model, result = request.getfixturevalue("cubic1")
+            model, result = request.getfixturevalue(case.split("-")[0])
             dev = np.zeros((model.n_bodies, 3))
             times = [TWO_PI]
         base = extract_ics(model, result.params)
-        pos = base.positions + dev
-        states = _scipy_drive(model, pos, base.velocities, times)
-        asked = sorted(states)[1:]
+        steps = self._assert_drive_is_scipys(model, base.positions + dev,
+                                             base.velocities, times)
+        assert steps > 50    # many step ends as well
+
+    @pytest.mark.parametrize("softening", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
+    def test_drive_matches_scipy_on_other_potentials(self, alpha, softening):
+        # a short drive of the unequal-mass criss-cross seed under each
+        # pair law, with interior samples and, for alpha = 1, rejected
+        # steps (the seed falls into a collision by t = 0.44 under the
+        # unsoftened 1/r^2 law)
+        spec = PotentialSpec(alpha=alpha, softening=softening)
+        model, params = ao.build_crisscross((1.0, 2.0, 3.0), k_max=9,
+                                            potential=spec)
+        base = extract_ics(model, params)
+        steps = self._assert_drive_is_scipys(
+            model, base.positions, base.velocities, [0.1, 0.2, 0.3, 0.4])
+        assert steps >= 6
+
+    def test_drive_makes_scipys_evaluations(self, crisscross, monkeypatch):
+        # the 10-period displaced criss-cross, with rejected steps and
+        # dense outputs, takes as many right-hand sides as scipy's drive
+        # (17,267 on both)
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        pos = base.positions.copy()
+        pos[0, 0] += 0.005
+        interval = TWO_PI / 50
+        times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
+        _, nfev = _scipy_drive(model, pos, base.velocities, times)
+        calls = []
+        accelerations = dynamics.PairTable.accelerations
+        monkeypatch.setattr(dynamics.PairTable, "accelerations",
+                            lambda table, pos, t: calls.append(t)
+                            or accelerations(table, pos, t))
         drive = list(integrate_module._dop853_samples(
-            model, pos, base.velocities, asked))
-        assert [t for t, _, _ in drive] == [0.0, *asked]
-        for t, p, v in drive:
-            assert np.concatenate((p.ravel(), v.ravel())).tobytes() \
-                == states[t].tobytes(), t
-        assert len(asked) > len(times) + 50    # many step ends as well
+            model, pos, base.velocities, times))
+        assert len(drive) == len(times) + 1
+        assert len(calls) == nfev
 
     def test_return_error_is_scipys_end_state(self, cubic1):
         model, result = cubic1
         base = extract_ics(model, result.params)
-        end = _scipy_drive(model, base.positions, base.velocities,
-                           [TWO_PI])[TWO_PI]
+        states, _ = _scipy_drive(model, base.positions, base.velocities,
+                                 [TWO_PI])
+        end = states[TWO_PI]
         half = base.positions.size
         expected = max(np.abs(end[:half] - base.positions.ravel()).max(),
                        np.abs(end[half:] - base.velocities.ravel()).max())

@@ -631,6 +631,7 @@ class TestCliPerturb:
         ["export-traj", "--dt", "0"],
         ["export-traj", "--dt", "-1"],
         ["export-traj", "--periods", "inf"],
+        ["export-traj", "--dt", "1e-320", "--periods", "1"],
         ["perturb", "--dx", "1e-3", "--envelope", "nan"],
         ["perturb", "--dx", "1e-3", "--envelope", "-1"],
         ["perturb", "--dx", "nan"]])
