@@ -11,15 +11,19 @@ here reproduces a ``scipy.integrate.DOP853`` drive at the same tolerance
 bit for bit.  The tests hold the two together.
 
 A drive builds one :class:`StagePlan` for its state size
-(:func:`stage_buffer`) and hands it to every :func:`step` and
-:func:`dense_output`: the stage array with, per stage, its fixed views
-and tableau row, so no step slices the tableau or the stages again.  The
-controller's scalars (step sizes, norms, factors) are Python floats; each
-operation on them is the IEEE operation SciPy's NumPy scalars perform.
-The plan is scratch space: every state, derivative and interpolated
-sample these functions return is a new array, so a caller may keep it.
+(:func:`stage_buffer`) and hands it to :func:`initial_step`, every
+:func:`step` and :func:`dense_output`: the stage array with, per stage,
+its row, its fixed views and its tableau row, and the two rows a stage
+state is formed in, so no step slices the tableau or the stages again and
+no stage allocates.  The controller's scalars (step sizes, norms,
+factors) are Python floats; each operation on them is the IEEE operation
+SciPy's NumPy scalars perform.  The plan is scratch space: every state,
+derivative and interpolated sample these functions return is a new
+array, so a caller may keep it.
 
-The right-hand side ``fun(t, y)`` returns a new array, and the
+The right-hand side ``fun(t, y, out)`` writes f(t, y) into ``out``, a
+stage row of the plan; ``y`` may be the plan's stage state, which the
+next stage overwrites, so ``fun`` keeps no reference to either.  The
 integration runs forwards only, with ``rtol = atol = tol``.
 :func:`.integrate._dop853_samples` is the one drive.
 """
@@ -201,9 +205,10 @@ def _rms(x: np.ndarray) -> float:
 
 
 def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
-                 t_bound: float, tol: float):
+                 t_bound: float, tol: float, plan: StagePlan):
     """The first step size (Hairer, Norsett & Wanner, section II.4), from
-    f0 = fun(t0, y0) and one more evaluation, for t_bound > t0."""
+    the derivative f0 at (t0, y0) and one more evaluation, written into a
+    stage row of the plan, for t_bound > t0."""
     interval_length = t_bound - t0
     scale = tol + np.abs(y0) * tol
     d0 = _rms(y0 / scale)
@@ -213,7 +218,8 @@ def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
+    f1 = plan.K[1]
+    fun(t0 + h0, y0 + h0 * f0, f1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -226,21 +232,24 @@ class StagePlan:
     """The stage storage of one drive and its fixed views, built once.
 
     ``K`` is the (16, size) array of a step's stages and of its dense
-    output's three extra stages.  For each stage s it holds the read-only
-    view K[:s].T of the stages before it, the tableau row _A[s, :s] and the
-    node c_s as a float, so a step slices nothing; ``error`` is the view
-    K[:13].T the error estimate reads.  Only K's rows are written, and no
-    array a step or an interpolant returns is one of them.
+    output's three extra stages.  For each stage s it holds the row K[s],
+    the read-only view K[:s].T of the stages before it, the tableau row
+    _A[s, :s] and the node c_s as a float, so a step slices nothing;
+    ``error`` is the view K[:13].T the error estimate reads.  A stage state
+    is formed in the rows ``dy`` and ``state``.  Only these rows are
+    written, and no array a step or an interpolant returns is one of them.
     """
 
     def __init__(self, size: int):
         self.size = size
         self.K = np.empty((N_STAGES_EXTENDED, size))
+        self.dy = np.empty(size)
+        self.state = np.empty(size)
         rows = []
         for s in range(N_STAGES_EXTENDED):
             before = self.K[:s].T
             before.setflags(write=False)
-            rows.append((s, before, _A[s, :s], float(_C[s])))
+            rows.append((self.K[s], before, _A[s, :s], float(_C[s])))
         self.step_rows = rows[1:N_STAGES]
         self.solution = rows[N_STAGES][1]
         self.extra_rows = rows[N_STAGES + 1:]
@@ -253,18 +262,30 @@ def stage_buffer(size: int) -> StagePlan:
     return StagePlan(size)
 
 
+def _evaluate(fun, t, y, h, rows, plan: StagePlan) -> None:
+    """Write the derivative of each stage of ``rows`` into its row.
+
+    Each stage state y + K[:s].T @ a * h is formed in the plan's rows with
+    the ufuncs, operands and order of SciPy's y + np.dot(K[:s].T, a) * h.
+    """
+    dy, state = plan.dy, plan.state
+    for row, before, a, c in rows:
+        np.dot(before, a, dy)
+        np.multiply(dy, h, dy)
+        np.add(y, dy, state)
+        fun(t + c * h, state, row)
+
+
 def _stages(fun, t, y, f, h, plan: StagePlan):
     """The 8th-order solution at t + h and its derivative, with the
     stages in K[:13] (the last one being that derivative)."""
     K = plan.K
     K[0] = f
-    for s, before, a, c in plan.step_rows:
-        dy = np.dot(before, a) * h
-        K[s] = fun(t + c * h, y + dy)
+    _evaluate(fun, t, y, h, plan.step_rows, plan)
     y_new = y + h * np.dot(plan.solution, _B)
-    f_new = fun(t + h, y_new)
-    K[N_STAGES] = f_new
-    return y_new, f_new
+    fun(t + h, y_new, K[N_STAGES])
+    # a copy: the next step overwrites the row, and a rejected one too
+    return y_new, K[N_STAGES].copy()
 
 
 def _error_norm(plan: StagePlan, h: float, scale: np.ndarray) -> float:
@@ -285,8 +306,8 @@ def _error_norm(plan: StagePlan, h: float, scale: np.ndarray) -> float:
 
 def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
          tol: float, plan: StagePlan):
-    """One accepted step from (t, y), with f = fun(t, y), trying ``h_abs``
-    first and never passing ``t_bound``.
+    """One accepted step from (t, y), with f the derivative there, trying
+    ``h_abs`` first and never passing ``t_bound``.
 
     Returns (t_new, y_new, f_new, next h_abs), with the step's stages left
     in the plan for :func:`dense_output`, or None when the step size needed
@@ -322,17 +343,15 @@ def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
 def dense_output(fun, t_old, t, y_old: np.ndarray, y: np.ndarray,
                  f: np.ndarray, plan: StagePlan):
     """The 7th-order interpolant of the step from (t_old, y_old) to (t, y)
-    that :func:`step` just took, with f = fun(t, y) and its stages in the
-    plan.
+    that :func:`step` just took, with f the derivative at (t, y) and its
+    stages in the plan.
 
     Evaluates the three extra stages into K[13:] and returns a function
     of the time, for t_old <= time <= t, that returns a new array.
     """
     K = plan.K
     h = t - t_old
-    for s, before, a, c in plan.extra_rows:
-        dy = np.dot(before, a) * h
-        K[s] = fun(t_old + c * h, y_old + dy)
+    _evaluate(fun, t_old, y_old, h, plan.extra_rows, plan)
     F = np.empty((7, y_old.size))
     f_old = K[0]
     delta_y = y - y_old

@@ -7,7 +7,10 @@ i < j, the pair-by-body difference matrix, the signed couplings c_ij (and
 sums pair forces onto bodies.  The table is built once and cached, so a
 force call only forms separations (one difference-matrix product for a
 configuration, a gather for a batch), takes their norms and powers, and
-applies the incidence matrix.  Positions may be
+applies the incidence matrix.  The integrators' right side,
+:meth:`PairTable.accelerator`, makes the same calls for one configuration
+into pair buffers it builds once, and writes F / m into the caller's
+array.  Positions may be
 a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
 reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
@@ -19,6 +22,7 @@ is one call, not a loop over samples.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,17 +122,21 @@ class PairTable:
         # the reduction r.min() makes, without its Python layers
         if check and r.size and np.minimum.reduce(r, axis=None) \
                 < COLLISION_THRESHOLD:
-            at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
-            t = None
-            if times is not None:
-                # one time stands for every member of a batch
-                times = np.ravel(times)
-                t = float(times[at[1] if times.size > 1 else 0])
-            raise CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
-                                 distance=r[at], context=context)
+            raise self._collision(r, times, context)
         if self.softening > 0.0:
             r = np.sqrt(r2 + self.softening ** 2)
         return d, r
+
+    def _collision(self, r: np.ndarray, times, context: str):
+        """The CollisionError of the closest pair of true distances r."""
+        at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
+        t = None
+        if times is not None:
+            # one time stands for every member of a batch
+            times = np.ravel(times)
+            t = float(times[at[1] if times.size > 1 else 0])
+        return CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
+                              distance=r[at], context=context)
 
     def potential(self, r: np.ndarray):
         """sum_ij c_ij r_ij**alpha, per configuration."""
@@ -144,11 +152,60 @@ class PairTable:
         F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
         return F.reshape((-1,) + d.shape[1:])
 
+    def accelerator(self):
+        """The integrator's right side for one configuration:
+        ``accelerate(pos, t, out)`` writes F / m of the (n, 3) positions
+        into the (n, 3) array ``out``, which may be a view.
+
+        Its pair buffers are built here, once: the differences,
+        their squares, r^2, r (then r^(alpha - 2) and the pair coefficients
+        in place), the pair forces and the body forces.  Each call fills
+        them with ``out=`` by the NumPy calls :meth:`distances` and
+        :meth:`forces` make, so ``out`` holds the bits of
+        ``forces(...)[0] / masses[:, None]``.  The collision test is the
+        one :meth:`distances` makes (context 'integration', time ``t``) and
+        softening applies after it.  A call overwrites the buffers, so
+        ``accelerate`` serves one caller at a time.
+        """
+        n_pairs, n = self.difference.shape
+        difference, incidence = self.difference, self.incidence
+        coef, mass = self.coef_axes[2], self.mass_axes[2]
+        exponent = self.alpha - 2.0
+        softening2 = self.softening ** 2 if self.softening > 0.0 else None
+        d, d2, pair_f = (np.empty((n_pairs, 3)) for _ in range(3))
+        r2, r = np.empty(n_pairs), np.empty(n_pairs)
+        r_col, F = r[:, None], np.empty((n, 3))
+
+        def accelerate(x: np.ndarray, t, out: np.ndarray) -> None:
+            np.dot(difference, x, d)
+            np.multiply(d, d, d2)
+            np.dot(d2, _ONES3, r2)
+            np.sqrt(r2, r)
+            if n_pairs and np.minimum.reduce(r) < COLLISION_THRESHOLD:
+                raise self._collision(r, t, "integration")
+            if softening2 is not None:
+                np.add(r2, softening2, r)
+                np.sqrt(r, r)
+            # r ** (alpha - 2) in place, with the bits of the allocating
+            # r ** (alpha - 2.0): the in-place operator takes the scalar
+            # exponent paths of ndarray.__pow__, which np.power lacks
+            operator.ipow(r, exponent)
+            np.multiply(coef, r, r)
+            np.multiply(r_col, d, pair_f)
+            np.dot(incidence, pair_f, F)
+            np.divide(F, mass, out)
+
+        return accelerate
+
     def accelerations(self, pos: np.ndarray, t) -> np.ndarray:
         """F / m, divided along the body axis, for positions (n, 3) or
-        (n, T, 3): the integrator's right side."""
+        (n, T, 3); one configuration goes through :meth:`accelerator`."""
+        if pos.ndim == 2:
+            out = np.empty(pos.shape)
+            self.accelerator()(pos, t, out)
+            return out
         d, r = self.distances(pos, t, "integration")
-        return self.forces(d, r) / self.mass_axes[pos.ndim]
+        return self.forces(d, r) / self.mass_axes[3]
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,18 +16,26 @@ failure is detected: at ``CollisionError.t``, or at the end of a step that
 left a non-finite state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
-cached :class:`.dynamics.PairTable`: one difference-matrix product for the
-pair differences, one product for their squared norms, one square root,
-one power and one incidence product, with no batching reshapes, potential
-energy or per-call set-up.  The arithmetic is the one
-:func:`.dynamics.forces` performs, so the two agree to the bit.
-``rk4_step`` fetches the table from the cache on every call (well under a
-microsecond against tens per stage); a run therefore builds it once, and
-each step stays one call that per-layer tracing can see.
+cached :class:`.dynamics.PairTable`: its
+:meth:`~.dynamics.PairTable.accelerator` writes the accelerations of one
+configuration into the caller's array through pair buffers it builds
+once (one difference-matrix product for the pair differences, one product
+for their squared norms, one square root, one power and one incidence
+product), with no batching reshapes, potential energy or per-call
+set-up.  The arithmetic is the one :func:`.dynamics.forces` performs, so
+the two agree to the bit.  A DOP853
+drive builds one accelerator next to its stage plan, and its right-hand
+side writes the state's derivative into a stage row of the plan: the
+velocity half copied, the acceleration half written by the accelerator.
+``rk4_step`` fetches the table from the cache and builds an accelerator
+on every call (a few microseconds against tens per step); a run therefore
+builds the table once, and each step stays one call that per-layer
+tracing can see.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,17 +92,18 @@ def rk4_step(spec: PotentialSpec, masses: np.ndarray, pos: np.ndarray,
              vel: np.ndarray, t: float, dt: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """One classical Runge-Kutta step of size dt."""
-    table = pair_table(spec, masses)
-    a1 = table.accelerations(pos, t)
+    accelerate = pair_table(spec, masses).accelerator()
+    a1, a2, a3, a4 = np.empty((4,) + pos.shape)
+    accelerate(pos, t, a1)
     p2 = pos + 0.5 * dt * vel
     v2 = vel + 0.5 * dt * a1
-    a2 = table.accelerations(p2, t + 0.5 * dt)
+    accelerate(p2, t + 0.5 * dt, a2)
     p3 = pos + 0.5 * dt * v2
     v3 = vel + 0.5 * dt * a2
-    a3 = table.accelerations(p3, t + 0.5 * dt)
+    accelerate(p3, t + 0.5 * dt, a3)
     p4 = pos + dt * v3
     v4 = vel + dt * a3
-    a4 = table.accelerations(p4, t + dt)
+    accelerate(p4, t + dt, a4)
     new_pos = pos + (dt / 6.0) * (vel + 2.0 * v2 + 2.0 * v3 + v4)
     new_vel = vel + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     return new_pos, new_vel
@@ -159,37 +168,41 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
 
 
 def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
-                    times):
-    """Step DOP853 from (pos, vel) at t = 0 to the last of the ascending
-    ``times``, yielding (t, pos, vel) at 0 and at each of them: the step's
-    end state where a time ends a step, its dense interpolant elsewhere.
+                    horizon: float, times=()):
+    """Step DOP853 from (pos, vel) at t = 0 to ``horizon``, yielding
+    (t, pos, vel) at 0, at each of the ascending ``times`` (an iterable,
+    read one time at a time, of times below the horizon) and at the
+    horizon: the step's end state where a time ends a step, its dense
+    interpolant elsewhere.
 
     Raises IntegrationError (with ``t``) on a failed step, a non-finite
     state or a spent step budget, and CollisionError (context
     'integration') below :data:`.dynamics.COLLISION_THRESHOLD`.
     """
-    table = pair_table(model.potential, model.masses)
+    accelerate = pair_table(model.potential, model.masses).accelerator()
     shape, half = pos.shape, pos.size
 
-    def rhs(t, y):
-        acc = table.accelerations(y[:half].reshape(shape), t)
-        return np.concatenate((y[half:], acc.ravel()))
+    def rhs(t, y, out):
+        out[:half] = y[half:]
+        accelerate(y[:half].reshape(shape), t, out[half:].reshape(shape))
 
     yield 0.0, pos, vel
     y = np.concatenate((pos.ravel(), vel.ravel()))
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state at t=0", t=0.0)
-    t, t_bound = 0.0, times[-1]
-    f = rhs(t, y)
+    plan = dop853.stage_buffer(y.size)
+    t = 0.0
+    f = np.empty_like(y)
+    rhs(t, y, f)
     if not np.all(np.isfinite(f)):
         # a non-finite start gives a NaN first step and a loop that never ends
         raise IntegrationError("non-finite acceleration at t=0", t=0.0)
-    h_abs = dop853.initial_step(rhs, t, y, f, t_bound, RETURN_TOL)
-    plan = dop853.stage_buffer(y.size)
-    budget = math.ceil(MAX_STEPS_PER_PERIOD * t_bound / TWO_PI)
-    i = 0
+    h_abs = dop853.initial_step(rhs, t, y, f, horizon, RETURN_TOL, plan)
+    budget = math.ceil(MAX_STEPS_PER_PERIOD * horizon / TWO_PI)
+    pending = itertools.chain(times, (horizon,))
+    due = next(pending)
     for _ in range(budget):
-        taken = dop853.step(rhs, t, y, f, h_abs, t_bound, RETURN_TOL, plan)
+        taken = dop853.step(rhs, t, y, f, h_abs, horizon, RETURN_TOL, plan)
         if taken is None:
             raise IntegrationError(f"integration failed at t={t:.6f} (required"
                                    f" step size is less than spacing between"
@@ -200,19 +213,19 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
             raise IntegrationError(f"integration failed at t={t:.6f} "
                                    f"(non-finite state)", t=t)
         dense = None
-        while i < len(times) and times[i] <= t:
-            if times[i] == t:
+        while due <= t:
+            if due == t:
                 sample = y
             else:
                 if dense is None:
                     dense = dop853.dense_output(rhs, t_old, t, y_old, y, f,
                                                 plan)
-                sample = dense(times[i])
-            yield (times[i], sample[:half].reshape(shape),
+                sample = dense(due)
+            yield (due, sample[:half].reshape(shape),
                    sample[half:].reshape(shape))
-            i += 1
-        if i == len(times):
-            return
+            if due == horizon:
+                return
+            due = next(pending)
     raise IntegrationError(f"step budget of {budget} spent by "
                            f"t={t:.6f}", t=t)
 
@@ -225,7 +238,7 @@ def return_error(model: OrbitModel, params: ReducedParams) -> float:
     """
     state = extract_ics(model, params)
     *_, (_, pos, vel) = _dop853_samples(model, state.positions,
-                                        state.velocities, (TWO_PI,))
+                                        state.velocities, TWO_PI)
     return float(max(np.abs(pos - state.positions).max(),
                      np.abs(vel - state.velocities).max()))
 
@@ -333,10 +346,11 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     as neutral directions).  The default envelope is 100x the largest
     applied displacement; a given envelope must be positive and finite, and
     the deviation finite.  The run is one :func:`_dop853_samples` drive; it
-    samples every ``samples_per_period``-th of a period and the end of the
-    horizon, and stops at the first later sample outside the envelope, or
-    at any sample, the start included, too far out for the metric to
-    measure (an infinite ``max_deviation``).
+    samples every ``samples_per_period``-th of a period, each time made as
+    the drive reaches it, and the end of the horizon.  It stops at the
+    first later sample outside the envelope, or at any sample, the start
+    included, too far out for the metric to measure (an infinite
+    ``max_deviation``).
     """
     _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
     dev = np.array(deviation, dtype=float)
@@ -352,15 +366,17 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
     horizon = n_periods * TWO_PI
     interval = TWO_PI / samples_per_period
-    times = [k * interval
-             for k in range(1, math.ceil(n_periods * samples_per_period))
-             if k * interval < horizon]
-    times.append(horizon)
+    # k * interval grows with k, so the first time past the horizon ends
+    # the samples; they are made one at a time, as the drive reaches them
+    times = itertools.takewhile(
+        lambda time: time < horizon,
+        (k * interval
+         for k in range(1, math.ceil(n_periods * samples_per_period))))
 
     metric = _CurveMetric(model, params)
     base = extract_ics(model, params)
     samples = _dop853_samples(model, base.positions + dev, base.velocities,
-                              times)
+                              horizon, times)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

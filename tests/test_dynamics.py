@@ -200,6 +200,58 @@ def test_batched_accelerations_divide_along_the_body_axis():
                               / masses[:, None])
 
 
+@pytest.mark.parametrize("softening", [0.0, 0.3])
+@pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 20])
+def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
+                                                           softening):
+    # the integrators' in-place right side fills its pair buffers with the
+    # calls forces() makes, so it writes the same bytes into out, planar
+    # configurations (exact zeros in z) included, and nothing else
+    spec = PotentialSpec(alpha=alpha, softening=softening)
+    rng = np.random.default_rng([n, int(4 * alpha) + 8, int(10 * softening)])
+    masses = rng.uniform(0.5, 3.0, n)
+    accelerate = pair_table(spec, masses).accelerator()
+    around = np.full((n + 2, 5), 7.0)
+    out = around[1:-1, 1:4]             # a strided view inside sentinels
+    for k in range(20):
+        x = rng.normal(scale=2.0, size=(n, 3))
+        if k % 2:
+            x[:, 2] = 0.0
+        before = x.copy()
+        accelerate(x, 0.5, out)
+        expected = forces(spec, masses, x)[0] / masses[:, None]
+        assert np.ascontiguousarray(out).tobytes() == expected.tobytes(), k
+        assert x.tobytes() == before.tobytes()
+        outside = around.copy()
+        outside[1:-1, 1:4] = 7.0
+        assert np.all(outside == 7.0), k
+
+
+def test_accelerator_raises_the_collision_of_forces(monkeypatch):
+    # a near-coincident pair raises the CollisionError the allocating pair
+    # path raises (pair, time, distance, context), at the threshold read
+    # at each call, not when the accelerator was built
+    spec, masses = PotentialSpec(), np.array([1.0, 2.0, 3.0, 4.0])
+    accelerate = pair_table(spec, masses).accelerator()
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                  [3.0, 1.0, 0.0], [3.0, 1.0 + 3e-9, 0.0]])
+    with pytest.raises(CollisionError) as expected:
+        forces(spec, masses, x, times=0.75, context="integration")
+    with pytest.raises(CollisionError) as exc:
+        accelerate(x, 0.75, np.empty((4, 3)))
+    for field in ("pair", "t", "distance"):
+        assert getattr(exc.value, field) == getattr(expected.value, field)
+    assert exc.value.pair == (2, 3)
+    assert str(exc.value) == str(expected.value)
+    x[3, 1] = 1.0 + 3e-7
+    accelerate(x, 0.75, np.empty((4, 3)))
+    monkeypatch.setattr(dynamics, "COLLISION_THRESHOLD", 1e-6)
+    with pytest.raises(CollisionError) as exc:
+        accelerate(x, 0.75, np.empty((4, 3)))
+    assert exc.value.pair == (2, 3)
+
+
 @pytest.mark.parametrize("n", [2, 3, 28])
 def test_pair_differences_match_the_gather_bit_for_bit(n):
     # a difference-matrix row adds one +x_i and one -x_j to exact zeros,

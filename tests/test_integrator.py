@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -278,15 +279,14 @@ class TestDOP853Driver:
         # at the same time reads the step's end state instead
         model, result = crisscross
         base = extract_ics(model, result.params)
-        times = (1.0, 2.5, TWO_PI)
         drive = list(integrate_module._dop853_samples(
-            model, base.positions, base.velocities, times))
-        assert [t for t, _, _ in drive] == [0.0, *times]
+            model, base.positions, base.velocities, TWO_PI, (1.0, 2.5)))
+        assert [t for t, _, _ in drive] == [0.0, 1.0, 2.5, TWO_PI]
         assert np.array_equal(drive[0][1], base.positions)
         assert np.array_equal(drive[0][2], base.velocities)
         for t, pos, vel in drive[1:]:
             *_, (end, pos_end, vel_end) = integrate_module._dop853_samples(
-                model, base.positions, base.velocities, (t,))
+                model, base.positions, base.velocities, t)
             assert end == t
             assert np.abs(pos - pos_end).max() <= 1e-11
             assert np.abs(vel - vel_end).max() <= 1e-11
@@ -298,7 +298,7 @@ class TestDOP853Driver:
         pos = base.positions.copy()
         pos[1, 2] = math.nan
         drive = integrate_module._dop853_samples(model, pos, base.velocities,
-                                                 (TWO_PI,))
+                                                 TWO_PI)
         assert next(drive)[0] == 0.0
         with pytest.raises(ao.IntegrationError, match="non-finite") as exc:
             next(drive)
@@ -310,8 +310,8 @@ class TestDOP853Driver:
         # below ten spacings of floats; the driver reports where it stood
         dop = importlib.import_module("actionorbits.dop853")
 
-        def nan(t, y):
-            return np.full_like(y, math.nan)
+        def nan(t, y, out):
+            out.fill(math.nan)
 
         assert dop.step(nan, 1.0, np.ones(4), np.ones(4), 0.1, 2.0, 1e-13,
                         dop.stage_buffer(4)) is None
@@ -323,6 +323,45 @@ class TestDOP853Driver:
                            match="spacing between numbers") as exc:
             return_error(model, result.params)
         assert 1.0 < exc.value.t < TWO_PI
+
+    def test_nothing_returned_shares_the_plan(self, crisscross, monkeypatch):
+        # the stages are written in place into the plan's rows; no step
+        # end, derivative, dense sample or yielded state may be one of them
+        dop = importlib.import_module("actionorbits.dop853")
+        plans = []
+        build = dop.stage_buffer
+        monkeypatch.setattr(dop, "stage_buffer",
+                            lambda size: plans.append(build(size))
+                            or plans[-1])
+
+        def shares_plan(a, plan):
+            return any(np.shares_memory(a, b)
+                       for b in (plan.K, plan.dy, plan.state))
+
+        def rhs(t, y, out):     # y'' = -y on a 2-entry position
+            out[:2] = y[2:]
+            np.negative(y[:2], out[2:])
+
+        y = np.array([1.0, 0.0, 0.0, 1.0])
+        f = np.empty(4)
+        rhs(0.0, y, f)
+        plan = dop.stage_buffer(4)
+        h_abs = dop.initial_step(rhs, 0.0, y, f, 2.0, 1e-13, plan)
+        t1, y1, f1, h_abs = dop.step(rhs, 0.0, y, f, h_abs, 2.0, 1e-13, plan)
+        kept = f1.copy()
+        dense = dop.dense_output(rhs, 0.0, t1, y, y1, f1, plan)
+        sample = dense(0.5 * t1)
+        t2, y2, f2, _ = dop.step(rhs, t1, y1, f1, h_abs, 2.0, 1e-13, plan)
+        for a in (y1, f1, sample, y2, f2):
+            assert not shares_plan(a, plan)
+        assert f1.tobytes() == kept.tobytes()    # the next step left it
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        drive = list(integrate_module._dop853_samples(
+            model, base.positions, base.velocities, TWO_PI, (1.0, 2.5)))
+        for _, pos, vel in drive:
+            assert not (shares_plan(pos, plans[-1])
+                        or shares_plan(vel, plans[-1]))
 
     def test_tracked_deviation_agrees_with_fixed_step_rk4(self, crisscross):
         # two periods of a displaced criss-cross: the same curve metric on
@@ -355,7 +394,7 @@ class TestDOP853Driver:
         rep = perturb_and_track(model, params, dev, 1.0, envelope=10.0)
         with pytest.raises(ao.IntegrationError) as exc:
             list(integrate_module._dop853_samples(
-                model, base.positions + dev, base.velocities, (TWO_PI,)))
+                model, base.positions + dev, base.velocities, TWO_PI))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
@@ -424,7 +463,8 @@ class TestSciPyOracle:
         that are not among ``times``."""
         states, _ = _scipy_drive(model, pos, vel, times)
         asked = sorted(states)[1:]
-        drive = list(integrate_module._dop853_samples(model, pos, vel, asked))
+        drive = list(integrate_module._dop853_samples(model, pos, vel,
+                                                      asked[-1], asked[:-1]))
         assert [t for t, _, _ in drive] == [0.0, *asked]
         for t, p, v in drive:
             assert np.concatenate((p.ravel(), v.ravel())).tobytes() \
@@ -479,12 +519,17 @@ class TestSciPyOracle:
         times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
         _, nfev = _scipy_drive(model, pos, base.velocities, times)
         calls = []
-        accelerations = dynamics.PairTable.accelerations
-        monkeypatch.setattr(dynamics.PairTable, "accelerations",
-                            lambda table, pos, t: calls.append(t)
-                            or accelerations(table, pos, t))
+        accelerator = dynamics.PairTable.accelerator
+
+        def counted(table):
+            # every right-hand side writes its accelerations once
+            accelerate = accelerator(table)
+            return lambda pos, t, out: calls.append(t) or accelerate(pos, t,
+                                                                     out)
+
+        monkeypatch.setattr(dynamics.PairTable, "accelerator", counted)
         drive = list(integrate_module._dop853_samples(
-            model, pos, base.velocities, times))
+            model, pos, base.velocities, times[-1], times[:-1]))
         assert len(drive) == len(times) + 1
         assert len(calls) == nfev
 
@@ -559,7 +604,7 @@ class TestPerturbAndTrack:
         rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0)
         with pytest.raises(CollisionError) as exc:
             list(integrate_module._dop853_samples(
-                model, base.positions + dev, base.velocities, (TWO_PI,)))
+                model, base.positions + dev, base.velocities, TWO_PI))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
@@ -626,6 +671,28 @@ class TestPerturbAndTrack:
         assert rep.verdict == EXITED
         assert rep.exit_time == rep.sample_times[-1] == 0.0
         assert rep.max_deviation == math.inf
+
+    def test_sample_times_are_made_as_the_drive_reaches_them(self):
+        # a run that ends at t = 0 holds no list of the horizon's sample
+        # times, so its memory does not grow with the horizon, and a
+        # horizon of more times than a list can index still runs
+        model, params = build_choreography(2, k_max=9)
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e160
+
+        def peak(n_periods):
+            tracemalloc.start()
+            try:
+                rep = perturb_and_track(model, params, dev, n_periods)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.exit_time == rep.sample_times[-1] == 0.0
+            return peak
+
+        short = peak(200.0)
+        assert peak(20000.0) <= short + 1e6
+        assert peak(1e300) <= short + 1e6
 
     @pytest.mark.parametrize("fixture", ["crisscross", "cubic1"])
     def test_one_product_metric_matches_direct_differences(self, fixture,

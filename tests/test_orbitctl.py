@@ -552,6 +552,22 @@ class TestReadmeQuickStart:
             at = starts[0] + len(lines)
 
 
+    def test_python_quick_start_prints_its_comments(self, capsys):
+        # the Python quick start runs as written and prints what its
+        # comments say: the descent's outcome, iterations and residual
+        # (to three digits), then the 40-period probe's verdict
+        section = README.read_text().split("## Quick start (Python)")[1]
+        code = re.findall(r"```python\n(.*?)```", section, re.S)[0]
+        exec(compile(code, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        outcome, iterations, residual = printed[0].split()
+        assert [outcome, iterations, f"{float(residual):.2e}"] \
+            == re.search(r"#  -> (.*)", code).group(1).split() \
+            == ["converged", "41", "2.66e-11"]
+        verdict = r"print\(probe\.verdict\)\s+# '(\w+)'"
+        assert printed[1:] == re.findall(verdict, code) == ["exited"]
+
+
 class TestCliVerify:
     def test_converged_record_passes(self, circle_record, capsys):
         code = main(["verify", circle_record])
