@@ -10,22 +10,30 @@ are written with SciPy's NumPy expressions in SciPy's order, so a drive
 here reproduces a ``scipy.integrate.DOP853`` drive at the same tolerance
 bit for bit.  The tests hold the two together.
 
-A drive builds one :class:`StagePlan` for its state size
-(:func:`stage_buffer`) and hands it to :func:`initial_step`, every
-:func:`step` and :func:`dense_output`: the stage array with, per stage,
-its row, its fixed views and its tableau row, and the two rows a stage
-state is formed in, so no step slices the tableau or the stages again and
-no stage allocates.  The controller's scalars (step sizes, norms,
-factors) are Python floats; each operation on them is the IEEE operation
-SciPy's NumPy scalars perform.  The plan is scratch space: every state,
-derivative and interpolated sample these functions return is a new
-array, so a caller may keep it.
+The system is second order: the state is y = (q, q'), the positions
+followed by the velocities, and its derivative is (q', a(q)).  The
+right-hand side is an accelerator ``accelerate(pos, t, out)`` (the
+signature of :meth:`.dynamics.PairTable.accelerator`) that writes a(q)
+into ``out``, both of the position shape.  ``pos`` is the plan's stage
+position, which the next stage overwrites, so ``accelerate`` keeps no
+reference to it.
 
-The right-hand side ``fun(t, y, out)`` writes f(t, y) into ``out``, a
-stage row of the plan; ``y`` may be the plan's stage state, which the
-next stage overwrites, so ``fun`` keeps no reference to either.  The
-integration runs forwards only, with ``rtol = atol = tol``.
-:func:`.integrate._dop853_samples` is the one drive.
+A drive builds one :class:`StagePlan` for its position shape
+(:func:`stage_buffer`) and hands it to :func:`derivative`,
+:func:`initial_step`, every :func:`step` and :func:`dense_output`: the
+stage array with, per stage, the velocity half of its row, the
+position-shaped view of its acceleration half, the read-only view of the
+stages before it and its tableau row, and the arrays a stage's
+increment and position are formed in.  A stage's position goes into the
+plan's stage position, and its velocity, the position half of its
+derivative, straight into its row, so no step slices the tableau, the
+stages or the state again and no stage allocates.  The controller's scalars (step sizes, norms, factors)
+are Python floats; each operation on them is the IEEE operation SciPy's
+NumPy scalars perform.  The plan is scratch space: every state,
+derivative and interpolated sample these functions return is a new
+array, so a caller may keep it.  The integration runs forwards only,
+with ``rtol = atol = tol``.  :func:`.integrate._dop853_samples` is the
+one drive.
 """
 
 from __future__ import annotations
@@ -204,7 +212,7 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(np.dot(x, x)) / x.size ** 0.5
 
 
-def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
+def initial_step(accelerate, t0: float, y0: np.ndarray, f0: np.ndarray,
                  t_bound: float, tol: float, plan: StagePlan):
     """The first step size (Hairer, Norsett & Wanner, section II.4), from
     the derivative f0 at (t0, y0) and one more evaluation, written into a
@@ -218,9 +226,8 @@ def initial_step(fun, t0: float, y0: np.ndarray, f0: np.ndarray,
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = plan.K[1]
-    fun(t0 + h0, y0 + h0 * f0, f1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    _derive(accelerate, t0 + h0, y0 + h0 * f0, 1, plan)
+    d2 = _rms((plan.K[1] - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -232,58 +239,87 @@ class StagePlan:
     """The stage storage of one drive and its fixed views, built once.
 
     ``K`` is the (16, size) array of a step's stages and of its dense
-    output's three extra stages.  For each stage s it holds the row K[s],
-    the read-only view K[:s].T of the stages before it, the tableau row
-    _A[s, :s] and the node c_s as a float, so a step slices nothing;
-    ``error`` is the view K[:13].T the error estimate reads.  A stage state
-    is formed in the rows ``dy`` and ``state``.  Only these rows are
-    written, and no array a step or an interpolant returns is one of them.
+    output's three extra stages, for a state of ``size`` entries: the
+    positions, of shape ``shape``, then as many velocities.  For each
+    stage s it holds the velocity half K[s, :half] (the position half of
+    the stage's derivative), the ``shape`` view of the acceleration half
+    K[s, half:], the read-only view K[:s].T of the stages before it, the
+    tableau row _A[s, :s] and the node c_s as a float, so a step slices
+    nothing; ``error`` is the view K[:13].T the error estimate reads.  A
+    stage's increment is formed in ``dy`` and its position in ``state``,
+    whose ``shape`` view ``position`` the accelerator reads.  Only these
+    arrays are written, and no array a step or an interpolant returns is
+    one of them.
     """
 
-    def __init__(self, size: int):
-        self.size = size
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = shape
+        self.half = half = math.prod(shape)
+        self.size = size = 2 * half
         self.K = np.empty((N_STAGES_EXTENDED, size))
         self.dy = np.empty(size)
-        self.state = np.empty(size)
+        self.state = np.empty(half)
+        self.position = self.state.reshape(shape)
+        self.velocities = [row[:half] for row in self.K]
+        self.accelerations = [row[half:].reshape(shape) for row in self.K]
         rows = []
         for s in range(N_STAGES_EXTENDED):
             before = self.K[:s].T
             before.setflags(write=False)
-            rows.append((self.K[s], before, _A[s, :s], float(_C[s])))
+            rows.append((self.velocities[s], self.accelerations[s], before,
+                         _A[s, :s], float(_C[s])))
         self.step_rows = rows[1:N_STAGES]
-        self.solution = rows[N_STAGES][1]
+        self.solution = rows[N_STAGES][2]
         self.extra_rows = rows[N_STAGES + 1:]
         self.error = self.K[:N_STAGES + 1].T
         self.error.setflags(write=False)
 
 
-def stage_buffer(size: int) -> StagePlan:
-    """The stage plan of a drive whose state has ``size`` entries."""
-    return StagePlan(size)
+def stage_buffer(shape: tuple[int, ...]) -> StagePlan:
+    """The stage plan of a drive whose positions have shape ``shape``."""
+    return StagePlan(shape)
 
 
-def _evaluate(fun, t, y, h, rows, plan: StagePlan) -> None:
+def _derive(accelerate, t, y, s: int, plan: StagePlan) -> None:
+    """Write the derivative (q', a(q)) at (t, y) into the stage row s."""
+    half = plan.half
+    plan.velocities[s][...] = y[half:]
+    accelerate(y[:half].reshape(plan.shape), t, plan.accelerations[s])
+
+
+def derivative(accelerate, t, y: np.ndarray, plan: StagePlan) -> np.ndarray:
+    """The derivative (q', a(q)) at (t, y), as a new array."""
+    _derive(accelerate, t, y, 0, plan)
+    return plan.K[0].copy()
+
+
+def _evaluate(accelerate, t, y, h, rows, plan: StagePlan) -> None:
     """Write the derivative of each stage of ``rows`` into its row.
 
-    Each stage state y + K[:s].T @ a * h is formed in the plan's rows with
-    the ufuncs, operands and order of SciPy's y + np.dot(K[:s].T, a) * h.
+    Each stage state y + K[:s].T @ a * h is formed with the ufuncs,
+    operands and order of SciPy's y + np.dot(K[:s].T, a) * h, its
+    position half in the plan's stage position and its velocity half
+    straight into the stage row, where the derivative's position half
+    belongs; the accelerator writes the other half.
     """
-    dy, state = plan.dy, plan.state
-    for row, before, a, c in rows:
+    half, dy, state, position = plan.half, plan.dy, plan.state, plan.position
+    y_q, y_v, dy_q, dy_v = y[:half], y[half:], dy[:half], dy[half:]
+    for velocity, acceleration, before, a, c in rows:
         np.dot(before, a, dy)
         np.multiply(dy, h, dy)
-        np.add(y, dy, state)
-        fun(t + c * h, state, row)
+        np.add(y_q, dy_q, state)
+        np.add(y_v, dy_v, velocity)
+        accelerate(position, t + c * h, acceleration)
 
 
-def _stages(fun, t, y, f, h, plan: StagePlan):
+def _stages(accelerate, t, y, f, h, plan: StagePlan):
     """The 8th-order solution at t + h and its derivative, with the
     stages in K[:13] (the last one being that derivative)."""
     K = plan.K
     K[0] = f
-    _evaluate(fun, t, y, h, plan.step_rows, plan)
+    _evaluate(accelerate, t, y, h, plan.step_rows, plan)
     y_new = y + h * np.dot(plan.solution, _B)
-    fun(t + h, y_new, K[N_STAGES])
+    _derive(accelerate, t + h, y_new, N_STAGES, plan)
     # a copy: the next step overwrites the row, and a rejected one too
     return y_new, K[N_STAGES].copy()
 
@@ -304,8 +340,8 @@ def _error_norm(plan: StagePlan, h: float, scale: np.ndarray) -> float:
     return abs(h) * err5_norm_2 / math.sqrt(denom * plan.size)
 
 
-def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
-         tol: float, plan: StagePlan):
+def step(accelerate, t, y: np.ndarray, f: np.ndarray, h_abs,
+         t_bound: float, tol: float, plan: StagePlan):
     """One accepted step from (t, y), with f the derivative there, trying
     ``h_abs`` first and never passing ``t_bound``.
 
@@ -325,7 +361,7 @@ def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
             t_new = t_bound
         h = t_new - t
         h_abs = abs(h)
-        y_new, f_new = _stages(fun, t, y, f, h, plan)
+        y_new, f_new = _stages(accelerate, t, y, f, h, plan)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
         error_norm = _error_norm(plan, h, scale)
         if error_norm < 1:
@@ -340,7 +376,7 @@ def step(fun, t, y: np.ndarray, f: np.ndarray, h_abs, t_bound: float,
         rejected = True
 
 
-def dense_output(fun, t_old, t, y_old: np.ndarray, y: np.ndarray,
+def dense_output(accelerate, t_old, t, y_old: np.ndarray, y: np.ndarray,
                  f: np.ndarray, plan: StagePlan):
     """The 7th-order interpolant of the step from (t_old, y_old) to (t, y)
     that :func:`step` just took, with f the derivative at (t, y) and its
@@ -351,7 +387,7 @@ def dense_output(fun, t_old, t, y_old: np.ndarray, y: np.ndarray,
     """
     K = plan.K
     h = t - t_old
-    _evaluate(fun, t_old, y_old, h, plan.extra_rows, plan)
+    _evaluate(accelerate, t_old, y_old, h, plan.extra_rows, plan)
     F = np.empty((7, y_old.size))
     f_old = K[0]
     delta_y = y - y_old

@@ -9,8 +9,12 @@ force call only forms separations (one difference-matrix product for a
 configuration, a gather for a batch), takes their norms and powers, and
 applies the incidence matrix.  The integrators' right side,
 :meth:`PairTable.accelerator`, makes the same calls for one configuration
-into pair buffers it builds once, and writes F / m into the caller's
-array.  Positions may be
+into pair buffers it builds once, through the buffers' and the table's
+bound ``dot`` methods, and writes F / m into the caller's array; the
+DOP853 drive calls it once per stage on the views of its stage plan.
+Both paths take r^(alpha - 2) with ``np.power``, and the accelerator's
+division by the masses repeated along the coordinates is the broadcast
+one's element by element, so the two agree to the bit.  Positions may be
 a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
 reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
@@ -22,7 +26,6 @@ is one call, not a loop over samples.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +102,16 @@ class PairTable:
         # a C-order copy: BLAS sums products with a transposed view in
         # another order, which would change the forces' last bits
         self.incidence = np.ascontiguousarray(self.difference.T)
-        # force coefficients along the pair axis and masses along the body
-        # axis of (n, 3) and (n, T, 3) positions
+        # force coefficients along the pair axis of (n, 3) and (n, T, 3)
+        # positions; masses repeated along the coordinates of one
+        # configuration, which a division reads without broadcasting, and
+        # along the body axis of a batch
         self.coef_axes = {nd: self.force_coef.reshape((-1,) + (1,) * (nd - 2))
                           for nd in (2, 3)}
-        self.mass_axes = {nd: masses.reshape((n,) + (1,) * (nd - 1))
-                          for nd in (2, 3)}
+        self.mass_rows = np.repeat(masses[:, None], 3, axis=1)
+        self.mass_batch = masses.reshape(n, 1, 1)
         for a in (self.coupling, self.force_coef, self.incidence,
-                  *self.coef_axes.values(), *self.mass_axes.values()):
+                  self.mass_rows, self.mass_batch, *self.coef_axes.values()):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, context: str,
@@ -144,7 +149,8 @@ class PairTable:
 
     def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Per-body forces, shaped like the positions d and r came from."""
-        pair_f = (self.coef_axes[d.ndim] * r ** (self.alpha - 2.0))[..., None] * d
+        pair_f = (self.coef_axes[d.ndim]
+                  * np.power(r, self.alpha - 2.0))[..., None] * d
         if d.ndim == 2:
             return np.dot(self.incidence, pair_f)
         # the same BLAS product np.tensordot would form, without its
@@ -161,38 +167,38 @@ class PairTable:
         their squares, r^2, r (then r^(alpha - 2) and the pair coefficients
         in place), the pair forces and the body forces.  Each call fills
         them with ``out=`` by the NumPy calls :meth:`distances` and
-        :meth:`forces` make, so ``out`` holds the bits of
+        :meth:`forces` make, the products through the arrays' bound
+        ``dot`` methods, so ``out`` holds the bits of
         ``forces(...)[0] / masses[:, None]``.  The collision test is the
-        one :meth:`distances` makes (context 'integration', time ``t``) and
-        softening applies after it.  A call overwrites the buffers, so
-        ``accelerate`` serves one caller at a time.
+        one :meth:`distances` makes (context 'integration', time ``t``),
+        read at the closest pair, which a NaN distance is, so that a NaN
+        never raises; softening applies after it.  A call overwrites the
+        buffers, so ``accelerate`` serves one caller at a time.
         """
-        n_pairs, n = self.difference.shape
-        difference, incidence = self.difference, self.incidence
-        coef, mass = self.coef_axes[2], self.mass_axes[2]
+        n_pairs = self.difference.shape[0]
+        coef, mass = self.coef_axes[2], self.mass_rows
         exponent = self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
         d, d2, pair_f = (np.empty((n_pairs, 3)) for _ in range(3))
         r2, r = np.empty(n_pairs), np.empty(n_pairs)
-        r_col, F = r[:, None], np.empty((n, 3))
+        r_col, F = r[:, None], np.empty(mass.shape)
+        differences, squared_norms = self.difference.dot, d2.dot
+        body_sums, closest = self.incidence.dot, r.argmin
 
         def accelerate(x: np.ndarray, t, out: np.ndarray) -> None:
-            np.dot(difference, x, d)
+            differences(x, d)
             np.multiply(d, d, d2)
-            np.dot(d2, _ONES3, r2)
+            squared_norms(_ONES3, r2)
             np.sqrt(r2, r)
-            if n_pairs and np.minimum.reduce(r) < COLLISION_THRESHOLD:
+            if n_pairs and r[closest()] < COLLISION_THRESHOLD:
                 raise self._collision(r, t, "integration")
             if softening2 is not None:
                 np.add(r2, softening2, r)
                 np.sqrt(r, r)
-            # r ** (alpha - 2) in place, with the bits of the allocating
-            # r ** (alpha - 2.0): the in-place operator takes the scalar
-            # exponent paths of ndarray.__pow__, which np.power lacks
-            operator.ipow(r, exponent)
+            np.power(r, exponent, r)
             np.multiply(coef, r, r)
             np.multiply(r_col, d, pair_f)
-            np.dot(incidence, pair_f, F)
+            body_sums(pair_f, F)
             np.divide(F, mass, out)
 
         return accelerate
@@ -205,7 +211,7 @@ class PairTable:
             self.accelerator()(pos, t, out)
             return out
         d, r = self.distances(pos, t, "integration")
-        return self.forces(d, r) / self.mass_axes[3]
+        return self.forces(d, r) / self.mass_batch
 
 
 @functools.lru_cache(maxsize=64)

@@ -23,10 +23,11 @@ once (one difference-matrix product for the pair differences, one product
 for their squared norms, one square root, one power and one incidence
 product), with no batching reshapes, potential energy or per-call
 set-up.  The arithmetic is the one :func:`.dynamics.forces` performs, so
-the two agree to the bit.  A DOP853
-drive builds one accelerator next to its stage plan, and its right-hand
-side writes the state's derivative into a stage row of the plan: the
-velocity half copied, the acceleration half written by the accelerator.
+the two agree to the bit.  A DOP853 drive builds one accelerator next to
+its stage plan and hands it to :mod:`.dop853` as the right-hand side of
+the second-order system: each stage writes its velocities into its stage
+row and calls the accelerator on the plan's stage position, writing into
+the row's acceleration half, all through views the plan built once.
 ``rk4_step`` fetches the table from the cache and builds an accelerator
 on every call (a few microseconds against tens per step); a run therefore
 builds the table once, and each step stays one call that per-layer
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +169,12 @@ def integrate(state: PhaseState, masses, spec: PotentialSpec,
     return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
 
 
+def _step_budget(horizon: float) -> float:
+    """The most DOP853 steps a drive to ``horizon`` may take, before
+    rounding up: :data:`MAX_STEPS_PER_PERIOD` per period."""
+    return MAX_STEPS_PER_PERIOD * horizon / TWO_PI
+
+
 def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
                     horizon: float, times=()):
     """Step DOP853 from (pos, vel) at t = 0 to ``horizon``, yielding
@@ -181,28 +189,24 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
     """
     accelerate = pair_table(model.potential, model.masses).accelerator()
     shape, half = pos.shape, pos.size
-
-    def rhs(t, y, out):
-        out[:half] = y[half:]
-        accelerate(y[:half].reshape(shape), t, out[half:].reshape(shape))
-
     yield 0.0, pos, vel
     y = np.concatenate((pos.ravel(), vel.ravel()))
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state at t=0", t=0.0)
-    plan = dop853.stage_buffer(y.size)
+    plan = dop853.stage_buffer(shape)
     t = 0.0
-    f = np.empty_like(y)
-    rhs(t, y, f)
+    f = dop853.derivative(accelerate, t, y, plan)
     if not np.all(np.isfinite(f)):
         # a non-finite start gives a NaN first step and a loop that never ends
         raise IntegrationError("non-finite acceleration at t=0", t=0.0)
-    h_abs = dop853.initial_step(rhs, t, y, f, horizon, RETURN_TOL, plan)
-    budget = math.ceil(MAX_STEPS_PER_PERIOD * horizon / TWO_PI)
+    h_abs = dop853.initial_step(accelerate, t, y, f, horizon, RETURN_TOL,
+                                plan)
+    budget = math.ceil(_step_budget(horizon))
     pending = itertools.chain(times, (horizon,))
     due = next(pending)
     for _ in range(budget):
-        taken = dop853.step(rhs, t, y, f, h_abs, horizon, RETURN_TOL, plan)
+        taken = dop853.step(accelerate, t, y, f, h_abs, horizon, RETURN_TOL,
+                            plan)
         if taken is None:
             raise IntegrationError(f"integration failed at t={t:.6f} (required"
                                    f" step size is less than spacing between"
@@ -218,8 +222,8 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
                 sample = y
             else:
                 if dense is None:
-                    dense = dop853.dense_output(rhs, t_old, t, y_old, y, f,
-                                                plan)
+                    dense = dop853.dense_output(accelerate, t_old, t, y_old,
+                                                y, f, plan)
                 sample = dense(due)
             yield (due, sample[:half].reshape(shape),
                    sample[half:].reshape(shape))
@@ -350,9 +354,19 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     the drive reaches it, and the end of the horizon.  It stops at the
     first later sample outside the envelope, or at any sample, the start
     included, too far out for the metric to measure (an infinite
-    ``max_deviation``).
+    ``max_deviation``).  A horizon, sample count or step budget that
+    overflows a float is a ValueError, as a non-positive ``n_periods`` is.
     """
     _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
+    horizon = n_periods * TWO_PI
+    # an integer beyond the largest float overflows the count as well
+    n_samples = (n_periods * int(samples_per_period)
+                 if samples_per_period <= sys.float_info.max else math.inf)
+    for name, x in (("horizon", horizon), ("sample count", n_samples),
+                    ("step budget", _step_budget(horizon))):
+        if not x < math.inf:
+            raise ValueError(f"the {name} overflows (n_periods={n_periods!r},"
+                             f" samples_per_period={samples_per_period!r})")
     dev = np.array(deviation, dtype=float)
     if dev.shape != (model.n_bodies, 3):
         raise ValueError(f"deviation must have shape ({model.n_bodies}, 3), "
@@ -364,14 +378,13 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         envelope = 100.0 * applied
     if not 0.0 < envelope < math.inf:
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
-    horizon = n_periods * TWO_PI
     interval = TWO_PI / samples_per_period
     # k * interval grows with k, so the first time past the horizon ends
     # the samples; they are made one at a time, as the drive reaches them
     times = itertools.takewhile(
         lambda time: time < horizon,
         (k * interval
-         for k in range(1, math.ceil(n_periods * samples_per_period))))
+         for k in range(1, math.ceil(n_samples))))
 
     metric = _CurveMetric(model, params)
     base = extract_ics(model, params)

@@ -203,21 +203,25 @@ def test_batched_accelerations_divide_along_the_body_axis():
 @pytest.mark.parametrize("softening", [0.0, 0.3])
 @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 4, 20])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
                                                            softening):
     # the integrators' in-place right side fills its pair buffers with the
     # calls forces() makes, so it writes the same bytes into out, planar
-    # configurations (exact zeros in z) included, and nothing else
+    # configurations (exact zeros in z) and a NaN or an infinite coordinate
+    # (no collision on either path) included, and nothing else
     spec = PotentialSpec(alpha=alpha, softening=softening)
     rng = np.random.default_rng([n, int(4 * alpha) + 8, int(10 * softening)])
     masses = rng.uniform(0.5, 3.0, n)
     accelerate = pair_table(spec, masses).accelerator()
     around = np.full((n + 2, 5), 7.0)
     out = around[1:-1, 1:4]             # a strided view inside sentinels
-    for k in range(20):
+    for k in range(22):
         x = rng.normal(scale=2.0, size=(n, 3))
         if k % 2:
             x[:, 2] = 0.0
+        if k >= 20:
+            x[n // 2, 0] = (math.nan, math.inf)[k - 20]
         before = x.copy()
         accelerate(x, 0.5, out)
         expected = forces(spec, masses, x)[0] / masses[:, None]

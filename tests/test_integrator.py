@@ -310,11 +310,11 @@ class TestDOP853Driver:
         # below ten spacings of floats; the driver reports where it stood
         dop = importlib.import_module("actionorbits.dop853")
 
-        def nan(t, y, out):
+        def nan(pos, t, out):
             out.fill(math.nan)
 
         assert dop.step(nan, 1.0, np.ones(4), np.ones(4), 0.1, 2.0, 1e-13,
-                        dop.stage_buffer(4)) is None
+                        dop.stage_buffer((2,))) is None
         real = dop.step
         monkeypatch.setattr(dop, "step", lambda fun, t, *args: None
                             if t > 1.0 else real(fun, t, *args))
@@ -331,28 +331,37 @@ class TestDOP853Driver:
         plans = []
         build = dop.stage_buffer
         monkeypatch.setattr(dop, "stage_buffer",
-                            lambda size: plans.append(build(size))
+                            lambda shape: plans.append(build(shape))
                             or plans[-1])
 
-        def shares_plan(a, plan):
-            return any(np.shares_memory(a, b)
-                       for b in (plan.K, plan.dy, plan.state))
+        def owned(value):
+            # every array the plan holds, in lists and tuples too
+            if isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from owned(item)
 
-        def rhs(t, y, out):     # y'' = -y on a 2-entry position
-            out[:2] = y[2:]
-            np.negative(y[:2], out[2:])
+        def shares_plan(a, plan):
+            arrays = list(owned(list(vars(plan).values())))
+            assert len(arrays) > 16 * 4    # the rows and their views
+            return any(np.shares_memory(a, b) for b in arrays)
+
+        def spring(pos, t, out):    # y'' = -y on a 2-entry position
+            np.negative(pos, out)
 
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        f = np.empty(4)
-        rhs(0.0, y, f)
-        plan = dop.stage_buffer(4)
-        h_abs = dop.initial_step(rhs, 0.0, y, f, 2.0, 1e-13, plan)
-        t1, y1, f1, h_abs = dop.step(rhs, 0.0, y, f, h_abs, 2.0, 1e-13, plan)
+        plan = dop.stage_buffer((2,))
+        f = dop.derivative(spring, 0.0, y, plan)
+        assert f.tolist() == [0.0, 1.0, -1.0, -0.0]
+        h_abs = dop.initial_step(spring, 0.0, y, f, 2.0, 1e-13, plan)
+        t1, y1, f1, h_abs = dop.step(spring, 0.0, y, f, h_abs, 2.0, 1e-13,
+                                     plan)
         kept = f1.copy()
-        dense = dop.dense_output(rhs, 0.0, t1, y, y1, f1, plan)
+        dense = dop.dense_output(spring, 0.0, t1, y, y1, f1, plan)
         sample = dense(0.5 * t1)
-        t2, y2, f2, _ = dop.step(rhs, t1, y1, f1, h_abs, 2.0, 1e-13, plan)
-        for a in (y1, f1, sample, y2, f2):
+        t2, y2, f2, _ = dop.step(spring, t1, y1, f1, h_abs, 2.0, 1e-13, plan)
+        for a in (f, y1, f1, sample, y2, f2):
             assert not shares_plan(a, plan)
         assert f1.tobytes() == kept.tobytes()    # the next step left it
         model, result = crisscross
@@ -563,8 +572,10 @@ class TestPerturbAndTrack:
                            match=r"deviation must have shape \(3, 3\)"):
             perturb_and_track(model, params, deviation, 1.0)
 
-    @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan,
+                                           1e307, 1e305])
     def test_empty_horizon_rejected(self, circle, n_periods):
+        # 1e307 periods overflow the sample count, 1e305 the step budget
         model, result = circle
         dev = np.zeros((2, 3))
         dev[0, 0] = 0.5
@@ -584,7 +595,7 @@ class TestPerturbAndTrack:
 
     @pytest.mark.parametrize("options", [
         {"samples_per_period": 0}, {"samples_per_period": -5},
-        {"samples_per_period": 2.5}])
+        {"samples_per_period": 2.5}, {"samples_per_period": 10**400}])
     def test_bad_step_rejected(self, circle, options):
         model, result = circle
         dev = np.zeros((2, 3))

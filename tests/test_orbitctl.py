@@ -639,6 +639,16 @@ class TestCliPerturb:
         assert code == 1
         assert "verdict" not in capsys.readouterr().out
 
+    def test_unmeasurable_start_exits_at_once_over_1e300_periods(
+            self, circle_record, capsys):
+        # the sample count and the step budget of 1e300 periods are finite,
+        # so the run starts, and a start too far out to measure ends it
+        code = main(["perturb", circle_record, "--dx", "1e160",
+                     "--periods", "1e300"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "verdict=exited" in out
+        assert "exit_time=0.0000 " in out
 
     @pytest.mark.parametrize("argv", [
         ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
@@ -650,7 +660,9 @@ class TestCliPerturb:
         ["export-traj", "--dt", "1e-320", "--periods", "1"],
         ["perturb", "--dx", "1e-3", "--envelope", "nan"],
         ["perturb", "--dx", "1e-3", "--envelope", "-1"],
-        ["perturb", "--dx", "nan"]])
+        ["perturb", "--dx", "nan"],
+        ["perturb", "--dx", "1e160", "--periods", "1e307"],
+        ["perturb", "--dx", "1e-3", "--periods", "1e305"]])
     def test_bad_step_option_is_usage_error(self, circle_record, capsys,
                                             argv):
         command, *options = argv
