@@ -32,13 +32,23 @@ the row's acceleration half, all through views the plan built once.
 on every call (a few microseconds against tens per step); a run therefore
 builds the table once, and each step stays one call that per-layer
 tracing can see.
+
+``perturb_and_track`` measures every perturbed track of an orbit against
+one tracking reference, built once per orbit and shared by every later
+track of it: the reference band (:class:`_CurveMetric`, the orbit sampled
+at :data:`CURVE_SAMPLES` phases) and the unperturbed start state
+(:func:`extract_ics`).  Both follow from the model and the parameter
+values alone, so a small bounded cache keyed by value keeps the last few
+orbits' references, every array read-only, as :func:`.dynamics.pair_table`
+keeps pair tables.  The deviation, the drive, its accelerator and its
+stage plan stay per track.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +58,7 @@ from .dynamics import observables, pair_table
 from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces integrate.forces)
 from .errors import CollisionError, IntegrationError
 from .potential import PotentialSpec
-from .symmetry import OrbitModel, ReducedParams, sample_positions
+from .symmetry import OrbitModel, ParamLayout, ReducedParams, sample_positions
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_DT = TWO_PI * 1e-4
@@ -59,6 +69,12 @@ RETURN_TOL = 1e-13
 MAX_STEPS_PER_PERIOD = 4000
 # reference-curve phases the perturbation tracker measures deviation against
 CURVE_SAMPLES = 2048
+# orbits whose tracking reference stays cached: the stress benchmark's two
+# orbits with room to spare
+REFERENCE_CACHE_SIZE = 4
+# the finest tracking grid: 25 samples per step at the step budget's
+# finest steps (see perturb_and_track)
+MAX_SAMPLES_PER_PERIOD = 25 * MAX_STEPS_PER_PERIOD
 
 
 @dataclass(frozen=True)
@@ -305,6 +321,8 @@ class _CurveMetric:
         else:
             rows = curve
         self.rows = 2.0 * rows.reshape(rows.shape[0], -1)
+        self.curve_sq.setflags(write=False)
+        self.rows.setflags(write=False)
 
     def _per_phase(self, pos: np.ndarray) -> np.ndarray:
         """n times the squared rms distance from pos to each curve sample
@@ -336,6 +354,29 @@ class _CurveMetric:
         return float(f1)
 
 
+@functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
+def _cached_reference(model: OrbitModel, slots: tuple, couplings: tuple,
+                      k_max: int, gen_channels: tuple,
+                      kinetic_mass: bytes, values: bytes
+                      ) -> tuple[_CurveMetric, PhaseState]:
+    layout = ParamLayout(slots, couplings, k_max, gen_channels,
+                         np.frombuffer(kinetic_mass))
+    params = ReducedParams(layout, np.frombuffer(values))
+    return _CurveMetric(model, params), extract_ics(model, params)
+
+
+def _tracking_reference(model: OrbitModel, params: ReducedParams
+                        ) -> tuple[_CurveMetric, PhaseState]:
+    """The (cached, read-only) tracking reference of an orbit: its band
+    and its unperturbed start state, keyed by the model, the layout and
+    the parameter values' bytes."""
+    layout = params.layout
+    return _cached_reference(model, layout.slots, layout.couplings,
+                             layout.k_max, layout.gen_channels,
+                             layout.kinetic_mass.tobytes(),
+                             params.values.tobytes())
+
+
 def perturb_and_track(model: OrbitModel, params: ReducedParams,
                       deviation, n_periods: float,
                       envelope: float | None = None,
@@ -355,13 +396,26 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     first later sample outside the envelope, or at any sample, the start
     included, too far out for the metric to measure (an infinite
     ``max_deviation``).  A horizon, sample count or step budget that
-    overflows a float is a ValueError, as a non-positive ``n_periods`` is.
+    overflows a float is a ValueError, as a non-positive ``n_periods`` is,
+    and so is a ``samples_per_period`` above
+    :data:`MAX_SAMPLES_PER_PERIOD`: each sample is a dense interpolation
+    kept in the report, a finer grid than 25 samples per step of the
+    finest stepping the step budget allows shows nothing the interpolant
+    does not, and a vast one would interpolate and keep samples inside one
+    step without end.  The total sample count is not capped: the samples
+    of a long horizon are made one at a time.
+
+    The band and the unperturbed start come from the orbit's tracking
+    reference, built on the first track of an orbit and shared by later
+    tracks of the same model and parameter values (see the module
+    docstring); nothing of a track's own is kept.
     """
     _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
+    if samples_per_period > MAX_SAMPLES_PER_PERIOD:
+        raise ValueError(f"samples_per_period must be at most "
+                         f"{MAX_SAMPLES_PER_PERIOD}, got {samples_per_period!r}")
     horizon = n_periods * TWO_PI
-    # an integer beyond the largest float overflows the count as well
-    n_samples = (n_periods * int(samples_per_period)
-                 if samples_per_period <= sys.float_info.max else math.inf)
+    n_samples = n_periods * int(samples_per_period)
     for name, x in (("horizon", horizon), ("sample count", n_samples),
                     ("step budget", _step_budget(horizon))):
         if not x < math.inf:
@@ -386,8 +440,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         (k * interval
          for k in range(1, math.ceil(n_samples))))
 
-    metric = _CurveMetric(model, params)
-    base = extract_ics(model, params)
+    metric, base = _tracking_reference(model, params)
     samples = _dop853_samples(model, base.positions + dev, base.velocities,
                               horizon, times)
     sample_times, sections, deviations = [], [], []

@@ -1,7 +1,8 @@
 """Every demo script runs to a clean finish.
 
 Demo 04 is left out: its 40-period stability experiments take about
-10 s (16 s when they tracked with fixed-step RK4), and acceptance
+4 s on a 2-core Xeon VM (3.8-4.7 s over three runs, interpreter start
+included; 16 s when they tracked with fixed-step RK4), and acceptance
 criterion 7 already runs them.
 """
 

@@ -595,7 +595,9 @@ class TestPerturbAndTrack:
 
     @pytest.mark.parametrize("options", [
         {"samples_per_period": 0}, {"samples_per_period": -5},
-        {"samples_per_period": 2.5}, {"samples_per_period": 10**400}])
+        {"samples_per_period": 2.5}, {"samples_per_period": 10**400},
+        {"samples_per_period": 10**300},
+        {"samples_per_period": integrate_module.MAX_SAMPLES_PER_PERIOD + 1}])
     def test_bad_step_rejected(self, circle, options):
         model, result = circle
         dev = np.zeros((2, 3))
@@ -705,6 +707,19 @@ class TestPerturbAndTrack:
         assert peak(20000.0) <= short + 1e6
         assert peak(1e300) <= short + 1e6
 
+    def test_finest_sample_grid_is_accepted(self):
+        # the cap itself is a valid grid: an unmeasurable start ends the
+        # run at t = 0 before any sample inside a step is made
+        model, params = build_choreography(2, k_max=9)
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e160
+        rep = perturb_and_track(
+            model, params, dev, 1.0,
+            samples_per_period=integrate_module.MAX_SAMPLES_PER_PERIOD)
+        assert rep.verdict == EXITED
+        assert rep.exit_time == 0.0
+        assert rep.sample_times.tolist() == [0.0]
+
     @pytest.mark.parametrize("fixture", ["crisscross", "cubic1"])
     def test_one_product_metric_matches_direct_differences(self, fixture,
                                                            request):
@@ -738,6 +753,90 @@ class TestPerturbAndTrack:
             direct = np.sqrt(np.einsum("mic,mic->m", diff, diff) / metric.n)
             fast = np.sqrt(np.maximum(metric._per_phase(pos), 0.0) / metric.n)
             assert np.abs(fast - direct).max() <= 1e-12 * radius
+
+
+def _report_bytes(rep):
+    return (rep.verdict, repr(rep.max_deviation), repr(rep.exit_time),
+            repr(rep.z_extent), rep.sample_times.tobytes(),
+            rep.section_points.tobytes())
+
+
+class TestTrackingReference:
+    """Every track of an orbit reads one cached reference: the band of
+    :class:`_CurveMetric` and the unperturbed start state."""
+
+    @staticmethod
+    def _sampler_calls(monkeypatch):
+        # counted through the module binding, as the tracer counts them
+        real, calls = integrate_module.sample_positions, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_module, "sample_positions", counting)
+        return calls
+
+    def test_second_track_samples_nothing(self, circle, monkeypatch):
+        model, result = circle
+        integrate_module._cached_reference.cache_clear()
+        calls = self._sampler_calls(monkeypatch)
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e-6
+        perturb_and_track(model, result.params, dev, 0.1)
+        assert len(calls) == 2          # the band and the start state
+        dev[1, 1] = 2e-6
+        perturb_and_track(model, result.params, dev, 0.1)
+        assert len(calls) == 2
+
+    def test_one_changed_value_builds_a_new_reference(self, circle,
+                                                      monkeypatch):
+        model, result = circle
+        integrate_module._cached_reference.cache_clear()
+        calls = self._sampler_calls(monkeypatch)
+        values = result.params.values.copy()
+        values[0] = np.nextafter(values[0], math.inf)
+        moved = result.params.with_values(values)
+        first = integrate_module._tracking_reference(model, result.params)
+        second = integrate_module._tracking_reference(model, moved)
+        assert len(calls) == 4
+        assert second is not first
+        assert integrate_module._tracking_reference(
+            model, result.params.with_values(result.params.values)) is first
+        assert len(calls) == 4
+
+    def test_cache_holds_at_most_its_bound(self, circle):
+        model, result = circle
+        integrate_module._cached_reference.cache_clear()
+        bound = integrate_module.REFERENCE_CACHE_SIZE
+        for i in range(bound + 3):
+            params = result.params.with_values(
+                result.params.values * (1.0 + 1e-9 * i))
+            integrate_module._tracking_reference(model, params)
+            info = integrate_module._cached_reference.cache_info()
+            assert info.currsize == min(i + 1, bound)
+
+    def test_cached_arrays_are_read_only(self, crisscross):
+        model, result = crisscross
+        metric, base = integrate_module._tracking_reference(model,
+                                                            result.params)
+        for a in (metric.rows, metric.curve_sq, base.positions,
+                  base.velocities):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+    @pytest.mark.parametrize("fixture", ["crisscross", "cubic1"])
+    def test_warm_report_equals_cold_report(self, fixture, request):
+        # planar (criss-cross) and non-planar (cubic m=1) bands alike
+        model, result = request.getfixturevalue(fixture)
+        dev = np.zeros((model.n_bodies, 3))
+        dev[0] = (1e-3, 0.0, 1e-3)
+        integrate_module._cached_reference.cache_clear()
+        cold = perturb_and_track(model, result.params, dev, 1.0)
+        warm = perturb_and_track(model, result.params, dev, 1.0)
+        assert integrate_module._cached_reference.cache_info().hits == 1
+        assert _report_bytes(warm) == _report_bytes(cold)
 
 
 class TestWriteTrajectory:

@@ -652,6 +652,8 @@ class TestCliPerturb:
 
     @pytest.mark.parametrize("argv", [
         ["perturb", "--dx", "1e-4", "--periods", "1", "--samples", "0"],
+        ["perturb", "--dx", "1e-3", "--periods", "1", "--samples",
+         str(10**300)],
         ["perturb", "--dx", "1e-4", "--periods", "inf"],
         ["export-traj", "--stride", "0"],
         ["export-traj", "--dt", "0"],
