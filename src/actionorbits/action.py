@@ -4,9 +4,12 @@ With the period fixed at 2*pi, the action of a candidate trajectory is
 
     S = int_0^{2pi} (K - V) dt,   K = sum_i (1/2) m_i |x_i'(t)|^2,
 
-evaluated by uniform periodic quadrature.  Because every body coordinate
-is linear in the reduced coefficients, the kinetic contribution to the
-gradient is diagonal and exact:
+evaluated by uniform periodic quadrature on the one grid the truncation
+fixes, ``QuadratureGrid.for_kmax(model.k_max)`` (4 k_max + 4 nodes).  No
+entry point here takes another grid, so the descent, its final residual
+and ``verify_record``'s recomputation of it read the same nodes.
+Because every body coordinate is linear in the reduced coefficients, the
+kinetic contribution to the gradient is diagonal and exact:
 
     dS/dc = pi * k^2 * m_eff(c) * c  -  int (dV/dx) . (dx/dc) dt,
 
@@ -30,12 +33,6 @@ from .symmetry import (OrbitModel, ReducedParams, channel_multiplicity,
                        sample_positions, sample_tables)
 
 
-def _require_grid(model: OrbitModel, grid: QuadratureGrid | None) -> QuadratureGrid:
-    grid = grid or QuadratureGrid.for_kmax(model.k_max)
-    grid.require(model.k_max)
-    return grid
-
-
 class EvalKernel:
     """Cached linear maps from reduced values to sampled kinematics.
 
@@ -46,11 +43,10 @@ class EvalKernel:
     by the descent loop and :func:`action_with_gradient`.
     """
 
-    def __init__(self, model: OrbitModel, params: ReducedParams,
-                 grid: QuadratureGrid | None = None):
+    def __init__(self, model: OrbitModel, params: ReducedParams):
         self.model = model
         self.layout = params.layout
-        self.grid = _require_grid(model, grid)
+        self.grid = QuadratureGrid.for_kmax(model.k_max)
         units = self.layout.expand(np.eye(self.layout.n_slots))
         sampled = sample_tables(model, units, self.grid.nodes, (0, 1, 2))
         # slot axis first; each sampled array is dropped once copied
@@ -88,10 +84,9 @@ class ActionReport:
         return float(np.max(np.abs(self.gradient)))
 
 
-def action(model: OrbitModel, params: ReducedParams,
-           grid: QuadratureGrid | None = None) -> ActionReport:
+def action(model: OrbitModel, params: ReducedParams) -> ActionReport:
     """Evaluate S = int (K - V) dt on the grid."""
-    grid = _require_grid(model, grid)
+    grid = QuadratureGrid.for_kmax(model.k_max)
     pos, vel = sample_positions(model, params, grid.nodes, deriv=(0, 1))
     v_samples = potential_energy(model.potential, model.masses, pos,
                                  times=grid.nodes, context="action")
@@ -108,11 +103,10 @@ def _report(model, grid, vel, v_samples) -> ActionReport:
 
 
 def action_with_gradient(model: OrbitModel, params: ReducedParams,
-                         grid: QuadratureGrid | None = None,
                          kernel: EvalKernel | None = None) -> ActionReport:
     """Action plus its reduced gradient in one force evaluation."""
     if kernel is None:
-        kernel = EvalKernel(model, params, grid)
+        kernel = EvalKernel(model, params)
     v = params.values
     return _with_gradient(kernel, v, kernel.positions(v), "gradient")
 
@@ -132,15 +126,12 @@ def _with_gradient(kernel: EvalKernel, v: np.ndarray, pos: np.ndarray,
     return replace(report, gradient=grad)
 
 
-def gradient(model: OrbitModel, params: ReducedParams,
-             grid: QuadratureGrid | None = None,
-             kernel: EvalKernel | None = None) -> np.ndarray:
+def gradient(model: OrbitModel, params: ReducedParams) -> np.ndarray:
     """Reduced gradient dS/dc (infinity-norm-ready 1-D array)."""
-    return action_with_gradient(model, params, grid, kernel).gradient
+    return action_with_gradient(model, params).gradient
 
 
 def fd_gradient_oracle(model: OrbitModel, params: ReducedParams,
-                       grid: QuadratureGrid | None = None,
                        h: float = 1e-6) -> np.ndarray:
     """Central finite differences of the quadrature action, slot by slot.
 
@@ -148,20 +139,18 @@ def fd_gradient_oracle(model: OrbitModel, params: ReducedParams,
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"finite-difference step must be positive, got {h}")
-    grid = _require_grid(model, grid)
     base = np.asarray(params.values, dtype=float)
     out = np.empty_like(base)
     for s in range(base.size):
         bump = np.zeros_like(base)
         bump[s] = h
-        s_plus = action(model, params.with_values(base + bump), grid).S
-        s_minus = action(model, params.with_values(base - bump), grid).S
+        s_plus = action(model, params.with_values(base + bump)).S
+        s_minus = action(model, params.with_values(base - bump)).S
         out[s] = (s_plus - s_minus) / (2.0 * h)
     return out
 
 
-def full_gradient(model: OrbitModel, params: ReducedParams,
-                  grid: QuadratureGrid | None = None) -> list[np.ndarray]:
+def full_gradient(model: OrbitModel, params: ReducedParams) -> list[np.ndarray]:
     """Gradient over the complete coefficient lattice, one table per generator.
 
     Covers every (channel, basis, harmonic) up to the model's k_max --
@@ -169,7 +158,7 @@ def full_gradient(model: OrbitModel, params: ReducedParams,
     that descent directions never leak out of the symmetric subspace.
     Returns tables shaped (n_channels, 2, k_max+1) with axis 1 = (sin, cos).
     """
-    grid = _require_grid(model, grid)
+    grid = QuadratureGrid.for_kmax(model.k_max)
     t = grid.nodes
     k_max = model.k_max
     ks = np.arange(k_max + 1, dtype=float)

@@ -38,7 +38,6 @@ from .action import EvalKernel, _with_gradient
 from .dynamics import forces, residual
 from .errors import CollisionError, LayoutError
 from .potential import PotentialSpec
-from .quadrature import QuadratureGrid
 from .symmetry import OrbitModel, ParamLayout, ReducedParams
 
 UNIFORM = "uniform"
@@ -180,7 +179,6 @@ class RunResult:
 def run(model: OrbitModel, params: ReducedParams,
         schedule: DescentSchedule | None = None,
         stop: StopRule | None = None,
-        grid: QuadratureGrid | None = None,
         callback: Callable[[int, ReducedParams, float, float], None] | None = None,
         ) -> RunResult:
     """Iterate gradient descent until convergence or a terminal event.
@@ -192,8 +190,7 @@ def run(model: OrbitModel, params: ReducedParams,
     """
     schedule = schedule or DescentSchedule.preconditioned()
     stop = stop or StopRule()
-    kernel = EvalKernel(model, params, grid)
-    grid = kernel.grid
+    kernel = EvalKernel(model, params)
     dtau = schedule.step_sizes(params.layout)
 
     v = np.array(params.values, dtype=float)
@@ -233,7 +230,7 @@ def run(model: OrbitModel, params: ReducedParams,
     final = params.with_values(v)
     final_residual = None
     try:
-        final_residual = residual(model, final, grid).max_violation
+        final_residual = residual(model, final).max_violation
     except CollisionError:
         pass
     return RunResult(

@@ -18,8 +18,8 @@ into ``out``, both of the position shape.  ``pos`` is the plan's stage
 position, which the next stage overwrites, so ``accelerate`` keeps no
 reference to it.
 
-A drive builds one :class:`StagePlan` for its position shape
-(:func:`stage_buffer`) and hands it to :func:`derivative`,
+A drive builds one :class:`StagePlan` for its position shape,
+``StagePlan(shape)``, and hands it to :func:`derivative`,
 :func:`initial_step`, every :func:`step` and :func:`dense_output`: the
 stage array with, per stage, the velocity half of its row, the
 position-shaped view of its acceleration half, the read-only view of the
@@ -27,13 +27,13 @@ stages before it and its tableau row, and the arrays a stage's
 increment and position are formed in.  A stage's position goes into the
 plan's stage position, and its velocity, the position half of its
 derivative, straight into its row, so no step slices the tableau, the
-stages or the state again and no stage allocates.  The controller's scalars (step sizes, norms, factors)
-are Python floats; each operation on them is the IEEE operation SciPy's
-NumPy scalars perform.  The plan is scratch space: every state,
-derivative and interpolated sample these functions return is a new
-array, so a caller may keep it.  The integration runs forwards only,
-with ``rtol = atol = tol``.  :func:`.integrate._dop853_samples` is the
-one drive.
+stages or the state again and no stage allocates.  The controller's
+scalars (step sizes, norms, factors) are Python floats; each operation on
+them is the IEEE operation SciPy's NumPy scalars perform.  The plan is
+scratch space: every state, derivative and interpolated sample these
+functions return is a new array, so a caller may keep it.  The
+integration runs forwards only, with ``rtol = atol = tol``.
+:func:`.integrate._dop853_samples` is the one drive.
 """
 
 from __future__ import annotations
@@ -273,11 +273,6 @@ class StagePlan:
         self.extra_rows = rows[N_STAGES + 1:]
         self.error = self.K[:N_STAGES + 1].T
         self.error.setflags(write=False)
-
-
-def stage_buffer(shape: tuple[int, ...]) -> StagePlan:
-    """The stage plan of a drive whose positions have shape ``shape``."""
-    return StagePlan(shape)
 
 
 def _derive(accelerate, t, y, s: int, plan: StagePlan) -> None:

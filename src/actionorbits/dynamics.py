@@ -20,7 +20,11 @@ reach the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
 deterministic reduction order.  :func:`observables` takes the same two
 shapes: for a batch every field gains a leading T axis, so a time series
-is one call, not a loop over samples.
+is one call, not a loop over samples.  :func:`residual` samples on the
+grid the action is evaluated on, ``QuadratureGrid.for_kmax(k_max)``,
+unless it is given another: a run's final residual, the one a record
+stores and the one ``verify_record`` recomputes are then the same number,
+and another grid serves only a recheck independent of the descent's.
 """
 
 from __future__ import annotations
@@ -91,10 +95,9 @@ class PairTable:
     """
 
     def __init__(self, spec: PotentialSpec, masses: np.ndarray):
-        n = masses.size
         self.alpha = spec.alpha
         self.softening = spec.softening
-        self.i_idx, self.j_idx, self.difference = _pair_index(n)
+        self.i_idx, self.j_idx, self.difference = _pair_index(masses.size)
         self.coupling = np.array([spec.pair_coupling(masses[i], masses[j])
                                   for i, j in zip(self.i_idx, self.j_idx)])
         # F_i = -dV/dx_i = -c * alpha * r**(alpha-2) * (x_i - x_j) per pair
@@ -104,14 +107,12 @@ class PairTable:
         self.incidence = np.ascontiguousarray(self.difference.T)
         # force coefficients along the pair axis of (n, 3) and (n, T, 3)
         # positions; masses repeated along the coordinates of one
-        # configuration, which a division reads without broadcasting, and
-        # along the body axis of a batch
+        # configuration, which a division reads without broadcasting
         self.coef_axes = {nd: self.force_coef.reshape((-1,) + (1,) * (nd - 2))
                           for nd in (2, 3)}
         self.mass_rows = np.repeat(masses[:, None], 3, axis=1)
-        self.mass_batch = masses.reshape(n, 1, 1)
         for a in (self.coupling, self.force_coef, self.incidence,
-                  self.mass_rows, self.mass_batch, *self.coef_axes.values()):
+                  self.mass_rows, *self.coef_axes.values()):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, context: str,
@@ -202,16 +203,6 @@ class PairTable:
             np.divide(F, mass, out)
 
         return accelerate
-
-    def accelerations(self, pos: np.ndarray, t) -> np.ndarray:
-        """F / m, divided along the body axis, for positions (n, 3) or
-        (n, T, 3); one configuration goes through :meth:`accelerator`."""
-        if pos.ndim == 2:
-            out = np.empty(pos.shape)
-            self.accelerator()(pos, t, out)
-            return out
-        d, r = self.distances(pos, t, "integration")
-        return self.forces(d, r) / self.mass_batch
 
 
 @functools.lru_cache(maxsize=64)

@@ -139,11 +139,13 @@ class Trajectory:
 
 
 def _check_steps(stride: str, count: int, **spans: float) -> None:
-    """ValueError unless every span is positive and finite and count >= 1."""
+    """ValueError unless every span is positive and finite and count is
+    an integer >= 1, a bool excluded."""
     for name, x in spans.items():
         if not 0.0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
-    if not (isinstance(count, (int, np.integer)) and count > 0):
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or count < 1):
         raise ValueError(f"{stride} must be a positive integer, got {count!r}")
 
 
@@ -209,7 +211,7 @@ def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
     y = np.concatenate((pos.ravel(), vel.ravel()))
     if not np.all(np.isfinite(y)):
         raise IntegrationError("non-finite state at t=0", t=0.0)
-    plan = dop853.stage_buffer(shape)
+    plan = dop853.StagePlan(shape)
     t = 0.0
     f = dop853.derivative(accelerate, t, y, plan)
     if not np.all(np.isfinite(f)):

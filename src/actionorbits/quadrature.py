@@ -54,11 +54,11 @@ class QuadratureGrid:
                 f"need at least {4 * int(k_max) + 2}"
             )
 
-    def integrate(self, samples: np.ndarray, axis: int = -1) -> np.ndarray:
-        """Integrate sampled values over the period along ``axis``."""
+    def integrate(self, samples: np.ndarray) -> np.ndarray:
+        """Integrate sampled values over the period along the last axis."""
         samples = np.asarray(samples, dtype=float)
-        if samples.shape[axis] != self.n:
+        if samples.shape[-1] != self.n:
             raise ValueError(
-                f"samples have {samples.shape[axis]} nodes, grid has {self.n}"
+                f"samples have {samples.shape[-1]} nodes, grid has {self.n}"
             )
-        return samples.sum(axis=axis) * self.weight
+        return samples.sum(axis=-1) * self.weight

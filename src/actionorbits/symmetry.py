@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -139,8 +140,8 @@ def collision_parity_check(m: int) -> Verdict:
     parameters differ by half a period; with bodies at phases 2*pi*j/m that
     happens exactly when m is even, so even m forces a collision.
     """
-    if int(m) != m or m <= 0:
-        raise ValueError(f"loop occupancy m must be a positive integer, got {m}")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m <= 0:
+        raise ValueError(f"loop occupancy m must be a positive integer, got {m!r}")
     return Verdict.COLLISION if m % 2 == 0 else Verdict.SAFE
 
 
@@ -695,8 +696,8 @@ def build_choreography(n: int,
         seed: sparse initial values keyed by (coordinate, basis, k).
         parity: harmonic mask of the shared curve.
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"choreography needs a positive body count, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"choreography needs a positive body count, got {n!r}")
     potential = potential or PotentialSpec()
     if active is None:
         active = {"x": (SIN,), "y": (COS,)}

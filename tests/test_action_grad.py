@@ -178,11 +178,6 @@ class TestEvalKernel:
         assert rep_direct.S == pytest.approx(rep_cached.S)
         assert np.allclose(rep_direct.gradient, rep_cached.gradient)
 
-    def test_coarse_grid_rejected(self):
-        model, params = _two_body_circle(1.0, k_max=9)
-        with pytest.raises(ValueError):
-            EvalKernel(model, params, QuadratureGrid(8))
-
 
 class TestFullGradient:
     def test_agrees_with_reduced_gradient_via_projection(self):

@@ -183,23 +183,6 @@ class TestForces:
             assert Vb[j] == pytest.approx(Vj)
 
 
-def test_batched_accelerations_divide_along_the_body_axis():
-    # with as many configurations as bodies, dividing the (n, B, 3) forces
-    # by an (n, 1) mass column would broadcast the masses over B instead
-    spec, masses = PotentialSpec(), np.array([1.0, 2.0, 3.0])
-    x = np.random.default_rng(4).normal(scale=2.0, size=(3, 3, 3))
-    times = np.arange(3.0)
-    table = pair_table(spec, masses)
-    batch = table.accelerations(x, times)
-    F, _ = forces(spec, masses, x)
-    assert np.array_equal(batch, F / masses[:, None, None])
-    for j in range(3):
-        single = table.accelerations(x[:, j], times[j])
-        assert np.allclose(batch[:, j], single, rtol=1e-14, atol=0.0), j
-        assert np.array_equal(single, forces(spec, masses, x[:, j])[0]
-                              / masses[:, None])
-
-
 @pytest.mark.parametrize("softening", [0.0, 0.3])
 @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 4, 20])
@@ -299,9 +282,8 @@ class TestCollisionDetection:
         # a scalar or one-element time is the time of every member
         pos = np.zeros((3, 2, 3))
         pos[:, :, 0] = [[0.0, 0.0], [1.0, 0.0], [3.0, 3.0]]
-        table = pair_table(PotentialSpec(), np.ones(3))
         with pytest.raises(CollisionError) as exc:
-            table.accelerations(pos, 0.25)
+            forces(PotentialSpec(), np.ones(3), pos, times=0.25)
         assert (exc.value.pair, exc.value.t) == ((0, 1), 0.25)
         with pytest.raises(CollisionError) as exc:
             potential_energy(PotentialSpec(), np.ones(3), pos,

@@ -168,7 +168,7 @@ class TestRK4:
         for horizon in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 integrate(state, np.ones(2), PotentialSpec(), horizon=horizon)
-        for stride in (0, -1, 1.5):
+        for stride in (0, -1, 1.5, True):
             with pytest.raises(ValueError):
                 integrate(state, np.ones(2), PotentialSpec(),
                           record_stride=stride)
@@ -314,7 +314,7 @@ class TestDOP853Driver:
             out.fill(math.nan)
 
         assert dop.step(nan, 1.0, np.ones(4), np.ones(4), 0.1, 2.0, 1e-13,
-                        dop.stage_buffer((2,))) is None
+                        dop.StagePlan((2,))) is None
         real = dop.step
         monkeypatch.setattr(dop, "step", lambda fun, t, *args: None
                             if t > 1.0 else real(fun, t, *args))
@@ -329,8 +329,8 @@ class TestDOP853Driver:
         # end, derivative, dense sample or yielded state may be one of them
         dop = importlib.import_module("actionorbits.dop853")
         plans = []
-        build = dop.stage_buffer
-        monkeypatch.setattr(dop, "stage_buffer",
+        build = dop.StagePlan
+        monkeypatch.setattr(dop, "StagePlan",
                             lambda shape: plans.append(build(shape))
                             or plans[-1])
 
@@ -351,7 +351,7 @@ class TestDOP853Driver:
             np.negative(pos, out)
 
         y = np.array([1.0, 0.0, 0.0, 1.0])
-        plan = dop.stage_buffer((2,))
+        plan = dop.StagePlan((2,))
         f = dop.derivative(spring, 0.0, y, plan)
         assert f.tolist() == [0.0, 1.0, -1.0, -0.0]
         h_abs = dop.initial_step(spring, 0.0, y, f, 2.0, 1e-13, plan)
@@ -416,13 +416,14 @@ def _scipy_drive(model, pos, vel, times):
     solver's count of right-hand-side evaluations."""
     from scipy.integrate import DOP853
 
-    table = dynamics.pair_table(model.potential, model.masses)
+    accelerate = dynamics.pair_table(model.potential,
+                                     model.masses).accelerator()
     shape, half = pos.shape, pos.size
 
     def rhs(t, y):
         out = np.empty_like(y)
         out[:half] = y[half:]
-        out[half:] = table.accelerations(y[:half].reshape(shape), t).ravel()
+        accelerate(y[:half].reshape(shape), t, out[half:].reshape(shape))
         return out
 
     y0 = np.concatenate((pos.ravel(), vel.ravel()))
@@ -595,6 +596,7 @@ class TestPerturbAndTrack:
 
     @pytest.mark.parametrize("options", [
         {"samples_per_period": 0}, {"samples_per_period": -5},
+        {"samples_per_period": True},
         {"samples_per_period": 2.5}, {"samples_per_period": 10**400},
         {"samples_per_period": 10**300},
         {"samples_per_period": integrate_module.MAX_SAMPLES_PER_PERIOD + 1}])

@@ -300,7 +300,7 @@ class TestVerifyRecord:
         record = make_record(model, result.params, result)
         ok, recomputed = verify_record(record)
         assert ok
-        assert recomputed == pytest.approx(record.residual, rel=1e-6)
+        assert recomputed == record.residual
 
     def test_understated_residual_fails(self, circle):
         model, result = circle

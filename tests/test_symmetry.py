@@ -240,10 +240,12 @@ class TestCollisionParity:
     def test_even_collides(self, m):
         assert collision_parity_check(m) is Verdict.COLLISION
 
-    @pytest.mark.parametrize("m", [0, -1, 1.5])
+    @pytest.mark.parametrize("m", [0, -1, 1.5, 3.0, True])
     def test_invalid_occupancy(self, m):
         with pytest.raises(ValueError):
             collision_parity_check(m)
+        with pytest.raises(ValueError):
+            build_cubic_family(m)
 
 
 class TestCubicFamily:
@@ -571,8 +573,9 @@ class TestChoreography:
             build_choreography(2, seed={("x", COS, 1): 1.0}, k_max=9)
         with pytest.raises(LayoutError):
             build_choreography(2, active={"w": (SIN,)})
-        with pytest.raises(ValueError):
-            build_choreography(0)
+        for n in (0, -1, 1.5, 3.0, True):
+            with pytest.raises(ValueError):
+                build_choreography(n)
 
     def test_shift_symmetry_holds(self):
         model, params = build_choreography(4, k_max=9)
