@@ -18,29 +18,39 @@ into ``out``, both of the position shape.  ``pos`` is the plan's stage
 position, which the next stage overwrites, so ``accelerate`` keeps no
 reference to it.
 
+This module owns the one drive, :func:`drive`, for any accelerator and
+any position shape: the flat state y, the first derivative and the
+initial step, the step loop, dense output at the caller's sample times
+and every :class:`.errors.IntegrationError` a drive raises.  Its caller
+brings only the policy: the tolerance, the step budget and the sample
+times.
+
 A drive builds one :class:`StagePlan` for its position shape,
-``StagePlan(shape)``, and hands it to :func:`derivative`,
-:func:`initial_step`, every :func:`step` and :func:`dense_output`: the
-stage array with, per stage, the velocity half of its row, the
-position-shaped view of its acceleration half, the read-only view of the
-stages before it and its tableau row, and the arrays a stage's
-increment and position are formed in.  A stage's position goes into the
-plan's stage position, and its velocity, the position half of its
-derivative, straight into its row, so no step slices the tableau, the
-stages or the state again and no stage allocates.  The controller's
-scalars (step sizes, norms, factors) are Python floats; each operation on
-them is the IEEE operation SciPy's NumPy scalars perform.  The plan is
-scratch space: every state, derivative and interpolated sample these
-functions return is a new array, so a caller may keep it.  The
-integration runs forwards only, with ``rtol = atol = tol``.
-:func:`.integrate._dop853_samples` is the one drive.
+``StagePlan(shape)``, and hands it to :func:`initial_step`, every
+:func:`step` and :func:`dense_output`: the stage array with, per stage,
+the velocity half of its row, the position-shaped view of its
+acceleration half, the read-only view of the stages before it and its
+tableau row, and the arrays a stage's increment and position are formed
+in.  A stage's position goes into the plan's stage position, and its
+velocity, the position half of its derivative, straight into its row, so
+no step slices the tableau, the stages or the state again and no stage
+allocates.  The controller's scalars (step sizes, norms, factors) are
+Python floats; each operation on them is the IEEE operation SciPy's
+NumPy scalars perform.  The plan is scratch space: every state,
+derivative and interpolated sample these functions return is a new
+array, so a caller may keep it.  The integration runs forwards only,
+with ``rtol = atol = tol``, and builds a step's interpolant only when a
+sample time falls inside that step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from .errors import IntegrationError
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16
@@ -282,12 +292,6 @@ def _derive(accelerate, t, y, s: int, plan: StagePlan) -> None:
     accelerate(y[:half].reshape(plan.shape), t, plan.accelerations[s])
 
 
-def derivative(accelerate, t, y: np.ndarray, plan: StagePlan) -> np.ndarray:
-    """The derivative (q', a(q)) at (t, y), as a new array."""
-    _derive(accelerate, t, y, 0, plan)
-    return plan.K[0].copy()
-
-
 def _evaluate(accelerate, t, y, h, rows, plan: StagePlan) -> None:
     """Write the derivative of each stage of ``rows`` into its row.
 
@@ -404,3 +408,59 @@ def dense_output(accelerate, t_old, t, y_old: np.ndarray, y: np.ndarray,
         return out
 
     return interpolant
+
+
+def drive(accelerate, pos: np.ndarray, vel: np.ndarray, horizon: float,
+          times, tol: float, max_steps: int):
+    """Step from (pos, vel) at t = 0 to ``horizon``, yielding (t, pos, vel)
+    at 0, at each of the ascending ``times`` (an iterable, read one time at
+    a time, of times below the horizon) and at the horizon: the step's end
+    state where a time ends a step, its dense interpolant elsewhere, each
+    of the shape of ``pos``.
+
+    Raises IntegrationError (with ``t``) on a non-finite start, a failed
+    step, a non-finite state or a step past ``max_steps``; what
+    ``accelerate`` raises passes through.
+    """
+    shape, half = pos.shape, pos.size
+    yield 0.0, pos, vel
+    y = np.concatenate((pos.ravel(), vel.ravel()))
+    if not np.all(np.isfinite(y)):
+        raise IntegrationError("non-finite state at t=0", t=0.0)
+    plan = StagePlan(shape)
+    t = 0.0
+    _derive(accelerate, t, y, 0, plan)
+    f = plan.K[0].copy()
+    if not np.all(np.isfinite(f)):
+        # a non-finite start gives a NaN first step and a loop that never ends
+        raise IntegrationError("non-finite acceleration at t=0", t=0.0)
+    h_abs = initial_step(accelerate, t, y, f, horizon, tol, plan)
+    pending = itertools.chain(times, (horizon,))
+    due = next(pending)
+    for _ in range(max_steps):
+        taken = step(accelerate, t, y, f, h_abs, horizon, tol, plan)
+        if taken is None:
+            raise IntegrationError(f"integration failed at t={t:.6f} (required"
+                                   f" step size is less than spacing between"
+                                   f" numbers)", t=t)
+        t_old, y_old = t, y
+        t, y, f, h_abs = taken
+        if not np.isfinite(y).all():    # half the cost of np.all per step
+            raise IntegrationError(f"integration failed at t={t:.6f} "
+                                   f"(non-finite state)", t=t)
+        dense = None
+        while due <= t:
+            if due == t:
+                sample = y
+            else:
+                if dense is None:
+                    dense = dense_output(accelerate, t_old, t, y_old, y, f,
+                                         plan)
+                sample = dense(due)
+            yield (due, sample[:half].reshape(shape),
+                   sample[half:].reshape(shape))
+            if due == horizon:
+                return
+            due = next(pending)
+    raise IntegrationError(f"step budget of {max_steps} spent by "
+                           f"t={t:.6f}", t=t)

@@ -63,12 +63,6 @@ def contract(table, coeffs, order: int) -> np.ndarray:
     return -(s @ (k2 * a) + c @ (k2 * b))
 
 
-def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
-    """Derivative of order 0, 1 or 2 at times ``t``: :func:`contract` on
-    the series' own :func:`trig_table`."""
-    return contract(trig_table(t, coeffs[0].shape[0] - 1), coeffs, order)
-
-
 @dataclass(frozen=True)
 class Harmonics:
     """The harmonic shape of one generator coordinate: its truncation order

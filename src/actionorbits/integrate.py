@@ -7,13 +7,15 @@ with its dense output, serves both checks: ``return_error`` measures how
 well a converged orbit closes after one period, and ``perturb_and_track``
 follows deliberately perturbed initial conditions over many periods to
 probe stability.  At that tolerance one period takes a few hundred steps
-where fixed steps take 10,000.  The driver runs its own step loop on
-NumPy alone and builds a step's interpolant only when a sample time falls
-inside that step.  A classical fixed-step fourth-order Runge-Kutta
-integrator, ``integrate``, records trajectory samples for export and is
-the tests' independent oracle for both.  A run cut short ends when the
-failure is detected: at ``CollisionError.t``, or at the end of a step that
-left a non-finite state.
+where fixed steps take 10,000.  :func:`.dop853.drive` owns the step
+loop, its state and its failures; this module holds only the policy: the
+tolerance :data:`RETURN_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD`
+per period of the horizon), the sample grid and the curve metric.  A
+classical fixed-step fourth-order Runge-Kutta integrator, ``integrate``,
+records trajectory samples for export and is the tests' independent
+oracle for both.  A run cut short ends when the failure is detected: at
+``CollisionError.t``, or at the end of a step that left a non-finite
+state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
 cached :class:`.dynamics.PairTable`: its
@@ -23,15 +25,11 @@ once (one difference-matrix product for the pair differences, one product
 for their squared norms, one square root, one power and one incidence
 product), with no batching reshapes, potential energy or per-call
 set-up.  The arithmetic is the one :func:`.dynamics.forces` performs, so
-the two agree to the bit.  A DOP853 drive builds one accelerator next to
-its stage plan and hands it to :mod:`.dop853` as the right-hand side of
-the second-order system: each stage writes its velocities into its stage
-row and calls the accelerator on the plan's stage position, writing into
-the row's acceleration half, all through views the plan built once.
-``rk4_step`` fetches the table from the cache and builds an accelerator
-on every call (a few microseconds against tens per step); a run therefore
-builds the table once, and each step stays one call that per-layer
-tracing can see.
+the two agree to the bit.  Each DOP853 drive gets one accelerator of its
+own, the right-hand side of the second-order system.  ``rk4_step``
+fetches the table from the cache and builds an accelerator on every call
+(a few microseconds against tens per step); a run therefore builds the
+table once, and each step stays one call that per-layer tracing can see.
 
 ``perturb_and_track`` measures every perturbed track of an orbit against
 one tracking reference, built once per orbit and shared by every later
@@ -40,8 +38,8 @@ at :data:`CURVE_SAMPLES` phases) and the unperturbed start state
 (:func:`extract_ics`).  Both follow from the model and the parameter
 values alone, so a small bounded cache keyed by value keeps the last few
 orbits' references, every array read-only, as :func:`.dynamics.pair_table`
-keeps pair tables.  The deviation, the drive, its accelerator and its
-stage plan stay per track.
+keeps pair tables.  The deviation, the drive and its accelerator stay
+per track.
 """
 
 from __future__ import annotations
@@ -140,9 +138,9 @@ class Trajectory:
 
 def _check_steps(stride: str, count: int, **spans: float) -> None:
     """ValueError unless every span is positive and finite and count is
-    an integer >= 1, a bool excluded."""
+    an integer >= 1, a bool excluded from both."""
     for name, x in spans.items():
-        if not 0.0 < x < math.inf:
+        if isinstance(x, bool) or not 0.0 < x < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {x!r}")
     if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
             or count < 1):
@@ -193,74 +191,19 @@ def _step_budget(horizon: float) -> float:
     return MAX_STEPS_PER_PERIOD * horizon / TWO_PI
 
 
-def _dop853_samples(model: OrbitModel, pos: np.ndarray, vel: np.ndarray,
-                    horizon: float, times=()):
-    """Step DOP853 from (pos, vel) at t = 0 to ``horizon``, yielding
-    (t, pos, vel) at 0, at each of the ascending ``times`` (an iterable,
-    read one time at a time, of times below the horizon) and at the
-    horizon: the step's end state where a time ends a step, its dense
-    interpolant elsewhere.
-
-    Raises IntegrationError (with ``t``) on a failed step, a non-finite
-    state or a spent step budget, and CollisionError (context
-    'integration') below :data:`.dynamics.COLLISION_THRESHOLD`.
-    """
-    accelerate = pair_table(model.potential, model.masses).accelerator()
-    shape, half = pos.shape, pos.size
-    yield 0.0, pos, vel
-    y = np.concatenate((pos.ravel(), vel.ravel()))
-    if not np.all(np.isfinite(y)):
-        raise IntegrationError("non-finite state at t=0", t=0.0)
-    plan = dop853.StagePlan(shape)
-    t = 0.0
-    f = dop853.derivative(accelerate, t, y, plan)
-    if not np.all(np.isfinite(f)):
-        # a non-finite start gives a NaN first step and a loop that never ends
-        raise IntegrationError("non-finite acceleration at t=0", t=0.0)
-    h_abs = dop853.initial_step(accelerate, t, y, f, horizon, RETURN_TOL,
-                                plan)
-    budget = math.ceil(_step_budget(horizon))
-    pending = itertools.chain(times, (horizon,))
-    due = next(pending)
-    for _ in range(budget):
-        taken = dop853.step(accelerate, t, y, f, h_abs, horizon, RETURN_TOL,
-                            plan)
-        if taken is None:
-            raise IntegrationError(f"integration failed at t={t:.6f} (required"
-                                   f" step size is less than spacing between"
-                                   f" numbers)", t=t)
-        t_old, y_old = t, y
-        t, y, f, h_abs = taken
-        if not np.isfinite(y).all():    # half the cost of np.all per step
-            raise IntegrationError(f"integration failed at t={t:.6f} "
-                                   f"(non-finite state)", t=t)
-        dense = None
-        while due <= t:
-            if due == t:
-                sample = y
-            else:
-                if dense is None:
-                    dense = dop853.dense_output(accelerate, t_old, t, y_old,
-                                                y, f, plan)
-                sample = dense(due)
-            yield (due, sample[:half].reshape(shape),
-                   sample[half:].reshape(shape))
-            if due == horizon:
-                return
-            due = next(pending)
-    raise IntegrationError(f"step budget of {budget} spent by "
-                           f"t={t:.6f}", t=t)
-
-
 def return_error(model: OrbitModel, params: ReducedParams) -> float:
     """Max-norm phase-space mismatch after integrating one full period.
 
-    The one-period map is the end state of :func:`_dop853_samples` with no
-    interior samples, so it raises what that driver raises.
+    The one-period map is the end state of a :func:`.dop853.drive` with no
+    interior samples, so it raises what that drive raises, and
+    CollisionError (context 'integration') below
+    :data:`.dynamics.COLLISION_THRESHOLD`.
     """
     state = extract_ics(model, params)
-    *_, (_, pos, vel) = _dop853_samples(model, state.positions,
-                                        state.velocities, TWO_PI)
+    accelerate = pair_table(model.potential, model.masses).accelerator()
+    *_, (_, pos, vel) = dop853.drive(accelerate, state.positions,
+                                     state.velocities, TWO_PI, (), RETURN_TOL,
+                                     math.ceil(_step_budget(TWO_PI)))
     return float(max(np.abs(pos - state.positions).max(),
                      np.abs(vel - state.velocities).max()))
 
@@ -392,7 +335,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
     applied displacement; a given envelope must be positive and finite, and
-    the deviation finite.  The run is one :func:`_dop853_samples` drive; it
+    the deviation finite.  The run is one :func:`.dop853.drive`; it
     samples every ``samples_per_period``-th of a period, each time made as
     the drive reaches it, and the end of the horizon.  It stops at the
     first later sample outside the envelope, or at any sample, the start
@@ -443,8 +386,10 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
          for k in range(1, math.ceil(n_samples))))
 
     metric, base = _tracking_reference(model, params)
-    samples = _dop853_samples(model, base.positions + dev, base.velocities,
-                              horizon, times)
+    accelerate = pair_table(model.potential, model.masses).accelerator()
+    samples = dop853.drive(accelerate, base.positions + dev, base.velocities,
+                           horizon, times, RETURN_TOL,
+                           math.ceil(_step_budget(horizon)))
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

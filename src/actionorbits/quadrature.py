@@ -9,6 +9,7 @@ potential terms spectrally accurate.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +25,9 @@ class QuadratureGrid:
     n: int
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 4:
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"grid node count must be an integer, got {self.n!r}")
+        if self.n < 4:
             raise ValueError(f"grid needs at least 4 nodes, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 

@@ -80,12 +80,6 @@ class OrthTransform:
         """Apply to one or many 3-vectors (last axis is the coordinate)."""
         return np.asarray(points, dtype=float) @ self.matrix.T
 
-    def compose(self, other: "OrthTransform") -> "OrthTransform":
-        return OrthTransform(self.matrix @ other.matrix)
-
-    def inverse(self) -> "OrthTransform":
-        return OrthTransform(self.matrix.T)
-
     def key(self) -> tuple:
         return tuple(int(v) for v in self.matrix.ravel())
 
@@ -369,16 +363,6 @@ class ParamLayout:
         for c in self.couplings:
             tables[c.gen][c.channel, _BASIS_AXIS[c.basis], c.k] = c.sign * values[c.slot]
         return tables
-
-    def project(self, tables: Sequence[np.ndarray]) -> np.ndarray:
-        """Chain-rule transpose of :meth:`expand`: full-coefficient gradient
-        tables -> reduced gradient vector."""
-        out = np.zeros(self.n_slots)
-        for i, s in enumerate(self.slots):
-            out[i] += tables[s.gen][s.channel, _BASIS_AXIS[s.basis], s.k]
-        for c in self.couplings:
-            out[c.slot] += c.sign * tables[c.gen][c.channel, _BASIS_AXIS[c.basis], c.k]
-        return out
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from actionorbits import (
     gradient,
     sample_positions,
 )
+from oracles import project
 
 TWO_PI = 2.0 * math.pi
 
@@ -188,7 +189,7 @@ class TestFullGradient:
             probe = params.with_values(params.values
                                        + 0.1 * rng.normal(size=len(params)))
             tables = full_gradient(model, probe)
-            projected = probe.layout.project(tables)
+            projected = project(probe.layout, tables)
             assert np.allclose(projected, gradient(model, probe),
                                rtol=1e-9, atol=1e-9)
 

@@ -7,7 +7,8 @@ import pytest
 
 import actionorbits as ao
 from actionorbits import Harmonics, Parity, QuadratureGrid
-from actionorbits.fourier import contract, evaluate, trig_table
+from actionorbits.fourier import contract, trig_table
+from oracles import evaluate
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,3 +148,13 @@ class TestQuadrature:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
             QuadratureGrid(3)
+
+    @pytest.mark.parametrize("n", [8.0, 5.5, True, "8"])
+    def test_node_count_must_be_an_integer(self, n):
+        # 8.0 used to be accepted, and 5.5 and True rejected as too few
+        with pytest.raises(ValueError, match="integer"):
+            QuadratureGrid(n)
+
+    def test_numpy_integer_node_count(self):
+        grid = QuadratureGrid(np.int64(8))
+        assert grid.n == 8 and type(grid.n) is int

@@ -31,8 +31,21 @@ from actionorbits import (
 )
 
 TWO_PI = 2.0 * math.pi
+dop853 = importlib.import_module("actionorbits.dop853")
 dynamics = importlib.import_module("actionorbits.dynamics")
 integrate_module = importlib.import_module("actionorbits.integrate")
+
+
+def _accelerator(model):
+    return dynamics.pair_table(model.potential, model.masses).accelerator()
+
+
+def _model_drive(model, pos, vel, horizon, times=()):
+    """The drive ``return_error`` and ``perturb_and_track`` make: the
+    model's pair accelerator at the return tolerance and step budget."""
+    return dop853.drive(_accelerator(model), pos, vel, horizon, times,
+                        integrate_module.RETURN_TOL,
+                        math.ceil(integrate_module._step_budget(horizon)))
 
 
 def _circle_state(a=1.0):
@@ -163,9 +176,10 @@ class TestRK4:
 
     def test_integrate_validation(self):
         state = _circle_state()
-        with pytest.raises(ValueError):
-            integrate(state, np.ones(2), PotentialSpec(), dt=-1e-3)
-        for horizon in (0.0, math.inf, math.nan):
+        for dt in (-1e-3, True):
+            with pytest.raises(ValueError):
+                integrate(state, np.ones(2), PotentialSpec(), dt=dt)
+        for horizon in (0.0, math.inf, math.nan, True):
             with pytest.raises(ValueError):
                 integrate(state, np.ones(2), PotentialSpec(), horizon=horizon)
         for stride in (0, -1, 1.5, True):
@@ -279,13 +293,13 @@ class TestDOP853Driver:
         # at the same time reads the step's end state instead
         model, result = crisscross
         base = extract_ics(model, result.params)
-        drive = list(integrate_module._dop853_samples(
+        drive = list(_model_drive(
             model, base.positions, base.velocities, TWO_PI, (1.0, 2.5)))
         assert [t for t, _, _ in drive] == [0.0, 1.0, 2.5, TWO_PI]
         assert np.array_equal(drive[0][1], base.positions)
         assert np.array_equal(drive[0][2], base.velocities)
         for t, pos, vel in drive[1:]:
-            *_, (end, pos_end, vel_end) = integrate_module._dop853_samples(
+            *_, (end, pos_end, vel_end) = _model_drive(
                 model, base.positions, base.velocities, t)
             assert end == t
             assert np.abs(pos - pos_end).max() <= 1e-11
@@ -297,8 +311,7 @@ class TestDOP853Driver:
         base = extract_ics(model, result.params)
         pos = base.positions.copy()
         pos[1, 2] = math.nan
-        drive = integrate_module._dop853_samples(model, pos, base.velocities,
-                                                 TWO_PI)
+        drive = _model_drive(model, pos, base.velocities, TWO_PI)
         assert next(drive)[0] == 0.0
         with pytest.raises(ao.IntegrationError, match="non-finite") as exc:
             next(drive)
@@ -307,7 +320,7 @@ class TestDOP853Driver:
     def test_a_step_that_cannot_shrink_enough_fails(self, circle,
                                                     monkeypatch):
         # a NaN right-hand side rejects every step size until it falls
-        # below ten spacings of floats; the driver reports where it stood
+        # below ten spacings of floats; the drive reports where it stood
         dop = importlib.import_module("actionorbits.dop853")
 
         def nan(pos, t, out):
@@ -352,7 +365,8 @@ class TestDOP853Driver:
 
         y = np.array([1.0, 0.0, 0.0, 1.0])
         plan = dop.StagePlan((2,))
-        f = dop.derivative(spring, 0.0, y, plan)
+        dop._derive(spring, 0.0, y, 0, plan)
+        f = plan.K[0].copy()    # the first derivative a drive starts from
         assert f.tolist() == [0.0, 1.0, -1.0, -0.0]
         h_abs = dop.initial_step(spring, 0.0, y, f, 2.0, 1e-13, plan)
         t1, y1, f1, h_abs = dop.step(spring, 0.0, y, f, h_abs, 2.0, 1e-13,
@@ -364,9 +378,14 @@ class TestDOP853Driver:
         for a in (f, y1, f1, sample, y2, f2):
             assert not shares_plan(a, plan)
         assert f1.tobytes() == kept.tobytes()    # the next step left it
+        drive = list(dop.drive(spring, y[:2], y[2:], 2.0, (0.5, 1.0), 1e-13,
+                               100))
+        for _, pos, vel in drive:
+            assert not (shares_plan(pos, plans[-1])
+                        or shares_plan(vel, plans[-1]))
         model, result = crisscross
         base = extract_ics(model, result.params)
-        drive = list(integrate_module._dop853_samples(
+        drive = list(_model_drive(
             model, base.positions, base.velocities, TWO_PI, (1.0, 2.5)))
         for _, pos, vel in drive:
             assert not (shares_plan(pos, plans[-1])
@@ -390,7 +409,7 @@ class TestDOP853Driver:
 
     def test_step_budget_ends_a_crawling_run(self, monkeypatch):
         # the criss-cross seed needs over 100 steps a period; a budget of
-        # 10 makes both callers stop where the driver gave up
+        # 10 makes both callers stop where the drive gave up
         monkeypatch.setattr(integrate_module, "MAX_STEPS_PER_PERIOD", 10)
         model, params = ao.build_crisscross(k_max=35)
         with pytest.raises(ao.IntegrationError,
@@ -402,22 +421,21 @@ class TestDOP853Driver:
         dev[0, 0] = 1e-3
         rep = perturb_and_track(model, params, dev, 1.0, envelope=10.0)
         with pytest.raises(ao.IntegrationError) as exc:
-            list(integrate_module._dop853_samples(
+            list(_model_drive(
                 model, base.positions + dev, base.velocities, TWO_PI))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
 
 
-def _scipy_drive(model, pos, vel, times):
-    """Reference: scipy's DOP853 object on the driver's right-hand side,
-    keyed by time: the state at t = 0 and at every step end, and the
-    step's dense output at each of ``times`` inside a step; with the
-    solver's count of right-hand-side evaluations."""
+def _scipy_drive(accelerate, pos, vel, times):
+    """Reference: scipy's DOP853 object on the drive's right-hand side
+    (q', a(q)) for the accelerator, keyed by time: the state at t = 0 and
+    at every step end, and the step's dense output at each of ``times``
+    inside a step; with the solver's count of right-hand-side
+    evaluations."""
     from scipy.integrate import DOP853
 
-    accelerate = dynamics.pair_table(model.potential,
-                                     model.masses).accelerator()
     shape, half = pos.shape, pos.size
 
     def rhs(t, y):
@@ -467,14 +485,16 @@ class TestSciPyOracle:
             rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
     @staticmethod
-    def _assert_drive_is_scipys(model, pos, vel, times):
+    def _assert_drive_is_scipys(accelerate, pos, vel, times):
         """Every step end and every interior (dense) sample of a drive
         equals scipy's, byte for byte; returns the number of step ends
         that are not among ``times``."""
-        states, _ = _scipy_drive(model, pos, vel, times)
+        states, _ = _scipy_drive(accelerate, pos, vel, times)
         asked = sorted(states)[1:]
-        drive = list(integrate_module._dop853_samples(model, pos, vel,
-                                                      asked[-1], asked[:-1]))
+        drive = list(dop853.drive(
+            accelerate, pos, vel, asked[-1], asked[:-1],
+            integrate_module.RETURN_TOL,
+            math.ceil(integrate_module._step_budget(asked[-1]))))
         assert [t for t, _, _ in drive] == [0.0, *asked]
         for t, p, v in drive:
             assert np.concatenate((p.ravel(), v.ravel())).tobytes() \
@@ -498,7 +518,8 @@ class TestSciPyOracle:
             dev = np.zeros((model.n_bodies, 3))
             times = [TWO_PI]
         base = extract_ics(model, result.params)
-        steps = self._assert_drive_is_scipys(model, base.positions + dev,
+        steps = self._assert_drive_is_scipys(_accelerator(model),
+                                             base.positions + dev,
                                              base.velocities, times)
         assert steps > 50    # many step ends as well
 
@@ -514,8 +535,28 @@ class TestSciPyOracle:
                                             potential=spec)
         base = extract_ics(model, params)
         steps = self._assert_drive_is_scipys(
-            model, base.positions, base.velocities, [0.1, 0.2, 0.3, 0.4])
+            _accelerator(model), base.positions, base.velocities,
+            [0.1, 0.2, 0.3, 0.4])
         assert steps >= 6
+
+    def test_model_free_drive_is_the_oscillator_and_scipys(self):
+        # y'' = -y on a (2,) position from (1, 0) at velocity (0, 1) is
+        # (cos t, sin t): no model, pair table or (n, 3) shape is involved
+        def spring(pos, t, out):
+            np.negative(pos, out)
+
+        pos, vel = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        times = [0.5, 1.0, 2.5]
+        steps = self._assert_drive_is_scipys(spring, pos, vel,
+                                             times + [TWO_PI])
+        assert steps > 10
+        drive = list(dop853.drive(spring, pos, vel, TWO_PI, times,
+                                  integrate_module.RETURN_TOL, 1000))
+        assert [t for t, _, _ in drive] == [0.0, *times, TWO_PI]
+        for t, p, v in drive:
+            assert p.shape == v.shape == (2,)
+            assert np.abs(p - [math.cos(t), math.sin(t)]).max() <= 1e-11
+            assert np.abs(v - [-math.sin(t), math.cos(t)]).max() <= 1e-11
 
     def test_drive_makes_scipys_evaluations(self, crisscross, monkeypatch):
         # the 10-period displaced criss-cross, with rejected steps and
@@ -527,7 +568,8 @@ class TestSciPyOracle:
         pos[0, 0] += 0.005
         interval = TWO_PI / 50
         times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
-        _, nfev = _scipy_drive(model, pos, base.velocities, times)
+        _, nfev = _scipy_drive(_accelerator(model), pos, base.velocities,
+                               times)
         calls = []
         accelerator = dynamics.PairTable.accelerator
 
@@ -538,7 +580,7 @@ class TestSciPyOracle:
                                                                      out)
 
         monkeypatch.setattr(dynamics.PairTable, "accelerator", counted)
-        drive = list(integrate_module._dop853_samples(
+        drive = list(_model_drive(
             model, pos, base.velocities, times[-1], times[:-1]))
         assert len(drive) == len(times) + 1
         assert len(calls) == nfev
@@ -546,8 +588,8 @@ class TestSciPyOracle:
     def test_return_error_is_scipys_end_state(self, cubic1):
         model, result = cubic1
         base = extract_ics(model, result.params)
-        states, _ = _scipy_drive(model, base.positions, base.velocities,
-                                 [TWO_PI])
+        states, _ = _scipy_drive(_accelerator(model), base.positions,
+                                 base.velocities, [TWO_PI])
         end = states[TWO_PI]
         half = base.positions.size
         expected = max(np.abs(end[:half] - base.positions.ravel()).max(),
@@ -574,9 +616,10 @@ class TestPerturbAndTrack:
             perturb_and_track(model, params, deviation, 1.0)
 
     @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan,
-                                           1e307, 1e305])
+                                           1e307, 1e305, True])
     def test_empty_horizon_rejected(self, circle, n_periods):
-        # 1e307 periods overflow the sample count, 1e305 the step budget
+        # 1e307 periods overflow the sample count, 1e305 the step budget;
+        # True is a flag, not one period
         model, result = circle
         dev = np.zeros((2, 3))
         dev[0, 0] = 0.5
@@ -618,7 +661,7 @@ class TestPerturbAndTrack:
         dev[0] = -0.5 * base.positions[0]
         rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0)
         with pytest.raises(CollisionError) as exc:
-            list(integrate_module._dop853_samples(
+            list(_model_drive(
                 model, base.positions + dev, base.velocities, TWO_PI))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t

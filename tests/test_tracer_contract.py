@@ -1,5 +1,5 @@
-"""The benchmark's per-layer tracer still finds what it wraps, and every
-exported name still resolves.
+"""The benchmark's per-layer tracer still finds what it wraps, its set-up
+probe still runs, and every exported name still resolves.
 
 ``perfbench/tracer.py`` times the library by rebinding names in its module
 namespaces and reads the sampled bases of every ``EvalKernel`` it sees.  A
@@ -20,18 +20,27 @@ from actionorbits import EvalKernel, build_cubic_family
 
 TWO_PI = 2.0 * math.pi
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    """The benchmark's module ``name``, loaded from its file in place."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_setup_probe_first_calls_run():
+    # the benchmark pays each stage's first call through this probe before
+    # it times anything, so an API change that breaks the probe breaks
+    # every benchmark run
+    _load("setup_probe").first_calls()
+
+
 def test_every_traced_binding_resolves():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     for mod_name, attr, layer in tracer.BINDINGS:
         module = importlib.import_module(f"actionorbits.{mod_name}")
         assert callable(getattr(module, attr, None)), (mod_name, attr, layer)
@@ -48,7 +57,7 @@ def test_every_exported_name_resolves():
 
 
 def test_kernel_exposes_the_traced_bases():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     model, params = build_cubic_family(1, k_max=5)
     kernel = EvalKernel(model, params)
     bases = [kernel.basis_pos, kernel.basis_vel, kernel.basis_acc]
@@ -80,11 +89,12 @@ def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
 
 
 def test_adaptive_checks_make_one_dop853_drive_each(monkeypatch, circle):
-    # the return map and the tracker both run on the one DOP853 driver;
+    # the return map and the tracker both run on the one DOP853 drive;
     # neither takes a fixed step the tracer would count as integrate.rk4_step
     module = importlib.import_module("actionorbits.integrate")
     steps = _counted(monkeypatch, module, "rk4_step")
-    drives = _counted(monkeypatch, module, "_dop853_samples")
+    drives = _counted(monkeypatch,
+                      importlib.import_module("actionorbits.dop853"), "drive")
     model, result = circle
     module.return_error(model, result.params)
     assert len(drives) == 1
