@@ -36,10 +36,11 @@ one tracking reference, built once per orbit and shared by every later
 track of it: the reference band (:class:`_CurveMetric`, the orbit sampled
 at :data:`CURVE_SAMPLES` phases) and the unperturbed start state
 (:func:`extract_ics`).  Both follow from the model and the parameter
-values alone, so a small bounded cache keyed by value keeps the last few
-orbits' references, every array read-only, as :func:`.dynamics.pair_table`
-keeps pair tables.  The deviation, the drive and its accelerator stay
-per track.
+values alone, so a small bounded cache keeps the last few orbits'
+references, every array read-only, as :func:`.dynamics.pair_table` keeps
+pair tables.  Its key is the model, the layout (a value: two equal
+layouts hit one entry, whichever built them) and the parameter values'
+bytes.  The deviation, the drive and its accelerator stay per track.
 """
 
 from __future__ import annotations
@@ -300,12 +301,8 @@ class _CurveMetric:
 
 
 @functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
-def _cached_reference(model: OrbitModel, slots: tuple, couplings: tuple,
-                      k_max: int, gen_channels: tuple,
-                      kinetic_mass: bytes, values: bytes
+def _cached_reference(model: OrbitModel, layout: ParamLayout, values: bytes
                       ) -> tuple[_CurveMetric, PhaseState]:
-    layout = ParamLayout(slots, couplings, k_max, gen_channels,
-                         np.frombuffer(kinetic_mass))
     params = ReducedParams(layout, np.frombuffer(values))
     return _CurveMetric(model, params), extract_ics(model, params)
 
@@ -313,13 +310,8 @@ def _cached_reference(model: OrbitModel, slots: tuple, couplings: tuple,
 def _tracking_reference(model: OrbitModel, params: ReducedParams
                         ) -> tuple[_CurveMetric, PhaseState]:
     """The (cached, read-only) tracking reference of an orbit: its band
-    and its unperturbed start state, keyed by the model, the layout and
-    the parameter values' bytes."""
-    layout = params.layout
-    return _cached_reference(model, layout.slots, layout.couplings,
-                             layout.k_max, layout.gen_channels,
-                             layout.kinetic_mass.tobytes(),
-                             params.values.tobytes())
+    and its unperturbed start state."""
+    return _cached_reference(model, params.layout, params.values.tobytes())
 
 
 def perturb_and_track(model: OrbitModel, params: ReducedParams,

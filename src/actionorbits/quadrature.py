@@ -18,6 +18,12 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """N uniform nodes t_j = 2*pi*j/N with equal weights 2*pi/N."""
@@ -25,16 +31,15 @@ class QuadratureGrid:
     n: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"grid node count must be an integer, got {self.n!r}")
-        if self.n < 4:
-            raise ValueError(f"grid needs at least 4 nodes, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        n = _integer(self.n, "grid node count")
+        if n < 4:
+            raise ValueError(f"grid needs at least 4 nodes, got {n}")
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def for_kmax(cls, k_max: int) -> "QuadratureGrid":
         """Default grid for series truncated at k_max: N = 4*k_max + 4."""
-        return cls(4 * int(k_max) + 4)
+        return cls(4 * _integer(k_max, "k_max") + 4)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -48,13 +53,13 @@ class QuadratureGrid:
 
     def supports(self, k_max: int) -> bool:
         """Whether the grid meets the resolution floor N >= 4*k_max + 2."""
-        return self.n >= 4 * int(k_max) + 2
+        return self.n >= 4 * _integer(k_max, "k_max") + 2
 
     def require(self, k_max: int) -> None:
         if not self.supports(k_max):
             raise ValueError(
                 f"grid with {self.n} nodes cannot resolve k_max={k_max}; "
-                f"need at least {4 * int(k_max) + 2}"
+                f"need at least {4 * k_max + 2}"
             )
 
     def integrate(self, samples: np.ndarray) -> np.ndarray:

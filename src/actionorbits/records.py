@@ -318,8 +318,7 @@ def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
         params = ReducedParams(layout, np.array(record.values, dtype=float))
     except Exception as err:
         raise RecordError(f"record layout is inconsistent: {err}") from err
-    if reference is not None and (reference.slots != layout.slots or
-                                  reference.couplings != layout.couplings):
+    if reference is not None and reference != layout:
         raise RecordError("record layout does not match its family builder")
     return model, params
 

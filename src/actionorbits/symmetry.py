@@ -9,7 +9,9 @@ where R_i is a signed permutation matrix, phi_i a phase offset, and g a
 generator built from Fourier series.  A :class:`ParamLayout` lists the
 free ("reduced") coefficients and sign couplings that tie the remaining
 coefficients to them, so symmetry constraints hold exactly at every
-parameter value instead of being projected back after each step.
+parameter value instead of being projected back after each step.  It is
+the one place that validates a layout, and a value compared and hashed
+without its kinetic masses.
 
 Built-in families:
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -280,6 +282,8 @@ class Slot:
     def __post_init__(self):
         if self.basis not in (SIN, COS):
             raise LayoutError(f"unknown basis {self.basis!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise LayoutError(f"harmonic must be an integer, got {self.k!r}")
         if self.k < (1 if self.basis == SIN else 0):
             raise LayoutError(f"basis {self.basis} cannot hold harmonic k={self.k}")
 
@@ -296,53 +300,53 @@ class Coupling:
     sign: float
 
     def __post_init__(self):
-        if self.basis not in (SIN, COS):
-            raise LayoutError(f"unknown basis {self.basis!r}")
+        Slot(self.gen, self.channel, self.basis, self.k)
         if self.sign not in (-1.0, 1.0):
             raise LayoutError(f"coupling sign must be +/-1, got {self.sign}")
 
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Mapping between the reduced vector and the full coefficient tables."""
+    """Mapping between the reduced vector and the full coefficient tables.
+
+    The one place that checks targets against the generators' channels and
+    ``k_max``, duplicates, and that each coupling ties to an existing slot
+    at that slot's harmonic (the kinetic term applies the slot's k to all
+    its coefficients).  Equality and hash exclude ``kinetic_mass``, which
+    follows from the model and the rest, and which sampling never reads.
+    """
 
     slots: tuple[Slot, ...]
     couplings: tuple[Coupling, ...]
     k_max: int
     gen_channels: tuple[int, ...]
-    kinetic_mass: np.ndarray
+    kinetic_mass: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
         object.__setattr__(self, "couplings", tuple(self.couplings))
+        object.__setattr__(self, "gen_channels", tuple(self.gen_channels))
         km = np.asarray(self.kinetic_mass, dtype=float)
         km.setflags(write=False)
         object.__setattr__(self, "kinetic_mass", km)
         if km.shape != (len(self.slots),):
             raise LayoutError("kinetic_mass must have one entry per slot")
         targets = set()
-        for s in self.slots:
-            self._check_target(s.gen, s.channel, s.basis, s.k)
-            tgt = (s.gen, s.channel, s.basis, s.k)
+        for t in self.slots + self.couplings:
+            if not (0 <= t.gen < len(self.gen_channels)):
+                raise LayoutError(f"target references missing generator {t.gen}")
+            if not (0 <= t.channel < self.gen_channels[t.gen]):
+                raise LayoutError(f"generator {t.gen} has no channel {t.channel}")
+            if t.k > self.k_max:
+                raise LayoutError(f"harmonic k={t.k} exceeds layout k_max={self.k_max}")
+            if isinstance(t, Coupling) and not (0 <= t.slot < len(self.slots)
+                                                and self.slots[t.slot].k == t.k):
+                raise LayoutError(f"coupling at k={t.k} needs slot {t.slot} "
+                                  f"to exist at the same harmonic")
+            tgt = (t.gen, t.channel, t.basis, t.k)
             if tgt in targets:
                 raise LayoutError(f"duplicate target {tgt}")
             targets.add(tgt)
-        for c in self.couplings:
-            if not (0 <= c.slot < len(self.slots)):
-                raise LayoutError(f"coupling references missing slot {c.slot}")
-            self._check_target(c.gen, c.channel, c.basis, c.k)
-            tgt = (c.gen, c.channel, c.basis, c.k)
-            if tgt in targets:
-                raise LayoutError(f"duplicate target {tgt}")
-            targets.add(tgt)
-
-    def _check_target(self, gen, channel, basis, k):
-        if not (0 <= gen < len(self.gen_channels)):
-            raise LayoutError(f"target references missing generator {gen}")
-        if not (0 <= channel < self.gen_channels[gen]):
-            raise LayoutError(f"generator {gen} has no channel {channel}")
-        if k > self.k_max:
-            raise LayoutError(f"harmonic k={k} exceeds layout k_max={self.k_max}")
 
     @property
     def n_slots(self) -> int:
@@ -408,7 +412,7 @@ def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
     out = np.zeros(len(slots))
     for i, s in enumerate(slots):
         out[i] += channel_multiplicity(model, s.gen, s.channel)
-    for c in couplings:
+    for c in couplings:   # before ParamLayout's checks: -1 would wrap
         if not (0 <= c.slot < len(slots)):
             raise LayoutError(f"coupling references missing slot {c.slot}")
         out[c.slot] += channel_multiplicity(model, c.gen, c.channel) * c.sign ** 2
@@ -417,23 +421,21 @@ def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
 
 def make_layout(model: OrbitModel, slots: Sequence[Slot],
                 couplings: Sequence[Coupling] = ()) -> ParamLayout:
-    """Assemble and validate a layout against a model (custom-family hook)."""
+    """Assemble a layout for a model (custom-family hook); beyond
+    :class:`ParamLayout`'s checks, each harmonic must pass its parity mask."""
     slots = tuple(slots)
     couplings = tuple(couplings)
-    gen_channels = tuple(g.n_channels for g in model.generators)
-    for tgt in list(slots) + list(couplings):
+    for tgt in slots + couplings:
         series = model.generators[tgt.gen].channel(tgt.channel)
         if not series.parity.allows(tgt.k):
             raise LayoutError(
                 f"harmonic k={tgt.k} is disallowed by the generator's parity mask"
             )
-        if tgt.k > model.k_max:
-            raise LayoutError(f"harmonic k={tgt.k} exceeds model k_max={model.k_max}")
     return ParamLayout(
         slots=slots,
         couplings=couplings,
         k_max=model.k_max,
-        gen_channels=gen_channels,
+        gen_channels=tuple(g.n_channels for g in model.generators),
         kinetic_mass=compute_kinetic_mass(model, slots, couplings),
     )
 
@@ -712,8 +714,6 @@ def build_choreography(n: int,
         if name not in active:
             continue
         for basis in active[name]:
-            if basis not in (SIN, COS):
-                raise LayoutError(f"unknown basis {basis!r}")
             for k in ks:
                 slots.append(Slot(0, coords[name], basis, k))
     layout = make_layout(model, slots)
@@ -724,11 +724,10 @@ def build_choreography(n: int,
         seed = {(name, bases[0], 1): 1.0 for name, bases in active.items()
                 if bases}
     for (name, basis, k), v in seed.items():
-        try:
-            idx = slots.index(Slot(0, coords[name], basis, int(k)))
-        except ValueError:
+        slot = Slot(0, coords[name], basis, k)
+        if slot not in slots:
             raise LayoutError(f"seed entry ({name}, {basis}, {k}) is not a free slot")
-        values[idx] = float(v)
+        values[slots.index(slot)] = float(v)
     return model, ReducedParams(layout, values)
 
 

@@ -149,12 +149,19 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureGrid(3)
 
-    @pytest.mark.parametrize("n", [8.0, 5.5, True, "8"])
+    @pytest.mark.parametrize("n", [8.0, 5.5, True, "8", 2.5, 1.9])
     def test_node_count_must_be_an_integer(self, n):
-        # 8.0 used to be accepted, and 5.5 and True rejected as too few
-        with pytest.raises(ValueError, match="integer"):
-            QuadratureGrid(n)
+        # 8.0 used to be accepted, and 5.5 and True rejected as too few;
+        # a k_max was truncated by int(): for_kmax(2.5) built the k_max = 2
+        # grid, for_kmax(True) an 8-node one, and supports(1.9) was True
+        grid = QuadratureGrid(8)
+        for call in (QuadratureGrid, QuadratureGrid.for_kmax, grid.supports,
+                     grid.require):
+            with pytest.raises(ValueError, match="integer"):
+                call(n)
 
     def test_numpy_integer_node_count(self):
         grid = QuadratureGrid(np.int64(8))
         assert grid.n == 8 and type(grid.n) is int
+        assert QuadratureGrid.for_kmax(np.int64(2)).n == 12
+        assert grid.supports(np.int64(1)) and not grid.supports(np.int64(2))

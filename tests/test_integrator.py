@@ -871,6 +871,20 @@ class TestTrackingReference:
             with pytest.raises(ValueError):
                 a.flat[0] = 0.0
 
+    def test_rebuilt_params_read_the_cached_reference(self, crisscross):
+        # the cache keys on the layout as a value, so params rebuilt from a
+        # record hit the entry that the original params filled
+        model, result = crisscross
+        integrate_module._cached_reference.cache_clear()
+        first = integrate_module._tracking_reference(model, result.params)
+        rebuilt_model, rebuilt = ao.record_to_model(
+            ao.make_record(model, result.params, result))
+        assert rebuilt.layout is not result.params.layout
+        hits = integrate_module._cached_reference.cache_info().hits
+        assert integrate_module._tracking_reference(rebuilt_model,
+                                                    rebuilt) is first
+        assert integrate_module._cached_reference.cache_info().hits == hits + 1
+
     @pytest.mark.parametrize("fixture", ["crisscross", "cubic1"])
     def test_warm_report_equals_cold_report(self, fixture, request):
         # planar (criss-cross) and non-planar (cubic m=1) bands alike

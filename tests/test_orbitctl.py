@@ -293,6 +293,24 @@ class TestRecordValidation:
         with pytest.raises(RecordError):
             record_to_model(load_record(bad))
 
+    def test_coupling_at_another_harmonic_is_record_error(self, tmp_path,
+                                                           capsys):
+        # choreography layouts come from the record itself, so nothing but
+        # the layout's own rules stands between such a coupling and a
+        # descent on a wrong gradient
+        model, params = build_choreography(3, k_max=5)
+        path = str(tmp_path / "choreography.json")
+        save_record(make_record(model, params), path)
+
+        def edit(d):
+            i = d["layout"]["slots"].index([0, 1, "cos", 3])
+            del d["layout"]["slots"][i], d["values"][i]
+            d["layout"]["couplings"] = [[0, 0, 1, "cos", 3, 1.0]]
+        bad = _tampered(path, tmp_path, edit)
+        with pytest.raises(RecordError, match="same harmonic"):
+            record_to_model(load_record(bad))
+        _exits_as_record_error(bad, capsys)
+
 
 class TestVerifyRecord:
     def test_converged_record_verifies(self, circle, tmp_path):

@@ -573,6 +573,13 @@ class TestChoreography:
             build_choreography(2, seed={("x", COS, 1): 1.0}, k_max=9)
         with pytest.raises(LayoutError):
             build_choreography(2, active={"w": (SIN,)})
+        # each of these harmonics used to be truncated to seed k = 1
+        for k in (1.5, True, "1"):
+            with pytest.raises(LayoutError, match="integer"):
+                build_choreography(2, seed={("x", SIN, k): 1.0}, k_max=9)
+        _, params = build_choreography(2, seed={("x", SIN, np.int64(3)): 0.5},
+                                       k_max=9)
+        assert params.layout.expand(params.values)[0][0, 0, 3] == 0.5
         for n in (0, -1, 1.5, 3.0, True):
             with pytest.raises(ValueError):
                 build_choreography(n)
@@ -599,6 +606,20 @@ class TestLayout:
         with pytest.raises(LayoutError):
             Coupling(0, 0, 0, SIN, 1, 0.5)
 
+    def test_coupling_target_is_a_valid_slot(self):
+        # Slot rejects a sine at k = 0, and so does a coupling to it
+        with pytest.raises(LayoutError, match="harmonic k=0"):
+            Coupling(0, 0, 1, SIN, 0, 1.0)
+
+    def test_coupling_at_another_harmonic_rejected(self):
+        # the kinetic term would apply slot 0's k = 1 to the tied k = 3
+        # coefficient: a wrong analytic gradient
+        model, params = build_choreography(3, k_max=5)
+        slots = [s for s in params.layout.slots
+                 if (s.channel, s.basis, s.k) != (1, COS, 3)]
+        with pytest.raises(LayoutError, match="same harmonic"):
+            make_layout(model, slots, [Coupling(0, 0, 1, COS, 3, 1.0)])
+
     def test_duplicate_targets_rejected(self):
         model, _ = build_crisscross(k_max=5)
         with pytest.raises(LayoutError, match="duplicate"):
@@ -621,6 +642,32 @@ class TestLayout:
             make_layout(model, [Slot(0, 0, SIN, 11)])  # beyond k_max
         with pytest.raises(LayoutError):
             make_layout(model, [Slot(0, 0, COS, 0)])  # constant under ODD_ONLY
+
+    def test_two_builds_compare_and_hash_equal(self):
+        for builder in (lambda: build_cubic_family(3, k_max=9),
+                        lambda: build_crisscross(k_max=9),
+                        lambda: build_choreography(3, k_max=9)):
+            first, second = builder()[1].layout, builder()[1].layout
+            assert first is not second
+            assert first == second and hash(first) == hash(second)
+
+    @pytest.mark.parametrize("change", [
+        lambda lay: dataclasses.replace(lay, slots=lay.slots[:-1] + (
+            dataclasses.replace(lay.slots[-1], channel=1),)),
+        lambda lay: dataclasses.replace(lay, couplings=(dataclasses.replace(
+            lay.couplings[0], sign=-lay.couplings[0].sign),)
+            + lay.couplings[1:]),
+        lambda lay: dataclasses.replace(lay, k_max=lay.k_max + 2)],
+        ids=["slot", "coupling", "k_max"])
+    def test_a_changed_field_compares_unequal(self, change):
+        layout = build_crisscross(k_max=9)[1].layout
+        assert change(layout) != layout
+
+    def test_kinetic_mass_is_not_part_of_the_identity(self):
+        layout = build_crisscross(k_max=9)[1].layout
+        heavier = dataclasses.replace(layout,
+                                      kinetic_mass=2.0 * layout.kinetic_mass)
+        assert heavier == layout and hash(heavier) == hash(layout)
 
     def test_project_is_the_transpose_of_expand(self):
         # project is the chain-rule adjoint, so project(expand(v)) scales

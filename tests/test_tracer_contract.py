@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import math
 import pathlib
+import sys
 
 import numpy as np
 
@@ -37,6 +38,29 @@ def test_setup_probe_first_calls_run():
     # it times anything, so an API change that breaks the probe breaks
     # every benchmark run
     _load("setup_probe").first_calls()
+
+
+def test_benchmark_stages_run(monkeypatch, tmp_path):
+    # find, certify and track as the benchmark runs them, so that a
+    # library change that breaks a stage fails here and not only as a
+    # failed benchmark run; workloads.py imports calibrate from its own
+    # directory, and its dataclasses need the module registered
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    root = PERFBENCH.parent
+    bench = workloads.Bench(
+        workdir=str(tmp_path), src=str(root / "src"),
+        refs=workloads.load_references(str(root / "tests" /
+                                           "reference_values.py")),
+        seed=1)
+    found = bench.find("cubic-m1")
+    bench.certify(found)
+    bench.track(found, "dx=1e-3", (1e-3, 0.0, 0.0), 0.5)
+    assert (bench.attempted, bench.failed, bench.certified) == (3, 0, 1)
 
 
 def test_every_traced_binding_resolves():
