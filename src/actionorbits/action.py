@@ -4,64 +4,97 @@ With the period fixed at 2*pi, the action of a candidate trajectory is
 
     S = int_0^{2pi} (K - V) dt,   K = sum_i (1/2) m_i |x_i'(t)|^2,
 
-evaluated by uniform periodic quadrature on the one grid the truncation
-fixes, ``QuadratureGrid.for_kmax(model.k_max)`` (4 k_max + 4 nodes).  No
-entry point here takes another grid, so the descent, its final residual
-and ``verify_record``'s recomputation of it read the same nodes.
-Because every body coordinate is linear in the reduced coefficients, the
-kinetic contribution to the gradient is diagonal and exact:
+with the potential integral taken by uniform periodic quadrature on the
+one grid the truncation fixes, ``QuadratureGrid.for_kmax(model.k_max)``
+(4 k_max + 4 nodes).  No entry point here takes another grid, so the
+descent, its final residual and ``verify_record``'s recomputation of it
+read the same nodes.  Because every body coordinate is linear in the
+reduced coefficients, and distinct coefficients of one coordinate are
+orthogonal over the period, the kinetic part is diagonal and exact:
 
+    int K dt = (1/2) c . (pi * k^2 * m_eff(c) * c),
     dS/dc = pi * k^2 * m_eff(c) * c  -  int (dV/dx) . (dx/dc) dt,
 
 where m_eff is the slot's effective kinetic mass (mass-weighted count of
 body coordinates the slot feeds; see :func:`..symmetry.compute_kinetic_mass`).
-The orthogonality factor pi is kept explicit rather than folded into step
+The kinetic integral therefore needs no sampled velocities; it equals their
+quadrature on the grid, which is exact for the truncation.  The
+orthogonality factor pi is kept explicit rather than folded into step
 sizes, and the potential term is projected on the grid.  Zeros of this
 gradient are exactly the Fourier-projected equations of motion.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import forces, potential_energy
+from .dynamics import forces, pair_table, potential_energy
 from .quadrature import QuadratureGrid
-from .symmetry import (OrbitModel, ReducedParams, channel_multiplicity,
-                       sample_positions, sample_tables)
+from .symmetry import (OrbitModel, ParamLayout, ReducedParams,
+                       channel_multiplicity, sample_positions, sample_tables)
+
+
+def _kinetic_stiffness(layout: ParamLayout) -> np.ndarray:
+    """pi * k^2 * m_eff per slot: the kinetic gradient is this times c."""
+    k = layout.slot_k.astype(float)
+    return math.pi * k * k * layout.kinetic_mass
 
 
 class EvalKernel:
-    """Cached linear maps from reduced values to sampled kinematics.
+    """The descent's linear map from reduced values to sampled positions,
+    and the buffers it evaluates the action in.
 
-    Sampling is linear in the reduced vector, so positions, velocities, and
-    accelerations on a fixed grid are matrix products with bases that are
-    the sampler's Jacobian: one batched :func:`.sample_tables` call for
-    all three derivatives on the expanded identity, slot axis first.  Used
-    by the descent loop and :func:`action_with_gradient`.
+    Sampling is linear in the reduced vector, so positions on the grid are
+    one matrix product with the sampler's Jacobian, ``basis_pos`` (slot
+    axis first): one :func:`.sample_tables` call on the expanded identity.
+    The products write into one position buffer, and the forces into the
+    buffers of one :meth:`.PairTable.batch_evaluator`, both built here, so
+    an iteration allocates no array of the batch's size.  The action's
+    kinetic term reads no samples; the velocity and acceleration bases
+    are sampled on first use only.  Used by the descent loop and
+    :func:`action_with_gradient`.
     """
 
     def __init__(self, model: OrbitModel, params: ReducedParams):
         self.model = model
         self.layout = params.layout
         self.grid = QuadratureGrid.for_kmax(model.k_max)
+        self.kinetic_stiffness = _kinetic_stiffness(self.layout)
+        self.basis_pos = self._basis(0)
+        n_slots, *shape = self.basis_pos.shape
+        self._positions = np.empty(shape)
+        self._basis_rows = self.basis_pos.reshape(n_slots, self._positions.size)
+        self._position_row = self._positions.reshape(-1)
+        self._evaluate = pair_table(model.potential, model.masses) \
+            .batch_evaluator(self.grid.n)
+
+    def _basis(self, order: int) -> np.ndarray:
         units = self.layout.expand(np.eye(self.layout.n_slots))
-        sampled = sample_tables(model, units, self.grid.nodes, (0, 1, 2))
-        # slot axis first; each sampled array is dropped once copied
-        self.basis_pos, self.basis_vel, self.basis_acc = (
-            np.ascontiguousarray(np.moveaxis(sampled.pop(0), 2, 0))
-            for _ in range(3))
+        (sampled,) = sample_tables(self.model, units, self.grid.nodes, (order,))
+        return np.ascontiguousarray(np.moveaxis(sampled, 2, 0))
+
+    @functools.cached_property
+    def basis_vel(self) -> np.ndarray:
+        return self._basis(1)
+
+    @functools.cached_property
+    def basis_acc(self) -> np.ndarray:
+        return self._basis(2)
 
     def positions(self, values: np.ndarray) -> np.ndarray:
-        return np.tensordot(values, self.basis_pos, axes=1)
+        """Sampled positions (n, T, 3) of ``values``, in the kernel's one
+        position buffer: the next call overwrites them."""
+        np.dot(values, self._basis_rows, self._position_row)
+        return self._positions
 
-    def velocities(self, values: np.ndarray) -> np.ndarray:
-        return np.tensordot(values, self.basis_vel, axes=1)
-
-    def accelerations(self, values: np.ndarray) -> np.ndarray:
-        return np.tensordot(values, self.basis_acc, axes=1)
+    def forces(self, pos: np.ndarray, context: str):
+        """(F, V) of grid positions, as :func:`.forces` returns them; F is
+        a buffer the next call overwrites."""
+        return self._evaluate(pos, self.grid.nodes, context)
 
     def project_forces(self, F: np.ndarray) -> np.ndarray:
         """Quadrature of F . (dx/dc) for every slot."""
@@ -87,19 +120,21 @@ class ActionReport:
 def action(model: OrbitModel, params: ReducedParams) -> ActionReport:
     """Evaluate S = int (K - V) dt on the grid."""
     grid = QuadratureGrid.for_kmax(model.k_max)
-    pos, vel = sample_positions(model, params, grid.nodes, deriv=(0, 1))
+    pos = sample_positions(model, params, grid.nodes)
     v_samples = potential_energy(model.potential, model.masses, pos,
                                  times=grid.nodes, context="action")
-    return _report(model, grid, vel, v_samples)
+    v = params.values
+    return _report(grid, v, _kinetic_stiffness(params.layout) * v, v_samples)
 
 
-def _report(model, grid, vel, v_samples) -> ActionReport:
-    """S from sampled velocities and the potential V on the grid, as
-    returned by :func:`.potential_energy` or :func:`.forces`."""
-    k_samples = 0.5 * np.einsum("i,itc,itc->t", model.masses, vel, vel)
-    kin = grid.integrate(k_samples)
-    pot = grid.integrate(v_samples)
-    return ActionReport(S=float(kin - pot), kinetic=float(kin), potential=float(pot))
+def _report(grid, v, kinetic_grad, v_samples, gradient=None) -> ActionReport:
+    """S from the values ``v``, their kinetic gradient and the potential V
+    on the grid, as returned by :func:`.potential_energy` or
+    :func:`.forces`."""
+    kin = 0.5 * float(v @ kinetic_grad)
+    pot = float(grid.integrate(v_samples))
+    return ActionReport(S=kin - pot, kinetic=kin, potential=pot,
+                        gradient=gradient)
 
 
 def action_with_gradient(model: OrbitModel, params: ReducedParams,
@@ -115,15 +150,12 @@ def _with_gradient(kernel: EvalKernel, v: np.ndarray, pos: np.ndarray,
                    context: str) -> ActionReport:
     """Action and reduced gradient at values ``v`` whose sampled positions
     ``pos`` the caller already holds; the descent loop iterates this."""
-    model, grid = kernel.model, kernel.grid
-    F, V = forces(model.potential, model.masses, pos, times=grid.nodes,
-                  context=context)
-    report = _report(model, grid, kernel.velocities(v), V)
+    F, V = kernel.forces(pos, context)
+    kinetic_grad = kernel.kinetic_stiffness * v
     # dS/dc = pi k^2 m_eff c + int F . dx/dc dt  (the potential term carries
     # +F because F = -dV/dx).
-    k = kernel.layout.slot_k.astype(float)
-    grad = math.pi * k * k * kernel.layout.kinetic_mass * v + kernel.project_forces(F)
-    return replace(report, gradient=grad)
+    grad = kinetic_grad + kernel.project_forces(F)
+    return _report(kernel.grid, v, kinetic_grad, V, grad)
 
 
 def gradient(model: OrbitModel, params: ReducedParams) -> np.ndarray:

@@ -227,6 +227,9 @@ def run(model: OrbitModel, params: ReducedParams,
         v = v - dtau * report.gradient
         iteration += 1
 
+    # the residual's arrays can take the memory of the kernel's bases and
+    # pair buffers, which the loop no longer needs
+    del kernel, pos
     final = params.with_values(v)
     final_residual = None
     try:

@@ -6,17 +6,19 @@ i < j, the pair-by-body difference matrix, the signed couplings c_ij (and
 -alpha * c_ij for the force), and the body-by-pair incidence matrix that
 sums pair forces onto bodies.  The table is built once and cached, so a
 force call only forms separations (one difference-matrix product for a
-configuration, a gather for a batch), takes their norms and powers, and
-applies the incidence matrix.  The integrators' right side,
-:meth:`PairTable.accelerator`, makes the same calls for one configuration
-into pair buffers it builds once, through the buffers' and the table's
-bound ``dot`` methods, and writes F / m into the caller's array; the
-DOP853 drive calls it once per stage on the views of its stage plan.
-Both paths take r^(alpha - 2) with ``np.power``, and the accelerator's
-division by the masses repeated along the coordinates is the broadcast
-one's element by element, so the two agree to the bit.  Positions may be
-a single configuration of shape (n, 3) or a batch of shape (n, T, 3); they
-reach the table in the shape they come in, with no batching reshape, and
+configuration, two gathers for a batch), takes their norms and powers, and
+applies the incidence matrix.  Each force path fills pair buffers that an
+evaluator builds once: :meth:`PairTable.accelerator` for one
+configuration, the integrators' right side, which the DOP853 drive calls
+once per stage on the views of its stage plan, and
+:meth:`PairTable.batch_evaluator` for a batch of shape (n, T, 3), which
+the descent's kernel builds once and :func:`forces` builds on every
+batch call.  The accelerator takes r^(alpha - 2) with ``np.power`` as the
+single-configuration path of :func:`forces` does, and its division by the
+masses repeated along the coordinates is the broadcast one's element by
+element, so the two agree to the bit.  Positions may be a single
+configuration of shape (n, 3) or a batch of shape (n, T, 3); they reach
+the table in the shape they come in, with no batching reshape, and
 forces and energies are evaluated vectorized over the batch axis with a
 deterministic reduction order.  :func:`observables` takes the same two
 shapes: for a batch every field gains a leading T axis, so a time series
@@ -30,6 +32,7 @@ and another grid serves only a recheck independent of the descent's.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +108,11 @@ class PairTable:
         # a C-order copy: BLAS sums products with a transposed view in
         # another order, which would change the forces' last bits
         self.incidence = np.ascontiguousarray(self.difference.T)
-        # force coefficients along the pair axis of (n, 3) and (n, T, 3)
-        # positions; masses repeated along the coordinates of one
-        # configuration, which a division reads without broadcasting
-        self.coef_axes = {nd: self.force_coef.reshape((-1,) + (1,) * (nd - 2))
-                          for nd in (2, 3)}
+        # masses repeated along the coordinates of one configuration,
+        # which a division reads without broadcasting
         self.mass_rows = np.repeat(masses[:, None], 3, axis=1)
         for a in (self.coupling, self.force_coef, self.incidence,
-                  self.mass_rows, *self.coef_axes.values()):
+                  self.mass_rows):
             a.setflags(write=False)
 
     def distances(self, x: np.ndarray, times, context: str,
@@ -149,15 +149,9 @@ class PairTable:
         return self.coupling @ (r ** self.alpha)
 
     def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Per-body forces, shaped like the positions d and r came from."""
-        pair_f = (self.coef_axes[d.ndim]
-                  * np.power(r, self.alpha - 2.0))[..., None] * d
-        if d.ndim == 2:
-            return np.dot(self.incidence, pair_f)
-        # the same BLAS product np.tensordot would form, without its
-        # per-call overhead (about 10 us, half a small force call)
-        F = np.dot(self.incidence, pair_f.reshape(pair_f.shape[0], -1))
-        return F.reshape((-1,) + d.shape[1:])
+        """Per-body forces (n, 3) of one configuration's d and r."""
+        pair_f = (self.force_coef * np.power(r, self.alpha - 2.0))[:, None] * d
+        return np.dot(self.incidence, pair_f)
 
     def accelerator(self):
         """The integrator's right side for one configuration:
@@ -177,7 +171,7 @@ class PairTable:
         buffers, so ``accelerate`` serves one caller at a time.
         """
         n_pairs = self.difference.shape[0]
-        coef, mass = self.coef_axes[2], self.mass_rows
+        coef, mass = self.force_coef, self.mass_rows
         exponent = self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
         d, d2, pair_f = (np.empty((n_pairs, 3)) for _ in range(3))
@@ -203,6 +197,58 @@ class PairTable:
             np.divide(F, mass, out)
 
         return accelerate
+
+    def batch_evaluator(self, n_times: int):
+        """Forces and potential of a batch: ``evaluate(x, times, context)``
+        returns (F, V) of the (n, n_times, 3) positions ``x``, as
+        :func:`forces` does.
+
+        Its buffers are built here, once: the differences d, one scratch
+        array for the second gather, the squares and the pair forces, r^2
+        (then r^alpha), r (then r^(alpha - 2) and the pair coefficients in
+        place) and the body forces F.  The gathers take ``mode="clip"``,
+        since the default mode buffers its output; the indices are always
+        in range.  The collision test is the one :meth:`distances` makes,
+        softening applies after it, and r^alpha is taken by the power
+        operator, as :meth:`potential` takes it.  A call overwrites the
+        buffers, F included, so ``evaluate`` serves one caller at a time
+        and its F is valid until the next call; V is a new array.
+        """
+        n_pairs = self.difference.shape[0]
+        i_idx, j_idx, coupling = self.i_idx, self.j_idx, self.coupling
+        coef, alpha, incidence = self.force_coef[:, None], self.alpha, \
+            self.incidence
+        exponent = alpha - 2.0
+        softening2 = self.softening ** 2 if self.softening > 0.0 else None
+        d, scratch = (np.empty((n_pairs, n_times, 3)) for _ in range(2))
+        r2, r = (np.empty((n_pairs, n_times)) for _ in range(2))
+        F = np.empty((self.incidence.shape[0], n_times, 3))
+        r_col, pair_rows = r[..., None], scratch.reshape(n_pairs, 3 * n_times)
+        body_rows = F.reshape(F.shape[0], 3 * n_times)
+
+        def evaluate(x: np.ndarray, times, context: str):
+            np.take(x, i_idx, 0, d, "clip")
+            np.take(x, j_idx, 0, scratch, "clip")
+            np.subtract(d, scratch, d)
+            np.multiply(d, d, scratch)
+            np.matmul(scratch, _ONES3, r2)
+            np.sqrt(r2, r)
+            if r.size and np.minimum.reduce(r, axis=None) \
+                    < COLLISION_THRESHOLD:
+                raise self._collision(r, times, context)
+            if softening2 is not None:
+                np.add(r2, softening2, r)
+                np.sqrt(r, r)
+            np.copyto(r2, r)
+            operator.ipow(r2, alpha)
+            V = coupling @ r2
+            np.power(r, exponent, r)
+            np.multiply(coef, r, r)
+            np.multiply(r_col, d, scratch)
+            np.dot(incidence, pair_rows, body_rows)
+            return F, V
+
+        return evaluate
 
 
 @functools.lru_cache(maxsize=64)
@@ -238,14 +284,17 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
 
     Returns (F, V) with F matching the shape of ``positions``.  Newton's
     third law holds to machine precision because each pair contributes the
-    same term with opposite signs.
+    same term with opposite signs.  A batch goes through a
+    :meth:`PairTable.batch_evaluator` of its own, so F is a new array.
     """
     x = _positions(positions)
     table = pair_table(spec, masses)
+    if x.ndim == 3:
+        return table.batch_evaluator(x.shape[1])(x, times, context)
     d, r = table.distances(x, times, context)
     v = table.potential(r)
     F = table.forces(d, r) if d.size else np.zeros_like(x)   # no pairs: n < 2
-    return (F, float(v)) if x.ndim == 2 else (F, v)
+    return F, float(v)
 
 
 def min_pair_distance(positions) -> float:

@@ -272,6 +272,11 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
         coords = "xyz"
         active: dict[str, tuple] = {}
         for s in record.layout["slots"]:
+            # the slots name the active coordinates before any layout check
+            if not (isinstance(s, list) and len(s) == 4 and _is_a(s[1], "int")
+                    and 0 <= s[1] < len(coords)):
+                raise RecordError(f"choreography slot {s!r} names no "
+                                  f"coordinate channel 0, 1 or 2")
             _, channel, basis, _k = s
             name = coords[channel]
             bases = active.setdefault(name, ())

@@ -29,10 +29,11 @@ Built-in families:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -231,7 +232,10 @@ class Family:
 
 @dataclass(frozen=True)
 class OrbitModel:
-    """Generators, body bindings, and the interaction they move under."""
+    """Generators, body bindings, and the interaction they move under.
+
+    Compared field by field; the hash is computed once per model.
+    """
 
     generators: tuple
     bindings: tuple[BodyBinding, ...]
@@ -248,6 +252,19 @@ class OrbitModel:
         for b in self.bindings:
             if b.generator >= len(self.generators):
                 raise ValueError(f"binding references missing generator {b.generator}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the generated hash would rehash every binding on every call
+        return hash((self.generators, self.bindings, self.potential,
+                     self.family, self.symmetries))
+
+    def __getstate__(self):
+        # string hashes differ between processes: a pickle leaves it out
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @property
     def n_bodies(self) -> int:
@@ -313,7 +330,8 @@ class ParamLayout:
     ``k_max``, duplicates, and that each coupling ties to an existing slot
     at that slot's harmonic (the kinetic term applies the slot's k to all
     its coefficients).  Equality and hash exclude ``kinetic_mass``, which
-    follows from the model and the rest, and which sampling never reads.
+    follows from the model and the rest, and which sampling never reads;
+    the hash is computed once per layout.
     """
 
     slots: tuple[Slot, ...]
@@ -347,6 +365,19 @@ class ParamLayout:
             if tgt in targets:
                 raise LayoutError(f"duplicate target {tgt}")
             targets.add(tgt)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # hashed once, without kinetic_mass, as equality compares
+        return hash((self.slots, self.couplings, self.k_max,
+                     self.gen_channels))
+
+    def __getstate__(self):
+        # string hashes differ between processes: a pickle leaves it out
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @property
     def n_slots(self) -> int:
@@ -408,11 +439,15 @@ def channel_multiplicity(model: OrbitModel, gen: int, channel: int) -> float:
 
 def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
                          couplings: Sequence[Coupling]) -> np.ndarray:
-    """Per-slot effective mass summed over the slot's coupled coefficients."""
+    """Per-slot effective mass summed over the slot's coupled coefficients.
+
+    The targets' generators must exist, as :func:`make_layout` checks
+    before it calls this.
+    """
     out = np.zeros(len(slots))
     for i, s in enumerate(slots):
         out[i] += channel_multiplicity(model, s.gen, s.channel)
-    for c in couplings:   # before ParamLayout's checks: -1 would wrap
+    for c in couplings:   # -1 would wrap
         if not (0 <= c.slot < len(slots)):
             raise LayoutError(f"coupling references missing slot {c.slot}")
         out[c.slot] += channel_multiplicity(model, c.gen, c.channel) * c.sign ** 2
@@ -422,22 +457,28 @@ def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
 def make_layout(model: OrbitModel, slots: Sequence[Slot],
                 couplings: Sequence[Coupling] = ()) -> ParamLayout:
     """Assemble a layout for a model (custom-family hook); beyond
-    :class:`ParamLayout`'s checks, each harmonic must pass its parity mask."""
+    :class:`ParamLayout`'s checks, each harmonic must pass its parity mask.
+
+    The layout's own checks run first, so a target naming a missing
+    generator, channel or slot is a LayoutError before the model's
+    generators are read; the kinetic masses follow once all checks pass.
+    """
     slots = tuple(slots)
-    couplings = tuple(couplings)
-    for tgt in slots + couplings:
+    layout = ParamLayout(
+        slots=slots,
+        couplings=tuple(couplings),
+        k_max=model.k_max,
+        gen_channels=tuple(g.n_channels for g in model.generators),
+        kinetic_mass=np.zeros(len(slots)),
+    )
+    for tgt in layout.slots + layout.couplings:
         series = model.generators[tgt.gen].channel(tgt.channel)
         if not series.parity.allows(tgt.k):
             raise LayoutError(
                 f"harmonic k={tgt.k} is disallowed by the generator's parity mask"
             )
-    return ParamLayout(
-        slots=slots,
-        couplings=couplings,
-        k_max=model.k_max,
-        gen_channels=tuple(g.n_channels for g in model.generators),
-        kinetic_mass=compute_kinetic_mass(model, slots, couplings),
-    )
+    return replace(layout, kinetic_mass=compute_kinetic_mass(
+        model, layout.slots, layout.couplings))
 
 
 # ----------------------------------------------------------------------

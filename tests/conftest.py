@@ -1,12 +1,33 @@
-"""Shared converged-orbit fixtures.
+"""Shared converged-orbit fixtures, and the benchmark's workloads.
 
 Minimizations are deterministic, so each family is converged once per
 session and reused by every test that needs it.
 """
 
+import importlib.util
+import pathlib
+import sys
+
 import pytest
 
 import actionorbits as ao
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, loaded read-only from its file: its
+    orbits, their seeded starts and its stages.  It imports calibrate from
+    its own directory, and its dataclasses need the module registered."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        patch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        yield module
 
 
 def _converge(model, params, schedule=None):

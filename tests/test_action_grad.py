@@ -20,7 +20,7 @@ from actionorbits import (
     gradient,
     sample_positions,
 )
-from oracles import project
+from oracles import accelerations, kinetic_quadrature, project, velocities
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,6 +136,48 @@ class TestGradient:
         assert np.max(np.abs(g)) < 1e-9
 
 
+def _coupled_choreography():
+    """Three bodies on one curve whose even-harmonic y cosines are tied to
+    the x sines by alternating signs: a choreography with couplings."""
+    model, _ = build_choreography(3, active={"x": ("sin",)}, k_max=9,
+                                  parity=ao.Parity.ALL)
+    slots = [ao.Slot(0, 0, "sin", k) for k in range(1, 10)]
+    slots += [ao.Slot(0, 1, "cos", k) for k in range(1, 10, 2)]
+    couplings = [ao.Coupling(k - 1, 0, 1, "cos", k, (-1.0) ** (k // 2))
+                 for k in range(2, 10, 2)]
+    layout = ao.make_layout(model, slots, couplings)
+    values = np.zeros(layout.n_slots)
+    values[0] = values[9] = 1.0
+    return model, ao.ReducedParams(layout, values)
+
+
+class TestKineticTerm:
+    """The kinetic integral in coefficient space, 1/2 c . (pi k^2 m_eff c),
+    equals the quadrature of sampled velocities it replaces."""
+
+    @staticmethod
+    def _check(model, params, label):
+        rng = np.random.default_rng(len(params))
+        noise = 1.0 + 0.1 * rng.normal(size=len(params))
+        for probe in (params, params.with_values(params.values * noise)):
+            expected = kinetic_quadrature(model, probe)
+            for report in (action(model, probe),
+                           action_with_gradient(model, probe)):
+                assert abs(report.kinetic - expected) <= 1e-13 * expected, \
+                    (label, report.kinetic, expected)
+
+    def test_benchmark_orbits(self, workloads):
+        # every orbit builder of the benchmark, the 1:2:3 masses included
+        for name, build in workloads.ORBITS.items():
+            model, params = build()
+            self._check(model, workloads.seeded_params(name, params, 1), name)
+
+    def test_choreography_with_couplings(self):
+        model, params = _coupled_choreography()
+        assert len(params.layout.couplings) == 4
+        self._check(model, params, "coupled choreography")
+
+
 KERNEL_MODELS = {
     # scalar generator read at three time offsets
     "cubic-m3": lambda: build_cubic_family(3, k_max=9),
@@ -166,9 +208,9 @@ class TestEvalKernel:
         params = params.with_values(rng.normal(size=len(params)))
         assert np.allclose(kernel.positions(params.values),
                            sample_positions(model, params, t))
-        assert np.allclose(kernel.velocities(params.values),
+        assert np.allclose(velocities(kernel, params.values),
                            sample_positions(model, params, t, deriv=1))
-        assert np.allclose(kernel.accelerations(params.values),
+        assert np.allclose(accelerations(kernel, params.values),
                            sample_positions(model, params, t, deriv=2))
 
     def test_kernel_reuse_gives_same_gradient(self):

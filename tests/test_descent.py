@@ -1,6 +1,7 @@
 """Tests for the coefficient-space descent loop and its diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,43 @@ class TestRunOutcomes:
 
         run(model, params, stop=StopRule(max_iters=25), callback=check)
         assert worst <= 1e-12
+
+    def test_benchmark_iteration_counts_stay_the_same(self, workloads):
+        # the seven benchmark orbits from their seed-1 starts at their fixed
+        # k_max: a change to the descent's arithmetic that moves any count
+        # moves the benchmark's work, not only its speed
+        counts = {}
+        for name, build in workloads.ORBITS.items():
+            model, params = build()
+            counts[name] = run(model, workloads.seeded_params(
+                name, params, 1)).iterations
+        assert counts == {"cubic-m1": 41, "cubic-m3": 41, "cubic-m5": 45,
+                          "cubic-m7": 46, "crisscross": 101,
+                          "crisscross-123": 314, "figure-eight": 52}
+
+    def test_iterations_allocate_no_batch_sized_array(self):
+        # cubic m=7 has 378 pairs on 112 nodes: after the first iteration
+        # an iteration allocates less than one (pairs, nodes, 3) array,
+        # since the kernel's position and pair buffers take every
+        # batch-sized result
+        model, params = build_cubic_family(7, k_max=27)
+        pair_array = 378 * 112 * 3 * 8
+        per_iteration = []
+
+        def measure(iteration, current, S, grad_norm):
+            current_bytes, peak = tracemalloc.get_traced_memory()
+            if iteration > 1:
+                per_iteration.append(peak - measure.start)
+            measure.start = current_bytes
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            run(model, params, stop=StopRule(max_iters=5), callback=measure)
+        finally:
+            tracemalloc.stop()
+        assert len(per_iteration) == 4
+        assert max(per_iteration) < pair_array, per_iteration
 
     def test_radial_mode_instability_above_the_homogeneity_bound(self):
         # for alpha = -1 the scale mode diverges once delta exceeds

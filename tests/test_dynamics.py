@@ -9,6 +9,7 @@ import pytest
 import actionorbits as ao
 from actionorbits import (
     CollisionError,
+    EvalKernel,
     PotentialSpec,
     QuadratureGrid,
     build_crisscross,
@@ -22,6 +23,7 @@ from actionorbits import (
     sample_positions,
 )
 from actionorbits.dynamics import pair_table
+from oracles import pair_forces
 
 TWO_PI = 2.0 * math.pi
 dynamics = importlib.import_module("actionorbits.dynamics")
@@ -237,6 +239,65 @@ def test_accelerator_raises_the_collision_of_forces(monkeypatch):
     with pytest.raises(CollisionError) as exc:
         accelerate(x, 0.75, np.empty((4, 3)))
     assert exc.value.pair == (2, 3)
+
+
+# orbits and pair laws for the descent's batch evaluator: 378 pairs, three
+# unequal masses, a softened law and a non-Newtonian one
+EVALUATOR_CASES = {
+    "cubic-m7": (lambda: build_cubic_family(7, k_max=27), PotentialSpec()),
+    "crisscross-123": (lambda: build_crisscross((1.0, 2.0, 3.0), k_max=35),
+                       PotentialSpec()),
+    "softened": (lambda: build_cubic_family(3, k_max=9),
+                 PotentialSpec(softening=0.3)),
+    "alpha=-0.5": (lambda: build_crisscross(k_max=9),
+                   PotentialSpec(alpha=-0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(EVALUATOR_CASES))
+def test_batch_evaluator_writes_the_bits_of_the_allocating_path(case):
+    # one evaluator, reused across configurations as the descent reuses
+    # it, gives the bytes of allocating NumPy expressions and of forces()
+    builder, spec = EVALUATOR_CASES[case]
+    model, params = builder()
+    grid = QuadratureGrid.for_kmax(model.k_max)
+    table = pair_table(spec, model.masses)
+    evaluate = table.batch_evaluator(grid.n)
+    rng = np.random.default_rng(len(params))
+    for _ in range(3):
+        scale = 1.0 + 0.05 * rng.normal(size=len(params))
+        x = sample_positions(model, params.with_values(params.values * scale),
+                             grid.nodes)
+        F, V = evaluate(x, grid.nodes, "test")
+        for F_ref, V_ref in (pair_forces(table, x, grid.nodes),
+                             forces(spec, model.masses, x, times=grid.nodes)):
+            assert F.tobytes() == F_ref.tobytes(), case
+            assert V.tobytes() == V_ref.tobytes(), case
+
+
+def test_batch_evaluator_raises_the_collision_of_forces():
+    # bodies 0 and 2 meet at the sixth grid node: the kernel's buffered
+    # path, forces() and the distances of potential_energy() name the same
+    # pair, time, distance and context
+    model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
+    kernel = EvalKernel(model, params)
+    t = kernel.grid.nodes
+    x = sample_positions(model, params, t)
+    x[2, 5] = x[0, 5] + [0.0, 3e-9, 0.0]
+    calls = [lambda: kernel.forces(x, "unit test"),
+             lambda: forces(model.potential, model.masses, x, times=t,
+                            context="unit test"),
+             lambda: potential_energy(model.potential, model.masses, x,
+                                      times=t, context="unit test")]
+    errors = []
+    for call in calls:
+        with pytest.raises(CollisionError) as exc:
+            call()
+        errors.append(exc.value)
+    assert (errors[0].pair, errors[0].t) == ((0, 2), t[5])
+    for err in errors[1:]:
+        assert (err.pair, err.t, err.distance, str(err)) == (
+            errors[0].pair, errors[0].t, errors[0].distance, str(errors[0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 28])

@@ -311,6 +311,24 @@ class TestRecordValidation:
             record_to_model(load_record(bad))
         _exits_as_record_error(bad, capsys)
 
+    @pytest.mark.parametrize("slot", [[0, 5, "sin", 1], [0, -1, "sin", 1],
+                                      [0, "1", "sin", 1], 5],
+                             ids=["channel-5", "channel-minus-1",
+                                  "string-channel", "int-slot"])
+    def test_choreography_slot_without_a_channel_is_record_error(
+            self, tmp_path, capsys, slot):
+        # a choreography's slots name its active coordinates, so they are
+        # read before any layout check; a bad one used to end in a
+        # traceback at the coordinate lookup
+        model, params = build_choreography(3, k_max=5)
+        path = str(tmp_path / "choreography.json")
+        save_record(make_record(model, params), path)
+        bad = _tampered(path, tmp_path,
+                        lambda d: d["layout"]["slots"].__setitem__(0, slot))
+        with pytest.raises(RecordError, match="coordinate channel"):
+            record_to_model(load_record(bad))
+        _exits_as_record_error(bad, capsys)
+
 
 class TestVerifyRecord:
     def test_converged_record_verifies(self, circle, tmp_path):

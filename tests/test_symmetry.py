@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -515,7 +516,7 @@ class TestSharedTrigTables:
         sample_positions(model, params, np.linspace(0.0, 6.0, 50), deriv=2)
         assert len(calls) == tables
         calls.clear()
-        ao.EvalKernel(model, params)   # all three derivative orders
+        ao.EvalKernel(model, params)   # the position basis
         assert len(calls) == tables
 
     @pytest.mark.parametrize("deriv", [3, -1, 5])
@@ -634,6 +635,18 @@ class TestLayout:
             make_layout(model, [Slot(0, 0, COS, 1)],
                         [Coupling(5, 0, 1, SIN, 1, 1.0)])
 
+    def test_missing_generator_or_channel_is_a_layout_error(self):
+        # the layout's own checks run before the parity mask is read, so
+        # neither target reaches the model's generators
+        model, _ = build_cubic_family(1, k_max=9)
+        with pytest.raises(LayoutError, match="missing generator 1"):
+            make_layout(model, [Slot(1, 0, SIN, 1)])
+        with pytest.raises(LayoutError, match="no channel 1"):
+            make_layout(model, [Slot(0, 1, SIN, 1)])
+        with pytest.raises(LayoutError, match="missing generator 2"):
+            make_layout(model, [Slot(0, 0, SIN, 1)],
+                        [Coupling(0, 2, 0, SIN, 1, 1.0)])
+
     def test_parity_and_range_guards(self):
         model, _ = build_cubic_family(1, k_max=9)
         with pytest.raises(LayoutError):
@@ -647,9 +660,21 @@ class TestLayout:
         for builder in (lambda: build_cubic_family(3, k_max=9),
                         lambda: build_crisscross(k_max=9),
                         lambda: build_choreography(3, k_max=9)):
-            first, second = builder()[1].layout, builder()[1].layout
-            assert first is not second
-            assert first == second and hash(first) == hash(second)
+            (model, first), (other, second) = builder(), builder()
+            for a, b in ((first.layout, second.layout), (model, other)):
+                assert a is not b
+                assert a == b and hash(a) == hash(b) == hash(a)
+
+    def test_cached_hash_is_left_out_of_pickles(self):
+        # the model and layout hash once; a copy made by pickling hashes
+        # afresh, since string hashes differ between processes
+        model, params = build_choreography(3, k_max=9)
+        for value in (model, params.layout):
+            hash(value)
+            state = value.__getstate__()
+            assert "_hash" not in state
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value)
 
     @pytest.mark.parametrize("change", [
         lambda lay: dataclasses.replace(lay, slots=lay.slots[:-1] + (

@@ -12,7 +12,6 @@ import importlib
 import importlib.util
 import math
 import pathlib
-import sys
 
 import numpy as np
 
@@ -40,17 +39,10 @@ def test_setup_probe_first_calls_run():
     _load("setup_probe").first_calls()
 
 
-def test_benchmark_stages_run(monkeypatch, tmp_path):
+def test_benchmark_stages_run(workloads, tmp_path):
     # find, certify and track as the benchmark runs them, so that a
     # library change that breaks a stage fails here and not only as a
-    # failed benchmark run; workloads.py imports calibrate from its own
-    # directory, and its dataclasses need the module registered
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    # failed benchmark run
     root = PERFBENCH.parent
     bench = workloads.Bench(
         workdir=str(tmp_path), src=str(root / "src"),
