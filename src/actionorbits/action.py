@@ -22,6 +22,14 @@ quadrature on the grid, which is exact for the truncation.  The
 orthogonality factor pi is kept explicit rather than folded into step
 sizes, and the potential term is projected on the grid.  Zeros of this
 gradient are exactly the Fourier-projected equations of motion.
+
+The gradient's :class:`EvalKernel`, which the descent iterates, takes the
+potential term from one body per orbit of the model's binding symmetries
+(:func:`.body_orbits`): a body's grid sum of F . dx/dc is its
+representative's, so the pairs that touch a representative are all the
+kernel evaluates (27 of 378 at cubic m = 7).  :func:`action`,
+:func:`full_gradient` and the residual still evaluate every pair, so they
+check the reduced evaluation independently.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import numpy as np
 
 from .dynamics import forces, pair_table, potential_energy
 from .quadrature import QuadratureGrid
-from .symmetry import (OrbitModel, ParamLayout, ReducedParams,
+from .symmetry import (OrbitModel, ParamLayout, ReducedParams, body_orbits,
                        channel_multiplicity, sample_positions, sample_tables)
 
 
@@ -53,10 +61,18 @@ class EvalKernel:
     axis first): one :func:`.sample_tables` call on the expanded identity.
     The products write into one position buffer, and the forces into the
     buffers of one :meth:`.PairTable.batch_evaluator`, both built here, so
-    an iteration allocates no array of the batch's size.  The action's
-    kinetic term reads no samples; the velocity and acceleration bases
-    are sampled on first use only.  Used by the descent loop and
-    :func:`action_with_gradient`.
+    an iteration allocates no array of the batch's size.
+
+    The evaluator takes only the pairs that touch one representative body
+    of each of the model's :func:`.body_orbits` on the grid, and returns
+    the forces on the representatives: by symmetry, a body's grid sum of
+    F . dx/dc is its representative's, so the gradient's potential term is
+    w sum_r |O_r| sum_t F_r . dx_r/dc, and the evaluator weights the pair
+    potentials to give the full potential's grid sum.  With every body its
+    own representative (the criss-crosses) this is the full evaluation, bit
+    for bit.  The action's kinetic term reads no samples; the velocity and
+    acceleration bases are sampled on first use only.  Used by the descent
+    loop and :func:`action_with_gradient`.
     """
 
     def __init__(self, model: OrbitModel, params: ReducedParams):
@@ -69,8 +85,16 @@ class EvalKernel:
         self._positions = np.empty(shape)
         self._basis_rows = self.basis_pos.reshape(n_slots, self._positions.size)
         self._position_row = self._positions.reshape(-1)
+        self.orbits = body_orbits(model, self.grid.n)
         self._evaluate = pair_table(model.potential, model.masses) \
-            .batch_evaluator(self.grid.n)
+            .batch_evaluator(self.grid.n, self.orbits)
+        # dx_r/dc of each representative r, counted |O_r| times; with every
+        # body its own representative that is basis_pos itself
+        self._projection = self.basis_pos
+        if len(self.orbits) < model.n_bodies:
+            leads = [orbit[0] for orbit in self.orbits]
+            sizes = np.array([len(orbit) for orbit in self.orbits], dtype=float)
+            self._projection = self.basis_pos[:, leads] * sizes[:, None, None]
 
     def _basis(self, order: int) -> np.ndarray:
         units = self.layout.expand(np.eye(self.layout.n_slots))
@@ -92,13 +116,16 @@ class EvalKernel:
         return self._positions
 
     def forces(self, pos: np.ndarray, context: str):
-        """(F, V) of grid positions, as :func:`.forces` returns them; F is
-        a buffer the next call overwrites."""
+        """(F, V) of positions ``pos`` that :meth:`positions` sampled: F on
+        the representatives (n_orbits, T, 3), in a buffer the next call
+        overwrites, and V with the weights whose grid sum is the full
+        potential's (see :meth:`.PairTable.batch_evaluator`)."""
         return self._evaluate(pos, self.grid.nodes, context)
 
     def project_forces(self, F: np.ndarray) -> np.ndarray:
-        """Quadrature of F . (dx/dc) for every slot."""
-        return self.grid.weight * np.einsum("itc,sitc->s", F, self.basis_pos)
+        """Quadrature of F . (dx/dc) over every body for every slot, from
+        the representatives' forces F."""
+        return self.grid.weight * np.einsum("itc,sitc->s", F, self._projection)
 
 
 @dataclass(frozen=True)
@@ -139,9 +166,15 @@ def _report(grid, v, kinetic_grad, v_samples, gradient=None) -> ActionReport:
 
 def action_with_gradient(model: OrbitModel, params: ReducedParams,
                          kernel: EvalKernel | None = None) -> ActionReport:
-    """Action plus its reduced gradient in one force evaluation."""
+    """Action plus its reduced gradient in one force evaluation.
+
+    A ``kernel`` must have been built for this model and layout: its
+    bases, grid and body orbits are theirs.
+    """
     if kernel is None:
         kernel = EvalKernel(model, params)
+    elif kernel.model != model or kernel.layout != params.layout:
+        raise ValueError("the kernel was built for another model or layout")
     v = params.values
     return _with_gradient(kernel, v, kernel.positions(v), "gradient")
 

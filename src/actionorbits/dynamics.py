@@ -12,8 +12,9 @@ evaluator builds once: :meth:`PairTable.accelerator` for one
 configuration, the integrators' right side, which the DOP853 drive calls
 once per stage on the views of its stage plan, and
 :meth:`PairTable.batch_evaluator` for a batch of shape (n, T, 3), which
-the descent's kernel builds once and :func:`forces` builds on every
-batch call.  The accelerator takes r^(alpha - 2) with ``np.power`` as the
+the descent's kernel builds once, for the pairs that touch one body of
+each symmetry orbit, and :func:`forces` builds on every batch call, for
+every pair.  The accelerator takes r^(alpha - 2) with ``np.power`` as the
 single-configuration path of :func:`forces` does, and its division by the
 masses repeated along the coordinates is the broadcast one's element by
 element, so the two agree to the bit.  Positions may be a single
@@ -133,15 +134,19 @@ class PairTable:
             r = np.sqrt(r2 + self.softening ** 2)
         return d, r
 
-    def _collision(self, r: np.ndarray, times, context: str):
-        """The CollisionError of the closest pair of true distances r."""
+    def _collision(self, r: np.ndarray, times, context: str,
+                   pairs: np.ndarray | None = None):
+        """The CollisionError of the closest pair of true distances r, whose
+        rows are the table's pairs or, when given, the table's pairs
+        ``pairs``."""
         at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
+        p = at[0] if pairs is None else pairs[at[0]]
         t = None
         if times is not None:
             # one time stands for every member of a batch
             times = np.ravel(times)
             t = float(times[at[1] if times.size > 1 else 0])
-        return CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
+        return CollisionError((self.i_idx[p], self.j_idx[p]), t=t,
                               distance=r[at], context=context)
 
     def potential(self, r: np.ndarray):
@@ -198,33 +203,57 @@ class PairTable:
 
         return accelerate
 
-    def batch_evaluator(self, n_times: int):
+    def batch_evaluator(self, n_times: int, orbits=None):
         """Forces and potential of a batch: ``evaluate(x, times, context)``
-        returns (F, V) of the (n, n_times, 3) positions ``x``, as
-        :func:`forces` does.
+        returns (F, V) of the (n, n_times, 3) positions ``x``.
+
+        ``orbits`` groups the bodies as :func:`.body_orbits` does, each
+        orbit led by its representative; by default every body is its own.
+        The evaluator takes the pairs that touch a representative, in table
+        order.  F holds the forces on the representatives, in their order,
+        and V weights pair (i, j) by (|O_i| [i leads] + |O_j| [j leads]) / 2,
+        each body's half share of its pairs counted once per member of its
+        orbit.  Over a batch of grid positions whose orbits these are, V's
+        sum is the full potential's.  With every body its own
+        representative that is every pair at weight 1, and (F, V) are the
+        bits :func:`forces` returns.
 
         Its buffers are built here, once: the differences d, one scratch
         array for the second gather, the squares and the pair forces, r^2
         (then r^alpha), r (then r^(alpha - 2) and the pair coefficients in
-        place) and the body forces F.  The gathers take ``mode="clip"``,
-        since the default mode buffers its output; the indices are always
-        in range.  The collision test is the one :meth:`distances` makes,
-        softening applies after it, and r^alpha is taken by the power
+        place) and the forces F.  The gathers take ``mode="clip"``, since
+        the default mode buffers its output; the indices are always in
+        range.  The collision test is the one :meth:`distances` makes, and
+        when some pairs are left out a collision is raised as an evaluator
+        of every pair raises it, built then, so that its pair and time are
+        the full path's; should that evaluator find no collision (a
+        rounding edge), the error of the pairs taken is raised.  Softening
+        applies after the test, and r^alpha is taken by the power
         operator, as :meth:`potential` takes it.  A call overwrites the
         buffers, F included, so ``evaluate`` serves one caller at a time
         and its F is valid until the next call; V is a new array.
         """
-        n_pairs = self.difference.shape[0]
-        i_idx, j_idx, coupling = self.i_idx, self.j_idx, self.coupling
-        coef, alpha, incidence = self.force_coef[:, None], self.alpha, \
-            self.incidence
-        exponent = alpha - 2.0
+        n_bodies = self.incidence.shape[0]
+        if orbits is None:
+            orbits = [(i,) for i in range(n_bodies)]
+        size = np.zeros(n_bodies)     # |O_i| at a representative, else 0
+        for orbit in orbits:
+            size[orbit[0]] = len(orbit)
+        leads = np.flatnonzero(size)
+        pairs = np.flatnonzero(size[self.i_idx] + size[self.j_idx])
+        every_pair = pairs.size == self.i_idx.size
+        i_idx, j_idx = self.i_idx[pairs], self.j_idx[pairs]
+        coupling = self.coupling[pairs] * (0.5 * (size[i_idx] + size[j_idx]))
+        coef = self.force_coef[pairs, None]
+        # C order, as the table's incidence is kept
+        incidence = np.ascontiguousarray(self.incidence[np.ix_(leads, pairs)])
+        alpha, exponent = self.alpha, self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
-        d, scratch = (np.empty((n_pairs, n_times, 3)) for _ in range(2))
-        r2, r = (np.empty((n_pairs, n_times)) for _ in range(2))
-        F = np.empty((self.incidence.shape[0], n_times, 3))
-        r_col, pair_rows = r[..., None], scratch.reshape(n_pairs, 3 * n_times)
-        body_rows = F.reshape(F.shape[0], 3 * n_times)
+        d, scratch = (np.empty((pairs.size, n_times, 3)) for _ in range(2))
+        r2, r = (np.empty((pairs.size, n_times)) for _ in range(2))
+        F = np.empty((leads.size, n_times, 3))
+        r_col, pair_rows = r[..., None], scratch.reshape(pairs.size, 3 * n_times)
+        body_rows = F.reshape(leads.size, 3 * n_times)
 
         def evaluate(x: np.ndarray, times, context: str):
             np.take(x, i_idx, 0, d, "clip")
@@ -235,7 +264,10 @@ class PairTable:
             np.sqrt(r2, r)
             if r.size and np.minimum.reduce(r, axis=None) \
                     < COLLISION_THRESHOLD:
-                raise self._collision(r, times, context)
+                error = self._collision(r, times, context, pairs)
+                if not every_pair:
+                    self.batch_evaluator(n_times)(x, times, context)
+                raise error
             if softening2 is not None:
                 np.add(r2, softening2, r)
                 np.sqrt(r, r)

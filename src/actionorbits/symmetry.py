@@ -11,7 +11,10 @@ free ("reduced") coefficients and sign couplings that tie the remaining
 coefficients to them, so symmetry constraints hold exactly at every
 parameter value instead of being projected back after each step.  It is
 the one place that validates a layout, and a value compared and hashed
-without its kinetic masses.
+without its kinetic masses.  :func:`body_orbits` groups the bodies that
+the bindings' own symmetries carry onto each other by a turn and a time
+shift of whole grid steps, so that the descent evaluates the forces on
+one body per group.
 
 Built-in families:
 
@@ -84,7 +87,7 @@ class OrthTransform:
         return np.asarray(points, dtype=float) @ self.matrix.T
 
     def key(self) -> tuple:
-        return tuple(int(v) for v in self.matrix.ravel())
+        return tuple(self.matrix.ravel().tolist())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, OrthTransform) and self.key() == other.key()
@@ -546,6 +549,72 @@ def sample_positions(model: OrbitModel, params: ReducedParams, times,
     if scalar:
         out = [a[:, 0, :] for a in out]
     return out if isinstance(deriv, tuple) else out[0]
+
+
+# ----------------------------------------------------------------------
+# body orbits
+# ----------------------------------------------------------------------
+
+# Two phases closer than this are one phase.  Bindings that differ only by
+# less would put two bodies within about this distance of each other, which
+# is a collision, so no model that can be evaluated has such a pair.
+_PHASE_TOL = 1e-9
+
+
+def _phase_gap(a: float, b: float) -> float:
+    """Distance of two phases on the circle."""
+    gap = (a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
+@functools.lru_cache(maxsize=64)
+def body_orbits(model: OrbitModel, n_nodes: int) -> tuple[tuple[int, ...], ...]:
+    """The bodies' orbits under the symmetries of the bindings that a grid
+    of ``n_nodes`` uniform nodes resolves.
+
+    The element (R, shift) = (R_i R_r^-1, phi_i - phi_r) puts body i in
+    body r's orbit when it maps every binding (g, R_c, phi_c, m_c) onto a
+    binding (g, R R_c, phi_c + shift, m_c), one body onto each, and when
+    the shift is a whole number of grid steps 2*pi/n_nodes.  The first
+    makes x_i(t) = R x_r(t + shift) at every coefficient value and carries
+    the pair forces along: F_i(t) = R F_r(t + shift).  The second makes
+    the shift permute the grid's nodes, so body i's grid sums of
+    F . dx/dc and of its share of the pair potential are body r's.  Each
+    orbit lists its bodies in index order, led by its lowest, the
+    representative; the orbits come in the order of their representatives.
+    """
+    bindings = model.bindings
+    step = TWO_PI / n_nodes
+    # the bindings' phases by everything else they carry
+    phases: dict[tuple, list[tuple[float, int]]] = {}
+    for c, b in enumerate(bindings):
+        key = (b.generator, b.transform.matrix.tobytes(), b.mass)
+        phases.setdefault(key, []).append((b.phase, c))
+
+    def image(b: BodyBinding, rotation: np.ndarray, shift: float):
+        """The body at the element's image of binding b, or None."""
+        key = (b.generator, (rotation @ b.transform.matrix).tobytes(), b.mass)
+        return next((c for phase, c in phases.get(key, ())
+                     if _phase_gap(phase, b.phase + shift) < _PHASE_TOL), None)
+
+    def related(r: int, i: int) -> bool:
+        br, bi = bindings[r], bindings[i]
+        shift = (bi.phase - br.phase) % TWO_PI
+        if (bi.generator, bi.mass) != (br.generator, br.mass) or \
+                _phase_gap(step * round(shift / step), shift) >= _PHASE_TOL:
+            return False
+        rotation = bi.transform.matrix @ br.transform.matrix.T
+        images = {image(b, rotation, shift) for b in bindings}
+        return None not in images and len(images) == len(bindings)
+
+    orbits: list[list[int]] = []
+    for i in range(len(bindings)):
+        orbit = next((o for o in orbits if related(o[0], i)), None)
+        if orbit is None:
+            orbits.append([i])
+        else:
+            orbit.append(i)
+    return tuple(tuple(orbit) for orbit in orbits)
 
 
 # ----------------------------------------------------------------------

@@ -4,14 +4,15 @@ The library's runtime paths never call these: the sampler reads
 ``trig_table`` and ``contract`` directly, the gradient reads generator
 columns instead of projecting coefficient tables, the action takes its
 kinetic term in coefficient space, the descent's kernel evaluates pair
-forces in buffers it reuses, and the symmetry groups are built from
-explicit matrices.  The tests still use them as oracles.
+forces in buffers it reuses, on one body per symmetry orbit, and the
+symmetry groups are built from explicit matrices.  The tests still use
+them as oracles.
 """
 
 import numpy as np
 
 from actionorbits import OrthTransform, QuadratureGrid, sample_positions
-from actionorbits.dynamics import COLLISION_THRESHOLD
+from actionorbits.dynamics import COLLISION_THRESHOLD, forces
 from actionorbits.fourier import contract, trig_table
 from actionorbits.symmetry import _BASIS_AXIS
 
@@ -80,3 +81,17 @@ def pair_forces(table, x, times, context=""):
               * np.power(r, table.alpha - 2.0))[..., None] * d
     F = np.dot(table.incidence, pair_f.reshape(pair_f.shape[0], -1))
     return F.reshape(x.shape), V
+
+
+def full_pair_action(kernel, values):
+    """(S, gradient) at ``values`` from the kernel's sampled positions and
+    basis, with the forces on every body from every pair: the arithmetic
+    of a kernel whose bodies are each their own representative."""
+    model, grid = kernel.model, kernel.grid
+    F, V = forces(model.potential, model.masses, kernel.positions(values),
+                  times=grid.nodes, context="full pair oracle")
+    kinetic_grad = kernel.kinetic_stiffness * values
+    grad = kinetic_grad + grid.weight * np.einsum("itc,sitc->s", F,
+                                                  kernel.basis_pos)
+    S = 0.5 * float(values @ kinetic_grad) - float(grid.integrate(V))
+    return S, grad

@@ -20,7 +20,8 @@ from actionorbits import (
     gradient,
     sample_positions,
 )
-from oracles import accelerations, kinetic_quadrature, project, velocities
+from oracles import (accelerations, full_pair_action, kinetic_quadrature,
+                     project, velocities)
 
 TWO_PI = 2.0 * math.pi
 
@@ -220,6 +221,72 @@ class TestEvalKernel:
         rep_cached = action_with_gradient(model, params, kernel=kernel)
         assert rep_direct.S == pytest.approx(rep_cached.S)
         assert np.allclose(rep_direct.gradient, rep_cached.gradient)
+
+
+class TestSymmetryReducedKernel:
+    """The kernel evaluates the pairs of one body per symmetry orbit; its
+    action and gradient are the full pair sum's."""
+
+    @staticmethod
+    def _probes(workloads, name):
+        model, params = workloads.ORBITS[name]()
+        start = workloads.seeded_params(name, params, 1)
+        rng = np.random.default_rng(list(workloads.ORBITS).index(name))
+        noise = 0.02 * rng.normal(size=len(start))
+        return model, {"seed-1 start": start,
+                       "converged": ao.run(model, start).params,
+                       "random": start.with_values(start.values + noise)}
+
+    def test_benchmark_orbits_agree_with_every_pair(self, workloads):
+        # relative to the potential term, which is O(1) where the
+        # gradient itself vanishes
+        for name in workloads.ORBITS:
+            model, probes = self._probes(workloads, name)
+            for label, probe in probes.items():
+                kernel = EvalKernel(model, probe)
+                report = action_with_gradient(model, probe, kernel=kernel)
+                S, grad = full_pair_action(kernel, probe.values)
+                scale = np.max(np.abs(grad - kernel.kinetic_stiffness
+                                      * probe.values))
+                assert abs(report.S - S) <= 1e-12 * abs(S), (name, label)
+                assert np.max(np.abs(report.gradient - grad)) \
+                    <= 1e-12 * scale, (name, label)
+
+    @pytest.mark.parametrize("name", ["crisscross", "crisscross-123"])
+    def test_crisscross_kernels_give_the_full_bytes(self, workloads, name):
+        # three generators: every body is its own representative
+        model, probes = self._probes(workloads, name)
+        for label, probe in probes.items():
+            kernel = EvalKernel(model, probe)
+            assert len(kernel.orbits) == model.n_bodies
+            report = action_with_gradient(model, probe, kernel=kernel)
+            S, grad = full_pair_action(kernel, probe.values)
+            assert report.S == S, label
+            assert report.gradient.tobytes() == grad.tobytes(), label
+
+    def test_forces_are_the_representatives(self, workloads):
+        model, params = workloads.ORBITS["cubic-m7"]()
+        kernel = EvalKernel(model, params)
+        pos = kernel.positions(params.values)
+        F, _ = kernel.forces(pos, "test")
+        F_all, _ = ao.forces(model.potential, model.masses, pos,
+                             times=kernel.grid.nodes)
+        assert kernel.orbits == (tuple(range(28)),)
+        assert F.shape == (1, kernel.grid.n, 3)
+        assert np.allclose(F[0], F_all[0], rtol=0, atol=1e-13)
+
+    def test_kernel_of_another_model_or_layout_is_rejected(self):
+        model, params = build_cubic_family(1, k_max=9)
+        kernel = EvalKernel(model, params)
+        action_with_gradient(model, params, kernel=kernel)
+        stronger, _ = build_cubic_family(1, k_max=9,
+                                         potential=PotentialSpec(alpha=-2.0))
+        more_bodies, _ = build_cubic_family(3, k_max=9)
+        _, finer = build_cubic_family(1, k_max=11)
+        for other, probe in ((stronger, params), (more_bodies, params),
+                             (model, finer)):
+            with pytest.raises(ValueError, match="another model or layout"):
+                action_with_gradient(other, probe, kernel=kernel)
 
 
 class TestFullGradient:

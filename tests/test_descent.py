@@ -163,6 +163,18 @@ class TestRunOutcomes:
         assert result.outcome == COLLISION
         assert result.collision_pair == (0, 1)
 
+    def test_collision_names_the_full_pair_path(self):
+        # two bodies 2e-9 apart: the outcome, pair and time of the full
+        # pair evaluation, though the kernel evaluates body 0's pairs only
+        a = 1e-9
+        model, params = build_choreography(
+            2, seed={("x", "sin", 1): a, ("y", "cos", 1): a}, k_max=9)
+        result = run(model, params)
+        assert result.outcome == COLLISION
+        assert result.collision_pair == (0, 1)
+        assert result.collision_time == 3.4557519189487724
+        assert result.iterations == 0
+
     def test_escape_outcome(self):
         model, params = build_choreography(2, k_max=5)
         params = params.with_values(60.0 * params.values)

@@ -12,6 +12,7 @@ from actionorbits import (
     EvalKernel,
     PotentialSpec,
     QuadratureGrid,
+    build_choreography,
     build_crisscross,
     build_cubic_family,
     forces,
@@ -300,6 +301,30 @@ def test_batch_evaluator_raises_the_collision_of_forces():
             errors[0].pair, errors[0].t, errors[0].distance, str(errors[0]))
 
 
+@pytest.mark.parametrize("n,k_max", [(2, 9), (3, 8)])
+def test_reduced_kernel_raises_the_collision_of_forces(n, k_max):
+    # n bodies on a circle of radius 1e-9 form one orbit, so the kernel
+    # takes the pairs of body 0 only; three bodies first come closest, on
+    # every pair, at pair (1, 2), which the kernel leaves out, while its
+    # own pairs alone would name (0, 1) at another time
+    a = 1e-9
+    model, params = build_choreography(
+        n, seed={("x", "sin", 1): a, ("y", "cos", 1): a}, k_max=k_max)
+    kernel = EvalKernel(model, params)
+    assert kernel.orbits == (tuple(range(n)),)
+    x = kernel.positions(params.values)
+    errors = []
+    for call in (lambda: kernel.forces(x, "unit test"),
+                 lambda: forces(model.potential, model.masses, x,
+                                times=kernel.grid.nodes, context="unit test")):
+        with pytest.raises(CollisionError) as exc:
+            call()
+        errors.append(exc.value)
+    assert errors[0].pair == {2: (0, 1), 3: (1, 2)}[n]
+    assert (errors[0].pair, errors[0].t, errors[0].distance, str(errors[0])) \
+        == (errors[1].pair, errors[1].t, errors[1].distance, str(errors[1]))
+
+
 @pytest.mark.parametrize("n", [2, 3, 28])
 def test_pair_differences_match_the_gather_bit_for_bit(n):
     # a difference-matrix row adds one +x_i and one -x_j to exact zeros,
@@ -505,7 +530,6 @@ class TestResidual:
         # seed: two unit masses on the unit circle. |x''| = 1 and the
         # pair force magnitude is 1/4, radially aligned, so the defect is
         # |-1 + 1/4| = 3/4 everywhere.
-        from actionorbits import build_choreography
         model, params = build_choreography(2, k_max=9)
         rep = residual(model, params)
         assert rep.max_violation == pytest.approx(0.75, abs=1e-6)

@@ -34,8 +34,8 @@ from actionorbits import (
     sample_positions,
     verify_symmetry,
 )
-from actionorbits.symmetry import _element_costs, sample_tables
-from oracles import compose, evaluate, inverse, project
+from actionorbits.symmetry import _element_costs, body_orbits, sample_tables
+from oracles import compose, evaluate, full_pair_action, inverse, project
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
@@ -760,3 +760,111 @@ class TestModelValidation:
         model, _ = build_cubic_family(1, k_max=5)
         with pytest.raises(ValueError):
             dataclasses.replace(model, bindings=())
+
+
+def _screw_model(k_max=5):
+    """Four unit masses x_j(t) = R_z^j g(t + j pi/2), R_z the quarter
+    turn about z, and values whose g is a circle at twice the frequency
+    plus small random terms, so that the bodies stay apart."""
+    quarter = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
+    bindings = [BodyBinding(0, OrthTransform(np.linalg.matrix_power(quarter, j)),
+                            j * math.pi / 2) for j in range(4)]
+    gen = ao.VectorGenerator(*(ao.Harmonics(k_max, Parity.ALL)
+                               for _ in range(3)))
+    model = ao.OrbitModel((gen,), bindings, ao.PotentialSpec(),
+                          ao.Family("custom"))
+    slots = [Slot(0, ch, basis, k) for ch in range(3) for basis in (SIN, COS)
+             for k in range(1, k_max + 1)]
+    values = 0.05 * np.random.default_rng(4).normal(size=len(slots))
+    values[slots.index(Slot(0, 0, COS, 2))] = 1.0
+    values[slots.index(Slot(0, 1, SIN, 2))] = 1.0
+    return model, ReducedParams(make_layout(model, slots), values)
+
+
+def _custom_model(phases, masses):
+    """Bodies on one curve at the given phases and masses, untransformed."""
+    model, _ = build_choreography(len(phases), k_max=9)
+    bindings = [BodyBinding(0, IDENTITY, p, m) for p, m in zip(phases, masses)]
+    return dataclasses.replace(model, bindings=bindings)
+
+
+def _orbit_counts(model):
+    """(orbits, bodies, pairs touching a representative, all pairs)."""
+    orbits = body_orbits(model, ao.QuadratureGrid.for_kmax(model.k_max).n)
+    leads = {orbit[0] for orbit in orbits}
+    n = model.n_bodies
+    pairs = sum(i in leads or j in leads
+                for i in range(n) for j in range(i + 1, n))
+    return len(orbits), n, pairs, n * (n - 1) // 2
+
+
+class TestBodyOrbits:
+    @pytest.mark.parametrize("name,counts", [
+        ("cubic-m1", (1, 4, 3, 6)),
+        ("cubic-m3", (3, 12, 30, 66)),
+        ("cubic-m5", (5, 20, 85, 190)),
+        ("cubic-m7", (1, 28, 27, 378)),
+        ("figure-eight", (1, 3, 2, 3)),
+        ("crisscross", (3, 3, 3, 3)),
+        ("crisscross-123", (3, 3, 3, 3)),
+    ])
+    def test_benchmark_orbits(self, name, counts):
+        # on 4 k_max + 4 = 112 nodes the cubic families keep the Klein
+        # group, and their Lagrange shifts 2 pi/m only where 112 is a
+        # multiple of m
+        model, params = BENCHMARK_FAMILIES[name]()
+        assert _orbit_counts(model) == counts
+        # every member is its representative, turned and shifted by whole
+        # grid steps, at any values
+        grid = ao.QuadratureGrid.for_kmax(model.k_max)
+        orbits = body_orbits(model, grid.n)
+        assert sorted(i for orbit in orbits for i in orbit) == \
+            list(range(model.n_bodies))
+        _, params = _random_values(BENCHMARK_FAMILIES[name], 3, 0.3)
+        pos = sample_positions(model, params, grid)
+        for orbit in orbits:
+            lead = model.bindings[orbit[0]]
+            assert list(orbit) == sorted(orbit)
+            for i in orbit:
+                b = model.bindings[i]
+                steps = round((b.phase - lead.phase) % (2 * math.pi)
+                              / grid.weight)
+                turned = np.roll(pos[orbit[0]], -steps, axis=0) \
+                    @ (b.transform.matrix @ lead.transform.matrix.T).T
+                assert np.allclose(turned, pos[i], rtol=0, atol=1e-12), i
+
+    def test_screw_model_is_one_orbit(self):
+        # R_z carries body 0 to body 1 with the phase gap +pi/2; the
+        # element with the gap's opposite, -pi/2, maps no binding onto a
+        # binding, and taking it would leave two orbits, {0, 2} and {1, 3}
+        model, params = _screw_model()
+        assert _orbit_counts(model) == (1, 4, 3, 6)
+        kernel = ao.EvalKernel(model, params)
+        report = ao.action_with_gradient(model, params, kernel=kernel)
+        S, grad = full_pair_action(kernel, params.values)
+        assert ao.min_pair_distance(kernel.positions(params.values)) > 0.5
+        assert abs(report.S - S) <= 1e-12 * abs(S)
+        assert np.max(np.abs(report.gradient - grad)) <= \
+            1e-12 * np.max(np.abs(grad))
+
+    def test_lagrange_shift_on_a_grid_that_resolves_it(self):
+        # 4 * 29 + 4 = 120 nodes hold the shift 2 pi/5 as 24 steps
+        model, _ = build_cubic_family(5, k_max=29)
+        assert _orbit_counts(model) == (1, 20, 19, 190)
+
+    @pytest.mark.parametrize("phases,masses", [
+        # the shift 2 pi/5 takes the phase 4 pi/5 to 6 pi/5, no body's
+        ((0.0, 2 * math.pi / 5, 4 * math.pi / 5), (1.0, 1.0, 1.0)),
+        # a choreography's phases with one heavier body
+        ((0.0, 2 * math.pi / 3, 4 * math.pi / 3), (1.0, 1.0, 2.0)),
+    ])
+    def test_bindings_that_are_not_closed_do_not_reduce(self, phases,
+                                                         masses):
+        model = _custom_model(phases, masses)
+        assert body_orbits(model, 120) == ((0,), (1,), (2,))
+
+    def test_equal_masses_at_those_phases_reduce(self):
+        model = _custom_model((0.0, 2 * math.pi / 3, 4 * math.pi / 3),
+                              (2.0, 2.0, 2.0))
+        assert body_orbits(model, 120) == ((0, 1, 2),)
+        assert body_orbits(model, 40) == ((0,), (1,), (2,))
