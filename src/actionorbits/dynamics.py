@@ -233,27 +233,30 @@ class PairTable:
         buffers, F included, so ``evaluate`` serves one caller at a time
         and its F is valid until the next call; V is a new array.
         """
-        n_bodies = self.incidence.shape[0]
-        if orbits is None:
-            orbits = [(i,) for i in range(n_bodies)]
-        size = np.zeros(n_bodies)     # |O_i| at a representative, else 0
-        for orbit in orbits:
-            size[orbit[0]] = len(orbit)
-        leads = np.flatnonzero(size)
-        pairs = np.flatnonzero(size[self.i_idx] + size[self.j_idx])
-        every_pair = pairs.size == self.i_idx.size
-        i_idx, j_idx = self.i_idx[pairs], self.j_idx[pairs]
-        coupling = self.coupling[pairs] * (0.5 * (size[i_idx] + size[j_idx]))
-        coef = self.force_coef[pairs, None]
-        # C order, as the table's incidence is kept
-        incidence = np.ascontiguousarray(self.incidence[np.ix_(leads, pairs)])
-        alpha, exponent = self.alpha, self.alpha - 2.0
+        i_idx, j_idx, coupling, coef, incidence = (
+            self.i_idx, self.j_idx, self.coupling, self.force_coef,
+            self.incidence)
+        pairs = None
+        if orbits is not None:
+            size = np.zeros(incidence.shape[0])   # |O_i| at a representative
+            for orbit in orbits:
+                size[orbit[0]] = len(orbit)
+            pairs = np.flatnonzero(size[i_idx] + size[j_idx])
+            i_idx, j_idx = i_idx[pairs], j_idx[pairs]
+            coupling = coupling[pairs] * (0.5 * (size[i_idx] + size[j_idx]))
+            coef = coef[pairs]
+            # C order, as the table's incidence is kept
+            incidence = np.ascontiguousarray(
+                incidence[np.ix_(np.flatnonzero(size), pairs)])
+        n_pairs, n_bodies = i_idx.size, incidence.shape[0]
+        every_pair = n_pairs == self.i_idx.size
+        coef, alpha, exponent = coef[:, None], self.alpha, self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
-        d, scratch = (np.empty((pairs.size, n_times, 3)) for _ in range(2))
-        r2, r = (np.empty((pairs.size, n_times)) for _ in range(2))
-        F = np.empty((leads.size, n_times, 3))
-        r_col, pair_rows = r[..., None], scratch.reshape(pairs.size, 3 * n_times)
-        body_rows = F.reshape(leads.size, 3 * n_times)
+        d, scratch = (np.empty((n_pairs, n_times, 3)) for _ in range(2))
+        r2, r = (np.empty((n_pairs, n_times)) for _ in range(2))
+        F = np.empty((n_bodies, n_times, 3))
+        r_col, pair_rows = r[..., None], scratch.reshape(n_pairs, 3 * n_times)
+        body_rows = F.reshape(n_bodies, 3 * n_times)
 
         def evaluate(x: np.ndarray, times, context: str):
             np.take(x, i_idx, 0, d, "clip")

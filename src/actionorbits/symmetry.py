@@ -604,8 +604,12 @@ def body_orbits(model: OrbitModel, n_nodes: int) -> tuple[tuple[int, ...], ...]:
                 _phase_gap(step * round(shift / step), shift) >= _PHASE_TOL:
             return False
         rotation = bi.transform.matrix @ br.transform.matrix.T
-        images = {image(b, rotation, shift) for b in bindings}
-        return None not in images and len(images) == len(bindings)
+        images = set()
+        for b in bindings:   # most elements fail on their first bindings
+            images.add(image(b, rotation, shift))
+            if None in images:
+                return False
+        return len(images) == len(bindings)
 
     orbits: list[list[int]] = []
     for i in range(len(bindings)):
