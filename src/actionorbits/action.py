@@ -67,7 +67,8 @@ class EvalKernel:
     of each of the model's :func:`.body_orbits` on the grid, and returns
     the forces on the representatives: by symmetry, a body's grid sum of
     F . dx/dc is its representative's, so the gradient's potential term is
-    w sum_r |O_r| sum_t F_r . dx_r/dc, and the evaluator weights the pair
+    w sum_r |O_r| sum_t F_r . dx_r/dc, one matrix-vector product
+    (:meth:`project_forces`), and the evaluator weights the pair
     potentials to give the full potential's grid sum.  With every body its
     own representative (the criss-crosses) this is the full evaluation, bit
     for bit.  The action's kinetic term reads no samples; the velocity and
@@ -88,13 +89,15 @@ class EvalKernel:
         self.orbits = body_orbits(model, self.grid.n)
         self._evaluate = pair_table(model.potential, model.masses) \
             .batch_evaluator(self.grid.n, self.orbits)
-        # dx_r/dc of each representative r, counted |O_r| times; with every
-        # body its own representative that is basis_pos itself
-        self._projection = self.basis_pos
+        # dx_r/dc of each representative r, counted |O_r| times, one row
+        # per slot; with every body its own representative that is a view
+        # of basis_pos itself
+        self._projection_rows = self._basis_rows
         if len(self.orbits) < model.n_bodies:
             leads = [orbit[0] for orbit in self.orbits]
             sizes = np.array([len(orbit) for orbit in self.orbits], dtype=float)
-            self._projection = self.basis_pos[:, leads] * sizes[:, None, None]
+            weighted = self.basis_pos[:, leads] * sizes[:, None, None]
+            self._projection_rows = weighted.reshape(n_slots, -1)
 
     def _basis(self, order: int) -> np.ndarray:
         units = self.layout.expand(np.eye(self.layout.n_slots))
@@ -124,8 +127,14 @@ class EvalKernel:
 
     def project_forces(self, F: np.ndarray) -> np.ndarray:
         """Quadrature of F . (dx/dc) over every body for every slot, from
-        the representatives' forces F."""
-        return self.grid.weight * np.einsum("itc,sitc->s", F, self._projection)
+        the representatives' forces F (n_orbits, T, 3) as :meth:`forces`
+        returns them.
+
+        One matrix-vector product: the projection's rows (one per slot,
+        each the representatives' dx_r/dc times |O_r|, flattened like F)
+        against F flattened, times the quadrature weight.
+        """
+        return self.grid.weight * np.dot(self._projection_rows, F.reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class ActionReport:
     def grad_norm(self) -> float | None:
         if self.gradient is None:
             return None
-        return float(np.max(np.abs(self.gradient)))
+        return float(np.abs(self.gradient).max())
 
 
 def action(model: OrbitModel, params: ReducedParams) -> ActionReport:

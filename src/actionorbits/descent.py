@@ -184,6 +184,9 @@ def run(model: OrbitModel, params: ReducedParams,
     """Iterate gradient descent until convergence or a terminal event.
 
     Collision and escape are reported in the outcome rather than raised.
+    A body escapes when its distance from the origin passes
+    ``stop.escape_radius`` at a grid node; the distances are computed only
+    when some coordinate passes half that radius.
     ``callback(iteration, params, S, grad_norm)``, when given, runs once per
     evaluated iterate; it is the one progress hook.
     With fixed inputs the result is deterministic down to the bit level.
@@ -202,11 +205,15 @@ def run(model: OrbitModel, params: ReducedParams,
 
     while True:
         pos = kernel.positions(v)
-        radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
-        if radii.max() > stop.escape_radius:
-            outcome = ESCAPE
-            escape_body = int(np.unravel_index(np.argmax(radii), radii.shape)[0])
-            break
+        # a radius is at most sqrt(3) < 2 times the largest coordinate, so
+        # the radii are needed only past that bound (or at a NaN)
+        if not 2.0 * max(pos.max(), -pos.min()) <= stop.escape_radius:
+            radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
+            if radii.max() > stop.escape_radius:
+                outcome = ESCAPE
+                escape_body = int(np.unravel_index(np.argmax(radii),
+                                                   radii.shape)[0])
+                break
         try:
             report = _with_gradient(kernel, v, pos,
                                     f"descent iteration {iteration}")

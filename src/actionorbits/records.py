@@ -16,7 +16,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -202,7 +202,10 @@ def validate_record(record: OrbitRecord) -> None:
 def save_record(record: OrbitRecord, path: str) -> None:
     """Validate and write atomically (temporary file, then rename)."""
     validate_record(record)
-    write_text(path, json.dumps(asdict(record), indent=2) + "\n")
+    # the fields hold plain JSON containers, which json.dumps reads as
+    # they are: no deep copy of them is needed
+    document = {f.name: getattr(record, f.name) for f in fields(record)}
+    write_text(path, json.dumps(document, indent=2) + "\n")
 
 
 def load_record(path: str) -> OrbitRecord:

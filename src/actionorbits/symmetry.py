@@ -109,7 +109,13 @@ def klein_elements() -> list[OrthTransform]:
 
 
 def all_signed_permutations() -> list[OrthTransform]:
-    """All 48 signed permutation matrices (full cube symmetry group)."""
+    """All 48 signed permutation matrices (full cube symmetry group), in
+    a new list on each call; the transforms are built on the first."""
+    return list(_signed_permutations())
+
+
+@functools.cache
+def _signed_permutations() -> tuple[OrthTransform, ...]:
     out = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product((1, -1), repeat=3):
@@ -117,7 +123,7 @@ def all_signed_permutations() -> list[OrthTransform]:
             for row, col in enumerate(perm):
                 m[row, col] = signs[row]
             out.append(OrthTransform(m))
-    return sorted(out, key=OrthTransform.key)
+    return tuple(sorted(out, key=OrthTransform.key))
 
 
 def a4_elements() -> list[OrthTransform]:

@@ -4,9 +4,10 @@ The library's runtime paths never call these: the sampler reads
 ``trig_table`` and ``contract`` directly, the gradient reads generator
 columns instead of projecting coefficient tables, the action takes its
 kinetic term in coefficient space, the descent's kernel evaluates pair
-forces in buffers it reuses, on one body per symmetry orbit, and the
-symmetry groups are built from explicit matrices.  The tests still use
-them as oracles.
+forces in buffers it reuses, on one body per symmetry orbit, and projects
+them with one matrix-vector product instead of an ``einsum`` per orbit,
+and the symmetry groups are built from explicit matrices.  The tests
+still use them as oracles.
 """
 
 import numpy as np
@@ -83,15 +84,27 @@ def pair_forces(table, x, times, context=""):
     return F.reshape(x.shape), V
 
 
+def einsum_projection(kernel, F) -> np.ndarray:
+    """Quadrature of F . (dx/dc) over every body for every slot, from the
+    representatives' forces ``F``: each representative's contraction with
+    its own rows of ``basis_pos``, counted once per member of its orbit."""
+    out = np.zeros(kernel.layout.n_slots)
+    for orbit, F_r in zip(kernel.orbits, F):
+        out += len(orbit) * np.einsum("tc,stc->s", F_r,
+                                      kernel.basis_pos[:, orbit[0]])
+    return kernel.grid.weight * out
+
+
 def full_pair_action(kernel, values):
     """(S, gradient) at ``values`` from the kernel's sampled positions and
     basis, with the forces on every body from every pair: the arithmetic
-    of a kernel whose bodies are each their own representative."""
+    of a kernel whose bodies are each their own representative, down to
+    its one matrix-vector product of the flattened basis and forces."""
     model, grid = kernel.model, kernel.grid
     F, V = forces(model.potential, model.masses, kernel.positions(values),
                   times=grid.nodes, context="full pair oracle")
     kinetic_grad = kernel.kinetic_stiffness * values
-    grad = kinetic_grad + grid.weight * np.einsum("itc,sitc->s", F,
-                                                  kernel.basis_pos)
+    rows = kernel.basis_pos.reshape(kernel.layout.n_slots, -1)
+    grad = kinetic_grad + grid.weight * np.dot(rows, F.reshape(-1))
     S = 0.5 * float(values @ kinetic_grad) - float(grid.integrate(V))
     return S, grad

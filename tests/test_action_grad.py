@@ -20,8 +20,8 @@ from actionorbits import (
     gradient,
     sample_positions,
 )
-from oracles import (accelerations, full_pair_action, kinetic_quadrature,
-                     project, velocities)
+from oracles import (accelerations, einsum_projection, full_pair_action,
+                     kinetic_quadrature, project, velocities)
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,6 +263,37 @@ class TestSymmetryReducedKernel:
             S, grad = full_pair_action(kernel, probe.values)
             assert report.S == S, label
             assert report.gradient.tobytes() == grad.tobytes(), label
+
+    def test_projection_agrees_with_the_einsum_form(self, workloads):
+        # one matrix-vector product against an einsum per orbit: the two
+        # sum in different orders, and each lies within 1e-15 of the
+        # fsum of the rounded products (relative to the largest slot),
+        # so they differ by at most twice that
+        for name in workloads.ORBITS:
+            model, probes = self._probes(workloads, name)
+            for label, probe in probes.items():
+                kernel = EvalKernel(model, probe)
+                F, _ = kernel.forces(kernel.positions(probe.values), "test")
+                got = kernel.project_forces(F)
+                want = einsum_projection(kernel, F)
+                rows = kernel._projection_rows
+                fsum = kernel.grid.weight * np.array(
+                    [math.fsum(row * F.reshape(-1)) for row in rows])
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - fsum)) <= 1e-15 * scale, \
+                    (name, label)
+                assert np.max(np.abs(want - fsum)) <= 1e-15 * scale, \
+                    (name, label)
+                assert np.max(np.abs(got - want)) <= 2e-15 * scale, \
+                    (name, label)
+
+    def test_unreduced_projection_is_a_view_of_the_basis(self, workloads):
+        # a kernel whose bodies are each their own representative projects
+        # through basis_pos itself, not through a copy of it
+        for name in ("crisscross", "crisscross-123"):
+            model, params = workloads.ORBITS[name]()
+            kernel = EvalKernel(model, params)
+            assert np.shares_memory(kernel._projection_rows, kernel.basis_pos)
 
     def test_forces_are_the_representatives(self, workloads):
         model, params = workloads.ORBITS["cubic-m7"]()

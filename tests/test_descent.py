@@ -1,6 +1,10 @@
 """Tests for the coefficient-space descent loop and its diagnostics."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +34,7 @@ from actionorbits import (
 )
 
 TWO_PI = 2.0 * math.pi
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestScheduleConstruction:
@@ -183,6 +188,71 @@ class TestRunOutcomes:
         assert result.escape_body is not None
         assert result.iterations == 0
 
+    def test_coordinate_past_half_the_radius_is_not_an_escape(self):
+        # a coordinate of at least R/2 fails the bound test on coordinates,
+        # and the exact radii, all below R, decide
+        model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
+        pos = EvalKernel(model, params).positions(params.values)
+        largest_radius = np.sqrt((pos * pos).sum(axis=2)).max()
+        largest_coordinate = np.abs(pos).max()
+        radius = 0.5 * (largest_radius + 2.0 * largest_coordinate)
+        assert largest_radius < radius < 2.0 * largest_coordinate
+        result = run(model, params,
+                     stop=StopRule(max_iters=0, escape_radius=radius))
+        assert result.outcome == MAX_ITERS
+        assert result.escape_body is None
+
+    def test_escape_names_the_body_of_the_largest_radius(self):
+        # a radius between the two largest bodies' largest radii: only
+        # the outermost body is past it
+        model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
+        pos = EvalKernel(model, params).positions(params.values)
+        body_radii = np.sqrt((pos * pos).sum(axis=2)).max(axis=1)
+        second, first = np.sort(body_radii)[-2:]
+        assert second < first
+        result = run(model, params,
+                     stop=StopRule(escape_radius=0.5 * (first + second)))
+        assert result.outcome == ESCAPE
+        assert result.escape_body == int(np.argmax(body_radii))
+        assert result.iterations == 0
+
+    def test_escape_with_every_coordinate_inside_the_radius(self):
+        # a radius between the largest coordinate and the largest radius:
+        # no coordinate is past it, but a body is, and the escape names the
+        # body that the exact radii name
+        model, params = build_cubic_family(1, k_max=9)
+        pos = EvalKernel(model, params).positions(params.values)
+        radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
+        largest_coordinate = np.abs(pos).max()
+        radius = 0.5 * (largest_coordinate + radii.max())
+        assert largest_coordinate < radius < radii.max()
+        result = run(model, params, stop=StopRule(escape_radius=radius))
+        assert result.outcome == ESCAPE
+        assert result.escape_body == \
+            np.unravel_index(np.argmax(radii), radii.shape)[0]
+        assert result.iterations == 0
+
+    def test_nan_position_masks_the_escape(self, monkeypatch):
+        # a NaN coordinate makes the largest radius NaN, which is past no
+        # radius: the iteration goes on to a NaN gradient, also at a radius
+        # that every other body is past
+        sample = EvalKernel.positions
+
+        def with_a_nan(kernel, values):
+            pos = sample(kernel, values)
+            pos[1, 5, 2] = math.nan
+            return pos
+
+        monkeypatch.setattr(EvalKernel, "positions", with_a_nan)
+        model, params = build_cubic_family(1, k_max=9)
+        for radius in (1e-3, 50.0, math.inf):
+            result = run(model, params,
+                         stop=StopRule(max_iters=0, escape_radius=radius))
+            assert result.outcome == MAX_ITERS, radius
+            assert result.escape_body is None
+            assert math.isnan(result.grad_norm)
+            assert math.isnan(result.action_trace[0])
+
     def test_max_iters_outcome(self):
         model, params = build_choreography(2, k_max=5)
         result = run(model, params, stop=StopRule(max_iters=3))
@@ -246,6 +316,31 @@ class TestRunOutcomes:
         assert counts == {"cubic-m1": 41, "cubic-m3": 41, "cubic-m5": 45,
                           "cubic-m7": 46, "crisscross": 101,
                           "crisscross-123": 314, "figure-eight": 52}
+
+    def test_runs_are_the_same_bytes_on_one_and_two_blas_threads(self):
+        # the kernel's projection is a BLAS matrix-vector product; a 1:2:3
+        # criss-cross descent in fresh interpreters with one and with two
+        # OpenBLAS threads gives the same values, iterations and residual
+        code = ("import hashlib, sys\n"
+                f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+                "import workloads\n"
+                "from actionorbits import run\n"
+                "model, params = workloads.ORBITS['crisscross-123']()\n"
+                "result = run(model, workloads.seeded_params("
+                "'crisscross-123', params, 1))\n"
+                "print(hashlib.sha256(result.params.values.tobytes())"
+                ".hexdigest(), result.iterations, repr(result.residual),"
+                " repr(result.grad_norm))\n")
+        src = os.path.dirname(os.path.dirname(ao.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", code], check=True,
+                capture_output=True, text=True, env=env).stdout)
+        assert outputs[0].split()[1] == "314"
+        assert outputs[0] == outputs[1]
 
     def test_iterations_allocate_no_batch_sized_array(self):
         # cubic m=7 has 378 pairs on 112 nodes: after the first iteration

@@ -85,6 +85,16 @@ class TestRecordRoundTrip:
         assert loaded.outcome == "converged"
         assert loaded.descent["rule"] == "preconditioned"
 
+    @pytest.mark.parametrize("fixture", ["cubic1", "crisscross"])
+    def test_saved_bytes_are_the_asdict_dump(self, fixture, request,
+                                             tmp_path):
+        model, result = request.getfixturevalue(fixture)
+        record = make_record(model, result.params, result)
+        path = tmp_path / "orbit.json"
+        save_record(record, str(path))
+        assert path.read_text() == \
+            json.dumps(dataclasses.asdict(record), indent=2) + "\n"
+
     def test_no_stray_temp_files(self, circle, tmp_path):
         model, result = circle
         record = make_record(model, result.params, result)

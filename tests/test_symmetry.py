@@ -231,6 +231,14 @@ class TestGroups:
         for r in a4_elements():
             assert r in elems
 
+    def test_all_signed_permutations_is_a_new_list_each_call(self):
+        first = all_signed_permutations()
+        first.clear()
+        second = all_signed_permutations()
+        assert len(second) == 48
+        assert second is not all_signed_permutations()
+        assert second == all_signed_permutations()
+
 
 class TestCollisionParity:
     @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
