@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from .action import EvalKernel
 from .descent import DescentSchedule, StopRule, run
 from .dynamics import min_pair_distance, observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
@@ -34,7 +33,7 @@ from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, export_table,
                       load_record, make_record, record_to_model, save_record,
                       verify_record, write_text)
 from .symmetry import (build_choreography, build_crisscross,
-                       build_cubic_family, verify_symmetry)
+                       build_cubic_family, sample_positions, verify_symmetry)
 from .potential import PotentialSpec
 
 EXIT_OK = 0
@@ -117,17 +116,17 @@ def _schedule_from_args(args) -> DescentSchedule:
     return DescentSchedule.preconditioned(args.delta)
 
 
-def _progress(model, params, every: int):
+def _progress(model, every: int):
     """A ``run`` callback printing every ``every``-th iterate's S, gradient
     norm and minimum pair distance on the descent grid to stderr; None for
     ``every`` = 0."""
     if not every:
         return None
-    kernel = EvalKernel(model, params)
+    grid = QuadratureGrid.for_kmax(model.k_max)
 
     def report(iteration, current, S, grad_norm):
         if iteration % every == 0:
-            dist = min_pair_distance(kernel.positions(current.values))
+            dist = min_pair_distance(sample_positions(model, current, grid))
             print(f"iter={iteration} S={S:.12e} grad_norm={grad_norm:.3e} "
                   f"min_dist={dist:.3e}", file=sys.stderr)
     return report
@@ -140,7 +139,7 @@ def cmd_minimize(args) -> int:
     stop = StopRule(grad_tol=args.grad_tol, max_iters=args.max_iters,
                     escape_radius=args.escape_radius)
     result = run(model, params, schedule, stop,
-                 callback=_progress(model, params, args.log_every))
+                 callback=_progress(model, args.log_every))
     out = args.out or args.record
     updated = make_record(model, result.params, result, schedule, stop)
     save_record(updated, out)

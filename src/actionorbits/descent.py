@@ -186,9 +186,12 @@ def run(model: OrbitModel, params: ReducedParams,
     Collision and escape are reported in the outcome rather than raised.
     A body escapes when its distance from the origin passes
     ``stop.escape_radius`` at a grid node; the distances are computed only
-    when some coordinate passes half that radius.
+    when some coordinate passes half that radius.  A diverging descent
+    escapes too, at any radius: a NaN or infinite coordinate is an escape
+    of its body, and the run returns the last iterate with finite
+    positions, the one its gradient norm and last action belong to.
     ``callback(iteration, params, S, grad_norm)``, when given, runs once per
-    evaluated iterate; it is the one progress hook.
+    evaluated iterate, all of them finite; it is the one progress hook.
     With fixed inputs the result is deterministic down to the bit level.
     """
     schedule = schedule or DescentSchedule.preconditioned()
@@ -196,7 +199,7 @@ def run(model: OrbitModel, params: ReducedParams,
     kernel = EvalKernel(model, params)
     dtau = schedule.step_sizes(params.layout)
 
-    v = np.array(params.values, dtype=float)
+    v = last = np.array(params.values, dtype=float)
     trace: list[float] = []
     outcome = MAX_ITERS
     grad_norm = math.inf
@@ -206,13 +209,19 @@ def run(model: OrbitModel, params: ReducedParams,
     while True:
         pos = kernel.positions(v)
         # a radius is at most sqrt(3) < 2 times the largest coordinate, so
-        # the radii are needed only past that bound (or at a NaN)
-        if not 2.0 * max(pos.max(), -pos.min()) <= stop.escape_radius:
+        # the radii are needed only past that bound, or at a NaN or an
+        # infinite coordinate, whose radius is the largest (argmax takes
+        # the first NaN) and escapes whatever the escape radius
+        reach = max(pos.max(), -pos.min())
+        if not (2.0 * reach <= stop.escape_radius and reach < math.inf):
             radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
-            if radii.max() > stop.escape_radius:
+            far = radii.max()
+            if not (far <= stop.escape_radius and far < math.inf):
                 outcome = ESCAPE
                 escape_body = int(np.unravel_index(np.argmax(radii),
                                                    radii.shape)[0])
+                if not reach < math.inf and iteration:
+                    v, iteration = last, iteration - 1
                 break
         try:
             report = _with_gradient(kernel, v, pos,
@@ -231,7 +240,7 @@ def run(model: OrbitModel, params: ReducedParams,
         if iteration >= stop.max_iters:
             outcome = MAX_ITERS
             break
-        v = v - dtau * report.gradient
+        v, last = v - dtau * report.gradient, v
         iteration += 1
 
     # the residual's arrays can take the memory of the kernel's bases and

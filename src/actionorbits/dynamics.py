@@ -4,30 +4,31 @@ All pair interactions follow the homogeneous law in :mod:`.potential` and
 go through one :class:`PairTable` per (potential, masses): the index pairs
 i < j, the pair-by-body difference matrix, the signed couplings c_ij (and
 -alpha * c_ij for the force), and the body-by-pair incidence matrix that
-sums pair forces onto bodies.  The table is built once and cached, so a
-force call only forms separations (one difference-matrix product for a
-configuration, two gathers for a batch), takes their norms and powers, and
-applies the incidence matrix.  Each force path fills pair buffers that an
-evaluator builds once: :meth:`PairTable.accelerator` for one
-configuration, the integrators' right side, which the DOP853 drive calls
-once per stage on the views of its stage plan, and
-:meth:`PairTable.batch_evaluator` for a batch of shape (n, T, 3), which
-the descent's kernel builds once, for the pairs that touch one body of
-each symmetry orbit, and :func:`forces` builds on every batch call, for
-every pair.  The accelerator takes r^(alpha - 2) with ``np.power`` as the
-single-configuration path of :func:`forces` does, and its division by the
-masses repeated along the coordinates is the broadcast one's element by
-element, so the two agree to the bit.  Positions may be a single
-configuration of shape (n, 3) or a batch of shape (n, T, 3); they reach
-the table in the shape they come in, with no batching reshape, and
-forces and energies are evaluated vectorized over the batch axis with a
+sums pair forces onto bodies.  The table is built once and cached.  Its
+two evaluators are the only pair arithmetic, one per shape, each filling
+pair buffers it builds once.  :meth:`PairTable.accelerator` takes one
+(n, 3) configuration, with one difference-matrix product for the pair
+differences: it is the integrators' right side, which the DOP853 drive
+calls once per stage on the views of its stage plan.
+:meth:`PairTable.batch_evaluator` takes an (n, T, 3) batch, with two
+gathers: the descent's kernel builds one, for the pairs that touch one
+body of each symmetry orbit, and :func:`forces` and
+:func:`potential_energy` build one on every call, for every pair, with a
+single configuration taken as the batch ``x[:, None]`` of one.  On finite
+positions the two evaluators round alike, so the accelerator writes the
+bits of ``forces(...)[0] / masses[:, None]`` (an infinite coordinate is
+the exception, see :meth:`PairTable.accelerator`).  Positions reach the
+table in the shape they come in, with no batching reshape, and forces
+and energies are evaluated vectorized over the batch axis with a
 deterministic reduction order.  :func:`observables` takes the same two
 shapes: for a batch every field gains a leading T axis, so a time series
-is one call, not a loop over samples.  :func:`residual` samples on the
-grid the action is evaluated on, ``QuadratureGrid.for_kmax(k_max)``,
-unless it is given another: a run's final residual, the one a record
-stores and the one ``verify_record`` recomputes are then the same number,
-and another grid serves only a recheck independent of the descent's.
+is one call, not a loop over samples; it and :func:`min_pair_distance`
+read distances through :func:`_separations`, with no collision test.
+:func:`residual` samples on the grid the action is evaluated on,
+``QuadratureGrid.for_kmax(k_max)``, unless it is given another: a run's
+final residual, the one a record stores and the one ``verify_record``
+recomputes are then the same number, and another grid serves only a
+recheck independent of the descent's.
 """
 
 from __future__ import annotations
@@ -72,19 +73,9 @@ def _pair_index(n: int):
     return i_idx, j_idx, difference
 
 
-def _separations(i_idx: np.ndarray, j_idx: np.ndarray,
-                 difference: np.ndarray, x: np.ndarray):
+def _separations(i_idx: np.ndarray, j_idx: np.ndarray, x: np.ndarray):
     """Pair differences x_i - x_j and their squared norms for x of shape
-    (n, 3) or (n, T, 3).
-
-    One configuration takes one product with the difference matrix, which
-    costs less per call than two gathers and a subtraction; a batch keeps
-    the gather, which is cheaper for many bodies (28 bodies at 64 times).
-    Both give the same bits.
-    """
-    if x.ndim == 2:
-        d = np.dot(difference, x)
-        return d, np.dot(d * d, _ONES3)
+    (n, 3) or (n, T, 3), by two gathers, with no collision test."""
     d = x.take(i_idx, axis=0) - x.take(j_idx, axis=0)
     return d, (d * d) @ _ONES3
 
@@ -93,9 +84,11 @@ class PairTable:
     """Everything about the pairs of one (potential, masses) that does not
     depend on positions.  Build through :func:`pair_table`, which caches.
 
-    Methods take positions of shape (n, 3) or (n, T, 3); ``times`` is a
-    scalar or one-element array (the time of every configuration) or a
-    (T,) array, used only to report a collision.
+    Its two evaluators are the only pair arithmetic: :meth:`accelerator`
+    for one (n, 3) configuration and :meth:`batch_evaluator` for an
+    (n, T, 3) batch.  ``times`` is a scalar or one-element array (the time
+    of every configuration) or a (T,) array, used only to report a
+    collision.
     """
 
     def __init__(self, spec: PotentialSpec, masses: np.ndarray):
@@ -116,24 +109,6 @@ class PairTable:
                   self.mass_rows):
             a.setflags(write=False)
 
-    def distances(self, x: np.ndarray, times, context: str,
-                  check: bool = True):
-        """Pair differences d and (softened) distances r.
-
-        Raises CollisionError when any true separation drops below
-        :data:`COLLISION_THRESHOLD`, read at each call, unless ``check`` is
-        false; softening applies only after that test.
-        """
-        d, r2 = _separations(self.i_idx, self.j_idx, self.difference, x)
-        r = np.sqrt(r2)
-        # the reduction r.min() makes, without its Python layers
-        if check and r.size and np.minimum.reduce(r, axis=None) \
-                < COLLISION_THRESHOLD:
-            raise self._collision(r, times, context)
-        if self.softening > 0.0:
-            r = np.sqrt(r2 + self.softening ** 2)
-        return d, r
-
     def _collision(self, r: np.ndarray, times, context: str,
                    pairs: np.ndarray | None = None):
         """The CollisionError of the closest pair of true distances r, whose
@@ -149,15 +124,6 @@ class PairTable:
         return CollisionError((self.i_idx[p], self.j_idx[p]), t=t,
                               distance=r[at], context=context)
 
-    def potential(self, r: np.ndarray):
-        """sum_ij c_ij r_ij**alpha, per configuration."""
-        return self.coupling @ (r ** self.alpha)
-
-    def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Per-body forces (n, 3) of one configuration's d and r."""
-        pair_f = (self.force_coef * np.power(r, self.alpha - 2.0))[:, None] * d
-        return np.dot(self.incidence, pair_f)
-
     def accelerator(self):
         """The integrator's right side for one configuration:
         ``accelerate(pos, t, out)`` writes F / m of the (n, 3) positions
@@ -166,14 +132,20 @@ class PairTable:
         Its pair buffers are built here, once: the differences,
         their squares, r^2, r (then r^(alpha - 2) and the pair coefficients
         in place), the pair forces and the body forces.  Each call fills
-        them with ``out=`` by the NumPy calls :meth:`distances` and
-        :meth:`forces` make, the products through the arrays' bound
-        ``dot`` methods, so ``out`` holds the bits of
-        ``forces(...)[0] / masses[:, None]``.  The collision test is the
-        one :meth:`distances` makes (context 'integration', time ``t``),
-        read at the closest pair, which a NaN distance is, so that a NaN
-        never raises; softening applies after it.  A call overwrites the
-        buffers, so ``accelerate`` serves one caller at a time.
+        them with ``out=``, the products through the arrays' bound ``dot``
+        methods: the differences are one product with the table's
+        difference matrix, whose row adds one +x_i and one -x_j to exact
+        zeros, so a finite x_i - x_j rounds as the batch evaluator's
+        gathers round it, and ``out`` holds the bits of
+        ``forces(...)[0] / masses[:, None]``.  At an infinite coordinate
+        the rows' zeros times it make that coordinate of every pair's
+        difference a NaN, where the gathers keep other bodies' pairs
+        finite.
+        A true distance below :data:`COLLISION_THRESHOLD`, read at each
+        call, raises CollisionError (context 'integration', time ``t``),
+        tested at the closest pair, which a NaN distance is, so that a NaN
+        never raises; softening applies after the test.  A call overwrites
+        the buffers, so ``accelerate`` serves one caller at a time.
         """
         n_pairs = self.difference.shape[0]
         coef, mass = self.force_coef, self.mass_rows
@@ -223,15 +195,16 @@ class PairTable:
         (then r^alpha), r (then r^(alpha - 2) and the pair coefficients in
         place) and the forces F.  The gathers take ``mode="clip"``, since
         the default mode buffers its output; the indices are always in
-        range.  The collision test is the one :meth:`distances` makes, and
-        when some pairs are left out a collision is raised as an evaluator
-        of every pair raises it, built then, so that its pair and time are
-        the full path's; should that evaluator find no collision (a
-        rounding edge), the error of the pairs taken is raised.  Softening
-        applies after the test, and r^alpha is taken by the power
-        operator, as :meth:`potential` takes it.  A call overwrites the
-        buffers, F included, so ``evaluate`` serves one caller at a time
-        and its F is valid until the next call; V is a new array.
+        range.  A true distance below :data:`COLLISION_THRESHOLD`, read at
+        each call, raises CollisionError at the closest pair, named by its
+        time in ``times``; when some pairs are left out it is raised as an
+        evaluator of every pair raises it, built then, so that its pair
+        and time are the full path's; should that evaluator find no
+        collision (a rounding edge), the error of the pairs taken is
+        raised.  Softening applies after the test, and r^alpha is taken by
+        the power operator.  A call overwrites the buffers, F included, so
+        ``evaluate`` serves one caller at a time and its F is valid until
+        the next call; V is a new array.
         """
         i_idx, j_idx, coupling, coef, incidence = (
             self.i_idx, self.j_idx, self.coupling, self.force_coef,
@@ -303,14 +276,22 @@ def _positions(positions) -> np.ndarray:
     return x
 
 
+def _evaluate(spec: PotentialSpec, masses, positions, times, context: str):
+    """(F, V) of an (n, 3) configuration or an (n, T, 3) batch through a
+    :meth:`PairTable.batch_evaluator` of its own, one configuration as the
+    batch of one ``x[:, None]``."""
+    x = _positions(positions)
+    table = pair_table(spec, masses)
+    if x.ndim == 3:
+        return table.batch_evaluator(x.shape[1])(x, times, context)
+    F, V = table.batch_evaluator(1)(x[:, None], times, context)
+    return F[:, 0], float(V[0])
+
+
 def potential_energy(spec: PotentialSpec, masses, positions, times=None,
                      context: str = "") -> np.ndarray | float:
     """Total pair potential; scalar for a single configuration, else (T,)."""
-    x = _positions(positions)
-    table = pair_table(spec, masses)
-    _, r = table.distances(x, times, context)
-    v = table.potential(r)
-    return float(v) if x.ndim == 2 else v
+    return _evaluate(spec, masses, positions, times, context)[1]
 
 
 def forces(spec: PotentialSpec, masses, positions, times=None,
@@ -319,23 +300,17 @@ def forces(spec: PotentialSpec, masses, positions, times=None,
 
     Returns (F, V) with F matching the shape of ``positions``.  Newton's
     third law holds to machine precision because each pair contributes the
-    same term with opposite signs.  A batch goes through a
+    same term with opposite signs.  Every call goes through a
     :meth:`PairTable.batch_evaluator` of its own, so F is a new array.
     """
-    x = _positions(positions)
-    table = pair_table(spec, masses)
-    if x.ndim == 3:
-        return table.batch_evaluator(x.shape[1])(x, times, context)
-    d, r = table.distances(x, times, context)
-    v = table.potential(r)
-    F = table.forces(d, r) if d.size else np.zeros_like(x)   # no pairs: n < 2
-    return F, float(v)
+    return _evaluate(spec, masses, positions, times, context)
 
 
 def min_pair_distance(positions) -> float:
     """Smallest body separation over a configuration or batch."""
     x = _positions(positions)
-    _, r2 = _separations(*_pair_index(x.shape[0]), x)
+    i_idx, j_idx, _ = _pair_index(x.shape[0])
+    _, r2 = _separations(i_idx, j_idx, x)
     return float(np.sqrt(r2.min())) if r2.size else np.inf
 
 
@@ -366,7 +341,8 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
 
     Both are copied to C order first: einsum's summation order follows the
     strides, so a strided view would otherwise change the last bits.  It
-    never raises a collision: coincident bodies give a non-finite energy.
+    reads the distances through :func:`_separations`, so it never raises a
+    collision: coincident bodies give a non-finite energy.
     """
     x = np.ascontiguousarray(_positions(positions))
     v = np.ascontiguousarray(velocities, dtype=float)
@@ -376,7 +352,10 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
     mw = m.reshape(m.shape + (1,) * (x.ndim - 1))
     kin = 0.5 * (m @ np.einsum("i...c,i...c->i...", v, v))
     table = pair_table(spec, m)
-    pot = table.potential(table.distances(x, None, "", check=False)[1])
+    _, r2 = _separations(table.i_idx, table.j_idx, x)
+    r = np.sqrt(r2 + table.softening ** 2) if table.softening > 0.0 \
+        else np.sqrt(r2)
+    pot = table.coupling @ (r ** table.alpha)
     if x.ndim == 2:
         kin, pot = float(kin), float(pot)
     xxt = np.einsum("i,i...c,i...d->...cd", m, x, x)

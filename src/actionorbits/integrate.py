@@ -19,14 +19,15 @@ state.
 
 Both evaluate F / m straight on the (n, 3) state through the model's
 cached :class:`.dynamics.PairTable`: its
-:meth:`~.dynamics.PairTable.accelerator` writes the accelerations of one
-configuration into the caller's array through pair buffers it builds
-once (one difference-matrix product for the pair differences, one product
-for their squared norms, one square root, one power and one incidence
-product), with no batching reshapes, potential energy or per-call
-set-up.  The arithmetic is the one :func:`.dynamics.forces` performs, so
-the two agree to the bit.  Each DOP853 drive gets one accelerator of its
-own, the right-hand side of the second-order system.  ``rk4_step``
+:meth:`~.dynamics.PairTable.accelerator`, the table's one evaluator for
+a single configuration, writes the accelerations into the caller's array
+through pair buffers it builds once (one difference-matrix product for
+the pair differences, one product for their squared norms, one square
+root, one power and one incidence product), with no gathers, batching
+reshapes, potential energy or per-call set-up.  On a finite state it
+writes the bits of :func:`.dynamics.forces` over the masses.  Each
+DOP853 drive gets one accelerator of its own, the right-hand side of the
+second-order system.  ``rk4_step``
 fetches the table from the cache and builds an accelerator on every call
 (a few microseconds against tens per step); a run therefore builds the
 table once, and each step stays one call that per-layer tracing can see.

@@ -380,12 +380,16 @@ def make_record(model: OrbitModel, params: ReducedParams,
     criterion *and* the residual certificate holds.
     """
     layout = params.layout
-    res = None if result is None else result.residual
+    res = None
     grad_norm = None
     outcome = None
     iterations = None
     if result is not None:
-        grad_norm = None if math.isinf(result.grad_norm) else float(result.grad_norm)
+        # a diverged run's last finite iterate may have no finite norm or
+        # residual; a record keeps None for them
+        res, grad_norm = (float(x) if x is not None and math.isfinite(x)
+                          else None for x in (result.residual,
+                                              result.grad_norm))
         outcome = result.outcome
         iterations = result.iterations
     converged = bool(

@@ -3,10 +3,11 @@
 The library's runtime paths never call these: the sampler reads
 ``trig_table`` and ``contract`` directly, the gradient reads generator
 columns instead of projecting coefficient tables, the action takes its
-kinetic term in coefficient space, the descent's kernel evaluates pair
-forces in buffers it reuses, on one body per symmetry orbit, and projects
-them with one matrix-vector product instead of an ``einsum`` per orbit,
-and the symmetry groups are built from explicit matrices.  The tests
+kinetic term in coefficient space, the pair evaluators fill buffers they
+reuse, the descent's kernel evaluates pair forces on one body per
+symmetry orbit and projects them with one matrix-vector product instead
+of an ``einsum`` per orbit, and the symmetry groups are built from
+explicit matrices.  The tests
 still use them as oracles.
 """
 
@@ -68,8 +69,8 @@ def kinetic_quadrature(model, params) -> float:
 def pair_forces(table, x, times, context=""):
     """(F, V) of an (n, T, 3) batch by allocating NumPy expressions: two
     gathers, the squared norms, the collision test of
-    ``PairTable.distances``, then the potential and the pair forces summed
-    onto bodies."""
+    ``PairTable.batch_evaluator``, then the potential and the pair forces
+    summed onto bodies."""
     d = x.take(table.i_idx, axis=0) - x.take(table.j_idx, axis=0)
     r2 = (d * d) @ np.ones(3)
     r = np.sqrt(r2)
@@ -82,6 +83,23 @@ def pair_forces(table, x, times, context=""):
               * np.power(r, table.alpha - 2.0))[..., None] * d
     F = np.dot(table.incidence, pair_f.reshape(pair_f.shape[0], -1))
     return F.reshape(x.shape), V
+
+
+def configuration_forces(table, x, t=None, context="integration"):
+    """Forces (n, 3) on one (n, 3) configuration by allocating NumPy
+    expressions in ``PairTable.accelerator``'s arithmetic: one product
+    with the difference matrix for the pair differences, the squared
+    norms in coordinate order, its collision test, then the pair forces
+    summed onto bodies by the incidence product."""
+    d = np.dot(table.difference, x)
+    r2 = np.dot(d * d, np.ones(3))
+    r = np.sqrt(r2)
+    if r.size and r.min() < COLLISION_THRESHOLD:
+        raise table._collision(r, t, context)
+    if table.softening > 0.0:
+        r = np.sqrt(r2 + table.softening ** 2)
+    pair_f = (table.force_coef * np.power(r, table.alpha - 2.0))[:, None] * d
+    return np.dot(table.incidence, pair_f)
 
 
 def einsum_projection(kernel, F) -> np.ndarray:

@@ -232,26 +232,55 @@ class TestRunOutcomes:
             np.unravel_index(np.argmax(radii), radii.shape)[0]
         assert result.iterations == 0
 
-    def test_nan_position_masks_the_escape(self, monkeypatch):
-        # a NaN coordinate makes the largest radius NaN, which is past no
-        # radius: the iteration goes on to a NaN gradient, also at a radius
-        # that every other body is past
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_position_is_an_escape(self, monkeypatch, value):
+        # a NaN or infinite coordinate escapes at every radius, infinite
+        # included, and names its body, also where every other body is past
+        # the radius; no gradient is taken at it
         sample = EvalKernel.positions
 
-        def with_a_nan(kernel, values):
+        def with_a_non_finite(kernel, values):
             pos = sample(kernel, values)
-            pos[1, 5, 2] = math.nan
+            pos[1, 5, 2] = value
             return pos
 
-        monkeypatch.setattr(EvalKernel, "positions", with_a_nan)
+        monkeypatch.setattr(EvalKernel, "positions", with_a_non_finite)
         model, params = build_cubic_family(1, k_max=9)
         for radius in (1e-3, 50.0, math.inf):
             result = run(model, params,
                          stop=StopRule(max_iters=0, escape_radius=radius))
-            assert result.outcome == MAX_ITERS, radius
-            assert result.escape_body is None
-            assert math.isnan(result.grad_norm)
-            assert math.isnan(result.action_trace[0])
+            assert result.outcome == ESCAPE, radius
+            assert result.escape_body == 1
+            assert result.iterations == 0
+            assert result.grad_norm == math.inf
+            assert result.action_trace.size == 0
+            assert result.params.values.tobytes() == params.values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
+                                "RuntimeWarning")
+    def test_diverging_descent_escapes_at_its_last_finite_iterate(self):
+        # a uniform step far past the stability bound overflows the values
+        # within a hundred iterations; with escape detection off the first
+        # non-finite coordinate ends the run as an escape, which returns
+        # the last iterate the callback saw, every one of them finite
+        model, params = build_cubic_family(1, k_max=9)
+        seen = []
+
+        def keep(iteration, current, S, grad_norm):
+            assert np.isfinite(current.values).all()
+            seen.append((iteration, current.values.tobytes()))
+
+        result = run(model, params, DescentSchedule.uniform(1.0),
+                     StopRule(max_iters=2000, escape_radius=math.inf),
+                     callback=keep)
+        assert result.outcome == ESCAPE
+        assert 0 < result.iterations < 2000
+        assert seen[-1] == (result.iterations,
+                            result.params.values.tobytes())
+        assert [i for i, _ in seen] == list(range(result.iterations + 1))
+        assert result.action_trace.size == result.iterations + 1
+        assert np.isfinite(result.params.values).all()
 
     def test_max_iters_outcome(self):
         model, params = build_choreography(2, k_max=5)

@@ -1,5 +1,6 @@
 """Tests for forces, energies, conserved quantities, and the EOM residual."""
 
+import collections
 import importlib
 import math
 
@@ -24,7 +25,7 @@ from actionorbits import (
     sample_positions,
 )
 from actionorbits.dynamics import pair_table
-from oracles import pair_forces
+from oracles import configuration_forces, pair_forces
 
 TWO_PI = 2.0 * math.pi
 dynamics = importlib.import_module("actionorbits.dynamics")
@@ -192,14 +193,18 @@ class TestForces:
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
                                                            softening):
-    # the integrators' in-place right side fills its pair buffers with the
-    # calls forces() makes, so it writes the same bytes into out, planar
+    # the integrators' in-place right side writes into out the bytes of
+    # the allocating difference-matrix oracle over the masses, planar
     # configurations (exact zeros in z) and a NaN or an infinite coordinate
-    # (no collision on either path) included, and nothing else
+    # (no collision) included, and nothing else; on finite configurations
+    # those are the bytes of forces(), whose gathers round as the product
+    # does.  At an infinite coordinate the product's zeros times inf make
+    # every pair a NaN, while forces() keeps y and z finite.
     spec = PotentialSpec(alpha=alpha, softening=softening)
     rng = np.random.default_rng([n, int(4 * alpha) + 8, int(10 * softening)])
     masses = rng.uniform(0.5, 3.0, n)
-    accelerate = pair_table(spec, masses).accelerator()
+    table = pair_table(spec, masses)
+    accelerate = table.accelerator()
     around = np.full((n + 2, 5), 7.0)
     out = around[1:-1, 1:4]             # a strided view inside sentinels
     for k in range(22):
@@ -210,8 +215,14 @@ def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
             x[n // 2, 0] = (math.nan, math.inf)[k - 20]
         before = x.copy()
         accelerate(x, 0.5, out)
-        expected = forces(spec, masses, x)[0] / masses[:, None]
-        assert np.ascontiguousarray(out).tobytes() == expected.tobytes(), k
+        got = np.ascontiguousarray(out).tobytes()
+        oracle = configuration_forces(table, x) / masses[:, None]
+        assert got == oracle.tobytes(), k
+        F = forces(spec, masses, x)[0]
+        if k < 20:
+            assert got == (F / masses[:, None]).tobytes(), k
+        elif k == 21:
+            assert np.isfinite(F[:, 1:]).all()
         assert x.tobytes() == before.tobytes()
         outside = around.copy()
         outside[1:-1, 1:4] = 7.0
@@ -219,9 +230,9 @@ def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
 
 
 def test_accelerator_raises_the_collision_of_forces(monkeypatch):
-    # a near-coincident pair raises the CollisionError the allocating pair
-    # path raises (pair, time, distance, context), at the threshold read
-    # at each call, not when the accelerator was built
+    # a near-coincident pair raises the CollisionError forces() raises
+    # (pair, time, distance, context), at the threshold read at each
+    # call, not when the accelerator was built
     spec, masses = PotentialSpec(), np.array([1.0, 2.0, 3.0, 4.0])
     accelerate = pair_table(spec, masses).accelerator()
     x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
@@ -325,11 +336,68 @@ def test_reduced_kernel_raises_the_collision_of_forces(n, k_max):
         == (errors[1].pair, errors[1].t, errors[1].distance, str(errors[1]))
 
 
+def test_each_layer_reaches_pair_arithmetic_through_one_evaluator(
+        circle, monkeypatch):
+    # forces, potential_energy, residual and the descent's kernel take
+    # their pairs only through batch evaluators, and return_error and
+    # perturb_and_track only through accelerators; none of them reads
+    # distances through _separations
+    model, result = circle
+    params, spec, masses = result.params, model.potential, model.masses
+    calls = collections.Counter()
+
+    def counted(name):
+        build = getattr(dynamics.PairTable, name)
+
+        def builder(table, *args):
+            evaluate = build(table, *args)
+
+            def call(*call_args):
+                calls[name] += 1
+                return evaluate(*call_args)
+            return call
+        return builder
+
+    separations = dynamics._separations
+
+    def counted_separations(*args):
+        calls["_separations"] += 1
+        return separations(*args)
+
+    for name in ("accelerator", "batch_evaluator"):
+        monkeypatch.setattr(dynamics.PairTable, name, counted(name))
+    monkeypatch.setattr(dynamics, "_separations", counted_separations)
+    x = sample_positions(model, params, np.linspace(0.0, 1.0, 4))
+    dev = np.zeros((model.n_bodies, 3))
+    dev[0, 0] = 1e-6
+    layers = [
+        ("batch_evaluator", lambda: (forces(spec, masses, x),
+                                     forces(spec, masses, x[:, 0]))),
+        ("batch_evaluator", lambda: (potential_energy(spec, masses, x),
+                                     potential_energy(spec, masses, x[:, 0]))),
+        ("batch_evaluator", lambda: residual(model, params)),
+        ("batch_evaluator", lambda: ao.action_with_gradient(
+            model, params, EvalKernel(model, params))),
+        ("accelerator", lambda: integrate.return_error(model, params)),
+        ("accelerator", lambda: integrate.perturb_and_track(
+            model, params, dev, 0.5)),
+    ]
+    for k, (through, call) in enumerate(layers):
+        calls.clear()
+        call()
+        assert set(calls) == {through}, (k, calls)
+    calls.clear()
+    observables(spec, masses, x, x)
+    min_pair_distance(x)
+    assert calls == {"_separations": 2}
+
+
 @pytest.mark.parametrize("n", [2, 3, 28])
 def test_pair_differences_match_the_gather_bit_for_bit(n):
     # a difference-matrix row adds one +x_i and one -x_j to exact zeros,
-    # so the product rounds once, as x_i - x_j does; the squared norms sum
-    # in coordinate order, so a batch and its columns agree to the bit
+    # so the accelerator's product rounds once, as the gathers' x_i - x_j
+    # does; the squared norms sum in coordinate order, so the product's
+    # norms, a batch and its columns agree to the bit
     i_idx, j_idx, difference = dynamics._pair_index(n)
     rng = np.random.default_rng(n)
     for shape in [(n, 3), (n, 5, 3)]:
@@ -338,15 +406,17 @@ def test_pair_differences_match_the_gather_bit_for_bit(n):
             gather = x.take(i_idx, axis=0) - x.take(j_idx, axis=0)
             product = np.dot(difference, x.reshape(n, -1))
             assert product.reshape(gather.shape).tobytes() == gather.tobytes()
-            d, r2 = dynamics._separations(i_idx, j_idx, difference, x)
+            d, r2 = dynamics._separations(i_idx, j_idx, x)
             assert d.tobytes() == gather.tobytes()
             sq = gather * gather
             assert r2.tobytes() == (sq[..., 0] + sq[..., 1]
                                     + sq[..., 2]).tobytes()
+            if x.ndim == 2:
+                norms = np.dot(product * product, np.ones(3))
+                assert norms.tobytes() == r2.tobytes()
             if x.ndim == 3:
                 for j in range(shape[1]):
-                    single = dynamics._separations(i_idx, j_idx, difference,
-                                                   x[:, j])
+                    single = dynamics._separations(i_idx, j_idx, x[:, j])
                     assert single[0].tobytes() == d[:, j].tobytes()
                     assert single[1].tobytes() == r2[:, j].tobytes()
 
@@ -382,6 +452,21 @@ class TestCollisionDetection:
         obs = observables(PotentialSpec(alpha=-1.0), np.ones(2), x,
                           np.zeros_like(x))
         assert np.isfinite(obs.potential) and np.isfinite(obs.E)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_observables_of_coincident_bodies_are_not_finite(self):
+        # r = 0 in one configuration, and in one member of a batch: the
+        # energy is not finite there, and no CollisionError is raised
+        spec, masses = PotentialSpec(alpha=-1.0), np.ones(3)
+        x = np.array([[0.0, 0.0, 0.0], [2.0, 1.0, 0.0], [2.0, 1.0, 0.0]])
+        obs = observables(spec, masses, x, np.ones_like(x))
+        assert not np.isfinite(obs.E) and not np.isfinite(obs.potential)
+        assert np.isfinite(obs.kinetic)
+        batch = np.stack([x + [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                [0.0, 0.0, 0.5 * j]] for j in range(3)],
+                         axis=1)
+        obs = observables(spec, masses, batch, np.ones_like(batch))
+        assert np.isfinite(obs.E).tolist() == [False, True, True]
 
     @pytest.mark.parametrize("layer", sorted(COLLIDES))
     def test_one_patched_threshold_moves_every_layer(self, circle, layer,

@@ -200,6 +200,22 @@ class TestRecordValidation:
         with pytest.raises(RecordError, match="certificate"):
             load_record(bad)
 
+    def test_non_finite_run_numbers_are_stored_as_null(self, circle,
+                                                       tmp_path):
+        # a diverged run's gradient norm or residual may be inf or NaN;
+        # the record keeps null for them, so it saves and loads
+        model, result = circle
+        for grad_norm, residual in ((math.nan, math.inf),
+                                    (math.inf, math.nan)):
+            diverged = dataclasses.replace(result, outcome="escape",
+                                           grad_norm=grad_norm,
+                                           residual=residual)
+            path = str(tmp_path / "diverged.json")
+            save_record(make_record(model, result.params, diverged), path)
+            record = load_record(path)
+            assert (record.grad_norm, record.residual) == (None, None)
+            assert not record.converged
+
     def test_values_must_be_finite(self, record_path, tmp_path):
         bad = _tampered(record_path, tmp_path,
                         lambda d: d["values"].__setitem__(0, None))
@@ -509,6 +525,26 @@ class TestCliMinimize:
         record = load_record(out)
         assert record.outcome == "max_iters"
         assert not record.converged
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
+                                "RuntimeWarning")
+    def test_diverging_descent_exits_three(self, tmp_path, capsys):
+        # an unstable uniform step with escape detection off ends as an
+        # escape, and the record keeps the last finite iterate, with no
+        # gradient norm or residual where they are not finite
+        seed, out = str(tmp_path / "seed.json"), str(tmp_path / "out.json")
+        assert main(["seed", "--family", "cubic", "--m", "1", "--k-max", "9",
+                     "--out", seed]) == 0
+        code = main(["minimize", seed, "--dtau", "1.0", "--escape-radius",
+                     "inf", "--max-iters", "2000", "--out", out])
+        assert code == 3
+        assert "escaped" in capsys.readouterr().err
+        record = load_record(out)
+        assert record.outcome == "escape" and not record.converged
+        assert all(math.isfinite(v) for v in record.values)
+        for value in (record.grad_norm, record.residual):
+            assert value is None or math.isfinite(value)
 
     def test_custom_table_schedule(self, tmp_path, capsys):
         seed = str(tmp_path / "seed.json")
