@@ -189,7 +189,8 @@ def run(model: OrbitModel, params: ReducedParams,
     when some coordinate passes half that radius.  A diverging descent
     escapes too, at any radius: a NaN or infinite coordinate is an escape
     of its body, and the run returns the last iterate with finite
-    positions, the one its gradient norm and last action belong to.
+    positions, the one its gradient norm and last action belong to, with
+    no residual.  The loop emits no NumPy warning on its way there.
     ``callback(iteration, params, S, grad_norm)``, when given, runs once per
     evaluated iterate, all of them finite; it is the one progress hook.
     With fixed inputs the result is deterministic down to the bit level.
@@ -205,53 +206,69 @@ def run(model: OrbitModel, params: ReducedParams,
     grad_norm = math.inf
     collision_pair = collision_time = escape_body = None
     iteration = 0
+    diverged = False
+    caller_errstate = np.geterr()
 
-    while True:
-        pos = kernel.positions(v)
-        # a radius is at most sqrt(3) < 2 times the largest coordinate, so
-        # the radii are needed only past that bound, or at a NaN or an
-        # infinite coordinate, whose radius is the largest (argmax takes
-        # the first NaN) and escapes whatever the escape radius
-        reach = max(pos.max(), -pos.min())
-        if not (2.0 * reach <= stop.escape_radius and reach < math.inf):
-            radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
-            far = radii.max()
-            if not (far <= stop.escape_radius and far < math.inf):
-                outcome = ESCAPE
-                escape_body = int(np.unravel_index(np.argmax(radii),
-                                                   radii.shape)[0])
-                if not reach < math.inf and iteration:
-                    v, iteration = last, iteration - 1
+    # a diverging descent overflows on its way to the non-finite
+    # coordinate that ends it, so the loop evaluates without warnings;
+    # the callback runs under the caller's settings
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            pos = kernel.positions(v)
+            # a radius is at most sqrt(3) < 2 times the largest coordinate,
+            # and the kernel's nodes hold the largest coordinate of the
+            # whole grid (a symmetry turns a body's coordinates into
+            # another's by a signed permutation), so the radii are needed
+            # only past that bound, or at a NaN or an infinite coordinate,
+            # whose radius is the largest (argmax takes the first NaN) and
+            # escapes whatever the escape radius; they are taken on the
+            # whole grid, so that the escaping body is the full grid's
+            reach = max(pos.max(), -pos.min())
+            if not (2.0 * reach <= stop.escape_radius and reach < math.inf):
+                full = kernel.full_positions(v)
+                radii = np.sqrt(np.einsum("itc,itc->it", full, full))
+                far = radii.max()
+                diverged = not reach < math.inf
+                if diverged or not (far <= stop.escape_radius
+                                    and far < math.inf):
+                    outcome = ESCAPE
+                    escape_body = int(np.unravel_index(np.argmax(radii),
+                                                       radii.shape)[0])
+                    if diverged and iteration:
+                        v, iteration = last, iteration - 1
+                    break
+            try:
+                report = _with_gradient(kernel, v, pos,
+                                        f"descent iteration {iteration}")
+            except CollisionError as err:
+                outcome = COLLISION
+                collision_pair, collision_time = err.pair, err.t
                 break
-        try:
-            report = _with_gradient(kernel, v, pos,
-                                    f"descent iteration {iteration}")
-        except CollisionError as err:
-            outcome = COLLISION
-            collision_pair, collision_time = err.pair, err.t
-            break
-        trace.append(report.S)
-        grad_norm = report.grad_norm
-        if callback is not None:
-            callback(iteration, params.with_values(v), report.S, grad_norm)
-        if grad_norm <= stop.grad_tol:
-            outcome = CONVERGED
-            break
-        if iteration >= stop.max_iters:
-            outcome = MAX_ITERS
-            break
-        v, last = v - dtau * report.gradient, v
-        iteration += 1
+            trace.append(report.S)
+            grad_norm = report.grad_norm
+            if callback is not None:
+                with np.errstate(**caller_errstate):
+                    callback(iteration, params.with_values(v), report.S,
+                             grad_norm)
+            if grad_norm <= stop.grad_tol:
+                outcome = CONVERGED
+                break
+            if iteration >= stop.max_iters:
+                outcome = MAX_ITERS
+                break
+            v, last = v - dtau * report.gradient, v
+            iteration += 1
 
     # the residual's arrays can take the memory of the kernel's bases and
     # pair buffers, which the loop no longer needs
     del kernel, pos
     final = params.with_values(v)
     final_residual = None
-    try:
-        final_residual = residual(model, final).max_violation
-    except CollisionError:
-        pass
+    if not diverged:   # the last finite iterate of a divergence is huge
+        try:
+            final_residual = residual(model, final).max_violation
+        except CollisionError:
+            pass
     return RunResult(
         outcome=outcome,
         params=final,

@@ -11,8 +11,8 @@ pair buffers it builds once.  :meth:`PairTable.accelerator` takes one
 differences: it is the integrators' right side, which the DOP853 drive
 calls once per stage on the views of its stage plan.
 :meth:`PairTable.batch_evaluator` takes an (n, T, 3) batch, with two
-gathers: the descent's kernel builds one, for the pairs that touch one
-body of each symmetry orbit, and :func:`forces` and
+gathers: the descent's kernel builds one for the pairs of one (body,
+node) of each space-time symmetry orbit, and :func:`forces` and
 :func:`potential_energy` build one on every call, for every pair, with a
 single configuration taken as the batch ``x[:, None]`` of one.  On finite
 positions the two evaluators round alike, so the accelerator writes the
@@ -109,19 +109,16 @@ class PairTable:
                   self.mass_rows):
             a.setflags(write=False)
 
-    def _collision(self, r: np.ndarray, times, context: str,
-                   pairs: np.ndarray | None = None):
+    def _collision(self, r: np.ndarray, times, context: str):
         """The CollisionError of the closest pair of true distances r, whose
-        rows are the table's pairs or, when given, the table's pairs
-        ``pairs``."""
+        rows are the table's pairs."""
         at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
-        p = at[0] if pairs is None else pairs[at[0]]
         t = None
         if times is not None:
             # one time stands for every member of a batch
             times = np.ravel(times)
             t = float(times[at[1] if times.size > 1 else 0])
-        return CollisionError((self.i_idx[p], self.j_idx[p]), t=t,
+        return CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
                               distance=r[at], context=context)
 
     def accelerator(self):
@@ -175,85 +172,120 @@ class PairTable:
 
         return accelerate
 
-    def batch_evaluator(self, n_times: int, orbits=None):
+    def batch_evaluator(self, n_times: int, representatives=None):
         """Forces and potential of a batch: ``evaluate(x, times, context)``
         returns (F, V) of the (n, n_times, 3) positions ``x``.
 
-        ``orbits`` groups the bodies as :func:`.body_orbits` does, each
-        orbit led by its representative; by default every body is its own.
-        The evaluator takes the pairs that touch a representative, in table
-        order.  F holds the forces on the representatives, in their order,
-        and V weights pair (i, j) by (|O_i| [i leads] + |O_j| [j leads]) / 2,
-        each body's half share of its pairs counted once per member of its
-        orbit.  Over a batch of grid positions whose orbits these are, V's
-        sum is the full potential's.  With every body its own
-        representative that is every pair at weight 1, and (F, V) are the
-        bits :func:`forces` returns.
+        By default it takes every pair at every time: F holds the forces
+        on every body (n, n_times, 3) and V the potential at every time,
+        the bits :func:`forces` returns.  ``representatives``, rows (body,
+        time, size) as :func:`.space_time_orbits` gives them with each
+        time an index into the batch, makes it take each representative's
+        pairs with every other body at its time: F holds the forces on the
+        representatives (R, 3), and V (one entry) the sum of each
+        representative's half share of its pair potentials times its
+        size.  Over the grid positions whose orbits these represent, that
+        is the full potential's grid sum.
 
         Its buffers are built here, once: the differences d, one scratch
-        array for the second gather, the squares and the pair forces, r^2
-        (then r^alpha), r (then r^(alpha - 2) and the pair coefficients in
-        place) and the forces F.  The gathers take ``mode="clip"``, since
-        the default mode buffers its output; the indices are always in
-        range.  A true distance below :data:`COLLISION_THRESHOLD`, read at
-        each call, raises CollisionError at the closest pair, named by its
-        time in ``times``; when some pairs are left out it is raised as an
-        evaluator of every pair raises it, built then, so that its pair
-        and time are the full path's; should that evaluator find no
-        collision (a rounding edge), the error of the pairs taken is
-        raised.  Softening applies after the test, and r^alpha is taken by
-        the power operator.  A call overwrites the buffers, F included, so
-        ``evaluate`` serves one caller at a time and its F is valid until
-        the next call; V is a new array.
+        array for the second gather (then the squares and the pair
+        forces), r^2 (then r^alpha), r (then r^(alpha - 2) and the pair
+        coefficients in place) and the forces F.  The gathers take
+        ``mode="clip"``, since the default mode buffers its output; the
+        indices are always in range.  A true distance below
+        :data:`COLLISION_THRESHOLD`, read at each call, raises
+        CollisionError at the closest pair, named by its time in
+        ``times``.  Softening applies after the test, and r^alpha is taken
+        by the power operator.  A call overwrites the buffers, F included,
+        so ``evaluate`` serves one caller at a time and its F is valid
+        until the next call; V is a new array.
         """
-        i_idx, j_idx, coupling, coef, incidence = (
-            self.i_idx, self.j_idx, self.coupling, self.force_coef,
-            self.incidence)
-        pairs = None
-        if orbits is not None:
-            size = np.zeros(incidence.shape[0])   # |O_i| at a representative
-            for orbit in orbits:
-                size[orbit[0]] = len(orbit)
-            pairs = np.flatnonzero(size[i_idx] + size[j_idx])
-            i_idx, j_idx = i_idx[pairs], j_idx[pairs]
-            coupling = coupling[pairs] * (0.5 * (size[i_idx] + size[j_idx]))
-            coef = coef[pairs]
-            # C order, as the table's incidence is kept
-            incidence = np.ascontiguousarray(
-                incidence[np.ix_(np.flatnonzero(size), pairs)])
-        n_pairs, n_bodies = i_idx.size, incidence.shape[0]
-        every_pair = n_pairs == self.i_idx.size
-        coef, alpha, exponent = coef[:, None], self.alpha, self.alpha - 2.0
+        coupling, coef = self.coupling, self.force_coef
+        if representatives is None:
+            i_idx, j_idx, incidence = self.i_idx, self.j_idx, self.incidence
+            d, scratch = (np.empty((i_idx.size, n_times, 3)) for _ in range(2))
+            F = np.empty((incidence.shape[0], n_times, 3))
+            pair_rows = scratch.reshape(i_idx.size, 3 * n_times)
+            body_rows = F.reshape(F.shape[0], 3 * n_times)
+
+            def differences(x):
+                np.take(x, i_idx, 0, d, "clip")
+                np.take(x, j_idx, 0, scratch, "clip")
+                np.subtract(d, scratch, d)
+
+            def body_forces():
+                np.dot(incidence, pair_rows, body_rows)
+
+            def collision(times, context):
+                return self._collision(r, times, context)
+        else:
+            bodies, columns, sizes = np.asarray(representatives).T
+            n = self.incidence.shape[0]
+            # the other bodies of each representative, partner-major (the
+            # q-th other body of every representative in one row), their
+            # pairs, and the rows of x.reshape(-1, 3) that they read
+            others = np.arange(n - 1)[:, None]
+            others = others + (others >= bodies)
+            pair = np.zeros((n, n), dtype=int)
+            pair[self.i_idx, self.j_idx] = pair[self.j_idx, self.i_idx] = \
+                np.arange(self.i_idx.size)
+            pair = pair[bodies, others]
+            lead_rows = bodies * n_times + columns
+            other_rows = others * n_times + columns
+            coupling = (coupling[pair] * (0.5 * sizes)).reshape(-1)
+            coef = coef[pair]
+            lead = np.empty((bodies.size, 3))
+            d, scratch = (np.empty(pair.shape + (3,)) for _ in range(2))
+            F = np.empty((bodies.size, 3))
+            partner_ones = np.ones(n - 1)
+            pair_rows = scratch.reshape(n - 1, -1)
+            body_rows = F.reshape(-1)
+
+            def differences(x):
+                rows = x.reshape(-1, 3)
+                np.take(rows, lead_rows, 0, lead, "clip")
+                np.take(rows, other_rows, 0, d, "clip")
+                np.subtract(lead, d, d)
+
+            def body_forces():
+                np.dot(partner_ones, pair_rows, body_rows)
+
+            def collision(times, context):
+                at = np.unravel_index(np.argmin(r), r.shape)
+                i, j = sorted((int(bodies[at[1]]), int(others[at])))
+                return CollisionError(
+                    (i, j), t=float(np.ravel(times)[columns[at[1]]]),
+                    distance=r[at], context=context)
+
+        alpha, exponent = self.alpha, self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
-        d, scratch = (np.empty((n_pairs, n_times, 3)) for _ in range(2))
-        r2, r = (np.empty((n_pairs, n_times)) for _ in range(2))
-        F = np.empty((n_bodies, n_times, 3))
-        r_col, pair_rows = r[..., None], scratch.reshape(n_pairs, 3 * n_times)
-        body_rows = F.reshape(n_bodies, 3 * n_times)
+        r2, r = (np.empty(d.shape[:-1]) for _ in range(2))
+        r_col, coef = r[..., None], coef.reshape(coef.shape + (1,) * (
+            r.ndim - coef.ndim))
+        # every pair's squares and potentials in a batch of its own times,
+        # or the representatives' pairs in one block of pairs
+        squares, squared_norms, potentials = (scratch, r2, r2) \
+            if representatives is None \
+            else (scratch.reshape(-1, 3), r2.reshape(-1), r2.reshape(-1, 1))
 
         def evaluate(x: np.ndarray, times, context: str):
-            np.take(x, i_idx, 0, d, "clip")
-            np.take(x, j_idx, 0, scratch, "clip")
-            np.subtract(d, scratch, d)
+            differences(x)
             np.multiply(d, d, scratch)
-            np.matmul(scratch, _ONES3, r2)
+            np.matmul(squares, _ONES3, squared_norms)
             np.sqrt(r2, r)
             if r.size and np.minimum.reduce(r, axis=None) \
                     < COLLISION_THRESHOLD:
-                error = self._collision(r, times, context, pairs)
-                if not every_pair:
-                    self.batch_evaluator(n_times)(x, times, context)
-                raise error
+                raise collision(times, context)
             if softening2 is not None:
                 np.add(r2, softening2, r)
                 np.sqrt(r, r)
             np.copyto(r2, r)
             operator.ipow(r2, alpha)
-            V = coupling @ r2
+            V = coupling @ potentials
             np.power(r, exponent, r)
             np.multiply(coef, r, r)
             np.multiply(r_col, d, scratch)
-            np.dot(incidence, pair_rows, body_rows)
+            body_forces()
             return F, V
 
         return evaluate

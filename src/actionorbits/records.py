@@ -344,7 +344,7 @@ def designated_scale(model: OrbitModel, params: ReducedParams) -> float:
 
 
 def _observable_summary(model: OrbitModel, params: ReducedParams) -> dict | None:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, obs = observables_series(model, params, QuadratureGrid(64))
     q_max = float(np.abs(obs.Q).max())
     summary = {"E": float(obs.E[0]), "J": [float(v) for v in obs.J[0]],

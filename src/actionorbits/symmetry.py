@@ -11,10 +11,11 @@ free ("reduced") coefficients and sign couplings that tie the remaining
 coefficients to them, so symmetry constraints hold exactly at every
 parameter value instead of being projected back after each step.  It is
 the one place that validates a layout, and a value compared and hashed
-without its kinetic masses.  :func:`body_orbits` groups the bodies that
-the bindings' own symmetries carry onto each other by a turn and a time
-shift of whole grid steps, so that the descent evaluates the forces on
-one body per group.
+without its kinetic masses.  :func:`space_time_orbits` groups the
+(body, node) pairs of a quadrature grid that the model's symmetries carry
+onto each other -- the claimed ones and those of the bindings, each
+checked on every slot's unit vector -- so that the descent evaluates the
+forces at one pair per group.
 
 Built-in families:
 
@@ -558,13 +559,16 @@ def sample_positions(model: OrbitModel, params: ReducedParams, times,
 
 
 # ----------------------------------------------------------------------
-# body orbits
+# space-time orbits of (body, node) pairs
 # ----------------------------------------------------------------------
 
 # Two phases closer than this are one phase.  Bindings that differ only by
 # less would put two bodies within about this distance of each other, which
 # is a collision, so no model that can be evaluated has such a pair.
 _PHASE_TOL = 1e-9
+# Two samples of a slot's unit vector closer than this are one value: the
+# samples are of order one, and so is the miss of a false element.
+_SAMPLE_TOL = 1e-9
 
 
 def _phase_gap(a: float, b: float) -> float:
@@ -573,58 +577,156 @@ def _phase_gap(a: float, b: float) -> float:
     return min(gap, TWO_PI - gap)
 
 
-@functools.lru_cache(maxsize=64)
-def body_orbits(model: OrbitModel, n_nodes: int) -> tuple[tuple[int, ...], ...]:
-    """The bodies' orbits under the symmetries of the bindings that a grid
-    of ``n_nodes`` uniform nodes resolves.
-
-    The element (R, shift) = (R_i R_r^-1, phi_i - phi_r) puts body i in
-    body r's orbit when it maps every binding (g, R_c, phi_c, m_c) onto a
-    binding (g, R R_c, phi_c + shift, m_c), one body onto each, and when
-    the shift is a whole number of grid steps 2*pi/n_nodes.  The first
-    makes x_i(t) = R x_r(t + shift) at every coefficient value and carries
-    the pair forces along: F_i(t) = R F_r(t + shift).  The second makes
-    the shift permute the grid's nodes, so body i's grid sums of
-    F . dx/dc and of its share of the pair potential are body r's.  Each
-    orbit lists its bodies in index order, led by its lowest, the
-    representative; the orbits come in the order of their representatives.
+@dataclass(frozen=True)
+class GridElement:
+    """A symmetry that permutes the (body, node) pairs of a uniform grid of
+    N nodes: x_{bodies[i]}(t_{tau(j)}) = transform . x_i(t_j) at every
+    value of a layout, with tau(j) = (-j if reversal else j) + steps mod N.
     """
-    bindings = model.bindings
+
+    transform: OrthTransform
+    bodies: tuple[int, ...]
+    reversal: bool
+    steps: int
+
+    def node_images(self, n_nodes: int) -> np.ndarray:
+        """tau(j) of every node j."""
+        j = np.arange(n_nodes)
+        return ((-j if self.reversal else j) + self.steps) % n_nodes
+
+
+@dataclass(frozen=True)
+class SpaceTimeOrbits:
+    """The orbits of a grid's (body, node) pairs under the group its
+    ``elements`` generate.
+
+    ``orbit[i, j]`` numbers the orbit of body i at node j.  The orbits are
+    numbered in the order of their representatives, each orbit's first
+    pair node by node from the first node (bodies in index order within a
+    node): ``bodies[k]`` at ``nodes[k]`` represents orbit k, of
+    ``sizes[k]`` pairs.  Every array is read-only.
+    """
+
+    elements: tuple[GridElement, ...]
+    orbit: np.ndarray
+    bodies: np.ndarray
+    nodes: np.ndarray
+    sizes: np.ndarray
+
+
+def _grid_elements(model: OrbitModel, layout: ParamLayout,
+                   n_nodes: int) -> tuple[GridElement, ...]:
+    """The elements that permute the pairs of a grid of ``n_nodes`` nodes
+    and hold at every value of ``layout``.
+
+    The candidates are the model's claimed symmetries and the elements
+    that carry body 0's binding onto another's, x_i(t) = R_i R_0^-1
+    x_0(t + phi_i - phi_0); a candidate whose time map is not the reversal
+    or a shift of whole grid steps is dropped.  A claim alone is not
+    trusted: each candidate is checked on every slot's unit vector at the
+    grid's even nodes (every node on a grid too coarse for that), 2 k_max
+    + 2 uniform times or more.  Both sides are trigonometric polynomials
+    of degree k_max at most, which those times determine, so sides that
+    agree there agree at every time, and by linearity at every value.
+    The time map takes those nodes onto the even or the odd nodes, each
+    class sampled once.  Each body's image is the body whose unit-vector
+    samples match it at the first node; the candidate holds when those
+    images are a permutation that keeps every mass and that matches at
+    every checked node.
+    """
     step = TWO_PI / n_nodes
-    # the bindings' phases by everything else they carry
-    phases: dict[tuple, list[tuple[float, int]]] = {}
-    for c, b in enumerate(bindings):
-        key = (b.generator, b.transform.matrix.tobytes(), b.mass)
-        phases.setdefault(key, []).append((b.phase, c))
+    candidates: dict[tuple, np.ndarray] = {}
 
-    def image(b: BodyBinding, rotation: np.ndarray, shift: float):
-        """The body at the element's image of binding b, or None."""
-        key = (b.generator, (rotation @ b.transform.matrix).tobytes(), b.mass)
-        return next((c for phase, c in phases.get(key, ())
-                     if _phase_gap(phase, b.phase + shift) < _PHASE_TOL), None)
+    def offer(matrix: np.ndarray, reversal: bool, shift: float) -> None:
+        steps = round(shift / step)
+        if _phase_gap(steps * step, shift) < _PHASE_TOL:
+            steps %= n_nodes
+            if reversal or steps or not np.array_equal(matrix, IDENTITY.matrix):
+                candidates.setdefault((reversal, steps, matrix.tobytes()),
+                                      matrix)
 
-    def related(r: int, i: int) -> bool:
-        br, bi = bindings[r], bindings[i]
-        shift = (bi.phase - br.phase) % TWO_PI
-        if (bi.generator, bi.mass) != (br.generator, br.mass) or \
-                _phase_gap(step * round(shift / step), shift) >= _PHASE_TOL:
-            return False
-        rotation = bi.transform.matrix @ br.transform.matrix.T
-        images = set()
-        for b in bindings:   # most elements fail on their first bindings
-            images.add(image(b, rotation, shift))
-            if None in images:
-                return False
-        return len(images) == len(bindings)
+    for sym in model.symmetries:
+        offer(sym.transform.matrix, sym.time_reversal,
+              0.0 if sym.time_reversal else sym.time_shift)
+    body0 = model.bindings[0]
+    for b in model.bindings[1:]:
+        offer(b.transform.matrix @ body0.transform.matrix.T, False,
+              body0.phase - b.phase)
+    if not (candidates and layout.n_slots) or n_nodes <= 2 * layout.k_max:
+        return ()
+    stride = 2 if n_nodes % 2 == 0 and n_nodes // 2 > 2 * layout.k_max else 1
+    checked = np.arange(0, n_nodes, stride)
+    units = layout.expand(np.eye(layout.n_slots))
+    samples: dict[int, np.ndarray] = {}   # (n, nodes, slots, 3) by class
 
-    orbits: list[list[int]] = []
-    for i in range(len(bindings)):
-        orbit = next((o for o in orbits if related(o[0], i)), None)
-        if orbit is None:
-            orbits.append([i])
-        else:
-            orbit.append(i)
-    return tuple(tuple(orbit) for orbit in orbits)
+    def sampled(node_class: int) -> np.ndarray:
+        if node_class not in samples:
+            samples[node_class] = sample_tables(
+                model, units, (checked + node_class) * step, (0,))[0]
+        return samples[node_class]
+
+    base, masses = sampled(0), model.masses
+    elements = []
+    for (reversal, steps, _), matrix in candidates.items():
+        images = ((-checked if reversal else checked) + steps) % n_nodes
+        image, columns = sampled(images[0] % stride), images // stride
+        turn = matrix.T
+        # the bodies' turned samples at the first node against every
+        # body's at its image
+        turned = (base[:, 0].reshape(-1, 3) @ turn).reshape(masses.size, -1)
+        targets = image[:, columns[0]].reshape(masses.size, -1)
+        gap = np.abs(turned[:, None] - targets[None]).max(axis=2)
+        bodies = gap.argmin(axis=1)
+        if gap[np.arange(bodies.size), bodies].max() <= _SAMPLE_TOL \
+                and np.bincount(bodies).max() == 1 \
+                and np.array_equal(masses[bodies], masses) \
+                and all(np.abs(base[i].reshape(-1, 3) @ turn
+                               - image[b, columns].reshape(-1, 3)).max()
+                        <= _SAMPLE_TOL for i, b in enumerate(bodies)):
+            elements.append(GridElement(OrthTransform(matrix),
+                                        tuple(bodies.tolist()), reversal,
+                                        steps))
+    return tuple(elements)
+
+
+@functools.lru_cache(maxsize=64)
+def space_time_orbits(model: OrbitModel, layout: ParamLayout,
+                      n_nodes: int) -> SpaceTimeOrbits:
+    """The orbits of the (body, node) pairs of a grid of ``n_nodes``
+    uniform nodes under the elements that hold at every value of
+    ``layout`` and permute the grid (see :func:`_grid_elements`).
+
+    An element sends body i at node j to body sigma(i) at node tau(j),
+    and carries the pair forces along: F_sigma(i)(t_tau(j)) = R F_i(t_j),
+    and each body's half share of its pair potentials is the same at
+    both.  So the grid sums of F . dx/dc and of the potential are the
+    sums over one representative per orbit, each counted once per member
+    of its orbit.  Without a usable element every pair is its own orbit.
+    """
+    elements = _grid_elements(model, layout, n_nodes)
+    n = model.n_bodies
+    # pair (i, j) is entry j * n + i, node-major, so an orbit's smallest
+    # entry is its first pair node by node; each entry takes the smallest
+    # label among its images until no label moves, which leaves every
+    # pair with its orbit's smallest entry
+    entry = np.arange(n_nodes * n)
+    images = [(e.node_images(n_nodes)[:, None] * n
+               + np.array(e.bodies)).ravel() for e in elements]
+    label = entry.copy()
+    moved = bool(images)
+    while moved:
+        before = label.copy()
+        for image in images:
+            np.minimum(label, label[image], out=label)
+        moved = not np.array_equal(label, before)
+    leads = np.flatnonzero(label == entry)
+    orbit = np.searchsorted(leads, label).reshape(n_nodes, n).T
+    sizes = np.bincount(label)[leads]
+    nodes, bodies = np.divmod(leads, n)
+    arrays = (np.ascontiguousarray(orbit), bodies, nodes, sizes)
+    for a in arrays:
+        a.setflags(write=False)
+    return SpaceTimeOrbits(elements, *arrays)
 
 
 # ----------------------------------------------------------------------

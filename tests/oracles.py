@@ -4,9 +4,9 @@ The library's runtime paths never call these: the sampler reads
 ``trig_table`` and ``contract`` directly, the gradient reads generator
 columns instead of projecting coefficient tables, the action takes its
 kinetic term in coefficient space, the pair evaluators fill buffers they
-reuse, the descent's kernel evaluates pair forces on one body per
-symmetry orbit and projects them with one matrix-vector product instead
-of an ``einsum`` per orbit, and the symmetry groups are built from
+reuse, the descent's kernel evaluates pair forces at one (body, node)
+pair per symmetry orbit and projects them with one matrix-vector product
+instead of an ``einsum`` per orbit, and the symmetry groups are built from
 explicit matrices.  The tests
 still use them as oracles.
 """
@@ -103,23 +103,26 @@ def configuration_forces(table, x, t=None, context="integration"):
 
 
 def einsum_projection(kernel, F) -> np.ndarray:
-    """Quadrature of F . (dx/dc) over every body for every slot, from the
-    representatives' forces ``F``: each representative's contraction with
-    its own rows of ``basis_pos``, counted once per member of its orbit."""
+    """Quadrature of F . (dx/dc) over every body and node for every slot,
+    from the representatives' forces ``F``: each representative's
+    contraction with its own row of ``basis_pos``, counted once per member
+    of its orbit."""
     out = np.zeros(kernel.layout.n_slots)
-    for orbit, F_r in zip(kernel.orbits, F):
-        out += len(orbit) * np.einsum("tc,stc->s", F_r,
-                                      kernel.basis_pos[:, orbit[0]])
+    orbits = kernel.orbits
+    if F.ndim == 3:   # every pair its own orbit: the forces on every body
+        F = F[orbits.bodies, orbits.nodes]
+    for F_r, b, j, size in zip(F, orbits.bodies, orbits.nodes, orbits.sizes):
+        out += size * np.einsum("c,sc->s", F_r, kernel.basis_pos[:, b, j])
     return kernel.grid.weight * out
 
 
 def full_pair_action(kernel, values):
-    """(S, gradient) at ``values`` from the kernel's sampled positions and
+    """(S, gradient) at ``values`` from the kernel's full-grid positions and
     basis, with the forces on every body from every pair: the arithmetic
-    of a kernel whose bodies are each their own representative, down to
-    its one matrix-vector product of the flattened basis and forces."""
+    of a kernel whose pairs are each their own orbit, down to its one
+    matrix-vector product of the flattened basis and forces."""
     model, grid = kernel.model, kernel.grid
-    F, V = forces(model.potential, model.masses, kernel.positions(values),
+    F, V = forces(model.potential, model.masses, kernel.full_positions(values),
                   times=grid.nodes, context="full pair oracle")
     kinetic_grad = kernel.kinetic_stiffness * values
     rows = kernel.basis_pos.reshape(kernel.layout.n_slots, -1)

@@ -1,5 +1,6 @@
 """Tests for the action functional and its analytic gradient."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -208,6 +209,8 @@ class TestEvalKernel:
         rng = np.random.default_rng(23)
         params = params.with_values(rng.normal(size=len(params)))
         assert np.allclose(kernel.positions(params.values),
+                           sample_positions(model, params, t[kernel.nodes]))
+        assert np.allclose(kernel.full_positions(params.values),
                            sample_positions(model, params, t))
         assert np.allclose(velocities(kernel, params.values),
                            sample_positions(model, params, t, deriv=1))
@@ -224,8 +227,8 @@ class TestEvalKernel:
 
 
 class TestSymmetryReducedKernel:
-    """The kernel evaluates the pairs of one body per symmetry orbit; its
-    action and gradient are the full pair sum's."""
+    """The kernel evaluates the pairs of one (body, node) pair per symmetry
+    orbit; its action and gradient are the full pair sum's."""
 
     @staticmethod
     def _probes(workloads, name):
@@ -252,17 +255,20 @@ class TestSymmetryReducedKernel:
                 assert np.max(np.abs(report.gradient - grad)) \
                     <= 1e-12 * scale, (name, label)
 
-    @pytest.mark.parametrize("name", ["crisscross", "crisscross-123"])
-    def test_crisscross_kernels_give_the_full_bytes(self, workloads, name):
-        # three generators: every body is its own representative
-        model, probes = self._probes(workloads, name)
-        for label, probe in probes.items():
+    def test_kernel_without_an_element_gives_the_full_bytes(self):
+        # mixed sin and cos, every harmonic, and the shift 2 pi/3 off the
+        # 40-node grid: every (body, node) pair is its own orbit
+        model, params = KERNEL_MODELS["choreography-sincos"]()
+        rng = np.random.default_rng(31)
+        for probe in (params, params.with_values(
+                params.values + 0.05 * rng.normal(size=len(params)))):
             kernel = EvalKernel(model, probe)
-            assert len(kernel.orbits) == model.n_bodies
+            assert kernel.orbits.elements == ()
+            assert kernel.nodes.size == kernel.grid.n
             report = action_with_gradient(model, probe, kernel=kernel)
             S, grad = full_pair_action(kernel, probe.values)
-            assert report.S == S, label
-            assert report.gradient.tobytes() == grad.tobytes(), label
+            assert report.S == S
+            assert report.gradient.tobytes() == grad.tobytes()
 
     def test_projection_agrees_with_the_einsum_form(self, workloads):
         # one matrix-vector product against an einsum per orbit: the two
@@ -287,24 +293,46 @@ class TestSymmetryReducedKernel:
                 assert np.max(np.abs(got - want)) <= 2e-15 * scale, \
                     (name, label)
 
-    def test_unreduced_projection_is_a_view_of_the_basis(self, workloads):
-        # a kernel whose bodies are each their own representative projects
-        # through basis_pos itself, not through a copy of it
-        for name in ("crisscross", "crisscross-123"):
-            model, params = workloads.ORBITS[name]()
-            kernel = EvalKernel(model, params)
-            assert np.shares_memory(kernel._projection_rows, kernel.basis_pos)
+    def test_bodies_reduced_at_every_node(self):
+        # without its claims the cubic loop keeps only its bindings' Klein
+        # turns, which move no node: body 0 at every node stands for the
+        # four bodies there, and the kernel samples the whole grid
+        model, params = build_cubic_family(1, k_max=9)
+        model = dataclasses.replace(model, symmetries=())
+        kernel = EvalKernel(model, params)
+        assert kernel.nodes.size == kernel.grid.n
+        assert kernel.orbits.bodies.tolist() == [0] * kernel.grid.n
+        F, _ = kernel.forces(kernel.positions(params.values), "test")
+        assert F.shape == (kernel.grid.n, 3)
+        rng = np.random.default_rng(37)
+        probe = params.with_values(params.values
+                                   + 0.05 * rng.normal(size=len(params)))
+        report = action_with_gradient(model, probe, kernel=kernel)
+        S, grad = full_pair_action(kernel, probe.values)
+        scale = np.max(np.abs(grad - kernel.kinetic_stiffness * probe.values))
+        assert abs(report.S - S) <= 1e-12 * abs(S)
+        assert np.max(np.abs(report.gradient - grad)) <= 1e-12 * scale
+
+    def test_unreduced_projection_is_a_view_of_the_basis(self):
+        # a kernel whose pairs are each their own orbit projects through
+        # basis_pos itself, not through a copy of it
+        model, params = KERNEL_MODELS["choreography-sincos"]()
+        kernel = EvalKernel(model, params)
+        assert np.shares_memory(kernel._projection_rows, kernel.basis_pos)
 
     def test_forces_are_the_representatives(self, workloads):
         model, params = workloads.ORBITS["cubic-m7"]()
         kernel = EvalKernel(model, params)
         pos = kernel.positions(params.values)
         F, _ = kernel.forces(pos, "test")
-        F_all, _ = ao.forces(model.potential, model.masses, pos,
+        F_all, _ = ao.forces(model.potential, model.masses,
+                             kernel.full_positions(params.values),
                              times=kernel.grid.nodes)
-        assert kernel.orbits == (tuple(range(28)),)
-        assert F.shape == (1, kernel.grid.n, 3)
-        assert np.allclose(F[0], F_all[0], rtol=0, atol=1e-13)
+        orbits = kernel.orbits
+        assert kernel.nodes.tolist() == [0, 1, 2, 3, 4]
+        assert F.shape == (29, 3)
+        assert np.allclose(F, F_all[orbits.bodies, orbits.nodes], rtol=0,
+                           atol=1e-13)
 
     def test_kernel_of_another_model_or_layout_is_rejected(self):
         model, params = build_cubic_family(1, k_max=9)

@@ -192,7 +192,7 @@ class TestRunOutcomes:
         # a coordinate of at least R/2 fails the bound test on coordinates,
         # and the exact radii, all below R, decide
         model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
-        pos = EvalKernel(model, params).positions(params.values)
+        pos = EvalKernel(model, params).full_positions(params.values)
         largest_radius = np.sqrt((pos * pos).sum(axis=2)).max()
         largest_coordinate = np.abs(pos).max()
         radius = 0.5 * (largest_radius + 2.0 * largest_coordinate)
@@ -206,7 +206,7 @@ class TestRunOutcomes:
         # a radius between the two largest bodies' largest radii: only
         # the outermost body is past it
         model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
-        pos = EvalKernel(model, params).positions(params.values)
+        pos = EvalKernel(model, params).full_positions(params.values)
         body_radii = np.sqrt((pos * pos).sum(axis=2)).max(axis=1)
         second, first = np.sort(body_radii)[-2:]
         assert second < first
@@ -219,9 +219,12 @@ class TestRunOutcomes:
     def test_escape_with_every_coordinate_inside_the_radius(self):
         # a radius between the largest coordinate and the largest radius:
         # no coordinate is past it, but a body is, and the escape names the
-        # body that the exact radii name
+        # body that the exact radii on the whole grid name, though the
+        # kernel samples a quarter of it
         model, params = build_cubic_family(1, k_max=9)
-        pos = EvalKernel(model, params).positions(params.values)
+        kernel = EvalKernel(model, params)
+        assert kernel.nodes.size == kernel.grid.n // 4 + 1
+        pos = kernel.full_positions(params.values)
         radii = np.sqrt(np.einsum("itc,itc->it", pos, pos))
         largest_coordinate = np.abs(pos).max()
         radius = 0.5 * (largest_coordinate + radii.max())
@@ -232,19 +235,43 @@ class TestRunOutcomes:
             np.unravel_index(np.argmax(radii), radii.shape)[0]
         assert result.iterations == 0
 
+    def test_escape_names_the_whole_grids_body(self):
+        # the kernel samples a sixth of the grid, where the largest radius
+        # shows first on body 2; on the whole grid body 0 reaches it first,
+        # and the escape names body 0, as the full evaluation does
+        model, params = build_choreography(3, k_max=8)
+        rng = np.random.default_rng(4)
+        params = params.with_values(params.values
+                                    + 0.2 * rng.normal(size=len(params)))
+        kernel = EvalKernel(model, params)
+        assert kernel.nodes.size == kernel.grid.n // 6
+        sampled = np.sqrt((kernel.positions(params.values) ** 2).sum(axis=2))
+        radii = np.sqrt((kernel.full_positions(params.values) ** 2).sum(axis=2))
+        assert np.unravel_index(np.argmax(sampled), sampled.shape)[0] == 2
+        assert np.unravel_index(np.argmax(radii), radii.shape)[0] == 0
+        result = run(model, params,
+                     stop=StopRule(escape_radius=0.99 * radii.max()))
+        assert result.outcome == ESCAPE
+        assert result.escape_body == 0
+        assert result.iterations == 0
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_position_is_an_escape(self, monkeypatch, value):
         # a NaN or infinite coordinate escapes at every radius, infinite
         # included, and names its body, also where every other body is past
-        # the radius; no gradient is taken at it
-        sample = EvalKernel.positions
+        # the radius; no gradient is taken at it.  Node 5 is among the
+        # kernel's nodes (0 to 10), so the coordinate is in the kernel's
+        # positions and in the whole grid's
+        def with_a_non_finite(sample):
+            def sample_with_a_non_finite(kernel, values):
+                pos = sample(kernel, values)
+                pos[1, 5, 2] = value
+                return pos
+            return sample_with_a_non_finite
 
-        def with_a_non_finite(kernel, values):
-            pos = sample(kernel, values)
-            pos[1, 5, 2] = value
-            return pos
-
-        monkeypatch.setattr(EvalKernel, "positions", with_a_non_finite)
+        for name in ("positions", "full_positions"):
+            monkeypatch.setattr(EvalKernel, name, with_a_non_finite(
+                getattr(EvalKernel, name)))
         model, params = build_cubic_family(1, k_max=9)
         for radius in (1e-3, 50.0, math.inf):
             result = run(model, params,
@@ -256,9 +283,6 @@ class TestRunOutcomes:
             assert result.action_trace.size == 0
             assert result.params.values.tobytes() == params.values.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:"
-                                "RuntimeWarning")
     def test_diverging_descent_escapes_at_its_last_finite_iterate(self):
         # a uniform step far past the stability bound overflows the values
         # within a hundred iterations; with escape detection off the first
@@ -281,6 +305,18 @@ class TestRunOutcomes:
         assert [i for i, _ in seen] == list(range(result.iterations + 1))
         assert result.action_trace.size == result.iterations + 1
         assert np.isfinite(result.params.values).all()
+        assert result.residual is None
+
+    def test_callback_runs_under_the_callers_error_settings(self):
+        # the loop evaluates with overflow warnings off; the callback's own
+        # arithmetic still warns as the caller has it
+        model, params = build_cubic_family(1, k_max=9)
+
+        def overflow(*_):
+            np.float64(1e308) * 10.0
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            run(model, params, stop=StopRule(max_iters=0), callback=overflow)
 
     def test_max_iters_outcome(self):
         model, params = build_choreography(2, k_max=5)

@@ -288,15 +288,15 @@ def test_batch_evaluator_writes_the_bits_of_the_allocating_path(case):
 
 
 def test_batch_evaluator_raises_the_collision_of_forces():
-    # bodies 0 and 2 meet at the sixth grid node: the kernel's buffered
-    # path, forces() and the distances of potential_energy() name the same
-    # pair, time, distance and context
+    # bodies 0 and 2 meet at the sixth grid node: one buffered evaluator
+    # of every pair, forces() and the distances of potential_energy() name
+    # the same pair, time, distance and context
     model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
-    kernel = EvalKernel(model, params)
-    t = kernel.grid.nodes
+    t = QuadratureGrid.for_kmax(model.k_max).nodes
     x = sample_positions(model, params, t)
     x[2, 5] = x[0, 5] + [0.0, 3e-9, 0.0]
-    calls = [lambda: kernel.forces(x, "unit test"),
+    evaluate = pair_table(model.potential, model.masses).batch_evaluator(t.size)
+    calls = [lambda: evaluate(x, t, "unit test"),
              lambda: forces(model.potential, model.masses, x, times=t,
                             context="unit test"),
              lambda: potential_energy(model.potential, model.masses, x,
@@ -314,24 +314,27 @@ def test_batch_evaluator_raises_the_collision_of_forces():
 
 @pytest.mark.parametrize("n,k_max", [(2, 9), (3, 8)])
 def test_reduced_kernel_raises_the_collision_of_forces(n, k_max):
-    # n bodies on a circle of radius 1e-9 form one orbit, so the kernel
-    # takes the pairs of body 0 only; three bodies first come closest, on
-    # every pair, at pair (1, 2), which the kernel leaves out, while its
-    # own pairs alone would name (0, 1) at another time
+    # n bodies on a circle of radius 1e-9 collide at every node; the
+    # kernel samples only its first nodes (half the grid at n = 2, a sixth
+    # at n = 3), whose pairs alone would name node 0, but it names the
+    # whole grid's closest pair, time and distance, at a node it does not
+    # sample
     a = 1e-9
     model, params = build_choreography(
         n, seed={("x", "sin", 1): a, ("y", "cos", 1): a}, k_max=k_max)
     kernel = EvalKernel(model, params)
-    assert kernel.orbits == (tuple(range(n)),)
+    assert kernel.nodes.size == kernel.grid.n // {2: 2, 3: 6}[n]
     x = kernel.positions(params.values)
+    full = kernel.full_positions(params.values)
     errors = []
     for call in (lambda: kernel.forces(x, "unit test"),
-                 lambda: forces(model.potential, model.masses, x,
+                 lambda: forces(model.potential, model.masses, full,
                                 times=kernel.grid.nodes, context="unit test")):
         with pytest.raises(CollisionError) as exc:
             call()
         errors.append(exc.value)
     assert errors[0].pair == {2: (0, 1), 3: (1, 2)}[n]
+    assert errors[0].t not in kernel.grid.nodes[kernel.nodes]
     assert (errors[0].pair, errors[0].t, errors[0].distance, str(errors[0])) \
         == (errors[1].pair, errors[1].t, errors[1].distance, str(errors[1]))
 

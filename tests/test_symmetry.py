@@ -34,7 +34,8 @@ from actionorbits import (
     sample_positions,
     verify_symmetry,
 )
-from actionorbits.symmetry import _element_costs, body_orbits, sample_tables
+from actionorbits.symmetry import (_element_costs, sample_tables,
+                                  space_time_orbits)
 from oracles import compose, evaluate, full_pair_action, inverse, project
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
@@ -523,8 +524,11 @@ class TestSharedTrigTables:
         model, params = BENCHMARK_FAMILIES[family]()
         sample_positions(model, params, np.linspace(0.0, 6.0, 50), deriv=2)
         assert len(calls) == tables
+        # the kernel's position basis at its nodes, once the orbits that
+        # choose them are derived (they sample their own check times)
+        _orbits(model, params)
         calls.clear()
-        ao.EvalKernel(model, params)   # the position basis
+        ao.EvalKernel(model, params)
         assert len(calls) == tables
 
     @pytest.mark.parametrize("deriv", [3, -1, 5])
@@ -796,69 +800,120 @@ def _custom_model(phases, masses):
     return dataclasses.replace(model, bindings=bindings)
 
 
-def _orbit_counts(model):
-    """(orbits, bodies, pairs touching a representative, all pairs)."""
-    orbits = body_orbits(model, ao.QuadratureGrid.for_kmax(model.k_max).n)
-    leads = {orbit[0] for orbit in orbits}
-    n = model.n_bodies
-    pairs = sum(i in leads or j in leads
-                for i in range(n) for j in range(i + 1, n))
-    return len(orbits), n, pairs, n * (n - 1) // 2
+def _orbits(model, params, n_nodes=None):
+    if n_nodes is None:
+        n_nodes = ao.QuadratureGrid.for_kmax(model.k_max).n
+    return space_time_orbits(model, params.layout, n_nodes)
 
 
-class TestBodyOrbits:
+def _orbit_counts(model, params):
+    """(orbits, pairs of the grid, nodes of the representatives, pair
+    evaluations of the representatives)."""
+    orbits = _orbits(model, params)
+    return (orbits.sizes.size, orbits.orbit.size,
+            np.unique(orbits.nodes).size,
+            orbits.sizes.size * (model.n_bodies - 1))
+
+
+def _walk(orbits, n_nodes):
+    """Per orbit, every (body, node) reached from its representative by
+    the elements, with the transform that carries the representative
+    there."""
+    images = [(e, e.node_images(n_nodes)) for e in orbits.elements]
+    for lead in zip(orbits.bodies.tolist(), orbits.nodes.tolist()):
+        seen = {lead: np.eye(3, dtype=int)}
+        frontier = [lead]
+        while frontier:
+            i, j = frontier.pop()
+            for e, nodes in images:
+                image = (e.bodies[i], int(nodes[j]))
+                if image not in seen:
+                    seen[image] = e.transform.matrix @ seen[(i, j)]
+                    frontier.append(image)
+        yield lead, seen
+
+
+def _check_orbits(model, params, n_nodes=None):
+    """At the values ``params``, every (body, node) equals its orbit's
+    representative turned by the element that carries it there; the
+    orbits partition the grid's pairs, each led by its first pair node
+    by node, and their sizes count their members."""
+    orbits = _orbits(model, params, n_nodes)
+    n_nodes = orbits.orbit.shape[1]
+    pos = sample_positions(model, params, ao.QuadratureGrid(n_nodes))
+    members = 0
+    for k, (lead, seen) in enumerate(_walk(orbits, n_nodes)):
+        assert min((j, i) for i, j in seen) == lead[::-1]
+        assert len(seen) == orbits.sizes[k]
+        members += len(seen)
+        for (i, j), turn in seen.items():
+            assert orbits.orbit[i, j] == k
+            assert np.allclose(pos[i, j], turn @ pos[lead], rtol=0,
+                               atol=1e-12), (lead, i, j)
+    assert members == orbits.orbit.size
+
+
+class TestSpaceTimeOrbits:
     @pytest.mark.parametrize("name,counts", [
-        ("cubic-m1", (1, 4, 3, 6)),
-        ("cubic-m3", (3, 12, 30, 66)),
-        ("cubic-m5", (5, 20, 85, 190)),
-        ("cubic-m7", (1, 28, 27, 378)),
-        ("figure-eight", (1, 3, 2, 3)),
-        ("crisscross", (3, 3, 3, 3)),
-        ("crisscross-123", (3, 3, 3, 3)),
+        ("cubic-m1", (29, 448, 29, 87)),
+        ("cubic-m3", (29, 1344, 29, 319)),
+        ("cubic-m5", (141, 2240, 29, 2679)),
+        ("cubic-m7", (29, 3136, 5, 783)),
+        ("crisscross", (111, 432, 37, 222)),
+        ("crisscross-123", (111, 432, 37, 222)),
+        ("figure-eight", (132, 396, 44, 264)),
     ])
     def test_benchmark_orbits(self, name, counts):
-        # on 4 k_max + 4 = 112 nodes the cubic families keep the Klein
-        # group, and their Lagrange shifts 2 pi/m only where 112 is a
-        # multiple of m
+        # the cubic families keep their rotations, the half-period turn
+        # and the time reversal on 112 nodes, and the Lagrange shift
+        # 2 pi/m where 112 is a multiple of m; the criss-crosses keep the
+        # half-period turn and the reversal, the figure-eight its shift
+        # 2 pi/3 (44 of its 132 nodes)
         model, params = BENCHMARK_FAMILIES[name]()
-        assert _orbit_counts(model) == counts
-        # every member is its representative, turned and shifted by whole
-        # grid steps, at any values
-        grid = ao.QuadratureGrid.for_kmax(model.k_max)
-        orbits = body_orbits(model, grid.n)
-        assert sorted(i for orbit in orbits for i in orbit) == \
-            list(range(model.n_bodies))
+        assert _orbit_counts(model, params) == counts
         _, params = _random_values(BENCHMARK_FAMILIES[name], 3, 0.3)
-        pos = sample_positions(model, params, grid)
-        for orbit in orbits:
-            lead = model.bindings[orbit[0]]
-            assert list(orbit) == sorted(orbit)
-            for i in orbit:
-                b = model.bindings[i]
-                steps = round((b.phase - lead.phase) % (2 * math.pi)
-                              / grid.weight)
-                turned = np.roll(pos[orbit[0]], -steps, axis=0) \
-                    @ (b.transform.matrix @ lead.transform.matrix.T).T
-                assert np.allclose(turned, pos[i], rtol=0, atol=1e-12), i
+        _check_orbits(model, params)
 
-    def test_screw_model_is_one_orbit(self):
-        # R_z carries body 0 to body 1 with the phase gap +pi/2; the
-        # element with the gap's opposite, -pi/2, maps no binding onto a
-        # binding, and taking it would leave two orbits, {0, 2} and {1, 3}
+    def test_orbit_sizes_at_the_fixed_nodes(self):
+        # t -> -t fixes the nodes at 0 and pi, t -> pi - t those at pi/2
+        # and 3 pi/2: there an orbit has half the pairs of a generic one
+        for build, generic in ((BENCHMARK_FAMILIES["cubic-m1"], 16),
+                               (lambda: build_crisscross(k_max=9), 4)):
+            model, params = build()
+            orbits = _orbits(model, params)
+            n_nodes = orbits.orbit.shape[1]
+            sizes = orbits.sizes[orbits.orbit[0]]
+            fixed = [0, n_nodes // 4, n_nodes // 2, 3 * n_nodes // 4]
+            assert sizes[fixed].tolist() == [generic // 2] * 4
+            others = np.delete(sizes, fixed)
+            assert others.tolist() == [generic] * others.size
+
+    def test_screw_model_is_one_body_orbit(self):
+        # R_z carries body 0 to body 1 with the phase gap +pi/2 and no
+        # claim says so; the element with the gap's opposite, -pi/2,
+        # maps no binding onto a binding.  Every body at the first 6 of
+        # 24 nodes represents an orbit of 4 pairs.
         model, params = _screw_model()
-        assert _orbit_counts(model) == (1, 4, 3, 6)
+        assert model.symmetries == ()
+        assert _orbit_counts(model, params) == (24, 96, 6, 72)
+        assert {e.steps for e in _orbits(model, params).elements} \
+            == {6, 12, 18}
+        _check_orbits(model, params)
         kernel = ao.EvalKernel(model, params)
         report = ao.action_with_gradient(model, params, kernel=kernel)
         S, grad = full_pair_action(kernel, params.values)
-        assert ao.min_pair_distance(kernel.positions(params.values)) > 0.5
+        assert ao.min_pair_distance(kernel.full_positions(params.values)) \
+            > 0.5
         assert abs(report.S - S) <= 1e-12 * abs(S)
         assert np.max(np.abs(report.gradient - grad)) <= \
             1e-12 * np.max(np.abs(grad))
 
     def test_lagrange_shift_on_a_grid_that_resolves_it(self):
         # 4 * 29 + 4 = 120 nodes hold the shift 2 pi/5 as 24 steps
-        model, _ = build_cubic_family(5, k_max=29)
-        assert _orbit_counts(model) == (1, 20, 19, 190)
+        model, params = build_cubic_family(5, k_max=29)
+        assert _orbit_counts(model, params) == (31, 2400, 7, 589)
+        _check_orbits(model, _random_values(
+            lambda: build_cubic_family(5, k_max=29), 5, 0.3)[1])
 
     @pytest.mark.parametrize("phases,masses", [
         # the shift 2 pi/5 takes the phase 4 pi/5 to 6 pi/5, no body's
@@ -866,13 +921,78 @@ class TestBodyOrbits:
         # a choreography's phases with one heavier body
         ((0.0, 2 * math.pi / 3, 4 * math.pi / 3), (1.0, 1.0, 2.0)),
     ])
-    def test_bindings_that_are_not_closed_do_not_reduce(self, phases,
-                                                         masses):
+    def test_bindings_that_are_not_closed_keep_their_bodies(self, phases,
+                                                            masses):
+        # the claimed shift 2 pi/3 is false for these bindings; only the
+        # half-period turn of the odd harmonics holds, body by body
         model = _custom_model(phases, masses)
-        assert body_orbits(model, 120) == ((0,), (1,), (2,))
+        _, params = build_choreography(3, k_max=9)
+        orbits = _orbits(model, params, 120)
+        assert [(e.bodies, e.reversal, e.steps) for e in orbits.elements] \
+            == [((0, 1, 2), False, 60)]
+        assert orbits.sizes.tolist() == [2] * 180
 
     def test_equal_masses_at_those_phases_reduce(self):
         model = _custom_model((0.0, 2 * math.pi / 3, 4 * math.pi / 3),
                               (2.0, 2.0, 2.0))
-        assert body_orbits(model, 120) == ((0, 1, 2),)
-        assert body_orbits(model, 40) == ((0,), (1,), (2,))
+        _, params = build_choreography(3, k_max=9)
+        # 120 nodes hold the shift 2 pi/3 as 40 steps, 40 nodes do not
+        assert _orbits(model, params, 120).sizes.tolist() == [6] * 60
+        assert _orbits(model, params, 40).sizes.tolist() == [2] * 60
+        _check_orbits(model, _random_values(
+            lambda: (model, params), 7, 0.3)[1], 120)
+
+    def test_a_half_period_turn_needs_odd_harmonics(self):
+        # x(t + pi) = -x(t) holds for a layout of odd harmonics only; the
+        # generator allows every harmonic, so the claim alone decides
+        # nothing
+        half_turn = SpaceTimeSymmetry(OrthTransform(-np.eye(3, dtype=int)),
+                                      time_shift=math.pi)
+        for parity, holds in ((Parity.ODD_ONLY, True), (Parity.ALL, False)):
+            model, params = build_choreography(2, k_max=9)
+            model = dataclasses.replace(model, generators=(ao.VectorGenerator(
+                *(ao.Harmonics(9, Parity.ALL) for _ in range(3))),),
+                symmetries=(half_turn,))
+            slots = [Slot(0, ch, basis, k) for ch, basis in ((0, SIN), (1, COS))
+                     for k in range(1, 10) if parity.allows(k)]
+            layout = make_layout(model, slots)
+            orbits = space_time_orbits(model, layout, 40)
+            steps = {e.steps for e in orbits.elements if e.reversal is False
+                     and e.transform.matrix[0, 0] == -1}
+            assert (20 in steps) is holds, parity
+
+    def test_a_reversal_needs_one_basis_per_channel(self):
+        # x sine and y cosine: g(-t) = diag(-1, 1, 1) g(t), so t -> -t
+        # with that turn maps body j onto body -j; with x also carrying
+        # cosines it holds for no body
+        reversal = SpaceTimeSymmetry(OrthTransform(np.diag([-1, 1, 1])),
+                                     time_reversal=True)
+        for x_bases, holds in (((SIN,), True), ((SIN, COS), False)):
+            model, params = build_choreography(
+                3, active={"x": x_bases, "y": (COS,)}, k_max=9,
+                parity=Parity.ALL)
+            model = dataclasses.replace(model, symmetries=(reversal,))
+            elements = _orbits(model, params).elements
+            assert [(e.bodies, e.reversal) for e in elements] == \
+                ([((0, 2, 1), True)] if holds else []), x_bases
+            if holds:
+                _check_orbits(model, params.with_values(
+                    np.random.default_rng(2).normal(size=len(params))))
+
+    def test_coincident_bodies_get_no_body_map(self):
+        # bodies 0 and 1 share a binding, so both match body 2's image under
+        # the shift by pi: no permutation, no element that moves a body
+        model = _custom_model((0.0, 0.0, math.pi), (1.0, 1.0, 1.0))
+        _, params = build_choreography(3, k_max=9)
+        assert all(e.bodies == (0, 1, 2)
+                   for e in _orbits(model, params, 40).elements)
+
+    def test_a_mass_changing_element_is_not_used(self):
+        # the bindings at Lagrange phases match under the shift 2 pi/3
+        # whatever the masses, but a heavier body cannot stand for a
+        # lighter one
+        model = _custom_model((0.0, 2 * math.pi / 3, 4 * math.pi / 3),
+                              (1.0, 1.0, 2.0))
+        _, params = build_choreography(3, k_max=9)
+        assert all(e.bodies == (0, 1, 2)
+                   for e in _orbits(model, params, 120).elements)
