@@ -48,6 +48,7 @@ import numpy as np
 
 from .dynamics import forces, pair_table, potential_energy
 from .errors import CollisionError
+from .fourier import shift, shift_table, trig_table
 from .quadrature import QuadratureGrid
 from .symmetry import (OrbitModel, ParamLayout, ReducedParams,
                        channel_multiplicity, sample_positions, sample_tables,
@@ -297,6 +298,7 @@ def full_gradient(model: OrbitModel, params: ReducedParams) -> list[np.ndarray]:
     F, _ = forces(model.potential, model.masses, pos, times=t,
                   context="full gradient")
     tables = params.layout.expand(params.values)
+    s, c = trig_table(t, k_max)
     out = []
     for g_idx, gen in enumerate(model.generators):
         table = np.zeros((gen.n_channels, 2, k_max + 1))
@@ -304,15 +306,21 @@ def full_gradient(model: OrbitModel, params: ReducedParams) -> list[np.ndarray]:
         for ch in range(gen.n_channels):
             mult = channel_multiplicity(model, g_idx, ch)
             table[ch] += math.pi * mult * ks * ks * tables[g_idx][ch]
-        # Potential part: + int F . dx/dcoeff dt on the grid.
+        # Potential part: + int F . dx/dcoeff dt on the grid.  Column j
+        # reads channel ch at t + sigma, the shifted coefficients on the
+        # plain table, so its gradient is the plain projection carried
+        # back by the shift's transpose.
         for i, b in enumerate(model.bindings):
             if b.generator != g_idx:
                 continue
-            rotated = F[i] @ b.transform.matrix      # (T, 3); column c reads
-            for c, (ch, off) in enumerate(gen.columns):   # channel ch at off
-                ang = np.multiply.outer(ks, t + b.phase + off)
-                table[ch, 0] += grid.weight * (np.sin(ang) @ rotated[:, c])
-                table[ch, 1] += grid.weight * (np.cos(ang) @ rotated[:, c])
+            rotated = F[i] @ b.transform.matrix      # (T, 3)
+            plain = np.empty((2, k_max + 1, 3))
+            plain[0, 0], plain[1, 0] = 0.0, rotated.sum(axis=0)
+            plain[0, 1:], plain[1, 1:] = s.T @ rotated, c.T @ rotated
+            for j, (ch, off) in enumerate(gen.columns):
+                sin_k, cos_k = shift_table([b.phase], [off], k_max)
+                table[ch] += grid.weight * shift(plain[..., j], -sin_k,
+                                                 cos_k)[0]
         table[:, 0, 0] = 0.0   # sine basis has no k=0 member
         out.append(table)
     return out

@@ -38,9 +38,45 @@ class Parity(Enum):
 
 def trig_table(t: np.ndarray, harmonics: int) -> tuple[np.ndarray, np.ndarray]:
     """(sin(k t), cos(k t)) for k = 1..``harmonics``, harmonic along the
-    last axis: the part of an evaluation that depends only on the times."""
+    last axis: the part of an evaluation that depends only on the times.
+    A series shifted in time reads the same table through its
+    :func:`shift`-ed coefficients."""
     ang = np.multiply.outer(t, np.arange(1, harmonics + 1, dtype=float))
     return np.sin(ang), np.cos(ang)
+
+
+def shift_table(phases, offsets, harmonics: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(sin(k sigma), cos(k sigma)) for k = 1..``harmonics`` at each shift
+    sigma = phase + offset of the paired sequences, harmonic along the last
+    axis.  The sines and cosines of k phase and k offset are taken in one
+    call each and joined by angle addition, so the sum phase + offset,
+    which can exceed 2 pi, is never rounded."""
+    n = len(phases)
+    ang = np.multiply.outer(np.concatenate([phases, offsets]),
+                            np.arange(1, harmonics + 1, dtype=float))
+    s, c = np.sin(ang), np.cos(ang)
+    return (s[:n] * c[n:] + c[:n] * s[n:]), (c[:n] * c[n:] - s[:n] * s[n:])
+
+
+def shift(coeffs, sin_k: np.ndarray, cos_k: np.ndarray) -> np.ndarray:
+    """Coefficients (sin, cos) of x(t + sigma) from those of x(t), one copy
+    per row of a :func:`shift_table` (sin_k, cos_k) of shape (R, H), in an
+    array of shape (R, 2, H + 1, ...): by angle addition,
+    a'_k = a_k cos k sigma - b_k sin k sigma and
+    b'_k = a_k sin k sigma + b_k cos k sigma,
+    over any trailing batch axis.  The constant term stays.  With
+    -sin(k sigma) it is the transpose, which carries a gradient over the
+    shifted coefficients back onto the unshifted."""
+    sin, cos = coeffs
+    a, b = sin[1:], cos[1:]
+    shape = sin_k.shape + (1,) * (a.ndim - 1)
+    s, c = sin_k.reshape(shape), cos_k.reshape(shape)
+    out = np.empty((len(sin_k), 2) + sin.shape)
+    out[:, 0, 0], out[:, 1, 0] = sin[0], cos[0]
+    out[:, 0, 1:] = a * c - b * s
+    out[:, 1, 1:] = a * s + b * c
+    return out
 
 
 def contract(table, coeffs, order: int) -> np.ndarray:

@@ -44,7 +44,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CollisionError, LayoutError
-from .fourier import COS, SIN, Harmonics, Parity, contract, trig_table
+from .fourier import (COS, SIN, Harmonics, Parity, contract, shift,
+                      shift_table, trig_table)
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 
@@ -509,27 +510,42 @@ def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
     :meth:`ParamLayout.expand` tables, with or without a batch axis B: one
     array per derivative order in ``orders``.
 
-    Every column of every (generator, phase) evaluates its series at the
-    angles (t + phase) + offset.  Columns with the same (phase, offset,
-    harmonic count) read one trig table, built once and contracted for each
-    of them and each order; one table is alive at a time.
+    Every column of every (generator, phase) evaluates its series at
+    t + sigma, sigma = phase + offset.  All columns read one trig table at
+    the times t themselves (the tables share one harmonic count).  The
+    columns with sigma != 0 move their shifts into their coefficients by
+    :func:`.fourier.shift`, one pass per coefficient table, with its
+    columns' sin(k sigma) and cos(k sigma) from one
+    :func:`.fourier.shift_table` (one for a scalar generator's table); a
+    column with sigma = 0 reads the table as it is.  Each column is
+    contracted on its own, so a batched table samples each batch entry to
+    the same bits as that entry alone.
     """
     shape = (t.size,) + tables[0].shape[3:] + (3,)
+    harmonics = tables[0].shape[2] - 1
     # bindings sharing (generator, phase) read the same sampled columns
     keys = dict.fromkeys((b.generator, b.phase) for b in model.bindings)
     sampled = [{key: np.empty(shape) for key in keys} for _ in orders]
-    readers = {}   # (phase, offset, harmonics) -> [(key, column, coeffs)]
+    # reads: [key, column, coefficients]; shifts: (generator, channel) ->
+    # [(read, phase, offset)] of the shifted columns it feeds
+    reads, shifts = [], {}
     for gen, phase in keys:
-        table = tables[gen]
         for j, (ch, off) in enumerate(model.generators[gen].columns):
-            readers.setdefault((phase, off, table.shape[2] - 1), []).append(
-                ((gen, phase), j, table[ch]))
-    for (phase, off, harmonics), reads in readers.items():
-        trig = trig_table((t + phase) + off, harmonics)
-        for key, j, coeffs in reads:
-            for columns, order in zip(sampled, orders):
-                columns[key][..., j] = contract(trig, coeffs, order)
-        del trig
+            if phase + off != 0.0:
+                shifts.setdefault((gen, ch), []).append(
+                    (len(reads), phase, off))
+            reads.append([(gen, phase), j, tables[gen][ch]])
+    for (gen, ch), group in shifts.items():
+        rows, phases, offsets = zip(*group)
+        turned = shift(tables[gen][ch],
+                       *shift_table(phases, offsets, harmonics))
+        for row, coeffs in zip(rows, turned):
+            reads[row][2] = coeffs
+    trig = trig_table(t, harmonics)
+    for key, j, coeffs in reads:
+        for columns, order in zip(sampled, orders):
+            columns[key][..., j] = contract(trig, coeffs, order)
+    del trig
     out = []
     while sampled:   # each order's columns are dropped once placed
         columns = sampled.pop(0)
@@ -999,7 +1015,7 @@ def _nearest_image_error(cost: np.ndarray) -> float:
     Otherwise no one body permutation matches the element.
     """
     nearest = cost.argmin(axis=1)
-    if np.unique(nearest).size < nearest.size:
+    if np.bincount(nearest, minlength=nearest.size).max() > 1:
         return math.inf
     return float(cost[np.arange(nearest.size), nearest].max())
 

@@ -1,7 +1,9 @@
 """Reference algebra the tests check the library against.
 
-The library's runtime paths never call these: the sampler reads
-``trig_table`` and ``contract`` directly, the gradient reads generator
+The library's runtime paths never call these: the sampler reads one
+``trig_table`` at the plain times through ``shift``-ed coefficients
+(the oracles here take a table per column, at (t + phase) + offset, or
+evaluate in 40-digit arithmetic), the gradient reads generator
 columns instead of projecting coefficient tables, the action takes its
 kinetic term in coefficient space, the pair evaluators fill buffers they
 reuse, the descent's kernel evaluates pair forces at one (body, node)
@@ -12,6 +14,7 @@ still use them as oracles.
 """
 
 import numpy as np
+from mpmath import mp, mpf
 
 from actionorbits import OrthTransform, QuadratureGrid, sample_positions
 from actionorbits.dynamics import COLLISION_THRESHOLD, forces
@@ -24,6 +27,85 @@ def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
     ``coeffs`` = (sin, cos) are indexed by harmonic: ``contract`` on the
     series' own ``trig_table``."""
     return contract(trig_table(t, coeffs[0].shape[0] - 1), coeffs, order)
+
+
+def per_column_sampler(model, tables, t, deriv):
+    """The sampler as it was before shifts moved into the coefficients:
+    one ``evaluate`` (one trig table) per column of every (generator,
+    phase), at the angles (t + phase) + offset."""
+    out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
+    sampled = {}
+    for i, b in enumerate(model.bindings):
+        key = (b.generator, b.phase)
+        if key not in sampled:
+            table = tables[b.generator]
+            sampled[key] = np.stack(
+                [evaluate(table[ch], (t + b.phase) + off, deriv)
+                 for ch, off in model.generators[b.generator].columns],
+                axis=-1)
+        out[i] = sampled[key] @ b.transform.matrix.T
+    return out
+
+
+def exact_sampler(model, tables, t, orders):
+    """The sampler in 40-digit arithmetic, from unbatched expanded
+    ``tables``: each (generator, phase)'s columns are its series at the
+    exact sum t + phase + offset of the floats, and each order's result is
+    a pair (hi, lo) of (n, T, 3) float arrays whose sum holds it to about
+    32 digits.  A body's signed permutation moves the pair exactly."""
+    out = [(np.empty((model.n_bodies, t.size, 3)),
+            np.empty((model.n_bodies, t.size, 3))) for _ in orders]
+    sampled = {}
+    with mp.workdps(40):
+        for i, b in enumerate(model.bindings):
+            key = (b.generator, b.phase)
+            if key not in sampled:
+                sampled[key] = [(np.empty((t.size, 3)), np.empty((t.size, 3)))
+                                for _ in orders]
+                gen = model.generators[b.generator]
+                for j, (ch, off) in enumerate(gen.columns):
+                    series = _exact_series(tables[b.generator][ch],
+                                           mpf(b.phase) + mpf(off), t)
+                    for (hi, lo), order in zip(sampled[key], orders):
+                        for ti, value in enumerate(series[order]):
+                            hi[ti, j] = float(value)
+                            lo[ti, j] = float(value - hi[ti, j])
+            turn = b.transform.matrix.T
+            for (hi, lo), (body_hi, body_lo) in zip(sampled[key], out):
+                body_hi[i], body_lo[i] = hi @ turn, lo @ turn
+    return out
+
+
+def _exact_series(coeffs, shift, t):
+    """Orders 0, 1 and 2 of one series at the times ``t`` + ``shift``, in
+    the working precision of mpmath; sin(k theta) and cos(k theta) come
+    from theta's by the angle-addition recurrence."""
+    sin, cos = coeffs
+    terms = {k: (mpf(float(a)), mpf(float(b)))
+             for k, (a, b) in enumerate(zip(sin, cos)) if k and (a or b)}
+    out = {0: [], 1: [], 2: []}
+    for time in t:
+        c1, s1 = mp.cos_sin(mpf(float(time)) + shift)
+        c, s = mpf(1), mpf(0)
+        x, v, acc = mpf(float(cos[0])), mpf(0), mpf(0)
+        for k in range(1, max(terms, default=0) + 1):
+            c, s = c * c1 - s * s1, s * c1 + c * s1
+            if k in terms:
+                a, b = terms[k]
+                x += a * s + b * c
+                v += k * (a * c - b * s)
+                acc -= k * k * (a * s + b * c)
+        out[0].append(x)
+        out[1].append(v)
+        out[2].append(acc)
+    return out
+
+
+def relative_error(got, exact) -> float:
+    """Largest |got - exact| over the largest |exact|, for an ``exact``
+    (hi, lo) pair from :func:`exact_sampler`."""
+    hi, lo = exact
+    return float(np.abs((got - hi) - lo).max() / np.abs(hi).max())
 
 
 def project(layout, tables) -> np.ndarray:

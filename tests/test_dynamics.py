@@ -318,7 +318,9 @@ def test_reduced_kernel_raises_the_collision_of_forces(n, k_max):
     # kernel samples only its first nodes (half the grid at n = 2, a sixth
     # at n = 3), whose pairs alone would name node 0, but it names the
     # whole grid's closest pair, time and distance, at a node it does not
-    # sample
+    # sample.  Three bodies are equidistant, so their closest pair is a
+    # rounding tie: the sampled positions' last bits pick (0, 1) at node
+    # 12 (t = 2 pi / 3).
     a = 1e-9
     model, params = build_choreography(
         n, seed={("x", "sin", 1): a, ("y", "cos", 1): a}, k_max=k_max)
@@ -333,7 +335,7 @@ def test_reduced_kernel_raises_the_collision_of_forces(n, k_max):
         with pytest.raises(CollisionError) as exc:
             call()
         errors.append(exc.value)
-    assert errors[0].pair == {2: (0, 1), 3: (1, 2)}[n]
+    assert errors[0].pair == (0, 1)
     assert errors[0].t not in kernel.grid.nodes[kernel.nodes]
     assert (errors[0].pair, errors[0].t, errors[0].distance, str(errors[0])) \
         == (errors[1].pair, errors[1].t, errors[1].distance, str(errors[1]))

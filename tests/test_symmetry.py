@@ -3,7 +3,10 @@
 import dataclasses
 import importlib
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,9 +37,10 @@ from actionorbits import (
     sample_positions,
     verify_symmetry,
 )
-from actionorbits.symmetry import (_element_costs, sample_tables,
-                                  space_time_orbits)
-from oracles import compose, evaluate, full_pair_action, inverse, project
+from actionorbits.symmetry import (_element_costs, _nearest_image_error,
+                                  sample_tables, space_time_orbits)
+from oracles import (compose, exact_sampler, full_pair_action, inverse,
+                     per_column_sampler, project, relative_error)
 
 IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
@@ -114,21 +118,12 @@ BENCHMARK_FAMILIES = {
 }
 
 
-def _per_column_sampler(model, tables, t, deriv):
-    """Reference: the sampler with one ``evaluate`` (one trig table) per
-    column of every (generator, phase)."""
-    out = np.empty((model.n_bodies, t.size) + tables[0].shape[3:] + (3,))
-    sampled = {}
-    for i, b in enumerate(model.bindings):
-        key = (b.generator, b.phase)
-        if key not in sampled:
-            table = tables[b.generator]
-            sampled[key] = np.stack(
-                [evaluate(table[ch], (t + b.phase) + off, deriv)
-                 for ch, off in model.generators[b.generator].columns],
-                axis=-1)
-        out[i] = sampled[key] @ b.transform.matrix.T
-    return out
+# Bound on the sampler's largest error over the largest exact value, at
+# orders 0-2, against a 40-digit evaluation.  The models here read at most
+# 1.2e-14 (cubic m=5 with unit normal values up to k = 27, at order 1),
+# where the per-column evaluation at (t + phase) + offset that the sampler
+# replaced reads up to 3.8e-14.
+EXACT_BOUND = 2e-14
 
 
 def _counting(monkeypatch, module, name):
@@ -298,7 +293,8 @@ class TestCubicFamily:
     @pytest.mark.parametrize("deriv", [0, 1, 2])
     def test_sampler_matches_per_binding_evaluation(self, deriv):
         # m=5 puts 20 bindings on 5 phases, so bindings share sampled
-        # columns; each body must still equal its own direct evaluation
+        # columns; each body must still match its own 40-digit evaluation,
+        # no further off than the per-column evaluation
         model, params = build_cubic_family(5)
         assert len({(b.generator, b.phase) for b in model.bindings}) == 5
         rng = np.random.default_rng(5)
@@ -306,12 +302,11 @@ class TestCubicFamily:
         t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
         tables = params.layout.expand(params.values)
         pos = sample_positions(model, params, t, deriv=deriv)
-        for i, b in enumerate(model.bindings):
-            cols = [evaluate(tables[b.generator][ch], (t + b.phase) + off,
-                             deriv)
-                    for ch, off in model.generators[b.generator].columns]
-            expected = np.stack(cols, axis=-1) @ b.transform.matrix.T
-            assert np.array_equal(pos[i], expected), i
+        (hi, lo), = exact_sampler(model, tables, t, (deriv,))
+        for i in range(model.n_bodies):
+            assert relative_error(pos[i], (hi[i], lo[i])) <= EXACT_BOUND, i
+        assert relative_error(pos, (hi, lo)) <= relative_error(
+            per_column_sampler(model, tables, t, deriv), (hi, lo))
 
     @pytest.mark.parametrize("m", [1, 3, 5, 9])
     def test_each_symmetry_is_claimed_once(self, m):
@@ -465,6 +460,37 @@ class TestVerifySymmetry:
         if orbit == "bogus-random":   # both fail, each with a permutation
             assert all(1.0 < e < math.inf for e in errors)
 
+    def test_nearest_image_error_on_ties_and_permutations(self):
+        # images counted by bincount decide as distinct images do: on
+        # permutations, on shared nearest images and on tied minima
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3, 5, 8):
+            perm = rng.permutation(n)
+            cost = rng.uniform(1.0, 2.0, (n, n))
+            cost[np.arange(n), perm] = rng.uniform(0.0, 0.5, n)
+            shared, tied = cost.copy(), cost.copy()
+            shared[-1, perm[0]] = 0.0          # two rows, one image
+            tied[0, :] = tied[0, perm[0]]      # argmin takes column 0
+            for c in (cost, shared, tied, np.ones((n, n)), np.eye(n)):
+                nearest = c.argmin(axis=1)
+                expected = (math.inf if len(set(nearest.tolist())) < n
+                            else float(c[np.arange(n), nearest].max()))
+                assert _nearest_image_error(c) == expected, (n, c)
+
+    def test_verify_symmetry_imports_no_masked_arrays(self):
+        # a fresh interpreter that verifies a record's symmetries never
+        # loads numpy.ma (np.unique would, on its first call)
+        code = ("import sys\n"
+                "import actionorbits as ao\n"
+                "model, params = ao.build_cubic_family(3, k_max=9)\n"
+                "report = ao.verify_symmetry(model, params)\n"
+                "print(report.passed, 'numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(ao.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.split() == ["True", "False"]
+
     @pytest.mark.parametrize("times", [[], np.array([]), [0.0, math.nan],
                                        [math.inf], [0.5, -math.inf]],
                              ids=["list", "array", "nan", "inf", "-inf"])
@@ -475,8 +501,11 @@ class TestVerifySymmetry:
 
 
 class TestSharedTrigTables:
-    """The sampler builds one trig table per distinct (phase, offset,
-    harmonic count) and must match one evaluation per column bit for bit."""
+    """The sampler reads one trig table per call, at the plain times, and
+    moves each column's shift into its coefficients.  It must stay within
+    EXACT_BOUND of a 40-digit evaluation, no further off than the
+    per-column evaluation at (t + phase) + offset on the benchmark's
+    orbits, and sample a batch to the bits of each entry alone."""
 
     @pytest.fixture(params=list(BENCHMARK_FAMILIES) + list(RANDOM_MODELS))
     def orbit(self, request):
@@ -489,47 +518,120 @@ class TestSharedTrigTables:
         tables = params.layout.expand(params.values)
         rng = np.random.default_rng(17)
         for t in (np.array([0.37]), rng.uniform(-7.0, 7.0, 17),
-                  np.arange(2048) * (2.0 * math.pi / 2048)):
+                  np.arange(32) * (2.0 * math.pi / 32)):
             together = sample_positions(model, params, t, (0, 1, 2))
+            exact = exact_sampler(model, tables, t, (0, 1, 2))
             for deriv in (0, 1, 2):
-                expected = _per_column_sampler(model, tables, t, deriv)
                 got = sample_positions(model, params, t, deriv)
-                assert np.array_equal(got, expected), (t.size, deriv)
-                assert np.array_equal(together[deriv], expected), deriv
+                assert np.array_equal(together[deriv], got), deriv
+                assert relative_error(got, exact[deriv]) <= EXACT_BOUND, \
+                    (t.size, deriv)
         together = sample_positions(model, params, 0.37, (0, 1, 2))
         for deriv in (0, 1, 2):
-            expected = _per_column_sampler(model, tables, np.array([0.37]),
-                                           deriv)[:, 0]
+            expected = sample_positions(model, params, np.array([0.37]),
+                                        deriv)[:, 0]
             got = sample_positions(model, params, 0.37, deriv)
             assert np.array_equal(got, expected), deriv
             assert np.array_equal(together[deriv], expected), deriv
 
-    def test_batched_units_match_per_column_evaluation(self, orbit):
-        model, params = orbit
-        units = params.layout.expand(np.eye(len(params)))
-        t = ao.QuadratureGrid.for_kmax(model.k_max).nodes
-        sampled = sample_tables(model, units, t, (0, 1, 2))
-        for deriv, got in zip((0, 1, 2), sampled):
-            assert np.array_equal(
-                got, _per_column_sampler(model, units, t, deriv)), deriv
+    @pytest.mark.parametrize("family", list(BENCHMARK_FAMILIES))
+    def test_no_less_accurate_than_per_column_evaluation(self, family):
+        # at the builder seed and at the descent's converged values
+        model, params = BENCHMARK_FAMILIES[family]()
+        rng = np.random.default_rng(19)
+        for values in (params, ao.run(model, params).params):
+            tables = values.layout.expand(values.values)
+            for t in (rng.uniform(-7.0, 7.0, 17),
+                      np.arange(32) * (2.0 * math.pi / 32)):
+                exact = exact_sampler(model, tables, t, (0, 1, 2))
+                got = sample_positions(model, values, t, (0, 1, 2))
+                for deriv in (0, 1, 2):
+                    assert relative_error(got[deriv], exact[deriv]) \
+                        <= relative_error(per_column_sampler(
+                            model, tables, t, deriv), exact[deriv]), deriv
 
-    @pytest.mark.parametrize("family, tables", [
+    def test_batched_units_match_per_column_evaluation(self, orbit):
+        # each slot's unit vector in a batch samples to the bits of the
+        # same unit sampled alone
+        model, params = orbit
+        units = np.eye(len(params))
+        t = ao.QuadratureGrid.for_kmax(model.k_max).nodes
+        sampled = sample_tables(model, params.layout.expand(units), t,
+                                (0, 1, 2))
+        for s, unit in enumerate(units):
+            alone = sample_tables(model, params.layout.expand(unit), t,
+                                  (0, 1, 2))
+            for deriv in (0, 1, 2):
+                assert np.array_equal(sampled[deriv][:, :, s],
+                                      alone[deriv]), (s, deriv)
+
+    @pytest.mark.parametrize("family, shifts", [
         ("crisscross", 1), ("figure-eight", 3), ("cubic-m3", 9)])
     def test_each_distinct_table_is_built_once_per_call(
-            self, monkeypatch, family, tables):
+            self, monkeypatch, family, shifts):
         # criss-cross: 3 generators x 3 columns at phase 0, offset 0;
-        # figure-eight: 3 phases; cubic m=3: 3 phases x 3 offsets
+        # figure-eight: 3 phases; cubic m=3: 3 phases x 3 offsets.  The
+        # columns at those distinct shifts all read one table at the
+        # plain times.
         module = importlib.import_module("actionorbits.symmetry")
         calls = _counting(monkeypatch, module, "trig_table")
         model, params = BENCHMARK_FAMILIES[family]()
-        sample_positions(model, params, np.linspace(0.0, 6.0, 50), deriv=2)
-        assert len(calls) == tables
+        assert len({(b.phase, off) for b in model.bindings
+                    for _, off in model.generators[b.generator].columns}) \
+            == shifts
+        t = np.linspace(0.0, 6.0, 50)
+        sample_positions(model, params, t, deriv=2)
+        assert len(calls) == 1
+        assert calls[0][0] is t
         # the kernel's position basis at its nodes, once the orbits that
         # choose them are derived (they sample their own check times)
         _orbits(model, params)
         calls.clear()
-        ao.EvalKernel(model, params)
-        assert len(calls) == tables
+        kernel = ao.EvalKernel(model, params)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], kernel.grid.nodes[kernel.nodes])
+
+    @pytest.mark.parametrize("family", ["crisscross", "crisscross-123"])
+    def test_zero_shift_columns_keep_the_per_column_bytes(self, monkeypatch,
+                                                          family):
+        # every criss-cross column has phase 0 and offset 0 and reads the
+        # table unshifted: its samples, its run and its track are the
+        # bytes of the per-column evaluation
+        model, params = BENCHMARK_FAMILIES[family]()
+        rng = np.random.default_rng(31)
+        moved = params.with_values(params.values
+                                   + 0.01 * rng.normal(size=len(params)))
+        tables = moved.layout.expand(moved.values)
+        t = np.concatenate([rng.uniform(-7.0, 7.0, 17),
+                            ao.QuadratureGrid.for_kmax(model.k_max).nodes])
+        for deriv, got in enumerate(sample_positions(model, moved, t,
+                                                     (0, 1, 2))):
+            assert np.array_equal(
+                got, per_column_sampler(model, tables, t, deriv)), deriv
+
+        def outcome():   # with the sampler's caches emptied
+            space_time_orbits.cache_clear()
+            importlib.import_module(
+                "actionorbits.integrate")._cached_reference.cache_clear()
+            result = ao.run(model, params)
+            report = ao.perturb_and_track(
+                model, result.params, np.full((model.n_bodies, 3), 1e-6),
+                n_periods=1.0)
+            return (result.params.values.tobytes(), result.iterations,
+                    result.residual, result.grad_norm,
+                    report.max_deviation, report.sample_times.tobytes(),
+                    report.section_points.tobytes())
+
+        current = outcome()
+
+        def per_column(model, tables, t, orders):
+            return [per_column_sampler(model, tables, t, order)
+                    for order in orders]
+
+        for name in ("actionorbits.symmetry", "actionorbits.action"):
+            monkeypatch.setattr(importlib.import_module(name),
+                                "sample_tables", per_column)
+        assert outcome() == current
 
     @pytest.mark.parametrize("deriv", [3, -1, 5])
     def test_derivative_order_outside_0_to_2_rejected(self, deriv):
