@@ -34,8 +34,11 @@ representatives' nodes only and evaluates each representative's pairs
 (29 representatives on 5 of 112 nodes, 783 pair evaluations instead of
 the 42,336 of every pair on the whole grid, at cubic m = 7).
 :func:`action`, :func:`full_gradient` and the residual still evaluate
-every pair on the whole grid, so they check the reduced evaluation
-independently.
+every pair on the whole grid, so they check the reduction independently.
+They sample through the same shifted trig table as the kernel
+(:func:`.symmetry.sample_tables`), so they do not check the sampler; the
+tests check it, and :func:`full_gradient`'s transposed shift, against
+direct evaluations at t + phase + offset.
 """
 
 from __future__ import annotations

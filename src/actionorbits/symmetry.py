@@ -512,39 +512,37 @@ def sample_tables(model: OrbitModel, tables: Sequence[np.ndarray],
 
     Every column of every (generator, phase) evaluates its series at
     t + sigma, sigma = phase + offset.  All columns read one trig table at
-    the times t themselves (the tables share one harmonic count).  The
-    columns with sigma != 0 move their shifts into their coefficients by
-    :func:`.fourier.shift`, one pass per coefficient table, with its
-    columns' sin(k sigma) and cos(k sigma) from one
-    :func:`.fourier.shift_table` (one for a scalar generator's table); a
-    column with sigma = 0 reads the table as it is.  Each column is
-    contracted on its own, so a batched table samples each batch entry to
-    the same bits as that entry alone.
+    the times t themselves (the tables share one harmonic count), each
+    through its coefficients turned by sigma (:func:`.fourier.shift`): one
+    pass per coefficient table, with its columns' sin(k sigma) and
+    cos(k sigma) from one :func:`.fourier.shift_table`.  A coefficient
+    table read only at sigma = 0, as every criss-cross channel is, is read
+    as it is: turning it by 0 gives the same bytes and nearly doubles the
+    time of a criss-cross call.  Each column is contracted on its own, so
+    a batched table samples each batch entry to the same bits as that
+    entry alone.
     """
     shape = (t.size,) + tables[0].shape[3:] + (3,)
     harmonics = tables[0].shape[2] - 1
     # bindings sharing (generator, phase) read the same sampled columns
     keys = dict.fromkeys((b.generator, b.phase) for b in model.bindings)
     sampled = [{key: np.empty(shape) for key in keys} for _ in orders]
-    # reads: [key, column, coefficients]; shifts: (generator, channel) ->
-    # [(read, phase, offset)] of the shifted columns it feeds
-    reads, shifts = [], {}
+    # (generator, channel) -> [(key, column, phase, offset)] it feeds
+    reads = {}
     for gen, phase in keys:
         for j, (ch, off) in enumerate(model.generators[gen].columns):
-            if phase + off != 0.0:
-                shifts.setdefault((gen, ch), []).append(
-                    (len(reads), phase, off))
-            reads.append([(gen, phase), j, tables[gen][ch]])
-    for (gen, ch), group in shifts.items():
-        rows, phases, offsets = zip(*group)
-        turned = shift(tables[gen][ch],
-                       *shift_table(phases, offsets, harmonics))
-        for row, coeffs in zip(rows, turned):
-            reads[row][2] = coeffs
+            reads.setdefault((gen, ch), []).append(((gen, phase), j, phase,
+                                                    off))
     trig = trig_table(t, harmonics)
-    for key, j, coeffs in reads:
-        for columns, order in zip(sampled, orders):
-            columns[key][..., j] = contract(trig, coeffs, order)
+    for (gen, ch), group in reads.items():
+        targets, js, phases, offsets = zip(*group)
+        turned = [tables[gen][ch]] * len(group)
+        if any(phase + off for phase, off in zip(phases, offsets)):
+            turned = shift(turned[0], *shift_table(phases, offsets,
+                                                   harmonics))
+        for key, j, coeffs in zip(targets, js, turned):
+            for columns, order in zip(sampled, orders):
+                columns[key][..., j] = contract(trig, coeffs, order)
     del trig
     out = []
     while sampled:   # each order's columns are dropped once placed

@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from actionorbits import OrthTransform, QuadratureGrid, sample_positions
 from actionorbits.dynamics import COLLISION_THRESHOLD, forces
 from actionorbits.fourier import contract, trig_table
-from actionorbits.symmetry import _BASIS_AXIS
+from actionorbits.symmetry import _BASIS_AXIS, channel_multiplicity
 
 
 def evaluate(coeffs, t: np.ndarray, order: int) -> np.ndarray:
@@ -98,6 +98,37 @@ def _exact_series(coeffs, shift, t):
         out[0].append(x)
         out[1].append(v)
         out[2].append(acc)
+    return out
+
+
+def direct_full_gradient(model, params) -> list:
+    """``action.full_gradient`` with nothing shared with the sampler's
+    shifts: positions from :func:`per_column_sampler`, and each column's
+    potential projection onto sin and cos of k (t + phase + offset) taken
+    directly, one binding and column at a time."""
+    grid = QuadratureGrid.for_kmax(model.k_max)
+    t, k_max = grid.nodes, model.k_max
+    ks = np.arange(k_max + 1, dtype=float)
+    tables = params.layout.expand(params.values)
+    F, _ = forces(model.potential, model.masses,
+                  per_column_sampler(model, tables, t, 0), times=t,
+                  context="direct full gradient")
+    out = []
+    for g_idx, gen in enumerate(model.generators):
+        table = np.zeros((gen.n_channels, 2, k_max + 1))
+        for ch in range(gen.n_channels):
+            mult = channel_multiplicity(model, g_idx, ch)
+            table[ch] += np.pi * mult * ks * ks * tables[g_idx][ch]
+        for i, b in enumerate(model.bindings):
+            if b.generator != g_idx:
+                continue
+            rotated = F[i] @ b.transform.matrix
+            for c, (ch, off) in enumerate(gen.columns):
+                ang = np.multiply.outer(ks, t + b.phase + off)
+                table[ch, 0] += grid.weight * (np.sin(ang) @ rotated[:, c])
+                table[ch, 1] += grid.weight * (np.cos(ang) @ rotated[:, c])
+        table[:, 0, 0] = 0.0
+        out.append(table)
     return out
 
 

@@ -21,8 +21,9 @@ from actionorbits import (
     gradient,
     sample_positions,
 )
-from oracles import (accelerations, einsum_projection, full_pair_action,
-                     kinetic_quadrature, project, velocities)
+from oracles import (accelerations, direct_full_gradient, einsum_projection,
+                     full_pair_action, kinetic_quadrature, project,
+                     velocities)
 
 TWO_PI = 2.0 * math.pi
 
@@ -360,6 +361,25 @@ class TestFullGradient:
             projected = project(probe.layout, tables)
             assert np.allclose(projected, gradient(model, probe),
                                rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("builder", [
+        lambda: build_cubic_family(1, k_max=9),
+        lambda: build_cubic_family(3, k_max=9),
+        lambda: build_crisscross(k_max=9),
+        lambda: build_choreography(3, k_max=9)],
+        ids=["cubic-m1", "cubic-m3", "crisscross", "choreography3"])
+    def test_matches_the_direct_projection(self, builder):
+        # the transposed shift on one trig table against sin and cos of
+        # k (t + phase + offset) per column, with positions that share no
+        # shift with the library's sampler
+        model, params = builder()
+        rng = np.random.default_rng(7)
+        probe = params.with_values(params.values
+                                   + 0.1 * rng.normal(size=len(params)))
+        for got, expected in zip(full_gradient(model, probe),
+                                 direct_full_gradient(model, probe)):
+            assert (np.abs(got - expected).max()
+                    <= 1e-13 * np.abs(expected).max())
 
     def test_no_leakage_at_the_reduced_minimum(self, crisscross):
         # symmetric criticality: at a minimum over the symmetric subspace

@@ -37,6 +37,7 @@ from actionorbits import (
     sample_positions,
     verify_symmetry,
 )
+from actionorbits.integrate import CURVE_SAMPLES
 from actionorbits.symmetry import (_element_costs, _nearest_image_error,
                                   sample_tables, space_time_orbits)
 from oracles import (compose, exact_sampler, full_pair_action, inverse,
@@ -526,6 +527,17 @@ class TestSharedTrigTables:
                 assert np.array_equal(together[deriv], got), deriv
                 assert relative_error(got, exact[deriv]) <= EXACT_BOUND, \
                     (t.size, deriv)
+        # the curve's and the track's sample count, where the 40-digit
+        # oracle would take seconds per orbit: the sampler stays within
+        # EXACT_BOUND of the per-column evaluation it replaced
+        t = np.arange(CURVE_SAMPLES) * (2.0 * math.pi / CURVE_SAMPLES)
+        together = sample_positions(model, params, t, (0, 1, 2))
+        for deriv in (0, 1, 2):
+            got = sample_positions(model, params, t, deriv)
+            assert np.array_equal(together[deriv], got), deriv
+            expected = per_column_sampler(model, tables, t, deriv)
+            assert (np.abs(got - expected).max()
+                    <= EXACT_BOUND * np.abs(expected).max()), deriv
         together = sample_positions(model, params, 0.37, (0, 1, 2))
         for deriv in (0, 1, 2):
             expected = sample_positions(model, params, np.array([0.37]),
@@ -594,9 +606,9 @@ class TestSharedTrigTables:
     @pytest.mark.parametrize("family", ["crisscross", "crisscross-123"])
     def test_zero_shift_columns_keep_the_per_column_bytes(self, monkeypatch,
                                                           family):
-        # every criss-cross column has phase 0 and offset 0 and reads the
-        # table unshifted: its samples, its run and its track are the
-        # bytes of the per-column evaluation
+        # every criss-cross column has phase 0 and offset 0, and a turn by
+        # 0 leaves its coefficients as they are: its samples, its run and
+        # its track are the bytes of the per-column evaluation
         model, params = BENCHMARK_FAMILIES[family]()
         rng = np.random.default_rng(31)
         moved = params.with_values(params.values
