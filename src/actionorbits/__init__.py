@@ -20,16 +20,17 @@ from .dynamics import (COLLISION_THRESHOLD, Observables, ResidualReport,
 from .errors import (CollisionError, IntegrationError, LayoutError,
                      OrbitError, RecordError)
 from .fourier import COS, SIN, Harmonics, Parity, ScalingLaw
+# rk4_step and DEFAULT_DT stay exported for the benchmark's set-up probe
 from .integrate import (BOUNDED, DEFAULT_DT, EXITED, PerturbationReport,
-                        PhaseState, Trajectory, extract_ics, integrate,
-                        perturb_and_track, return_error, rk4_step,
-                        write_trajectory)
+                        PhaseState, Trajectory, extract_ics,
+                        perturb_and_track, return_error, rk4_step, trajectory)
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .records import (RESIDUAL_CERTIFICATE, SCHEMA_VERSION, OrbitRecord,
                       designated_scale, export_table, load_record,
                       make_record, record_to_model, save_record,
-                      validate_record, verify_record, write_text)
+                      validate_record, verify_record, write_text,
+                      write_trajectory)
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel,
                        OrthTransform, ParamLayout, ReducedParams,
                        ScalarGenerator, Slot, SpaceTimeSymmetry,
@@ -62,12 +63,13 @@ __all__ = [
     "collision_parity_check", "compute_kinetic_mass",
     "crisscross_coupling_sign", "designated_scale", "export_table",
     "extract_ics", "fd_gradient_oracle", "forces", "full_gradient",
-    "gradient", "integrate", "klein_elements", "load_record", "make_layout",
+    "gradient", "klein_elements", "load_record", "make_layout",
     "make_record", "min_pair_distance", "naive_stability_bound",
     "naive_time_descent", "observables", "observables_series",
     "perturb_and_track", "potential_energy", "record_to_model",
     "residual", "return_error", "rk4_step", "run",
     "sample_positions", "save_record", "stability_bound", "step",
+    "trajectory",
     "validate_record", "verify_record", "verify_symmetry",
     "write_text", "write_trajectory",
 ]

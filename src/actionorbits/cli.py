@@ -8,7 +8,8 @@ verify        recompute residual, symmetry error, and return error
 perturb       displace initial conditions and track the deviation
 observe       emit an observables time series (E, J, inertia, quadrupole)
 export-table  normalized coefficient table, fixed-point text
-export-traj   integrated trajectory samples for plotting
+export-traj   trajectory samples for plotting, from the adaptive DOP853
+              drive that verify and perturb use
 
 Exit codes: 0 success, 1 usage or record error, 2 collision,
 3 escape / deviation envelope exited, 4 non-convergence.
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import sys
 
 import numpy as np
@@ -26,12 +26,12 @@ import numpy as np
 from .descent import DescentSchedule, StopRule, run
 from .dynamics import min_pair_distance, observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
-from .integrate import (BOUNDED, extract_ics, integrate, perturb_and_track,
-                        return_error, write_trajectory)
+from .integrate import BOUNDED, perturb_and_track, return_error, trajectory
 from .quadrature import QuadratureGrid
-from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, export_table,
-                      load_record, make_record, record_to_model, save_record,
-                      verify_record, write_text)
+from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, _text_rows,
+                      export_table, load_record, make_record, record_to_model,
+                      save_record, verify_record, write_text,
+                      write_trajectory)
 from .symmetry import (build_choreography, build_crisscross,
                        build_cubic_family, sample_positions, verify_symmetry)
 from .potential import PotentialSpec
@@ -41,8 +41,6 @@ EXIT_USAGE = 1
 EXIT_COLLISION = 2
 EXIT_ESCAPE = 3
 EXIT_NO_CONVERGENCE = 4
-
-TWO_PI = 2.0 * math.pi
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,12 +203,12 @@ def cmd_perturb(args) -> int:
           f"envelope={report.envelope:.6e} exit_time={exit_t} "
           f"z_extent={report.z_extent:.6e}")
     if args.out:
-        lines = ["# t " + " ".join(f"x{i+1} y{i+1} z{i+1}"
-                                   for i in range(model.n_bodies))]
-        for t, pts in zip(report.sample_times, report.section_points):
-            row = [t] + [c for p in pts for c in p]
-            lines.append(" ".join(f"{v:.12e}" for v in row))
-        write_text(args.out, "\n".join(lines) + "\n")
+        header = "t " + " ".join(f"x{i+1} y{i+1} z{i+1}"
+                                 for i in range(model.n_bodies))
+        rows = np.column_stack((report.sample_times,
+                                report.section_points.reshape(
+                                    len(report.sample_times), -1)))
+        _emit(_text_rows(header, rows), args.out)
     return EXIT_OK if report.verdict == BOUNDED else EXIT_ESCAPE
 
 
@@ -223,9 +221,8 @@ def cmd_observe(args) -> int:
                             np.trace(obs.I, axis1=1, axis2=2) / 2.0,
                             np.linalg.eigvalsh(obs.I),
                             np.abs(obs.Q).max(axis=(1, 2))))
-    lines = ["# t E Jx Jy Jz I I_eig1 I_eig2 I_eig3 Q_max"]
-    lines += [" ".join(f"{v:.12e}" for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_text_rows("t E Jx Jy Jz I I_eig1 I_eig2 I_eig3 Q_max", rows),
+          args.out)
     return EXIT_OK
 
 
@@ -238,9 +235,7 @@ def cmd_export_table(args) -> int:
 def cmd_export_traj(args) -> int:
     record = load_record(args.record)
     model, params = record_to_model(record)
-    state = extract_ics(model, params)
-    traj = integrate(state, model.masses, model.potential, dt=args.dt,
-                     horizon=args.periods * TWO_PI, record_stride=args.stride)
+    traj = trajectory(model, params, args.periods, args.samples)
     buffer = io.StringIO()
     write_trajectory(traj, buffer)
     _emit(buffer.getvalue(), args.out)
@@ -328,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-traj", help="integrated trajectory samples")
     p.add_argument("record")
-    p.add_argument("--dt", type=float, default=TWO_PI * 1e-3)
     p.add_argument("--periods", type=float, default=1.0)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--samples", type=int, default=1000,
+                   help="samples per period")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_export_traj)
 

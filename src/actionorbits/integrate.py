@@ -1,24 +1,22 @@
 """Direct integration checks: does the Fourier orbit solve the ODE?
 
-Two integrators advance the phase state (positions, velocities) under the
-same pair forces the action uses.  One adaptive driver, the 8th-order
-Dormand-Prince method (DOP853, :mod:`.dop853`) at a fixed tight tolerance
-with its dense output, serves both checks: ``return_error`` measures how
-well a converged orbit closes after one period, and ``perturb_and_track``
+One integrator advances the phase state (positions, velocities) under the
+same pair forces the action uses: the adaptive 8th-order Dormand-Prince
+method (DOP853, :mod:`.dop853`) at a fixed tight tolerance with its dense
+output.  It serves every check and export: ``return_error`` measures how
+well a converged orbit closes after one period, ``perturb_and_track``
 follows deliberately perturbed initial conditions over many periods to
-probe stability.  At that tolerance one period takes a few hundred steps
-where fixed steps take 10,000.  :func:`.dop853.drive` owns the step
-loop, its state and its failures; this module holds only the policy: the
-tolerance :data:`RETURN_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD`
-per period of the horizon), the sample grid and the curve metric.  A
-classical fixed-step fourth-order Runge-Kutta integrator, ``integrate``,
-records trajectory samples for export and is the tests' independent
-oracle for both.  A run cut short ends when the failure is detected: at
-``CollisionError.t``, or at the end of a step that left a non-finite
-state.
+probe stability, and ``trajectory`` samples the orbit for export.  At
+that tolerance one period takes a few hundred steps where fixed steps
+take 10,000.  :func:`.dop853.drive` owns the step loop, its state and its
+failures; this module holds only the policy: the tolerance
+:data:`RETURN_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD` per
+period of the horizon), the sample grid and the curve metric.  A run cut
+short ends when the failure is detected: at ``CollisionError.t``, or at
+the end of a step that left a non-finite state.
 
-Both evaluate F / m straight on the (n, 3) state through the model's
-cached :class:`.dynamics.PairTable`: its
+Each drive evaluates F / m straight on the (n, 3) state through the
+model's cached :class:`.dynamics.PairTable`: its
 :meth:`~.dynamics.PairTable.accelerator`, the table's one evaluator for
 a single configuration, writes the accelerations into the caller's array
 through pair buffers it builds once (one difference-matrix product for
@@ -27,10 +25,7 @@ root, one power and one incidence product), with no gathers, batching
 reshapes, potential energy or per-call set-up.  On a finite state it
 writes the bits of :func:`.dynamics.forces` over the masses.  Each
 DOP853 drive gets one accelerator of its own, the right-hand side of the
-second-order system.  ``rk4_step``
-fetches the table from the cache and builds an accelerator on every call
-(a few microseconds against tens per step); a run therefore builds the
-table once, and each step stays one call that per-layer tracing can see.
+second-order system.
 
 ``perturb_and_track`` measures every perturbed track of an orbit against
 one tracking reference, built once per orbit and shared by every later
@@ -61,6 +56,9 @@ from .potential import PotentialSpec
 from .symmetry import OrbitModel, ParamLayout, ReducedParams, sample_positions
 
 TWO_PI = 2.0 * math.pi
+# rk4_step and DEFAULT_DT stay exported only because the benchmark's set-up
+# probe takes one RK4 step and its tracer binds integrate.rk4_step; nothing
+# in the library calls them, and the tests' RK4 oracle steps through them
 DEFAULT_DT = TWO_PI * 1e-4
 # DOP853 rtol = atol
 RETURN_TOL = 1e-13
@@ -72,8 +70,10 @@ CURVE_SAMPLES = 2048
 # orbits whose tracking reference stays cached: the stress benchmark's two
 # orbits with room to spare
 REFERENCE_CACHE_SIZE = 4
-# the finest tracking grid: 25 samples per step at the step budget's
-# finest steps (see perturb_and_track)
+# the finest sample grid: 25 samples per step at the step budget's finest
+# steps.  Each sample is a dense interpolation that is kept, so a finer grid
+# shows nothing the interpolant does not, and a vast one would interpolate
+# and keep samples inside one step without end
 MAX_SAMPLES_PER_PERIOD = 25 * MAX_STEPS_PER_PERIOD
 
 
@@ -138,59 +138,48 @@ class Trajectory:
     angular_momentum: np.ndarray  # (M, 3)
 
 
-def _check_steps(stride: str, count: int, **spans: float) -> None:
-    """ValueError unless every span is positive and finite and count is
-    an integer >= 1, a bool excluded from both."""
-    for name, x in spans.items():
-        if isinstance(x, bool) or not 0.0 < x < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {x!r}")
-    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
-            or count < 1):
-        raise ValueError(f"{stride} must be a positive integer, got {count!r}")
-
-
-def integrate(state: PhaseState, masses, spec: PotentialSpec,
-              dt: float = DEFAULT_DT, horizon: float = TWO_PI,
-              record_stride: int = 1) -> Trajectory:
-    """Advance the state for ``horizon`` time units with fixed steps.
-
-    Records every ``record_stride``-th step (plus the initial and final
-    states).  Raises ValueError on a bad step, stride or horizon, a step
-    count horizon / dt that is not finite or a mass vector that does not
-    match the bodies, CollisionError if bodies approach below
-    :data:`.dynamics.COLLISION_THRESHOLD` and IntegrationError on a
-    non-finite state.
-    """
-    _check_steps("record_stride", record_stride, horizon=horizon, dt=dt)
-    if not horizon / dt < math.inf:    # a subnormal dt overflows the count
-        raise ValueError(f"horizon / dt must be finite, got {horizon!r} / "
-                         f"{dt!r}")
-    n_steps = max(1, int(round(horizon / dt)))
-    masses = np.asarray(masses, dtype=float)
-    n = state.positions.shape[0]
-    if masses.shape != (n,):
-        raise ValueError(f"{n} bodies need {n} masses, "
-                         f"got shape {masses.shape}")
-    pos, vel, t0 = state.positions, state.velocities, state.t
-    samples = [(t0, pos, vel)]
-    for i in range(n_steps):
-        # a module-global lookup, so per-layer tracing counts every step
-        pos, vel = rk4_step(spec, masses, pos, vel, t0 + i * dt, dt)
-        t = t0 + (i + 1) * dt
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
-            raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
-        if (i + 1) % record_stride == 0 or i == n_steps - 1:
-            samples.append((t, pos, vel))
-    times, pos, vel = (np.array(column) for column in zip(*samples))
-    obs = observables(spec, masses, pos.transpose(1, 0, 2),
-                      vel.transpose(1, 0, 2))
-    return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
-
-
 def _step_budget(horizon: float) -> float:
     """The most DOP853 steps a drive to ``horizon`` may take, before
     rounding up: :data:`MAX_STEPS_PER_PERIOD` per period."""
     return MAX_STEPS_PER_PERIOD * horizon / TWO_PI
+
+
+def _sample_grid(n_periods: float, samples_per_period: int):
+    """The horizon, the interior sample times k * 2pi / samples_per_period
+    (made one at a time, as the drive reaches them, so a long horizon's
+    count is not capped) and the step budget of a drive over ``n_periods``.
+
+    ValueError unless ``n_periods`` is positive and finite and
+    ``samples_per_period`` an integer in [1, :data:`MAX_SAMPLES_PER_PERIOD`]
+    (a bool is neither), or when the horizon, the sample count or the step
+    budget overflows a float.
+    """
+    if isinstance(n_periods, bool) or not 0.0 < n_periods < math.inf:
+        raise ValueError(f"n_periods must be positive and finite, "
+                         f"got {n_periods!r}")
+    if (isinstance(samples_per_period, bool)
+            or not isinstance(samples_per_period, (int, np.integer))
+            or samples_per_period < 1):
+        raise ValueError(f"samples_per_period must be a positive integer, "
+                         f"got {samples_per_period!r}")
+    if samples_per_period > MAX_SAMPLES_PER_PERIOD:
+        raise ValueError(f"samples_per_period must be at most "
+                         f"{MAX_SAMPLES_PER_PERIOD}, got {samples_per_period!r}")
+    horizon = n_periods * TWO_PI
+    n_samples = n_periods * int(samples_per_period)
+    budget = _step_budget(horizon)
+    for name, x in (("horizon", horizon), ("sample count", n_samples),
+                    ("step budget", budget)):
+        if not x < math.inf:
+            raise ValueError(f"the {name} overflows (n_periods={n_periods!r},"
+                             f" samples_per_period={samples_per_period!r})")
+    interval = TWO_PI / samples_per_period
+    # k * interval grows with k, so the first time past the horizon ends
+    # the samples
+    times = itertools.takewhile(
+        lambda time: time < horizon,
+        (k * interval for k in range(1, math.ceil(n_samples))))
+    return horizon, times, math.ceil(budget)
 
 
 def return_error(model: OrbitModel, params: ReducedParams) -> float:
@@ -208,6 +197,26 @@ def return_error(model: OrbitModel, params: ReducedParams) -> float:
                                      math.ceil(_step_budget(TWO_PI)))
     return float(max(np.abs(pos - state.positions).max(),
                      np.abs(vel - state.velocities).max()))
+
+
+def trajectory(model: OrbitModel, params: ReducedParams,
+               n_periods: float = 1.0,
+               samples_per_period: int = 1000) -> Trajectory:
+    """The orbit's own :func:`.dop853.drive` from :func:`extract_ics`,
+    sampled on ``perturb_and_track``'s grid (:func:`_sample_grid`), with
+    the energy and angular momentum of each sample.  It raises what the
+    drive raises, and CollisionError (context 'integration') below
+    :data:`.dynamics.COLLISION_THRESHOLD`.
+    """
+    horizon, times, max_steps = _sample_grid(n_periods, samples_per_period)
+    state = extract_ics(model, params)
+    accelerate = pair_table(model.potential, model.masses).accelerator()
+    samples = dop853.drive(accelerate, state.positions, state.velocities,
+                           horizon, times, RETURN_TOL, max_steps)
+    times, pos, vel = (np.array(column) for column in zip(*samples))
+    obs = observables(model.potential, model.masses, pos.transpose(1, 0, 2),
+                      vel.transpose(1, 0, 2))
+    return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
 
 
 BOUNDED = "bounded"
@@ -329,36 +338,18 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     as neutral directions).  The default envelope is 100x the largest
     applied displacement; a given envelope must be positive and finite, and
     the deviation finite.  The run is one :func:`.dop853.drive`; it
-    samples every ``samples_per_period``-th of a period, each time made as
-    the drive reaches it, and the end of the horizon.  It stops at the
-    first later sample outside the envelope, or at any sample, the start
-    included, too far out for the metric to measure (an infinite
-    ``max_deviation``).  A horizon, sample count or step budget that
-    overflows a float is a ValueError, as a non-positive ``n_periods`` is,
-    and so is a ``samples_per_period`` above
-    :data:`MAX_SAMPLES_PER_PERIOD`: each sample is a dense interpolation
-    kept in the report, a finer grid than 25 samples per step of the
-    finest stepping the step budget allows shows nothing the interpolant
-    does not, and a vast one would interpolate and keep samples inside one
-    step without end.  The total sample count is not capped: the samples
-    of a long horizon are made one at a time.
+    samples every ``samples_per_period``-th of a period and the end of the
+    horizon, on the grid :func:`_sample_grid` checks and makes.  It stops
+    at the first later sample outside the envelope, or at any sample, the
+    start included, too far out for the metric to measure (an infinite
+    ``max_deviation``).
 
     The band and the unperturbed start come from the orbit's tracking
     reference, built on the first track of an orbit and shared by later
     tracks of the same model and parameter values (see the module
     docstring); nothing of a track's own is kept.
     """
-    _check_steps("samples_per_period", samples_per_period, n_periods=n_periods)
-    if samples_per_period > MAX_SAMPLES_PER_PERIOD:
-        raise ValueError(f"samples_per_period must be at most "
-                         f"{MAX_SAMPLES_PER_PERIOD}, got {samples_per_period!r}")
-    horizon = n_periods * TWO_PI
-    n_samples = n_periods * int(samples_per_period)
-    for name, x in (("horizon", horizon), ("sample count", n_samples),
-                    ("step budget", _step_budget(horizon))):
-        if not x < math.inf:
-            raise ValueError(f"the {name} overflows (n_periods={n_periods!r},"
-                             f" samples_per_period={samples_per_period!r})")
+    horizon, times, max_steps = _sample_grid(n_periods, samples_per_period)
     dev = np.array(deviation, dtype=float)
     if dev.shape != (model.n_bodies, 3):
         raise ValueError(f"deviation must have shape ({model.n_bodies}, 3), "
@@ -370,19 +361,10 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         envelope = 100.0 * applied
     if not 0.0 < envelope < math.inf:
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
-    interval = TWO_PI / samples_per_period
-    # k * interval grows with k, so the first time past the horizon ends
-    # the samples; they are made one at a time, as the drive reaches them
-    times = itertools.takewhile(
-        lambda time: time < horizon,
-        (k * interval
-         for k in range(1, math.ceil(n_samples))))
-
     metric, base = _tracking_reference(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, base.positions + dev, base.velocities,
-                           horizon, times, RETURN_TOL,
-                           math.ceil(_step_budget(horizon)))
+                           horizon, times, RETURN_TOL, max_steps)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:
@@ -412,21 +394,3 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
         z_extent=float(np.abs(sections_arr[:, :, 2]).max()),
     )
 
-
-def write_trajectory(traj: Trajectory, stream) -> None:
-    """Write samples as delimited text: t, then x y z vx vy vz per body,
-    then E and the angular momentum components."""
-    n = traj.positions.shape[1]
-    header = ["t"]
-    for i in range(1, n + 1):
-        header += [f"x{i}", f"y{i}", f"z{i}", f"vx{i}", f"vy{i}", f"vz{i}"]
-    header += ["E", "Jx", "Jy", "Jz"]
-    stream.write("# " + " ".join(header) + "\n")
-    for j, t in enumerate(traj.times):
-        row = [t]
-        for i in range(n):
-            row.extend(traj.positions[j, i])
-            row.extend(traj.velocities[j, i])
-        row.append(traj.energy[j])
-        row.extend(traj.angular_momentum[j])
-        stream.write(" ".join(f"{v:.12e}" for v in row) + "\n")

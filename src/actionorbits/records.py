@@ -7,7 +7,8 @@ and every file write is atomic (write to a temporary file, then rename).
 
 A record may hold a seed, a failed run, or a converged orbit; only results
 whose equations-of-motion residual passes the certificate threshold are
-labeled ``converged``.
+labeled ``converged``.  Time series (trajectories, observables, tracked
+positions) are written as ``# header`` plus ``%.12e`` rows.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
 from .dynamics import observables_series, residual
 from .errors import CollisionError, RecordError
+from .integrate import Trajectory
 from .fourier import COS, SIN, Harmonics, Parity
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
@@ -501,14 +503,41 @@ def _family_label(record: OrbitRecord) -> str:
     return "custom"
 
 
+def _text_rows(header: str, rows) -> str:
+    """Delimited text: ``# header``, then one line per row of its values
+    in ``%.12e``, the format of every time-series export."""
+    lines = ["# " + header]
+    lines += [" ".join(f"{v:.12e}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_trajectory(traj: Trajectory, stream) -> None:
+    """Write samples as delimited text: t, then x y z vx vy vz per body,
+    then E and the angular momentum components."""
+    m, n, _ = traj.positions.shape
+    header = ["t"]
+    for i in range(1, n + 1):
+        header += [f"x{i}", f"y{i}", f"z{i}", f"vx{i}", f"vy{i}", f"vz{i}"]
+    header += ["E", "Jx", "Jy", "Jz"]
+    states = np.concatenate((traj.positions, traj.velocities), axis=2)
+    rows = np.column_stack((traj.times, states.reshape(m, -1), traj.energy,
+                            traj.angular_momentum))
+    stream.write(_text_rows(" ".join(header), rows))
+
+
 def write_text(path: str, text: str) -> None:
     """Atomic plain-text write (temporary file, then rename) used by
-    records and all exports."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    records and all exports.  The file gets the mode a plain ``open``
+    leaves: an existing file keeps its own, and a new one gets 0o666 less
+    the umask, not ``mkstemp``'s 0o600.  The temporary file's random name
+    and O_EXCL keep it private to this write."""
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

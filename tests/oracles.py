@@ -9,14 +9,17 @@ kinetic term in coefficient space, the pair evaluators fill buffers they
 reuse, the descent's kernel evaluates pair forces at one (body, node)
 pair per symmetry orbit and projects them with one matrix-vector product
 instead of an ``einsum`` per orbit, and the symmetry groups are built from
-explicit matrices.  The tests
-still use them as oracles.
+explicit matrices, and every trajectory is an adaptive DOP853 drive, not
+a fixed-step RK4 run.  The tests still use them as oracles.
 """
+
+import importlib
 
 import numpy as np
 from mpmath import mp, mpf
 
-from actionorbits import OrthTransform, QuadratureGrid, sample_positions
+from actionorbits import (IntegrationError, OrthTransform, QuadratureGrid,
+                          Trajectory, observables, sample_positions)
 from actionorbits.dynamics import COLLISION_THRESHOLD, forces
 from actionorbits.fourier import contract, trig_table
 from actionorbits.symmetry import _BASIS_AXIS, channel_multiplicity
@@ -242,3 +245,31 @@ def full_pair_action(kernel, values):
     grad = kinetic_grad + grid.weight * np.dot(rows, F.reshape(-1))
     S = 0.5 * float(values @ kinetic_grad) - float(grid.integrate(V))
     return S, grad
+
+
+_integrate = importlib.import_module("actionorbits.integrate")
+
+
+def rk4_trajectory(state, masses, spec, dt, horizon, record_stride=1):
+    """Fixed-step classical RK4 from ``state`` for ``horizon`` time units
+    in round(horizon / dt) steps (at least one) of the library's
+    ``rk4_step``, looked up on ``actionorbits.integrate`` at every step so
+    that a patched step sees them all.  Records every
+    ``record_stride``-th step and the final state, with the energy and
+    angular momentum of each record; a non-finite state is an
+    IntegrationError."""
+    n_steps = max(1, int(round(horizon / dt)))
+    masses = np.asarray(masses, dtype=float)
+    pos, vel, t0 = state.positions, state.velocities, state.t
+    samples = [(t0, pos, vel)]
+    for i in range(n_steps):
+        pos, vel = _integrate.rk4_step(spec, masses, pos, vel, t0 + i * dt, dt)
+        t = t0 + (i + 1) * dt
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+            raise IntegrationError(f"non-finite state at t={t:.6f}", t=t)
+        if (i + 1) % record_stride == 0 or i == n_steps - 1:
+            samples.append((t, pos, vel))
+    times, pos, vel = (np.array(column) for column in zip(*samples))
+    obs = observables(spec, masses, pos.transpose(1, 0, 2),
+                      vel.transpose(1, 0, 2))
+    return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)

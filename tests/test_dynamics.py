@@ -54,10 +54,8 @@ COLLIDES = {
         lambda: residual(model, params)),
     "return_error": lambda model, params: _collides(
         lambda: integrate.return_error(model, params)),
-    "integrate": lambda model, params: _collides(
-        lambda: integrate.integrate(integrate.extract_ics(model, params),
-                                    model.masses, model.potential,
-                                    dt=TWO_PI / 100)),
+    "trajectory": lambda model, params: _collides(
+        lambda: integrate.trajectory(model, params)),
     "perturb_and_track": _perturbed_exits,
 }
 
@@ -477,7 +475,7 @@ class TestCollisionDetection:
     def test_one_patched_threshold_moves_every_layer(self, circle, layer,
                                                      monkeypatch):
         # the circle's bodies stay about 1.26 apart; one name moves the
-        # collision test of descent, residual and both integrators
+        # collision test of descent, residual and every DOP853 drive
         model, result = circle
         gap = min_pair_distance(sample_positions(model, result.params,
                                                  QuadratureGrid(256)))

@@ -1,5 +1,6 @@
-"""Tests for the integration checks: the DOP853 return error (with RK4 as
-its oracle), the fixed-step RK4 integrator and perturbation runs."""
+"""Tests for the integration checks: the DOP853 return error, trajectory
+export and perturbation runs, with the tests' fixed-step RK4 driver as
+their oracle, and the RK4 step that driver takes."""
 
 import importlib
 import io
@@ -23,12 +24,13 @@ from actionorbits import (
     build_choreography,
     extract_ics,
     forces,
-    integrate,
     perturb_and_track,
     return_error,
     rk4_step,
+    trajectory,
     write_trajectory,
 )
+from oracles import rk4_trajectory
 
 TWO_PI = 2.0 * math.pi
 dop853 = importlib.import_module("actionorbits.dop853")
@@ -90,16 +92,17 @@ class TestRK4:
         spec = PotentialSpec()
         errs = []
         for n in (256, 512):
-            traj = integrate(state, masses, spec, dt=TWO_PI * 2.0 / n,
-                             horizon=2.0 * TWO_PI, record_stride=n)
+            traj = rk4_trajectory(state, masses, spec, dt=TWO_PI * 2.0 / n,
+                                  horizon=2.0 * TWO_PI, record_stride=n)
             errs.append(np.abs(traj.positions[-1] - state.positions).max())
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0
 
     def test_energy_and_momentum_conserved(self):
         state = _circle_state(0.8)
-        traj = integrate(state, np.ones(2), PotentialSpec(),
-                         dt=TWO_PI / 2048, horizon=TWO_PI, record_stride=64)
+        traj = rk4_trajectory(state, np.ones(2), PotentialSpec(),
+                              dt=TWO_PI / 2048, horizon=TWO_PI,
+                              record_stride=64)
         assert np.ptp(traj.energy) < 1e-12
         assert np.ptp(traj.angular_momentum[:, 2]) < 1e-12
 
@@ -109,8 +112,8 @@ class TestRK4:
         rng = np.random.default_rng(11)
         state = PhaseState(rng.normal(scale=1.5, size=(4, 3)),
                            rng.normal(scale=0.3, size=(4, 3)))
-        traj = integrate(state, masses, spec, dt=1e-3, horizon=0.05,
-                         record_stride=3)
+        traj = rk4_trajectory(state, masses, spec, dt=1e-3, horizon=0.05,
+                              record_stride=3)
         singles = [ao.observables(spec, masses, p, v)
                    for p, v in zip(traj.positions, traj.velocities)]
         for got, want in ((traj.energy, np.array([o.E for o in singles])),
@@ -132,8 +135,8 @@ class TestRK4:
         pos = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
         vel = np.zeros((2, 3))
         with pytest.raises(CollisionError) as exc:
-            integrate(PhaseState(pos, vel), np.ones(2), PotentialSpec(),
-                      dt=1e-3, horizon=TWO_PI)
+            rk4_trajectory(PhaseState(pos, vel), np.ones(2), PotentialSpec(),
+                           dt=1e-3, horizon=TWO_PI)
         err = exc.value
         assert err.pair == (0, 1)
         assert err.distance < 1e-2
@@ -168,38 +171,11 @@ class TestRK4:
             a4 = acc(p4)
             p, v = (p + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
                     v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))
-        traj = integrate(PhaseState(pos, vel), masses, spec, dt=dt,
-                         horizon=n_steps * dt, record_stride=n_steps)
+        traj = rk4_trajectory(PhaseState(pos, vel), masses, spec, dt=dt,
+                              horizon=n_steps * dt, record_stride=n_steps)
         assert traj.times.size == 2
         assert np.array_equal(traj.positions[-1], p)
         assert np.array_equal(traj.velocities[-1], v)
-
-    def test_integrate_validation(self):
-        state = _circle_state()
-        for dt in (-1e-3, True):
-            with pytest.raises(ValueError):
-                integrate(state, np.ones(2), PotentialSpec(), dt=dt)
-        for horizon in (0.0, math.inf, math.nan, True):
-            with pytest.raises(ValueError):
-                integrate(state, np.ones(2), PotentialSpec(), horizon=horizon)
-        for stride in (0, -1, 1.5, True):
-            with pytest.raises(ValueError):
-                integrate(state, np.ones(2), PotentialSpec(),
-                          record_stride=stride)
-        with pytest.raises(ValueError):
-            integrate(state, np.ones(2), PotentialSpec(), dt=math.nan)
-        # a subnormal step overflows horizon / dt, which used to end in an
-        # OverflowError from the step count
-        with pytest.raises(ValueError, match="horizon / dt must be finite"):
-            integrate(state, np.ones(2), PotentialSpec(), dt=1e-320)
-
-    @pytest.mark.parametrize("n_masses", [1, 3])
-    def test_mass_count_must_match_bodies(self, n_masses):
-        # n + 1 masses used to end in an IndexError, n - 1 in a broadcast
-        # error, both from inside the first RK4 stage
-        with pytest.raises(ValueError, match=f"2 bodies need 2 masses, "
-                                             f"got shape \\({n_masses},\\)"):
-            integrate(_circle_state(), np.ones(n_masses), PotentialSpec())
 
 
 class TestReturnError:
@@ -218,9 +194,9 @@ class TestReturnError:
         # the RK4 one-period map is the independent oracle for DOP853
         model, result = request.getfixturevalue(fixture)
         state = extract_ics(model, result.params)
-        traj = integrate(state, model.masses, model.potential,
-                         dt=ao.DEFAULT_DT, horizon=TWO_PI,
-                         record_stride=10_000)
+        traj = rk4_trajectory(state, model.masses, model.potential,
+                              dt=ao.DEFAULT_DT, horizon=TWO_PI,
+                              record_stride=10_000)
         rk4 = max(np.abs(traj.positions[-1] - state.positions).max(),
                   np.abs(traj.velocities[-1] - state.velocities).max())
         err = return_error(model, result.params)
@@ -281,9 +257,10 @@ class TestDOP853Driver:
         dev = np.zeros((3, 3))
         dev[0, 0] = 0.005
         rep = perturb_and_track(model, result.params, dev, 1.0)
-        traj = integrate(PhaseState(base.positions + dev, base.velocities),
-                         model.masses, model.potential, dt=TWO_PI / 1000,
-                         horizon=TWO_PI, record_stride=20)
+        traj = rk4_trajectory(
+            PhaseState(base.positions + dev, base.velocities), model.masses,
+            model.potential, dt=TWO_PI / 1000, horizon=TWO_PI,
+            record_stride=20)
         assert rep.verdict == BOUNDED
         assert np.allclose(rep.sample_times, traj.times, rtol=0, atol=1e-12)
         assert np.abs(rep.section_points - traj.positions).max() <= 1e-7
@@ -399,9 +376,10 @@ class TestDOP853Driver:
         dev = np.zeros((3, 3))
         dev[0, 0] = 0.005
         rep = perturb_and_track(model, result.params, dev, 2.0)
-        traj = integrate(PhaseState(base.positions + dev, base.velocities),
-                         model.masses, model.potential, dt=TWO_PI / 1000,
-                         horizon=2.0 * TWO_PI, record_stride=20)
+        traj = rk4_trajectory(
+            PhaseState(base.positions + dev, base.velocities), model.masses,
+            model.potential, dt=TWO_PI / 1000, horizon=2.0 * TWO_PI,
+            record_stride=20)
         metric = integrate_module._CurveMetric(model, result.params)
         rk4 = max(metric.distance(pos) for pos in traj.positions)
         assert rep.verdict == BOUNDED
@@ -426,6 +404,91 @@ class TestDOP853Driver:
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
+
+
+class TestTrajectory:
+    """``trajectory`` samples one DOP853 drive on the tracker's grid; RK4
+    at 10,000 steps a period is its oracle."""
+
+    @pytest.fixture(scope="class")
+    def figure_eight(self, workloads):
+        model, params = workloads.ORBITS["figure-eight"]()
+        result = ao.run(model, params)
+        assert result.outcome == ao.CONVERGED
+        return model, result
+
+    @pytest.mark.parametrize("fixture", ["circle", "crisscross", "cubic1",
+                                         "figure_eight"])
+    def test_agrees_with_fixed_step_rk4(self, fixture, request):
+        # the default grid's 1,001 samples against every 10th RK4 step at
+        # dt = 2pi 1e-4; the largest difference read 6.6e-12
+        model, result = request.getfixturevalue(fixture)
+        traj = trajectory(model, result.params)
+        rk4 = rk4_trajectory(extract_ics(model, result.params), model.masses,
+                             model.potential, dt=TWO_PI * 1e-4,
+                             horizon=TWO_PI, record_stride=10)
+        assert traj.times.size == rk4.times.size == 1001
+        assert np.abs(traj.times - rk4.times).max() <= 1e-14
+        assert np.abs(traj.positions - rk4.positions).max() <= 1e-10
+        assert np.abs(traj.velocities - rk4.velocities).max() <= 1e-10
+
+    @pytest.mark.parametrize("fixture", ["circle", "crisscross", "cubic1",
+                                         "figure_eight"])
+    def test_energy_spread(self, fixture, request):
+        # at most 4.4e-12 over one period
+        model, result = request.getfixturevalue(fixture)
+        assert np.ptp(trajectory(model, result.params).energy) <= 1e-10
+
+    @pytest.mark.parametrize("n_periods, samples", [(1.0, 1000), (2.5, 50),
+                                                    (0.01, 7)])
+    def test_times_are_the_trackers(self, circle, n_periods, samples):
+        model, result = circle
+        dev = np.zeros((2, 3))
+        dev[0, 0] = 1e-6
+        rep = perturb_and_track(model, result.params, dev, n_periods,
+                                samples_per_period=samples)
+        traj = trajectory(model, result.params, n_periods, samples)
+        assert rep.verdict == BOUNDED
+        assert traj.times.tobytes() == rep.sample_times.tobytes()
+        assert traj.times[0] == 0.0
+        assert traj.times[-1] == n_periods * TWO_PI
+        assert traj.positions.shape == traj.velocities.shape == (
+            traj.times.size, 2, 3)
+
+    def test_repeated_calls_give_the_same_bytes(self, crisscross):
+        model, result = crisscross
+        first, second = (trajectory(model, result.params, 2.0, 100)
+                         for _ in range(2))
+        for name in ("times", "positions", "velocities", "energy",
+                     "angular_momentum"):
+            assert getattr(first, name).tobytes() == \
+                getattr(second, name).tobytes(), name
+
+    def test_invariants_are_each_samples(self, cubic1):
+        model, result = cubic1
+        traj = trajectory(model, result.params, 0.25, 40)
+        singles = [ao.observables(model.potential, model.masses, p, v)
+                   for p, v in zip(traj.positions, traj.velocities)]
+        for got, want in ((traj.energy, np.array([o.E for o in singles])),
+                          (traj.angular_momentum,
+                           np.array([o.J for o in singles]))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n_periods", [0.0, -1.0, math.inf, math.nan,
+                                           True, 1e307, 1e305])
+    def test_bad_horizon_rejected(self, circle, n_periods):
+        # 1e307 periods overflow the sample count, 1e305 the step budget
+        model, result = circle
+        with pytest.raises(ValueError):
+            trajectory(model, result.params, n_periods)
+
+    @pytest.mark.parametrize("samples", [
+        0, -3, True, 2.5, integrate_module.MAX_SAMPLES_PER_PERIOD + 1])
+    def test_bad_sample_grid_rejected(self, circle, samples):
+        model, result = circle
+        with pytest.raises(ValueError, match="samples_per_period"):
+            trajectory(model, result.params, 1.0, samples)
 
 
 def _scipy_drive(accelerate, pos, vel, times):
@@ -899,10 +962,9 @@ class TestTrackingReference:
 
 
 class TestWriteTrajectory:
-    def test_round_trip_columns(self):
-        state = _circle_state()
-        traj = integrate(state, np.ones(2), PotentialSpec(),
-                         dt=TWO_PI / 64, horizon=TWO_PI, record_stride=8)
+    def test_round_trip_columns(self, circle):
+        model, result = circle
+        traj = trajectory(model, result.params, samples_per_period=8)
         buf = io.StringIO()
         write_trajectory(traj, buf)
         lines = buf.getvalue().strip().split("\n")

@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import shlex
+import stat
 
 import numpy as np
 import pytest
@@ -481,6 +482,15 @@ class TestCliUsageErrors:
         assert exc.value.code == 1
         assert "--dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--dt", "--stride"])
+    def test_export_traj_takes_no_step_size(self, circle_record, capsys,
+                                            option):
+        # the export samples the adaptive drive; --samples sets its grid
+        with pytest.raises(SystemExit) as exc:
+            main(["export-traj", circle_record, option, "10"])
+        assert exc.value.code == 1
+        assert option in capsys.readouterr().err
+
     def test_no_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -737,11 +747,12 @@ class TestCliPerturb:
         ["perturb", "--dx", "1e-3", "--periods", "1", "--samples",
          str(10**300)],
         ["perturb", "--dx", "1e-4", "--periods", "inf"],
-        ["export-traj", "--stride", "0"],
-        ["export-traj", "--dt", "0"],
-        ["export-traj", "--dt", "-1"],
+        ["export-traj", "--samples", "0"],
+        ["export-traj", "--samples", "-3"],
+        ["export-traj", "--samples",
+         str(ao.integrate.MAX_SAMPLES_PER_PERIOD + 1)],
+        ["export-traj", "--periods", "0"],
         ["export-traj", "--periods", "inf"],
-        ["export-traj", "--dt", "1e-320", "--periods", "1"],
         ["perturb", "--dx", "1e-3", "--envelope", "nan"],
         ["perturb", "--dx", "1e-3", "--envelope", "-1"],
         ["perturb", "--dx", "nan"],
@@ -784,10 +795,99 @@ class TestCliExport:
 
     def test_export_traj_columns(self, circle_record, capsys):
         assert main(["export-traj", circle_record, "--periods", "0.5",
-                     "--dt", str(TWO_PI / 100), "--stride", "10"]) == 0
+                     "--samples", "10"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0].startswith("# t x1 y1 z1 vx1 vy1 vz1")
         width = len(lines[1].split())
         assert width == 1 + 6 * 2 + 4
         for ln in lines[1:]:
             assert len(ln.split()) == width
+        # every tenth of a period before the horizon, then the horizon
+        times = [float(ln.split()[0]) for ln in lines[1:]]
+        assert times == pytest.approx([k * TWO_PI / 10 for k in range(5)]
+                                      + [0.5 * TWO_PI], rel=1e-12, abs=0)
+
+    def test_export_traj_default_grid(self, circle_record, capsys):
+        # one period at 1,000 samples: 1,001 rows at t = k 2pi / 1000
+        assert main(["export-traj", circle_record]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        times = [float(ln.split()[0]) for ln in rows]
+        assert times == pytest.approx([k * TWO_PI / 1000
+                                       for k in range(1001)],
+                                      rel=1e-12, abs=0)
+
+
+class TestTextRows:
+    """Every time series goes through one row formatter; these are the
+    bytes each command wrote with its own formatting."""
+
+    def test_observe_and_perturb_bytes(self, circle_record, tmp_path):
+        model, params = record_to_model(load_record(circle_record))
+        obs_out = str(tmp_path / "obs.txt")
+        assert main(["observe", circle_record, "--samples", "16",
+                     "--out", obs_out]) == 0
+        times, obs = ao.observables_series(model, params,
+                                           ao.QuadratureGrid(16))
+        rows = np.column_stack((times, obs.E, obs.J,
+                                np.trace(obs.I, axis1=1, axis2=2) / 2.0,
+                                np.linalg.eigvalsh(obs.I),
+                                np.abs(obs.Q).max(axis=(1, 2))))
+        lines = ["# t E Jx Jy Jz I I_eig1 I_eig2 I_eig3 Q_max"]
+        lines += [" ".join(f"{v:.12e}" for v in row) for row in rows]
+        assert open(obs_out).read() == "\n".join(lines) + "\n"
+
+        section_out = str(tmp_path / "section.txt")
+        assert main(["perturb", circle_record, "--dy", "1e-4", "--periods",
+                     "0.5", "--samples", "8", "--out", section_out]) == 0
+        dev = np.zeros((2, 3))
+        dev[0, 1] = 1e-4
+        report = ao.perturb_and_track(model, params, dev, 0.5,
+                                      samples_per_period=8)
+        lines = ["# t " + " ".join(f"x{i+1} y{i+1} z{i+1}"
+                                   for i in range(model.n_bodies))]
+        for t, pts in zip(report.sample_times, report.section_points):
+            row = [t] + [c for p in pts for c in p]
+            lines.append(" ".join(f"{v:.12e}" for v in row))
+        assert open(section_out).read() == "\n".join(lines) + "\n"
+
+
+class TestFileMode:
+    """Records and exports get the mode a plain ``open`` leaves: 0o666 less
+    the umask for a new file, its own mode for an existing one, not the
+    temporary file's 0o600."""
+
+    @staticmethod
+    def _mode(path) -> int:
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                             (0o002, 0o664)],
+                             ids=["022", "077", "002"])
+    def test_written_files_follow_the_umask(self, circle_record, tmp_path,
+                                            umask, mode):
+        table = str(tmp_path / "table.txt")
+        record = str(tmp_path / "record.json")
+        old = os.umask(umask)
+        try:
+            ao.write_text(str(tmp_path / "plain.txt"), "text\n")
+            assert main(["export-table", circle_record, "--out", table]) == 0
+            save_record(load_record(circle_record), record)
+        finally:
+            os.umask(old)
+        for name in ("plain.txt", "table.txt", "record.json"):
+            assert self._mode(tmp_path / name) == mode, name
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o664],
+                             ids=["644", "600", "664"])
+    def test_minimize_in_place_keeps_the_record_mode(self, circle_record,
+                                                     tmp_path, mode):
+        path = str(tmp_path / "record.json")
+        with open(path, "w") as fh:
+            fh.write(open(circle_record).read())
+        os.chmod(path, mode)
+        old = os.umask(0o022)
+        try:
+            assert main(["minimize", path]) == 0
+        finally:
+            os.umask(old)
+        assert self._mode(path) == mode

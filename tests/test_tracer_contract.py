@@ -17,6 +17,7 @@ import numpy as np
 
 import actionorbits
 from actionorbits import EvalKernel, build_cubic_family
+from oracles import rk4_trajectory
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,21 +93,31 @@ def _counted(monkeypatch, module, attr):
     return calls
 
 
+def test_integrate_names_its_module():
+    # no function of the package shadows the integrate module, so a test
+    # or probe that patches ``actionorbits.integrate`` patches the module
+    # (``actionorbits.action`` still names the function; see the README)
+    assert importlib.import_module("actionorbits.integrate") \
+        is actionorbits.integrate
+
+
 def test_every_rk4_step_goes_through_the_traced_binding(monkeypatch, circle):
     # the tracer counts ``integrate.rk4_steps`` by rebinding the module
-    # global, so every fixed-step run must reach the step through it
+    # global; the library takes no fixed step, and the tests' RK4 oracle
+    # reaches every step through it
     module = importlib.import_module("actionorbits.integrate")
     calls = _counted(monkeypatch, module, "rk4_step")
     model, result = circle
     state = module.extract_ics(model, result.params)
-    module.integrate(state, model.masses, model.potential, dt=TWO_PI / 100,
-                     horizon=1.5 * TWO_PI, record_stride=7)
+    rk4_trajectory(state, model.masses, model.potential, dt=TWO_PI / 100,
+                   horizon=1.5 * TWO_PI, record_stride=7)
     assert len(calls) == 150
 
 
 def test_adaptive_checks_make_one_dop853_drive_each(monkeypatch, circle):
-    # the return map and the tracker both run on the one DOP853 drive;
-    # neither takes a fixed step the tracer would count as integrate.rk4_step
+    # the return map, the tracker and the exported trajectory each run on
+    # one DOP853 drive; none takes a fixed step the tracer would count as
+    # integrate.rk4_step
     module = importlib.import_module("actionorbits.integrate")
     steps = _counted(monkeypatch, module, "rk4_step")
     drives = _counted(monkeypatch,
@@ -120,6 +131,9 @@ def test_adaptive_checks_make_one_dop853_drive_each(monkeypatch, circle):
                                       samples_per_period=10)
     assert report.verdict == module.BOUNDED
     assert len(drives) == 2
+    traj = module.trajectory(model, result.params, 1.5, 10)
+    assert traj.times.size == 16
+    assert len(drives) == 3
     assert steps == []
 
 def test_samplers_go_through_the_traced_bindings(monkeypatch, circle):
