@@ -23,7 +23,8 @@ from .fourier import COS, SIN, Harmonics, Parity, ScalingLaw
 # rk4_step and DEFAULT_DT stay exported for the benchmark's set-up probe
 from .integrate import (BOUNDED, DEFAULT_DT, EXITED, PerturbationReport,
                         PhaseState, Trajectory, extract_ics,
-                        perturb_and_track, return_error, rk4_step, trajectory)
+                        perturb_and_track, return_error, rk4_step, trajectory,
+                        trajectory_blocks)
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 from .records import (RESIDUAL_CERTIFICATE, SCHEMA_VERSION, OrbitRecord,
@@ -69,7 +70,7 @@ __all__ = [
     "perturb_and_track", "potential_energy", "record_to_model",
     "residual", "return_error", "rk4_step", "run",
     "sample_positions", "save_record", "stability_bound", "step",
-    "trajectory",
+    "trajectory", "trajectory_blocks",
     "validate_record", "verify_record", "verify_symmetry",
     "write_text", "write_trajectory",
 ]

@@ -9,7 +9,9 @@ perturb       displace initial conditions and track the deviation
 observe       emit an observables time series (E, J, inertia, quadrupole)
 export-table  normalized coefficient table, fixed-point text
 export-traj   trajectory samples for plotting, from the adaptive DOP853
-              drive that verify and perturb use
+              drive that verify and perturb use, written in blocks as the
+              drive reaches them (to stdout as they come, to --out
+              atomically)
 
 Exit codes: 0 success, 1 usage or record error, 2 collision,
 3 escape / deviation envelope exited, 4 non-convergence.
@@ -18,7 +20,6 @@ Exit codes: 0 success, 1 usage or record error, 2 collision,
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 
 import numpy as np
@@ -26,12 +27,13 @@ import numpy as np
 from .descent import DescentSchedule, StopRule, run
 from .dynamics import min_pair_distance, observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
-from .integrate import BOUNDED, perturb_and_track, return_error, trajectory
+from .integrate import (BOUNDED, perturb_and_track, return_error,
+                        trajectory_blocks)
 from .quadrature import QuadratureGrid
 from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, _text_rows,
-                      export_table, load_record, make_record, record_to_model,
-                      save_record, verify_record, write_text,
-                      write_trajectory)
+                      _trajectory_chunks, export_table, load_record,
+                      make_record, record_to_model, save_record, verify_record,
+                      write_text)
 from .symmetry import (build_choreography, build_crisscross,
                        build_cubic_family, sample_positions, verify_symmetry)
 from .potential import PotentialSpec
@@ -63,9 +65,11 @@ def _parse_masses(text: str) -> tuple[float, ...]:
     return masses
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write a string or an iterable of string chunks to ``out`` through
+    the atomic writer, or to stdout chunk by chunk."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
     else:
         write_text(out, text)
 
@@ -235,10 +239,8 @@ def cmd_export_table(args) -> int:
 def cmd_export_traj(args) -> int:
     record = load_record(args.record)
     model, params = record_to_model(record)
-    traj = trajectory(model, params, args.periods, args.samples)
-    buffer = io.StringIO()
-    write_trajectory(traj, buffer)
-    _emit(buffer.getvalue(), args.out)
+    blocks = trajectory_blocks(model, params, args.periods, args.samples)
+    _emit(_trajectory_chunks(blocks), args.out)
     return EXIT_OK
 
 

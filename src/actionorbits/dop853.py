@@ -256,7 +256,8 @@ class StagePlan:
     K[s, half:], the read-only view K[:s].T of the stages before it, the
     tableau row _A[s, :s] and the node c_s as a float, so a step slices
     nothing; ``error`` is the view K[:13].T the error estimate reads.  A
-    stage's increment is formed in ``dy`` and its position in ``state``,
+    stage's increment is formed in ``dy`` (which the dense output then
+    takes as its one scratch row) and its position in ``state``,
     whose ``shape`` view ``position`` the accelerator reads.  Only these
     arrays are written, and no array a step or an interpolant returns is
     one of them.
@@ -381,19 +382,26 @@ def dense_output(accelerate, t_old, t, y_old: np.ndarray, y: np.ndarray,
     that :func:`step` just took, with f the derivative at (t, y) and its
     stages in the plan.
 
-    Evaluates the three extra stages into K[13:] and returns a function
-    of the time, for t_old <= time <= t, that returns a new array.
+    Evaluates the three extra stages into K[13:], forms the coefficient
+    rows F with ``out=`` ufuncs in SciPy's order into a new array, which
+    the interpolant keeps, and returns a function of the time, for
+    t_old <= time <= t, that returns a new array.
     """
     K = plan.K
     h = t - t_old
     _evaluate(accelerate, t_old, y_old, h, plan.extra_rows, plan)
+    # ``dy`` is free once the extra stages are in: it holds h * (f + f_old)
     F = np.empty((7, y_old.size))
-    f_old = K[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(_D, K)
+    f_old, delta_y, scratch = K[0], F[0], plan.dy
+    np.subtract(y, y_old, delta_y)
+    np.multiply(h, f_old, F[1])
+    np.subtract(F[1], delta_y, F[1])
+    np.add(f, f_old, scratch)
+    np.multiply(h, scratch, scratch)
+    np.multiply(2, delta_y, F[2])
+    np.subtract(F[2], scratch, F[2])
+    np.dot(_D, K, F[3:])
+    np.multiply(h, F[3:], F[3:])
 
     def interpolant(time):
         x = (time - t_old) / h

@@ -17,7 +17,16 @@ node) of each space-time symmetry orbit, and :func:`forces` and
 single configuration taken as the batch ``x[:, None]`` of one.  On finite
 positions the two evaluators round alike, so the accelerator writes the
 bits of ``forces(...)[0] / masses[:, None]`` (an infinite coordinate is
-the exception, see :meth:`PairTable.accelerator`).  Positions reach the
+the exception, see :meth:`PairTable.accelerator`).  The table drops
+factors that are exact: when every force coefficient is -1, as equal
+unit masses at G = 1 and alpha = -1 make it, the evaluators put the sign
+into their body sums (a negated incidence matrix, or -1 partner weights)
+and do not multiply by the coefficients, and when every mass is 1 the
+accelerator writes its body sums straight into a C-contiguous ``out``
+with no division.  Multiplying by -1 and dividing by 1 are exact, so no
+output changes.  Every track and certify of the benchmark takes that
+route, as do 6 of its 7 discover orbits (the 1:2:3 criss-cross does
+not).  Positions reach the
 table in the shape they come in, with no batching reshape, and forces
 and energies are evaluated vectorized over the batch axis with a
 deterministic reduction order.  :func:`observables` takes the same two
@@ -105,8 +114,13 @@ class PairTable:
         # masses repeated along the coordinates of one configuration,
         # which a division reads without broadcasting
         self.mass_rows = np.repeat(masses[:, None], 3, axis=1)
+        # exact unit factors, which the evaluators skip (module docstring)
+        self.unit_coef = bool(np.all(self.force_coef == -1.0))
+        self.unit_mass = bool(np.all(masses == 1.0))
+        self.signed_incidence = -self.incidence if self.unit_coef \
+            else self.incidence
         for a in (self.coupling, self.force_coef, self.incidence,
-                  self.mass_rows):
+                  self.mass_rows, self.signed_incidence):
             a.setflags(write=False)
 
     def _collision(self, r: np.ndarray, times, context: str):
@@ -137,7 +151,11 @@ class PairTable:
         ``forces(...)[0] / masses[:, None]``.  At an infinite coordinate
         the rows' zeros times it make that coordinate of every pair's
         difference a NaN, where the gathers keep other bodies' pairs
-        finite.
+        finite.  With every force coefficient -1 the pair coefficients
+        are r^(alpha - 2) and the body sums take the negated incidence;
+        with every mass 1 and a C-contiguous ``out``, as the stage plan's
+        rows are, the body sums go straight into ``out``.  Both give the
+        same bits, since the factors they drop are exact.
         A true distance below :data:`COLLISION_THRESHOLD`, read at each
         call, raises CollisionError (context 'integration', time ``t``),
         tested at the closest pair, which a NaN distance is, so that a NaN
@@ -146,13 +164,14 @@ class PairTable:
         """
         n_pairs = self.difference.shape[0]
         coef, mass = self.force_coef, self.mass_rows
+        unit_coef, unit_mass = self.unit_coef, self.unit_mass
         exponent = self.alpha - 2.0
         softening2 = self.softening ** 2 if self.softening > 0.0 else None
         d, d2, pair_f = (np.empty((n_pairs, 3)) for _ in range(3))
         r2, r = np.empty(n_pairs), np.empty(n_pairs)
         r_col, F = r[:, None], np.empty(mass.shape)
         differences, squared_norms = self.difference.dot, d2.dot
-        body_sums, closest = self.incidence.dot, r.argmin
+        body_sums, closest = self.signed_incidence.dot, r.argmin
 
         def accelerate(x: np.ndarray, t, out: np.ndarray) -> None:
             differences(x, d)
@@ -165,10 +184,15 @@ class PairTable:
                 np.add(r2, softening2, r)
                 np.sqrt(r, r)
             np.power(r, exponent, r)
-            np.multiply(coef, r, r)
+            if not unit_coef:
+                np.multiply(coef, r, r)
             np.multiply(r_col, d, pair_f)
-            body_sums(pair_f, F)
-            np.divide(F, mass, out)
+            # a product writes only into an aligned, writeable C array
+            if unit_mass and out.flags.carray:
+                body_sums(pair_f, out)
+            else:
+                body_sums(pair_f, F)
+                np.divide(F, mass, out)
 
         return accelerate
 
@@ -190,7 +214,10 @@ class PairTable:
         Its buffers are built here, once: the differences d, one scratch
         array for the second gather (then the squares and the pair
         forces), r^2 (then r^alpha), r (then r^(alpha - 2) and the pair
-        coefficients in place) and the forces F.  The gathers take
+        coefficients in place) and the forces F.  With every force
+        coefficient -1 the coefficients are not applied and the body sums
+        carry the sign: the negated incidence for every pair, -1 partner
+        weights for representatives; the bits are the same.  The gathers take
         ``mode="clip"``, since the default mode buffers its output; the
         indices are always in range.  A true distance below
         :data:`COLLISION_THRESHOLD`, read at each call, raises
@@ -200,9 +227,11 @@ class PairTable:
         so ``evaluate`` serves one caller at a time and its F is valid
         until the next call; V is a new array.
         """
-        coupling, coef = self.coupling, self.force_coef
+        coupling, coef, unit_coef = self.coupling, self.force_coef, \
+            self.unit_coef
         if representatives is None:
-            i_idx, j_idx, incidence = self.i_idx, self.j_idx, self.incidence
+            i_idx, j_idx = self.i_idx, self.j_idx
+            incidence = self.signed_incidence
             d, scratch = (np.empty((i_idx.size, n_times, 3)) for _ in range(2))
             F = np.empty((incidence.shape[0], n_times, 3))
             pair_rows = scratch.reshape(i_idx.size, 3 * n_times)
@@ -237,7 +266,9 @@ class PairTable:
             lead = np.empty((bodies.size, 3))
             d, scratch = (np.empty(pair.shape + (3,)) for _ in range(2))
             F = np.empty((bodies.size, 3))
-            partner_ones = np.ones(n - 1)
+            # the body sums' weights: the coefficients' sign, when it is
+            # all they hold
+            partner_signs = np.full(n - 1, -1.0 if unit_coef else 1.0)
             pair_rows = scratch.reshape(n - 1, -1)
             body_rows = F.reshape(-1)
 
@@ -248,7 +279,7 @@ class PairTable:
                 np.subtract(lead, d, d)
 
             def body_forces():
-                np.dot(partner_ones, pair_rows, body_rows)
+                np.dot(partner_signs, pair_rows, body_rows)
 
             def collision(times, context):
                 at = np.unravel_index(np.argmin(r), r.shape)
@@ -283,7 +314,8 @@ class PairTable:
             operator.ipow(r2, alpha)
             V = coupling @ potentials
             np.power(r, exponent, r)
-            np.multiply(coef, r, r)
+            if not unit_coef:
+                np.multiply(coef, r, r)
             np.multiply(r_col, d, scratch)
             body_forces()
             return F, V

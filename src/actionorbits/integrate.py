@@ -6,7 +6,9 @@ method (DOP853, :mod:`.dop853`) at a fixed tight tolerance with its dense
 output.  It serves every check and export: ``return_error`` measures how
 well a converged orbit closes after one period, ``perturb_and_track``
 follows deliberately perturbed initial conditions over many periods to
-probe stability, and ``trajectory`` samples the orbit for export.  At
+probe stability, and ``trajectory_blocks`` samples the orbit for export
+in blocks of :data:`TRAJECTORY_BLOCK` samples, made as the drive reaches
+them (``trajectory`` joins them).  At
 that tolerance one period takes a few hundred steps where fixed steps
 take 10,000.  :func:`.dop853.drive` owns the step loop, its state and its
 failures; this module holds only the policy: the tolerance
@@ -22,8 +24,13 @@ a single configuration, writes the accelerations into the caller's array
 through pair buffers it builds once (one difference-matrix product for
 the pair differences, one product for their squared norms, one square
 root, one power and one incidence product), with no gathers, batching
-reshapes, potential energy or per-call set-up.  On a finite state it
-writes the bits of :func:`.dynamics.forces` over the masses.  Each
+reshapes, potential energy or per-call set-up.  At equal unit masses,
+G = 1 and alpha = -1, every orbit of the paper and every track and
+certify of the benchmark, it neither multiplies by the force
+coefficients (all -1; the sign goes into the incidence product) nor
+divides by the masses (all 1; the product writes the stage's row).  On
+a finite state it writes the bits of :func:`.dynamics.forces` over the
+masses.  Each
 DOP853 drive gets one accelerator of its own, the right-hand side of the
 second-order system.
 
@@ -75,6 +82,12 @@ REFERENCE_CACHE_SIZE = 4
 # shows nothing the interpolant does not, and a vast one would interpolate
 # and keep samples inside one step without end
 MAX_SAMPLES_PER_PERIOD = 25 * MAX_STEPS_PER_PERIOD
+# samples per block of an exported trajectory.  A power of two: the
+# observables' vectorized sums round a batch's last few samples (its tail
+# past a multiple of the vector width) apart from the rest, so on one BLAS
+# thread power-of-two blocks keep the bits of one batch of every sample,
+# where 999 or 1,001 move the last bits of E
+TRAJECTORY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -199,24 +212,41 @@ def return_error(model: OrbitModel, params: ReducedParams) -> float:
                      np.abs(vel - state.velocities).max()))
 
 
-def trajectory(model: OrbitModel, params: ReducedParams,
-               n_periods: float = 1.0,
-               samples_per_period: int = 1000) -> Trajectory:
+def trajectory_blocks(model: OrbitModel, params: ReducedParams,
+                      n_periods: float = 1.0, samples_per_period: int = 1000):
     """The orbit's own :func:`.dop853.drive` from :func:`extract_ics`,
     sampled on ``perturb_and_track``'s grid (:func:`_sample_grid`), with
-    the energy and angular momentum of each sample.  It raises what the
-    drive raises, and CollisionError (context 'integration') below
-    :data:`.dynamics.COLLISION_THRESHOLD`.
+    the energy and angular momentum of each sample: an iterator of
+    :class:`Trajectory` blocks of :data:`TRAJECTORY_BLOCK` samples (the
+    last one fewer), each made as the drive reaches it, so a long horizon
+    is never held whole.  The grid is checked here, before the first
+    block; the blocks raise what the drive raises, and CollisionError
+    (context 'integration') below :data:`.dynamics.COLLISION_THRESHOLD`.
     """
     horizon, times, max_steps = _sample_grid(n_periods, samples_per_period)
     state = extract_ics(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, state.positions, state.velocities,
                            horizon, times, RETURN_TOL, max_steps)
-    times, pos, vel = (np.array(column) for column in zip(*samples))
-    obs = observables(model.potential, model.masses, pos.transpose(1, 0, 2),
-                      vel.transpose(1, 0, 2))
-    return Trajectory(times, pos, vel, energy=obs.E, angular_momentum=obs.J)
+
+    def blocks():
+        while block := list(itertools.islice(samples, TRAJECTORY_BLOCK)):
+            times, pos, vel = (np.array(column) for column in zip(*block))
+            obs = observables(model.potential, model.masses,
+                              pos.transpose(1, 0, 2), vel.transpose(1, 0, 2))
+            yield Trajectory(times, pos, vel, energy=obs.E,
+                             angular_momentum=obs.J)
+
+    return blocks()
+
+
+def trajectory(model: OrbitModel, params: ReducedParams,
+               n_periods: float = 1.0,
+               samples_per_period: int = 1000) -> Trajectory:
+    """The blocks of :func:`trajectory_blocks`, joined into one."""
+    blocks = trajectory_blocks(model, params, n_periods, samples_per_period)
+    fields = zip(*(vars(block).values() for block in blocks))
+    return Trajectory(*(np.concatenate(field) for field in fields))
 
 
 BOUNDED = "bounded"

@@ -503,39 +503,55 @@ def _family_label(record: OrbitRecord) -> str:
     return "custom"
 
 
+def _lines(rows) -> str:
+    """One line per row of its values in ``%.12e``."""
+    return "".join(" ".join(f"{v:.12e}" for v in row) + "\n" for row in rows)
+
+
 def _text_rows(header: str, rows) -> str:
     """Delimited text: ``# header``, then one line per row of its values
     in ``%.12e``, the format of every time-series export."""
-    lines = ["# " + header]
-    lines += [" ".join(f"{v:.12e}" for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return f"# {header}\n" + _lines(rows)
+
+
+def _trajectory_chunks(blocks):
+    """The text of :func:`write_trajectory` for :class:`.Trajectory`
+    blocks in time order, one chunk per block (the first with the
+    header), each made when its block is."""
+    for k, traj in enumerate(blocks):
+        m, n, _ = traj.positions.shape
+        header = ""
+        if k == 0:
+            names = ["t"]
+            for i in range(1, n + 1):
+                names += [f"x{i}", f"y{i}", f"z{i}", f"vx{i}", f"vy{i}",
+                          f"vz{i}"]
+            header = "# " + " ".join(names + ["E", "Jx", "Jy", "Jz"]) + "\n"
+        states = np.concatenate((traj.positions, traj.velocities), axis=2)
+        yield header + _lines(np.column_stack((
+            traj.times, states.reshape(m, -1), traj.energy,
+            traj.angular_momentum)))
 
 
 def write_trajectory(traj: Trajectory, stream) -> None:
     """Write samples as delimited text: t, then x y z vx vy vz per body,
     then E and the angular momentum components."""
-    m, n, _ = traj.positions.shape
-    header = ["t"]
-    for i in range(1, n + 1):
-        header += [f"x{i}", f"y{i}", f"z{i}", f"vx{i}", f"vy{i}", f"vz{i}"]
-    header += ["E", "Jx", "Jy", "Jz"]
-    states = np.concatenate((traj.positions, traj.velocities), axis=2)
-    rows = np.column_stack((traj.times, states.reshape(m, -1), traj.energy,
-                            traj.angular_momentum))
-    stream.write(_text_rows(" ".join(header), rows))
+    stream.writelines(_trajectory_chunks([traj]))
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text) -> None:
     """Atomic plain-text write (temporary file, then rename) used by
-    records and all exports.  The file gets the mode a plain ``open``
-    leaves: an existing file keeps its own, and a new one gets 0o666 less
-    the umask, not ``mkstemp``'s 0o600.  The temporary file's random name
-    and O_EXCL keep it private to this write."""
+    records and all exports, of a string or of an iterable of string
+    chunks, each written as it comes.  The file gets the mode a plain
+    ``open`` leaves: an existing file keeps its own, and a new one gets
+    0o666 less the umask, not ``mkstemp``'s 0o600.  The temporary file's
+    random name and O_EXCL keep it private to this write, and a failure
+    while the chunks are made removes it."""
     tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         if os.path.exists(path):
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)

@@ -185,6 +185,43 @@ class TestForces:
             assert Vb[j] == pytest.approx(Vj)
 
 
+def _assert_accelerator_bits(spec, masses, rng, contiguous=False):
+    # writes 22 configurations into a strided (n, 3) view inside
+    # sentinels, and with ``contiguous`` into a C-contiguous one as well,
+    # and checks each against the oracles; returns the table
+    n = masses.size
+    table = pair_table(spec, masses)
+    accelerate = table.accelerator()
+    around = np.full((n + 2, 5), 7.0)
+    strided = around[1:-1, 1:4]
+    flat = np.full(3 * n + 2, 7.0)
+    outs = [strided, flat[1:-1].reshape(n, 3)] if contiguous else [strided]
+    assert not strided.flags.c_contiguous
+    for k in range(22):
+        x = rng.normal(scale=2.0, size=(n, 3))
+        if k % 2:
+            x[:, 2] = 0.0
+        if k >= 20:
+            x[n // 2, 0] = (math.nan, math.inf)[k - 20]
+        before = x.copy()
+        oracle = configuration_forces(table, x) / masses[:, None]
+        F = forces(spec, masses, x)[0]
+        for out in outs:
+            accelerate(x, 0.5, out)
+            got = np.ascontiguousarray(out).tobytes()
+            assert got == oracle.tobytes(), k
+            if k < 20:
+                assert got == (F / masses[:, None]).tobytes(), k
+            elif k == 21:
+                assert np.isfinite(F[:, 1:]).all()
+        assert x.tobytes() == before.tobytes()
+        outside = around.copy()
+        outside[1:-1, 1:4] = 7.0
+        assert np.all(outside == 7.0), k
+        assert flat[0] == flat[-1] == 7.0, k
+    return table
+
+
 @pytest.mark.parametrize("softening", [0.0, 0.3])
 @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 4, 20])
@@ -201,37 +238,28 @@ def test_accelerator_writes_the_bits_of_forces_over_masses(n, alpha,
     spec = PotentialSpec(alpha=alpha, softening=softening)
     rng = np.random.default_rng([n, int(4 * alpha) + 8, int(10 * softening)])
     masses = rng.uniform(0.5, 3.0, n)
-    table = pair_table(spec, masses)
-    accelerate = table.accelerator()
-    around = np.full((n + 2, 5), 7.0)
-    out = around[1:-1, 1:4]             # a strided view inside sentinels
-    for k in range(22):
-        x = rng.normal(scale=2.0, size=(n, 3))
-        if k % 2:
-            x[:, 2] = 0.0
-        if k >= 20:
-            x[n // 2, 0] = (math.nan, math.inf)[k - 20]
-        before = x.copy()
-        accelerate(x, 0.5, out)
-        got = np.ascontiguousarray(out).tobytes()
-        oracle = configuration_forces(table, x) / masses[:, None]
-        assert got == oracle.tobytes(), k
-        F = forces(spec, masses, x)[0]
-        if k < 20:
-            assert got == (F / masses[:, None]).tobytes(), k
-        elif k == 21:
-            assert np.isfinite(F[:, 1:]).all()
-        assert x.tobytes() == before.tobytes()
-        outside = around.copy()
-        outside[1:-1, 1:4] = 7.0
-        assert np.all(outside == 7.0), k
+    _assert_accelerator_bits(spec, masses, rng)
 
 
-def test_accelerator_raises_the_collision_of_forces(monkeypatch):
-    # a near-coincident pair raises the CollisionError forces() raises
-    # (pair, time, distance, context), at the threshold read at each
-    # call, not when the accelerator was built
-    spec, masses = PotentialSpec(), np.array([1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n,mass", [(3, 1.0), (4, 1.0), (20, 1.0),
+                                    (4, 2.0)])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unit_factors_are_dropped_with_the_same_bits(n, mass):
+    # Newtonian unit masses make every force coefficient -1 and every mass
+    # 1: the accelerator drops both factors and writes the body sums
+    # straight into a C-contiguous out (a strided one still divides), with
+    # the oracle's bits in both; equal masses of 2 keep the general route
+    table = _assert_accelerator_bits(PotentialSpec(), np.full(n, mass),
+                                     np.random.default_rng([n, 77]),
+                                     contiguous=True)
+    unit = mass == 1.0
+    assert table.unit_coef is table.unit_mass is unit
+    assert np.array_equal(table.signed_incidence,
+                          -table.incidence if unit else table.incidence)
+
+
+def _assert_collision_of_forces(monkeypatch, masses):
+    spec, masses = PotentialSpec(), np.array(masses)
     accelerate = pair_table(spec, masses).accelerator()
     x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                   [3.0, 1.0, 0.0], [3.0, 1.0 + 3e-9, 0.0]])
@@ -249,6 +277,20 @@ def test_accelerator_raises_the_collision_of_forces(monkeypatch):
     with pytest.raises(CollisionError) as exc:
         accelerate(x, 0.75, np.empty((4, 3)))
     assert exc.value.pair == (2, 3)
+
+
+def test_accelerator_raises_the_collision_of_forces(monkeypatch):
+    # a near-coincident pair raises the CollisionError forces() raises
+    # (pair, time, distance, context), at the threshold read at each
+    # call, not when the accelerator was built
+    _assert_collision_of_forces(monkeypatch, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_unit_accelerator_raises_the_collision_of_forces(monkeypatch):
+    # unit masses, whose accelerator drops the exact factors, raise the
+    # same error as forces() before any body sum
+    assert pair_table(PotentialSpec(), np.ones(4)).unit_mass
+    _assert_collision_of_forces(monkeypatch, [1.0] * 4)
 
 
 # orbits and pair laws for the descent's batch evaluator: 378 pairs, three

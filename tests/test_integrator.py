@@ -30,7 +30,7 @@ from actionorbits import (
     trajectory,
     write_trajectory,
 )
-from oracles import rk4_trajectory
+from oracles import configuration_forces, rk4_trajectory
 
 TWO_PI = 2.0 * math.pi
 dop853 = importlib.import_module("actionorbits.dop853")
@@ -464,6 +464,32 @@ class TestTrajectory:
             assert getattr(first, name).tobytes() == \
                 getattr(second, name).tobytes(), name
 
+    def test_blocks_keep_the_bits_of_one_batch(self):
+        # 2,501 samples of cubic m = 5 (20 bodies, 190 pairs) come in
+        # blocks of 1,024, 1,024 and 453, whose E and J are the bits of one
+        # observables batch of every sample on one BLAS thread (blocks of
+        # 999, 1,001 or 1,023 move them).  With more threads OpenBLAS splits products of
+        # that size between them where the batch size says, so the whole
+        # batch's last bits were never the same on one and two threads.
+        code = ("import numpy as np\n"
+                "import actionorbits as ao\n"
+                "from actionorbits import integrate\n"
+                "model, params = ao.build_cubic_family(5)\n"
+                "params = ao.run(model, params).params\n"
+                "blocks = integrate.trajectory_blocks(model, params, 2.5)\n"
+                "print([block.times.size for block in blocks])\n"
+                "traj = integrate.trajectory(model, params, 2.5)\n"
+                "whole = ao.observables(model.potential, model.masses,\n"
+                "    traj.positions.transpose(1, 0, 2),\n"
+                "    traj.velocities.transpose(1, 0, 2))\n"
+                "print(traj.energy.tobytes() == whole.E.tobytes(),\n"
+                "      traj.angular_momentum.tobytes() == whole.J.tobytes())\n")
+        src = os.path.dirname(os.path.dirname(ao.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.split("\n")[:2] == ["[1024, 1024, 453]", "True True"]
+
     def test_invariants_are_each_samples(self, cubic1):
         model, result = cubic1
         traj = trajectory(model, result.params, 0.25, 40)
@@ -658,6 +684,46 @@ class TestSciPyOracle:
         expected = max(np.abs(end[:half] - base.positions.ravel()).max(),
                        np.abs(end[half:] - base.velocities.ravel()).max())
         assert return_error(model, result.params) == float(expected)
+
+
+class TestOracleAccelerator:
+    """Whole drives on the model's pair accelerator give the bytes of the
+    same drives on an allocating oracle, ``configuration_forces(table,
+    x) / masses``.  The benchmark's orbits have unit masses, so the
+    accelerator drops its exact factors there; this holds that route to
+    the oracle over every stage of a drive, not one call at a time."""
+
+    @staticmethod
+    def _use_oracle(monkeypatch, masses):
+        def oracle_accelerator(table):
+            def accelerate(pos, t, out):
+                out[...] = configuration_forces(table, pos, t) \
+                    / masses[:, None]
+            return accelerate
+
+        monkeypatch.setattr(dynamics.PairTable, "accelerator",
+                            oracle_accelerator)
+
+    @pytest.mark.parametrize("fixture", ["cubic1", "crisscross"])
+    def test_return_error(self, fixture, request, monkeypatch):
+        model, result = request.getfixturevalue(fixture)
+        table = dynamics.pair_table(model.potential, model.masses)
+        assert table.unit_coef and table.unit_mass
+        fast = return_error(model, result.params)
+        self._use_oracle(monkeypatch, model.masses)
+        assert return_error(model, result.params).hex() == fast.hex()
+
+    @pytest.mark.parametrize("fixture", ["cubic1", "crisscross"])
+    def test_two_period_track(self, fixture, request, monkeypatch):
+        model, result = request.getfixturevalue(fixture)
+        dev = np.zeros((model.n_bodies, 3))
+        dev[0] = (3e-3, 4e-3, 1e-3)
+        fast = perturb_and_track(model, result.params, dev, 2.0)
+        self._use_oracle(monkeypatch, model.masses)
+        slow = perturb_and_track(model, result.params, dev, 2.0)
+        assert _report_bytes(slow) == _report_bytes(fast)
+        # cubic m = 1 leaves the envelope after 1.28 periods
+        assert slow.sample_times[-1] > TWO_PI
 
 
 class TestPerturbAndTrack:

@@ -1,6 +1,8 @@
 """Tests for the record format and the orbitctl command-line interface."""
 
 import dataclasses
+import importlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import pathlib
 import re
 import shlex
 import stat
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +105,24 @@ class TestRecordRoundTrip:
         save_record(record, str(tmp_path / "orbit.json"))
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_chunks_leave_no_file(self, tmp_path):
+        # write_text writes chunks as they come; a source that fails part
+        # way leaves neither its temporary file nor a new target, and an
+        # existing target keeps its bytes
+        def chunks():
+            yield "first\n"
+            raise ao.CollisionError((0, 1), t=1.0)
+
+        target = tmp_path / "out.txt"
+        with pytest.raises(ao.CollisionError):
+            ao.write_text(str(target), chunks())
+        assert os.listdir(tmp_path) == []
+        target.write_text("kept\n")
+        with pytest.raises(ao.CollisionError):
+            ao.write_text(str(target), chunks())
+        assert os.listdir(tmp_path) == ["out.txt"]
+        assert target.read_text() == "kept\n"
 
     def test_model_rebuild_matches(self, circle, tmp_path):
         model, result = circle
@@ -815,6 +836,42 @@ class TestCliExport:
         assert times == pytest.approx([k * TWO_PI / 1000
                                        for k in range(1001)],
                                       rel=1e-12, abs=0)
+
+
+    def test_export_traj_writes_each_block_when_it_is_made(
+            self, circle_record, monkeypatch, tmp_path):
+        # 2.5 periods are 2,501 rows in blocks of 1,024: each block's rows
+        # go out as soon as the drive has made that block, and stdout,
+        # --out and write_trajectory of the whole trajectory hold the
+        # same text
+        dop853 = importlib.import_module("actionorbits.dop853")
+        drive, drawn, written = dop853.drive, [], []
+
+        def counted(*args):
+            for sample in drive(*args):
+                drawn.append(sample[0])
+                yield sample
+
+        class Stdout:
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    written.append((len(drawn), chunk))
+
+        monkeypatch.setattr(dop853, "drive", counted)
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        argv = ["export-traj", circle_record, "--periods", "2.5"]
+        assert main(argv) == 0
+        block = ao.integrate.TRAJECTORY_BLOCK
+        assert [(n, chunk.count("\n")) for n, chunk in written] == [
+            (block, block + 1), (2 * block, block), (2501, 2501 - 2 * block)]
+        text = "".join(chunk for _, chunk in written)
+        out = tmp_path / "traj.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == text
+        buffer = io.StringIO()
+        model, params = record_to_model(load_record(circle_record))
+        ao.write_trajectory(ao.trajectory(model, params, 2.5), buffer)
+        assert buffer.getvalue() == text
 
 
 class TestTextRows:
