@@ -9,7 +9,7 @@ script drives the same machinery from the command line.
 """
 
 from .action import (ActionReport, EvalKernel, action, action_with_gradient,
-                     fd_gradient_oracle, full_gradient, gradient)
+                     full_gradient, gradient)
 from .descent import (COLLISION, CONVERGED, ESCAPE, MAX_ITERS,
                       DescentSchedule, RunResult, StopRule,
                       ZigZagDiagnostic, naive_stability_bound,
@@ -27,9 +27,9 @@ from .integrate import (BOUNDED, DEFAULT_DT, EXITED, PerturbationReport,
                         trajectory_blocks)
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
-from .records import (RESIDUAL_CERTIFICATE, SCHEMA_VERSION, OrbitRecord,
-                      designated_scale, export_table, load_record,
-                      make_record, record_to_model, save_record,
+from .records import (RESIDUAL_CERTIFICATE, SCHEMA_VERSION, Certificate,
+                      OrbitRecord, certify, designated_scale, export_table,
+                      load_record, make_record, record_to_model, save_record,
                       validate_record, verify_record, write_text,
                       write_trajectory)
 from .symmetry import (BodyBinding, Coupling, Family, OrbitModel,
@@ -46,7 +46,7 @@ from .symmetry import (BodyBinding, Coupling, Family, OrbitModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionReport", "BodyBinding", "BOUNDED", "COLLISION",
+    "ActionReport", "BodyBinding", "BOUNDED", "COLLISION", "Certificate",
     "COLLISION_THRESHOLD",
     "CONVERGED", "COS", "CollisionError", "Coupling", "DEFAULT_DT",
     "DescentSchedule", "ESCAPE", "EXITED", "EvalKernel", "Family",
@@ -61,9 +61,9 @@ __all__ = [
     "VectorGenerator", "Verdict", "ZigZagDiagnostic", "a4_elements",
     "action", "action_with_gradient", "all_signed_permutations",
     "build_choreography", "build_crisscross", "build_cubic_family",
-    "collision_parity_check", "compute_kinetic_mass",
+    "certify", "collision_parity_check", "compute_kinetic_mass",
     "crisscross_coupling_sign", "designated_scale", "export_table",
-    "extract_ics", "fd_gradient_oracle", "forces", "full_gradient",
+    "extract_ics", "forces", "full_gradient",
     "gradient", "klein_elements", "load_record", "make_layout",
     "make_record", "min_pair_distance", "naive_stability_bound",
     "naive_time_descent", "observables", "observables_series",

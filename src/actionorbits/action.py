@@ -266,25 +266,6 @@ def gradient(model: OrbitModel, params: ReducedParams) -> np.ndarray:
     return action_with_gradient(model, params).gradient
 
 
-def fd_gradient_oracle(model: OrbitModel, params: ReducedParams,
-                       h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the quadrature action, slot by slot.
-
-    An independent check of the analytic gradient; h must be positive.
-    """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise ValueError(f"finite-difference step must be positive, got {h}")
-    base = np.asarray(params.values, dtype=float)
-    out = np.empty_like(base)
-    for s in range(base.size):
-        bump = np.zeros_like(base)
-        bump[s] = h
-        s_plus = action(model, params.with_values(base + bump)).S
-        s_minus = action(model, params.with_values(base - bump)).S
-        out[s] = (s_plus - s_minus) / (2.0 * h)
-    return out
-
-
 def full_gradient(model: OrbitModel, params: ReducedParams) -> list[np.ndarray]:
     """Gradient over the complete coefficient lattice, one table per generator.
 

@@ -27,15 +27,13 @@ import numpy as np
 from .descent import DescentSchedule, StopRule, run
 from .dynamics import min_pair_distance, observables_series
 from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
-from .integrate import (BOUNDED, perturb_and_track, return_error,
-                        trajectory_blocks)
+from .integrate import BOUNDED, perturb_and_track, trajectory_blocks
 from .quadrature import QuadratureGrid
-from .records import (RESIDUAL_CERTIFICATE, VERIFY_FACTOR, _text_rows,
-                      _trajectory_chunks, export_table, load_record,
-                      make_record, record_to_model, save_record, verify_record,
-                      write_text)
+from .records import (RESIDUAL_CERTIFICATE, _text_rows, _trajectory_chunks,
+                      certify, export_table, load_record, make_record,
+                      record_to_model, save_record, write_text)
 from .symmetry import (build_choreography, build_crisscross,
-                       build_cubic_family, sample_positions, verify_symmetry)
+                       build_cubic_family, sample_positions)
 from .potential import PotentialSpec
 
 EXIT_OK = 0
@@ -165,30 +163,16 @@ def cmd_minimize(args) -> int:
 
 def cmd_verify(args) -> int:
     record = load_record(args.record)
-    model, params = record_to_model(record)
-    ok_stored, recomputed = verify_record(record)
-    report = verify_symmetry(model, params, tol=args.symmetry_tol)
+    cert = certify(record)
     stored = "n/a" if record.residual is None else f"{record.residual:.6e}"
-    certified = recomputed <= RESIDUAL_CERTIFICATE
-    if not certified:
-        status = f"FAIL (exceeds the certificate {RESIDUAL_CERTIFICATE:.1e})"
-    elif not ok_stored:
-        status = f"FAIL (exceeds {VERIFY_FACTOR:g}x stored)"
-    else:
-        status = "ok"
-    print(f"residual: recomputed={recomputed:.6e} stored={stored} {status}")
-    print(f"symmetry: max_error={report.max_error:.3e} "
-          f"{'ok' if report.passed else f'FAIL (tol {args.symmetry_tol:g})'}")
-    if not certified:
-        # far from an orbit the adaptive return map can only crawl
-        print("return_error: not run (residual fails the certificate)")
-        return EXIT_NO_CONVERGENCE
-    ret = return_error(model, params)
-    ok_return = ret <= args.return_tol
-    print(f"return_error: {ret:.6e} "
-          f"{'ok' if ok_return else f'FAIL (tol {args.return_tol:g})'}")
-    ok = status == "ok" and report.passed and ok_return
-    return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+    print(f"residual: recomputed={cert.residual.value:.6e} stored={stored} "
+          f"{cert.residual.verdict}")
+    print(f"symmetry: max_error={cert.symmetry.value:.3e} "
+          f"{cert.symmetry.verdict}")
+    ret = cert.return_error
+    value = "" if ret.value is None else f"{ret.value:.6e} "
+    print(f"return_error: {value}{ret.verdict}")
+    return EXIT_OK if cert.certified else EXIT_NO_CONVERGENCE
 
 
 def cmd_perturb(args) -> int:
@@ -294,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify",
                        help="recompute residual, symmetry, return error")
     p.add_argument("record")
-    p.add_argument("--symmetry-tol", type=float, default=1e-9)
-    p.add_argument("--return-tol", type=float, default=1e-3)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("perturb", help="track perturbed initial conditions")

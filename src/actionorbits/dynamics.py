@@ -17,22 +17,16 @@ node) of each space-time symmetry orbit, and :func:`forces` and
 single configuration taken as the batch ``x[:, None]`` of one.  On finite
 positions the two evaluators round alike, so the accelerator writes the
 bits of ``forces(...)[0] / masses[:, None]`` (an infinite coordinate is
-the exception, see :meth:`PairTable.accelerator`).  The table drops
-factors that are exact: when every force coefficient is -1, as equal
-unit masses at G = 1 and alpha = -1 make it, the evaluators put the sign
-into their body sums (a negated incidence matrix, or -1 partner weights)
-and do not multiply by the coefficients, and when every mass is 1 the
-accelerator writes its body sums straight into a C-contiguous ``out``
-with no division.  Multiplying by -1 and dividing by 1 are exact, so no
-output changes.  Every track and certify of the benchmark takes that
-route, as do 6 of its 7 discover orbits (the 1:2:3 criss-cross does
-not).  Positions reach the
-table in the shape they come in, with no batching reshape, and forces
-and energies are evaluated vectorized over the batch axis with a
-deterministic reduction order.  :func:`observables` takes the same two
-shapes: for a batch every field gains a leading T axis, so a time series
-is one call, not a loop over samples; it and :func:`min_pair_distance`
-read distances through :func:`_separations`, with no collision test.
+the exception, see :meth:`PairTable.accelerator`).  The evaluators skip
+the factors that are exact: force coefficients that are all -1 (equal
+unit masses at G = 1 and alpha = -1) and masses that are all 1, so no
+output changes.  Positions reach the table in the shape they come in,
+with no batching reshape, and forces and energies are evaluated
+vectorized over the batch axis with a deterministic reduction order.
+:func:`observables` takes the same two shapes: for a batch every field
+gains a leading T axis, so a time series is one call, not a loop over
+samples; it and :func:`min_pair_distance` read distances through
+:func:`_separations`, with no collision test.
 :func:`residual` samples on the grid the action is evaluated on,
 ``QuadratureGrid.for_kmax(k_max)``, unless it is given another: a run's
 final residual, the one a record stores and the one ``verify_record``
@@ -399,31 +393,42 @@ class Observables:
     com: np.ndarray        # center of mass ([T,] 3)
 
 
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum over axis 0, row after row: unlike a BLAS product or
+    ``sum``'s pairwise order, it adds every column of every shape alike."""
+    return np.add.accumulate(a, axis=0)[-1] if len(a) else a.sum(axis=0)
+
+
 def observables(spec: PotentialSpec, masses, positions, velocities) -> Observables:
     """E, J, P, I, Q and the center of mass of an (n, 3) configuration or
     an (n, T, 3) batch, with velocities of the same shape.
 
     Both are copied to C order first: einsum's summation order follows the
-    strides, so a strided view would otherwise change the last bits.  It
-    reads the distances through :func:`_separations`, so it never raises a
-    collision: coincident bodies give a non-finite energy.
+    strides, so a strided view would otherwise change the last bits.  Sums
+    over bodies and pairs go row by row (:func:`_sum_rows`) and one
+    configuration is the batch ``x[:, None]`` of one, so neither its batch
+    nor the BLAS thread count moves a sample's bits.  It reads distances
+    through :func:`_separations`, so it never raises a collision:
+    coincident bodies give a non-finite energy.
     """
     x = np.ascontiguousarray(_positions(positions))
     v = np.ascontiguousarray(velocities, dtype=float)
     m = np.asarray(masses, dtype=float)
     if x.shape != v.shape:
         raise ValueError("observables expects matching positions/velocities")
-    mw = m.reshape(m.shape + (1,) * (x.ndim - 1))
-    kin = 0.5 * (m @ np.einsum("i...c,i...c->i...", v, v))
+    if x.ndim == 2:
+        batch = vars(observables(spec, m, x[:, None], v[:, None]))
+        return Observables(**{name: value[0] if value.ndim > 1 else
+                              float(value[0]) for name, value in batch.items()})
+    mw = m[:, None, None]
+    kin = 0.5 * _sum_rows(m[:, None] * np.einsum("itc,itc->it", v, v))
     table = pair_table(spec, m)
     _, r2 = _separations(table.i_idx, table.j_idx, x)
     r = np.sqrt(r2 + table.softening ** 2) if table.softening > 0.0 \
         else np.sqrt(r2)
-    pot = table.coupling @ (r ** table.alpha)
-    if x.ndim == 2:
-        kin, pot = float(kin), float(pot)
-    xxt = np.einsum("i,i...c,i...d->...cd", m, x, x)
-    r2 = np.einsum("i,i...c,i...c->...", m, x, x)[..., None, None]
+    pot = _sum_rows(table.coupling[:, None] * r ** table.alpha)
+    xxt = _sum_rows(mw[..., None] * x[..., :, None] * x[..., None, :])
+    r2 = _sum_rows(m[:, None] * np.einsum("itc,itc->it", x, x))[:, None, None]
     return Observables(E=kin + pot, kinetic=kin, potential=pot,
                        J=(mw * np.cross(x, v)).sum(axis=0),
                        P=(mw * v).sum(axis=0),

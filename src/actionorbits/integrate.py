@@ -12,27 +12,16 @@ them (``trajectory`` joins them).  At
 that tolerance one period takes a few hundred steps where fixed steps
 take 10,000.  :func:`.dop853.drive` owns the step loop, its state and its
 failures; this module holds only the policy: the tolerance
-:data:`RETURN_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD` per
+:data:`DRIVE_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD` per
 period of the horizon), the sample grid and the curve metric.  A run cut
 short ends when the failure is detected: at ``CollisionError.t``, or at
 the end of a step that left a non-finite state.
 
-Each drive evaluates F / m straight on the (n, 3) state through the
-model's cached :class:`.dynamics.PairTable`: its
-:meth:`~.dynamics.PairTable.accelerator`, the table's one evaluator for
-a single configuration, writes the accelerations into the caller's array
-through pair buffers it builds once (one difference-matrix product for
-the pair differences, one product for their squared norms, one square
-root, one power and one incidence product), with no gathers, batching
-reshapes, potential energy or per-call set-up.  At equal unit masses,
-G = 1 and alpha = -1, every orbit of the paper and every track and
-certify of the benchmark, it neither multiplies by the force
-coefficients (all -1; the sign goes into the incidence product) nor
-divides by the masses (all 1; the product writes the stage's row).  On
-a finite state it writes the bits of :func:`.dynamics.forces` over the
-masses.  Each
-DOP853 drive gets one accelerator of its own, the right-hand side of the
-second-order system.
+Each DOP853 drive gets one :meth:`~.dynamics.PairTable.accelerator` of
+its own from the model's cached :class:`.dynamics.PairTable`, the
+right-hand side of the second-order system: it writes F / m of the
+(n, 3) state into the drive's array through pair buffers it builds once,
+the bits of :func:`.dynamics.forces` over the masses on a finite state.
 
 ``perturb_and_track`` measures every perturbed track of an orbit against
 one tracking reference, built once per orbit and shared by every later
@@ -67,8 +56,8 @@ TWO_PI = 2.0 * math.pi
 # probe takes one RK4 step and its tracer binds integrate.rk4_step; nothing
 # in the library calls them, and the tests' RK4 oracle steps through them
 DEFAULT_DT = TWO_PI * 1e-4
-# DOP853 rtol = atol
-RETURN_TOL = 1e-13
+# DOP853 rtol = atol of every drive (records.RETURN_TOL bounds return_error)
+DRIVE_TOL = 1e-13
 # DOP853 steps per period of the horizon: over 10x the 310 of cubic m=7 at
 # k_max=27, the most a shipped orbit needs, so a non-orbit cannot crawl
 MAX_STEPS_PER_PERIOD = 4000
@@ -206,7 +195,7 @@ def return_error(model: OrbitModel, params: ReducedParams) -> float:
     state = extract_ics(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     *_, (_, pos, vel) = dop853.drive(accelerate, state.positions,
-                                     state.velocities, TWO_PI, (), RETURN_TOL,
+                                     state.velocities, TWO_PI, (), DRIVE_TOL,
                                      math.ceil(_step_budget(TWO_PI)))
     return float(max(np.abs(pos - state.positions).max(),
                      np.abs(vel - state.velocities).max()))
@@ -227,7 +216,7 @@ def trajectory_blocks(model: OrbitModel, params: ReducedParams,
     state = extract_ics(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, state.positions, state.velocities,
-                           horizon, times, RETURN_TOL, max_steps)
+                           horizon, times, DRIVE_TOL, max_steps)
 
     def blocks():
         while block := list(itertools.islice(samples, TRAJECTORY_BLOCK)):
@@ -394,7 +383,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     metric, base = _tracking_reference(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, base.positions + dev, base.velocities,
-                           horizon, times, RETURN_TOL, max_steps)
+                           horizon, times, DRIVE_TOL, max_steps)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

@@ -24,19 +24,22 @@ import numpy as np
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
 from .dynamics import observables_series, residual
 from .errors import CollisionError, RecordError
-from .integrate import Trajectory
+from .integrate import Trajectory, return_error
 from .fourier import COS, SIN, Harmonics, Parity
 from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
-from .symmetry import (BodyBinding, Coupling, Family, OrbitModel, OrthTransform,
-                       ParamLayout, ReducedParams, ScalarGenerator, Slot,
-                       SpaceTimeSymmetry, VectorGenerator, build_choreography,
-                       build_crisscross, build_cubic_family, make_layout)
+from .symmetry import (SYMMETRY_TOL, BodyBinding, Coupling, Family, OrbitModel,
+                       OrthTransform, ParamLayout, ReducedParams,
+                       ScalarGenerator, Slot, SpaceTimeSymmetry,
+                       VectorGenerator, build_choreography, build_crisscross,
+                       build_cubic_family, make_layout, verify_symmetry)
 
 SCHEMA_VERSION = 1
 RESIDUAL_CERTIFICATE = 1e-5
 # verify_record passes a recomputed residual up to this multiple of the stored one
 VERIFY_FACTOR = 2.0
+# the orbit certificate's bound on the one-period return error
+RETURN_TOL = 1e-3
 
 _FAMILY_KEYS = {
     "cubic": {"kind", "m"},
@@ -425,8 +428,8 @@ def make_record(model: OrbitModel, params: ReducedParams,
 def verify_record(record: OrbitRecord) -> tuple[bool, float]:
     """Recompute the residual of a stored orbit.
 
-    Returns (ok, recomputed); for converged records ok means the recomputed
-    residual is within ``VERIFY_FACTOR`` times the stored value.
+    Returns (ok, recomputed); ok means the recomputed residual is within
+    ``VERIFY_FACTOR`` times the stored value, whenever one is stored.
     """
     model, params = record_to_model(record)
     recomputed = residual(model, params).max_violation
@@ -434,6 +437,65 @@ def verify_record(record: OrbitRecord) -> tuple[bool, float]:
         return True, float(recomputed)
     return (bool(recomputed <= VERIFY_FACTOR * record.residual),
             float(recomputed))
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of a :class:`Certificate`: its value (None if it did not
+    run), its tolerance, whether it passed and, if not, why."""
+
+    value: float | None
+    tol: float
+    passed: bool
+    reason: str
+
+    @property
+    def verdict(self) -> str:   # ok, FAIL (reason) or not run (reason)
+        return "ok" if self.passed else \
+            f"{'FAIL' if self.value is not None else 'not run'} ({self.reason})"
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Whether a record is an orbit: it solves the equations of motion,
+    carries its claimed symmetries and closes after one period."""
+
+    residual: Check
+    symmetry: Check
+    return_error: Check
+
+    @property
+    def certified(self) -> bool:
+        return all(c.passed for c in (self.residual, self.symmetry,
+                                      self.return_error))
+
+
+def certify(record: OrbitRecord) -> Certificate:
+    """The certificate ``orbitctl verify`` prints: the residual that
+    :func:`verify_record` recomputes, within ``RESIDUAL_CERTIFICATE`` and
+    ``VERIFY_FACTOR`` times a stored one, the symmetry error within
+    ``SYMMETRY_TOL`` and, only on a residual within the certificate (far
+    from an orbit the adaptive drive crawls), the return error within
+    ``RETURN_TOL``."""
+    model, params = record_to_model(record)
+    ok_stored, recomputed = verify_record(record)
+    within = recomputed <= RESIDUAL_CERTIFICATE
+    symmetry = verify_symmetry(model, params)
+    ret = return_error(model, params) if within else None
+    return Certificate(
+        _check(recomputed, RESIDUAL_CERTIFICATE, within and ok_stored,
+               f"exceeds {VERIFY_FACTOR:g}x stored" if within else
+               f"exceeds the certificate {RESIDUAL_CERTIFICATE:.1e}"),
+        _check(symmetry.max_error, SYMMETRY_TOL, symmetry.passed,
+               f"tol {SYMMETRY_TOL:g}"),
+        _check(ret, RETURN_TOL, within and ret <= RETURN_TOL,
+               f"tol {RETURN_TOL:g}" if within else
+               "residual fails the certificate"))
+
+
+def _check(value: float | None, tol: float, passed, failure: str) -> Check:
+    """A check whose reason is ``failure`` when it did not pass."""
+    return Check(value, tol, bool(passed), "" if passed else failure)
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .potential import PotentialSpec
 from .quadrature import QuadratureGrid
 
 TWO_PI = 2.0 * math.pi
+SYMMETRY_TOL = 1e-9     # the orbit certificate's bound on a symmetry error
 
 # ----------------------------------------------------------------------
 # signed permutation transforms and finite groups
@@ -815,14 +816,6 @@ def crisscross_coupling_sign(k: int) -> float:
     return 1.0 if k % 4 == 3 else -1.0
 
 
-def _crisscross_generator(k_max: int) -> VectorGenerator:
-    return VectorGenerator(
-        x=Harmonics(k_max, Parity.ODD_ONLY),
-        y=Harmonics(k_max, Parity.ODD_ONLY),
-        z=Harmonics(k_max, Parity.ODD_ONLY),
-    )
-
-
 def build_crisscross(masses: Sequence[float] = (1.0, 1.0, 1.0), k_max: int = 27,
                      potential: PotentialSpec | None = None
                      ) -> tuple[OrbitModel, ReducedParams]:
@@ -841,7 +834,7 @@ def build_crisscross(masses: Sequence[float] = (1.0, 1.0, 1.0), k_max: int = 27,
         raise ValueError(f"criss-cross needs three positive masses, got {masses}")
     potential = potential or PotentialSpec()
     ks = _odd_harmonics(k_max)
-    gens = tuple(_crisscross_generator(k_max) for _ in range(3))
+    gens = (VectorGenerator(*[Harmonics(k_max, Parity.ODD_ONLY)] * 3),) * 3
     bindings = tuple(BodyBinding(i, IDENTITY, 0.0, masses[i]) for i in range(3))
     symmetries = (
         SpaceTimeSymmetry(OrthTransform(-np.eye(3, dtype=int)), time_shift=math.pi),
@@ -860,16 +853,13 @@ def build_crisscross(masses: Sequence[float] = (1.0, 1.0, 1.0), k_max: int = 27,
         slots: list[Slot] = []
         couplings: list[Coupling] = []
         for k in ks:
-            s = crisscross_coupling_sign(k)
-            i_a1 = len(slots)
-            slots.append(Slot(0, 0, COS, k))          # a_{1,k}
-            i_b1 = len(slots)
-            slots.append(Slot(0, 1, SIN, k))          # b_{1,k}
-            i_a3 = len(slots)
-            slots.append(Slot(2, 0, COS, k))          # a_{3,k}
-            couplings.append(Coupling(i_b1, 1, 0, COS, k, s))   # a_{2,k} = s b_{1,k}
-            couplings.append(Coupling(i_a1, 1, 1, SIN, k, s))   # b_{2,k} = s a_{1,k}
-            couplings.append(Coupling(i_a3, 2, 1, SIN, k, s))   # b_{3,k} = s a_{3,k}
+            # slots a_{1,k}, b_{1,k}, a_{3,k} at i, i + 1, i + 2, and
+            # a_{2,k} = s b_{1,k}, b_{2,k} = s a_{1,k}, b_{3,k} = s a_{3,k}
+            s, i = crisscross_coupling_sign(k), len(slots)
+            slots += [Slot(0, 0, COS, k), Slot(0, 1, SIN, k), Slot(2, 0, COS, k)]
+            couplings += [Coupling(i + 1, 1, 0, COS, k, s),
+                          Coupling(i, 1, 1, SIN, k, s),
+                          Coupling(i + 2, 2, 1, SIN, k, s)]
         layout = make_layout(model, slots, couplings)
         values = np.zeros(layout.n_slots)
         values[0] = 1.0    # a_{1,1}
@@ -927,11 +917,7 @@ def build_choreography(n: int,
     for name in active:
         if name not in coords:
             raise LayoutError(f"unknown coordinate {name!r}")
-    gen = VectorGenerator(
-        x=Harmonics(k_max, parity),
-        y=Harmonics(k_max, parity),
-        z=Harmonics(k_max, parity),
-    )
+    gen = VectorGenerator(*[Harmonics(k_max, parity)] * 3)
     bindings = tuple(BodyBinding(0, IDENTITY, TWO_PI * j / n, 1.0) for j in range(n))
     symmetries = [SpaceTimeSymmetry(IDENTITY, time_shift=TWO_PI / n)] if n > 1 else []
     if parity is Parity.ODD_ONLY:
@@ -945,13 +931,8 @@ def build_choreography(n: int,
         symmetries=tuple(symmetries),
     )
     ks = _odd_harmonics(k_max) if parity is Parity.ODD_ONLY else list(range(1, k_max + 1))
-    slots = []
-    for name in ("x", "y", "z"):
-        if name not in active:
-            continue
-        for basis in active[name]:
-            for k in ks:
-                slots.append(Slot(0, coords[name], basis, k))
+    slots = [Slot(0, channel, basis, k) for name, channel in coords.items()
+             for basis in active.get(name, ()) for k in ks]
     layout = make_layout(model, slots)
     values = np.zeros(layout.n_slots)
     if seed is None:
@@ -1019,7 +1000,7 @@ def _nearest_image_error(cost: np.ndarray) -> float:
 
 
 def verify_symmetry(model: OrbitModel, params: ReducedParams, times=None,
-                    tol: float = 1e-9) -> SymmetryReport:
+                    tol: float = SYMMETRY_TOL) -> SymmetryReport:
     """Check that every claimed symmetry maps the sampled body set to itself.
 
     A symmetry of a collision-free orbit keeps one body permutation for the

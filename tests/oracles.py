@@ -10,16 +10,18 @@ reuse, the descent's kernel evaluates pair forces at one (body, node)
 pair per symmetry orbit and projects them with one matrix-vector product
 instead of an ``einsum`` per orbit, and the symmetry groups are built from
 explicit matrices, and every trajectory is an adaptive DOP853 drive, not
-a fixed-step RK4 run.  The tests still use them as oracles.
+a fixed-step RK4 run.  The tests still use them as oracles, beside central
+finite differences of the action for its analytic gradient.
 """
 
 import importlib
+import math
 
 import numpy as np
 from mpmath import mp, mpf
 
 from actionorbits import (IntegrationError, OrthTransform, QuadratureGrid,
-                          Trajectory, observables, sample_positions)
+                          Trajectory, action, observables, sample_positions)
 from actionorbits.dynamics import COLLISION_THRESHOLD, forces
 from actionorbits.fourier import contract, trig_table
 from actionorbits.symmetry import _BASIS_AXIS, channel_multiplicity
@@ -132,6 +134,24 @@ def direct_full_gradient(model, params) -> list:
                 table[ch, 1] += grid.weight * (np.cos(ang) @ rotated[:, c])
         table[:, 0, 0] = 0.0
         out.append(table)
+    return out
+
+
+def fd_gradient_oracle(model, params, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of the quadrature action, slot by slot.
+
+    An independent check of the analytic gradient; h must be positive.
+    """
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"finite-difference step must be positive, got {h}")
+    base = np.asarray(params.values, dtype=float)
+    out = np.empty_like(base)
+    for s in range(base.size):
+        bump = np.zeros_like(base)
+        bump[s] = h
+        s_plus = action(model, params.with_values(base + bump)).S
+        s_minus = action(model, params.with_values(base - bump)).S
+        out[s] = (s_plus - s_minus) / (2.0 * h)
     return out
 
 

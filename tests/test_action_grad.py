@@ -16,14 +16,13 @@ from actionorbits import (
     build_choreography,
     build_crisscross,
     build_cubic_family,
-    fd_gradient_oracle,
     full_gradient,
     gradient,
     sample_positions,
 )
 from oracles import (accelerations, direct_full_gradient, einsum_projection,
-                     full_pair_action, kinetic_quadrature, project,
-                     velocities)
+                     fd_gradient_oracle, full_pair_action, kinetic_quadrature,
+                     project, velocities)
 
 TWO_PI = 2.0 * math.pi
 

@@ -3,6 +3,9 @@
 import collections
 import importlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -617,6 +620,43 @@ class TestObservables:
                           "com"):
                 assert np.array_equal(getattr(strided, field),
                                       getattr(contiguous, field)), field
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # 2,501 samples of cubic m = 5 (20 bodies, 190 pairs): a matrix
+        # product over the pairs gave E other last bits on two OpenBLAS
+        # threads than on one.  Each run also checks that one sample, alone
+        # or in a batch of 453, keeps the bits of its column.
+        code = ("import hashlib, math\n"
+                "import numpy as np\n"
+                "import actionorbits as ao\n"
+                "model, params = ao.build_cubic_family(5)\n"
+                "params = ao.run(model, params).params\n"
+                "t = np.linspace(0.0, 2.0 * math.pi, 2501)\n"
+                "_, obs = ao.observables_series(model, params, t)\n"
+                "pos, vel = ao.sample_positions(model, params, t, "
+                "deriv=(0, 1))\n"
+                "one = ao.observables(model.potential, model.masses,\n"
+                "                     pos[:, 700], vel[:, 700])\n"
+                "part = ao.observables(model.potential, model.masses,\n"
+                "                      pos[:, 600:1053], vel[:, 600:1053])\n"
+                "for name in ('E', 'J', 'I'):\n"
+                "    print(name, hashlib.sha1(getattr(obs, name).tobytes())"
+                ".hexdigest(),\n"
+                "          np.asarray(getattr(one, name)).tobytes() =="
+                " getattr(obs, name)[700].tobytes(),\n"
+                "          getattr(part, name).tobytes() =="
+                " getattr(obs, name)[600:1053].tobytes())\n")
+        src = os.path.dirname(os.path.dirname(ao.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": threads}
+            runs.append(subprocess.run(
+                [sys.executable, "-c", code], check=True,
+                capture_output=True, text=True, env=env).stdout.split("\n"))
+        assert runs[0] == runs[1]
+        assert [line.split()[2:] for line in runs[0][:3]] == [
+            ["True", "True"]] * 3
 
     def test_shape_validation(self):
         spec = PotentialSpec()

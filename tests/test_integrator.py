@@ -46,7 +46,7 @@ def _model_drive(model, pos, vel, horizon, times=()):
     """The drive ``return_error`` and ``perturb_and_track`` make: the
     model's pair accelerator at the return tolerance and step budget."""
     return dop853.drive(_accelerator(model), pos, vel, horizon, times,
-                        integrate_module.RETURN_TOL,
+                        integrate_module.DRIVE_TOL,
                         math.ceil(integrate_module._step_budget(horizon)))
 
 
@@ -467,10 +467,9 @@ class TestTrajectory:
     def test_blocks_keep_the_bits_of_one_batch(self):
         # 2,501 samples of cubic m = 5 (20 bodies, 190 pairs) come in
         # blocks of 1,024, 1,024 and 453, whose E and J are the bits of one
-        # observables batch of every sample on one BLAS thread (blocks of
-        # 999, 1,001 or 1,023 move them).  With more threads OpenBLAS splits products of
-        # that size between them where the batch size says, so the whole
-        # batch's last bits were never the same on one and two threads.
+        # observables batch of every sample: observables sums bodies and
+        # pairs in an order that neither the batch size nor the BLAS
+        # thread count moves.
         code = ("import numpy as np\n"
                 "import actionorbits as ao\n"
                 "from actionorbits import integrate\n"
@@ -534,7 +533,7 @@ def _scipy_drive(accelerate, pos, vel, times):
         return out
 
     y0 = np.concatenate((pos.ravel(), vel.ravel()))
-    tol = integrate_module.RETURN_TOL
+    tol = integrate_module.DRIVE_TOL
     solver = DOP853(rhs, 0.0, y0, times[-1], rtol=tol, atol=tol)
     states, i = {0.0: y0}, 0
     while solver.status == "running":
@@ -582,7 +581,7 @@ class TestSciPyOracle:
         asked = sorted(states)[1:]
         drive = list(dop853.drive(
             accelerate, pos, vel, asked[-1], asked[:-1],
-            integrate_module.RETURN_TOL,
+            integrate_module.DRIVE_TOL,
             math.ceil(integrate_module._step_budget(asked[-1]))))
         assert [t for t, _, _ in drive] == [0.0, *asked]
         for t, p, v in drive:
@@ -640,7 +639,7 @@ class TestSciPyOracle:
                                              times + [TWO_PI])
         assert steps > 10
         drive = list(dop853.drive(spring, pos, vel, TWO_PI, times,
-                                  integrate_module.RETURN_TOL, 1000))
+                                  integrate_module.DRIVE_TOL, 1000))
         assert [t for t, _, _ in drive] == [0.0, *times, TWO_PI]
         for t, p, v in drive:
             assert p.shape == v.shape == (2,)

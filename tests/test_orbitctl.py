@@ -30,8 +30,10 @@ from actionorbits import (
     save_record,
     verify_record,
 )
-from actionorbits import cli
+from actionorbits import certify, cli
 from actionorbits.cli import main
+
+records = importlib.import_module("actionorbits.records")
 
 TWO_PI = 2.0 * math.pi
 
@@ -395,6 +397,49 @@ class TestVerifyRecord:
         assert not ok
 
 
+class TestCertify:
+    def test_converged_circle_passes_every_check(self, circle):
+        model, result = circle
+        cert = certify(make_record(model, result.params, result))
+        assert cert.certified
+        checks = (cert.residual, cert.symmetry, cert.return_error)
+        assert [(c.passed, c.reason, c.verdict) for c in checks] == [
+            (True, "", "ok")] * 3
+        assert [c.tol for c in checks] == [ao.RESIDUAL_CERTIFICATE,
+                                           records.SYMMETRY_TOL,
+                                           records.RETURN_TOL]
+        assert cert.residual.value == result.residual
+        assert cert.return_error.value <= records.RETURN_TOL
+
+    def test_residual_above_the_certificate_skips_the_return_map(self,
+                                                                  cubic3):
+        # cubic m=3 at k_max=27 stops on the gradient with a residual of
+        # 2.6e-5, above the certificate
+        model, result = cubic3
+        cert = certify(make_record(model, result.params, result))
+        assert not cert.certified
+        assert cert.residual.value == pytest.approx(2.6e-5, rel=0.05)
+        assert not cert.residual.passed
+        assert cert.residual.verdict == "FAIL (exceeds the certificate 1.0e-05)"
+        assert cert.symmetry.verdict == "ok"
+        assert cert.return_error == records.Check(
+            None, records.RETURN_TOL, False, "residual fails the certificate")
+        assert cert.return_error.verdict == ("not run (residual fails the "
+                                             "certificate)")
+
+    def test_understated_stored_residual_fails_on_the_factor(self, circle):
+        model, result = circle
+        record = make_record(model, result.params, result)
+        record.residual = record.residual / 10.0
+        cert = certify(record)
+        assert not cert.certified
+        assert cert.residual.value <= ao.RESIDUAL_CERTIFICATE
+        assert cert.residual.verdict == "FAIL (exceeds 2x stored)"
+        # within the certificate the return map still runs
+        assert cert.return_error.passed
+        assert cert.symmetry.passed
+
+
 class TestDesignatedScale:
     def test_cubic_uses_leading_sine(self):
         model, params = build_cubic_family(1, k_max=9)
@@ -712,7 +757,7 @@ class TestCliVerify:
         def never(model, params):
             raise AssertionError("return_error ran on a failed residual")
 
-        monkeypatch.setattr(cli, "return_error", never)
+        monkeypatch.setattr(records, "return_error", never)
         seed = str(tmp_path / "seed.json")
         assert main(["seed", *family, "--k-max", "9", "--out", seed]) == 0
         capsys.readouterr()

@@ -40,20 +40,45 @@ def test_setup_probe_first_calls_run():
     _load("setup_probe").first_calls()
 
 
-def test_benchmark_stages_run(workloads, tmp_path):
-    # find, certify and track as the benchmark runs them, so that a
-    # library change that breaks a stage fails here and not only as a
-    # failed benchmark run
+def _bench(workloads, tmp_path):
     root = PERFBENCH.parent
-    bench = workloads.Bench(
+    return workloads.Bench(
         workdir=str(tmp_path), src=str(root / "src"),
         refs=workloads.load_references(str(root / "tests" /
                                            "reference_values.py")),
         seed=1)
+
+
+def test_benchmark_stages_run(workloads, tmp_path):
+    # find, certify and track as the benchmark runs them, so that a
+    # library change that breaks a stage fails here and not only as a
+    # failed benchmark run
+    bench = _bench(workloads, tmp_path)
     found = bench.find("cubic-m1")
     bench.certify(found)
     bench.track(found, "dx=1e-3", (1e-3, 0.0, 0.0), 0.5)
     assert (bench.attempted, bench.failed, bench.certified) == (3, 0, 1)
+
+
+def test_benchmark_certifies_with_the_certificates_bounds(workloads, tmp_path,
+                                                          monkeypatch):
+    # the benchmark's certify stage times verify_record, verify_symmetry
+    # and return_error one by one and composes the verdict itself, so its
+    # bounds must stay those of records.certify: its own symmetry and
+    # return tolerances, and the library's residual certificate
+    records = importlib.import_module("actionorbits.records")
+    assert workloads.SYMMETRY_TOL == records.SYMMETRY_TOL
+    assert workloads.RETURN_TOL == records.RETURN_TOL
+    # cubic m=3 at k_max=27 stops with a residual of about 2.6e-5 and a
+    # return error of about 1.2e-4: a certificate of 1e-4 passes it
+    bench = _bench(workloads, tmp_path)
+    found = bench.find("cubic-m3")
+    record = records.load_record(found.path)
+    assert not records.certify(record).certified
+    monkeypatch.setattr(records, "RESIDUAL_CERTIFICATE", 1e-4)
+    bench.certify(found)
+    assert (bench.attempted, bench.failed, bench.certified) == (2, 0, 1)
+    assert records.certify(record).certified
 
 
 def test_every_traced_binding_resolves():
