@@ -37,7 +37,6 @@ recheck independent of the descent's.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,19 +206,21 @@ class PairTable:
 
         Its buffers are built here, once: the differences d, one scratch
         array for the second gather (then the squares and the pair
-        forces), r^2 (then r^alpha), r (then r^(alpha - 2) and the pair
-        coefficients in place) and the forces F.  With every force
-        coefficient -1 the coefficients are not applied and the body sums
-        carry the sign: the negated incidence for every pair, -1 partner
-        weights for representatives; the bits are the same.  The gathers take
+        forces), r^2, r (then r^(alpha - 2) and the pair coefficients in
+        place) and the forces F.  With every force coefficient -1 the
+        coefficients are not applied and the body sums carry the sign:
+        the negated incidence for every pair, -1 partner weights for
+        representatives; the bits are the same.  The gathers take
         ``mode="clip"``, since the default mode buffers its output; the
         indices are always in range.  A true distance below
         :data:`COLLISION_THRESHOLD`, read at each call, raises
         CollisionError at the closest pair, named by its time in
-        ``times``.  Softening applies after the test, and r^alpha is taken
-        by the power operator.  A call overwrites the buffers, F included,
-        so ``evaluate`` serves one caller at a time and its F is valid
-        until the next call; V is a new array.
+        ``times``.  Softening applies after the test, and r^alpha is a new
+        array from the power operator, whose scalar fast path (the
+        reciprocal at alpha = -1) rounds unlike ``np.power``.  A call
+        overwrites the buffers, F included, so ``evaluate`` serves one
+        caller at a time and its F is valid until the next call; V is a
+        new array.
         """
         coupling, coef, unit_coef = self.coupling, self.force_coef, \
             self.unit_coef
@@ -289,9 +290,9 @@ class PairTable:
             r.ndim - coef.ndim))
         # every pair's squares and potentials in a batch of its own times,
         # or the representatives' pairs in one block of pairs
-        squares, squared_norms, potentials = (scratch, r2, r2) \
+        squares, squared_norms, potential_shape = (scratch, r2, r.shape) \
             if representatives is None \
-            else (scratch.reshape(-1, 3), r2.reshape(-1), r2.reshape(-1, 1))
+            else (scratch.reshape(-1, 3), r2.reshape(-1), (-1, 1))
 
         def evaluate(x: np.ndarray, times, context: str):
             differences(x)
@@ -304,9 +305,7 @@ class PairTable:
             if softening2 is not None:
                 np.add(r2, softening2, r)
                 np.sqrt(r, r)
-            np.copyto(r2, r)
-            operator.ipow(r2, alpha)
-            V = coupling @ potentials
+            V = coupling @ (r ** alpha).reshape(potential_shape)
             np.power(r, exponent, r)
             if not unit_coef:
                 np.multiply(coef, r, r)

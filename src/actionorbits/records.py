@@ -431,7 +431,11 @@ def verify_record(record: OrbitRecord) -> tuple[bool, float]:
     Returns (ok, recomputed); ok means the recomputed residual is within
     ``VERIFY_FACTOR`` times the stored value, whenever one is stored.
     """
-    model, params = record_to_model(record)
+    return _residual_check(record, *record_to_model(record))
+
+
+def _residual_check(record: OrbitRecord, model: OrbitModel,
+                    params: ReducedParams) -> tuple[bool, float]:
     recomputed = residual(model, params).max_violation
     if record.residual is None:
         return True, float(recomputed)
@@ -478,7 +482,7 @@ def certify(record: OrbitRecord) -> Certificate:
     from an orbit the adaptive drive crawls), the return error within
     ``RETURN_TOL``."""
     model, params = record_to_model(record)
-    ok_stored, recomputed = verify_record(record)
+    ok_stored, recomputed = _residual_check(record, model, params)
     within = recomputed <= RESIDUAL_CERTIFICATE
     symmetry = verify_symmetry(model, params)
     ret = return_error(model, params) if within else None

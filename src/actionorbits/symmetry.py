@@ -57,25 +57,40 @@ SYMMETRY_TOL = 1e-9     # the orbit certificate's bound on a symmetry error
 # ----------------------------------------------------------------------
 
 
-class OrthTransform:
-    """A 3x3 signed permutation matrix (entries in {-1, 0, +1})."""
+# the 48 signed permutation matrices, each as its row-major tuple of ints
+_SIGNED_PERMUTATIONS = frozenset(
+    tuple(sign * (j == col) for col, sign in zip(perm, signs) for j in range(3))
+    for perm in itertools.permutations(range(3))
+    for signs in itertools.product((1, -1), repeat=3))
 
-    __slots__ = ("matrix",)
+
+class OrthTransform:
+    """A 3x3 signed permutation matrix, checked by lookup in the table of
+    all 48 and immutable: ``matrix`` is a read-only int array, and the
+    row-major tuple of its entries as Python ints is ``key()``."""
+
+    __slots__ = ("matrix", "_key")
 
     def __init__(self, matrix):
         m = np.asarray(matrix)
         if m.shape != (3, 3):
             raise ValueError(f"transform must be 3x3, got shape {m.shape}")
-        mi = np.rint(m).astype(int)
-        if not np.all(mi == m):
-            raise ValueError("transform entries must be integers -1, 0, +1")
-        if not np.all(np.isin(mi, (-1, 0, 1))):
-            raise ValueError("transform entries must be in {-1, 0, +1}")
-        a = np.abs(mi)
-        if not (np.all(a.sum(axis=0) == 1) and np.all(a.sum(axis=1) == 1)):
-            raise ValueError("transform must be a signed permutation matrix")
+        entries = tuple(m.ravel().tolist())
+        if entries not in _SIGNED_PERMUTATIONS:
+            raise ValueError(f"not a signed permutation matrix: {entries}")
+        key = tuple(map(int, entries))
+        mi = np.array(key).reshape(3, 3)
         mi.setflags(write=False)
         object.__setattr__(self, "matrix", mi)
+        object.__setattr__(self, "_key", key)
+
+    def __setattr__(self, *_):
+        raise AttributeError("an OrthTransform cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return OrthTransform, (self.matrix.tolist(),)
 
     @property
     def det(self) -> int:
@@ -83,20 +98,20 @@ class OrthTransform:
 
     @property
     def n_negative(self) -> int:
-        return int(np.sum(self.matrix == -1))
+        return self._key.count(-1)
 
     def apply(self, points) -> np.ndarray:
         """Apply to one or many 3-vectors (last axis is the coordinate)."""
         return np.asarray(points, dtype=float) @ self.matrix.T
 
     def key(self) -> tuple:
-        return tuple(self.matrix.ravel().tolist())
+        return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OrthTransform) and self.key() == other.key()
+        return isinstance(other, OrthTransform) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"OrthTransform({self.matrix.tolist()})"
@@ -106,9 +121,14 @@ IDENTITY = OrthTransform(np.eye(3, dtype=int))
 
 
 def klein_elements() -> list[OrthTransform]:
-    """Identity plus the three diagonal double sign flips."""
+    """Identity plus the three diagonal double sign flips, in a new list."""
+    return list(_klein())
+
+
+@functools.cache
+def _klein() -> tuple[OrthTransform, ...]:
     patterns = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
-    return [OrthTransform(np.diag(p)) for p in patterns]
+    return tuple(OrthTransform(np.diag(p)) for p in patterns)
 
 
 def all_signed_permutations() -> list[OrthTransform]:
@@ -119,22 +139,21 @@ def all_signed_permutations() -> list[OrthTransform]:
 
 @functools.cache
 def _signed_permutations() -> tuple[OrthTransform, ...]:
-    out = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            m = np.zeros((3, 3), dtype=int)
-            for row, col in enumerate(perm):
-                m[row, col] = signs[row]
-            out.append(OrthTransform(m))
-    return tuple(sorted(out, key=OrthTransform.key))
+    return tuple(OrthTransform(np.reshape(key, (3, 3)))
+                 for key in sorted(_SIGNED_PERMUTATIONS))
 
 
 def a4_elements() -> list[OrthTransform]:
-    """Rotation group of the cube orientation class: the 12 signed
-    permutations with det +1 and an even number of -1 entries, which the
-    Klein four-group and the cyclic rotation x -> y -> z -> x generate."""
-    return [g for g in all_signed_permutations()
-            if g.det == 1 and g.n_negative % 2 == 0]
+    """Rotation group of the cube orientation class, in a new list: the 12
+    signed permutations with det +1 and an even number of -1 entries,
+    which the Klein four-group and the rotation x -> y -> z -> x generate."""
+    return list(_a4())
+
+
+@functools.cache
+def _a4() -> tuple[OrthTransform, ...]:
+    return tuple(g for g in _signed_permutations()
+                 if g.det == 1 and g.n_negative % 2 == 0)
 
 
 class Verdict(Enum):
@@ -456,13 +475,15 @@ def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
     The targets' generators must exist, as :func:`make_layout` checks
     before it calls this.
     """
+    multiplicity = functools.cache(functools.partial(channel_multiplicity,
+                                                     model))
     out = np.zeros(len(slots))
     for i, s in enumerate(slots):
-        out[i] += channel_multiplicity(model, s.gen, s.channel)
+        out[i] += multiplicity(s.gen, s.channel)
     for c in couplings:   # -1 would wrap
         if not (0 <= c.slot < len(slots)):
             raise LayoutError(f"coupling references missing slot {c.slot}")
-        out[c.slot] += channel_multiplicity(model, c.gen, c.channel) * c.sign ** 2
+        out[c.slot] += multiplicity(c.gen, c.channel) * c.sign ** 2
     return out
 
 

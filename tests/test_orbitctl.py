@@ -440,6 +440,21 @@ class TestCertify:
         assert cert.symmetry.passed
 
 
+    def test_builds_the_model_once(self, circle, monkeypatch):
+        model, result = circle
+        record = make_record(model, result.params, result)
+        calls = []
+        build = records.record_to_model
+
+        def counted(rec):
+            calls.append(rec)
+            return build(rec)
+
+        monkeypatch.setattr(records, "record_to_model", counted)
+        assert certify(record).certified
+        assert calls == [record]
+
+
 class TestDesignatedScale:
     def test_cubic_uses_leading_sine(self):
         model, params = build_cubic_family(1, k_max=9)

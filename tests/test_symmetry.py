@@ -152,6 +152,39 @@ class TestOrthTransform:
             OrthTransform([[1, 1, 0], [0, 0, 1], [0, 1, 0]])
         with pytest.raises(ValueError):
             OrthTransform(np.zeros((3, 3), dtype=int))
+        # non-finite and huge entries: a ValueError, not a cast warning
+        for bad in (math.nan, math.inf, 1e30):
+            with pytest.raises(ValueError):
+                OrthTransform([[bad, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_int_float_and_list_inputs_agree(self):
+        rows = [[0, -1, 0], [0, 0, 1], [-1, 0, 0]]
+        made = [OrthTransform(np.array(rows)),
+                OrthTransform(np.array(rows, dtype=float)),
+                OrthTransform(rows)]
+        for r in made:
+            assert r == made[0] and hash(r) == hash(made[0])
+            assert r.matrix.dtype == int and not r.matrix.flags.writeable
+            assert np.array_equal(r.matrix, rows)
+            assert r.key() == tuple(np.ravel(rows))
+            assert all(type(v) is int for v in r.key())
+
+    def test_is_immutable_and_pickles(self):
+        r = OrthTransform(np.diag([1, -1, -1]))
+        table = all_signed_permutations()
+        with pytest.raises(AttributeError):
+            r.matrix = np.eye(3, dtype=int)
+        with pytest.raises(AttributeError):
+            del r.matrix
+        with pytest.raises(AttributeError):
+            table[0].matrix = np.eye(3, dtype=int)
+        assert all_signed_permutations() == table
+        assert [t.key() for t in table] == [
+            tuple(t.matrix.ravel().tolist()) for t in table]
+        assert r == OrthTransform(np.diag([1, -1, -1]))
+        copy = pickle.loads(pickle.dumps(r))
+        assert copy == r and hash(copy) == hash(r)
+        assert np.array_equal(copy.matrix, r.matrix)
 
     def test_det_and_negative_count(self):
         r = OrthTransform(np.diag([1, -1, -1]))
@@ -235,6 +268,26 @@ class TestGroups:
         assert len(second) == 48
         assert second is not all_signed_permutations()
         assert second == all_signed_permutations()
+
+    @pytest.mark.parametrize("elements, size", [(klein_elements, 4),
+                                                (a4_elements, 12)])
+    def test_subgroups_are_new_lists_of_the_same_transforms(self, elements,
+                                                            size):
+        first = elements()
+        first.clear()
+        second = elements()
+        assert len(second) == size
+        assert second is not elements()
+        assert all(a is b for a, b in zip(second, elements()))
+
+    def test_a4_elements_takes_determinants_once(self, monkeypatch):
+        expected = a4_elements()
+
+        def no_det(_):
+            raise AssertionError("determinant taken again")
+
+        monkeypatch.setattr(np.linalg, "det", no_det)
+        assert a4_elements() == expected
 
 
 class TestCollisionParity:
@@ -378,6 +431,19 @@ class TestCrisscrossFamily:
         t = np.linspace(0.0, 2.0 * math.pi, 33)
         pos = sample_positions(model, params, t)
         assert np.all(pos[:, :, 2] == 0.0)
+
+    @pytest.mark.parametrize("build, per_harmonic", [
+        (lambda: build_crisscross(k_max=9), [2.0] * 3),
+        (lambda: build_crisscross((1.0, 2.0, 3.0), k_max=9),
+         [1.0, 1.0, 2.0, 2.0, 3.0, 3.0]),
+        (lambda: build_choreography(3, k_max=9), [3.0, 3.0])],
+        ids=["crisscross", "crisscross-123", "choreography3"])
+    def test_kinetic_masses_add_every_coupled_channel(self, build,
+                                                      per_harmonic):
+        # per odd harmonic, in slot order; an equal-mass criss-cross slot
+        # adds its coupled coefficient's channel to its own
+        layout = build()[1].layout
+        assert layout.kinetic_mass.tolist() == per_harmonic * 5
 
     def test_unequal_mass_seed_has_zero_center_of_mass(self):
         model, params = build_crisscross((1.0, 2.0, 3.0), k_max=9)
