@@ -9,7 +9,7 @@ script drives the same machinery from the command line.
 """
 
 from .action import (ActionReport, EvalKernel, action, action_with_gradient,
-                     full_gradient, gradient)
+                     gradient)
 from .descent import (COLLISION, CONVERGED, ESCAPE, MAX_ITERS,
                       DescentSchedule, RunResult, StopRule,
                       ZigZagDiagnostic, naive_stability_bound,
@@ -39,7 +39,7 @@ from .symmetry import (BodyBinding, Coupling, Family, OrbitModel,
                        a4_elements, all_signed_permutations,
                        build_choreography, build_crisscross,
                        build_cubic_family, collision_parity_check,
-                       compute_kinetic_mass, crisscross_coupling_sign,
+                       crisscross_coupling_sign,
                        klein_elements, make_layout, sample_positions,
                        verify_symmetry)
 
@@ -61,9 +61,9 @@ __all__ = [
     "VectorGenerator", "Verdict", "ZigZagDiagnostic", "a4_elements",
     "action", "action_with_gradient", "all_signed_permutations",
     "build_choreography", "build_crisscross", "build_cubic_family",
-    "certify", "collision_parity_check", "compute_kinetic_mass",
+    "certify", "collision_parity_check",
     "crisscross_coupling_sign", "designated_scale", "export_table",
-    "extract_ics", "forces", "full_gradient",
+    "extract_ics", "forces",
     "gradient", "klein_elements", "load_record", "make_layout",
     "make_record", "min_pair_distance", "naive_stability_bound",
     "naive_time_descent", "observables", "observables_series",

@@ -16,7 +16,7 @@ orthogonal over the period, the kinetic part is diagonal and exact:
     dS/dc = pi * k^2 * m_eff(c) * c  -  int (dV/dx) . (dx/dc) dt,
 
 where m_eff is the slot's effective kinetic mass (mass-weighted count of
-body coordinates the slot feeds; see :func:`..symmetry.compute_kinetic_mass`).
+body coordinates the slot feeds; see :class:`.symmetry.ParamLayout`).
 The kinetic integral therefore needs no sampled velocities; it equals their
 quadrature on the grid, which is exact for the truncation.  The
 orthogonality factor pi is kept explicit rather than folded into step
@@ -33,12 +33,12 @@ representative's.  So the kernel samples positions at the
 representatives' nodes only and evaluates each representative's pairs
 (29 representatives on 5 of 112 nodes, 783 pair evaluations instead of
 the 42,336 of every pair on the whole grid, at cubic m = 7).
-:func:`action`, :func:`full_gradient` and the residual still evaluate
-every pair on the whole grid, so they check the reduction independently.
-They sample through the same shifted trig table as the kernel
+:func:`action` and the residual still evaluate every pair on the whole
+grid, so they check the reduction independently.  They sample through
+the same shifted trig table as the kernel
 (:func:`.symmetry.sample_tables`), so they do not check the sampler; the
-tests check it, and :func:`full_gradient`'s transposed shift, against
-direct evaluations at t + phase + offset.
+tests check it against direct evaluations at t + phase + offset, and
+hold the gradient over the complete coefficient lattice as an oracle.
 """
 
 from __future__ import annotations
@@ -49,13 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import forces, pair_table, potential_energy
+from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces action.forces)
+from .dynamics import pair_table, potential_energy
 from .errors import CollisionError
-from .fourier import shift, shift_table, trig_table
 from .quadrature import QuadratureGrid
 from .symmetry import (OrbitModel, ParamLayout, ReducedParams,
-                       channel_multiplicity, sample_positions, sample_tables,
-                       space_time_orbits)
+                       sample_positions, sample_tables, space_time_orbits)
 
 
 def _kinetic_stiffness(layout: ParamLayout) -> np.ndarray:
@@ -264,47 +263,3 @@ def _with_gradient(kernel: EvalKernel, v: np.ndarray, pos: np.ndarray,
 def gradient(model: OrbitModel, params: ReducedParams) -> np.ndarray:
     """Reduced gradient dS/dc (infinity-norm-ready 1-D array)."""
     return action_with_gradient(model, params).gradient
-
-
-def full_gradient(model: OrbitModel, params: ReducedParams) -> list[np.ndarray]:
-    """Gradient over the complete coefficient lattice, one table per generator.
-
-    Covers every (channel, basis, harmonic) up to the model's k_max --
-    including coefficients outside the reduced layout -- so tests can verify
-    that descent directions never leak out of the symmetric subspace.
-    Returns tables shaped (n_channels, 2, k_max+1) with axis 1 = (sin, cos).
-    """
-    grid = QuadratureGrid.for_kmax(model.k_max)
-    t = grid.nodes
-    k_max = model.k_max
-    ks = np.arange(k_max + 1, dtype=float)
-    pos = sample_positions(model, params, t)
-    F, _ = forces(model.potential, model.masses, pos, times=t,
-                  context="full gradient")
-    tables = params.layout.expand(params.values)
-    s, c = trig_table(t, k_max)
-    out = []
-    for g_idx, gen in enumerate(model.generators):
-        table = np.zeros((gen.n_channels, 2, k_max + 1))
-        # Exact kinetic part: pi * multiplicity * k^2 * coefficient.
-        for ch in range(gen.n_channels):
-            mult = channel_multiplicity(model, g_idx, ch)
-            table[ch] += math.pi * mult * ks * ks * tables[g_idx][ch]
-        # Potential part: + int F . dx/dcoeff dt on the grid.  Column j
-        # reads channel ch at t + sigma, the shifted coefficients on the
-        # plain table, so its gradient is the plain projection carried
-        # back by the shift's transpose.
-        for i, b in enumerate(model.bindings):
-            if b.generator != g_idx:
-                continue
-            rotated = F[i] @ b.transform.matrix      # (T, 3)
-            plain = np.empty((2, k_max + 1, 3))
-            plain[0, 0], plain[1, 0] = 0.0, rotated.sum(axis=0)
-            plain[0, 1:], plain[1, 1:] = s.T @ rotated, c.T @ rotated
-            for j, (ch, off) in enumerate(gen.columns):
-                sin_k, cos_k = shift_table([b.phase], [off], k_max)
-                table[ch] += grid.weight * shift(plain[..., j], -sin_k,
-                                                 cos_k)[0]
-        table[:, 0, 0] = 0.0   # sine basis has no k=0 member
-        out.append(table)
-    return out

@@ -10,8 +10,9 @@ generator built from Fourier series.  A :class:`ParamLayout` lists the
 free ("reduced") coefficients and sign couplings that tie the remaining
 coefficients to them, so symmetry constraints hold exactly at every
 parameter value instead of being projected back after each step.  It is
-the one place that validates a layout, and a value compared and hashed
-without its kinetic masses.  :func:`space_time_orbits` groups the
+the one place that validates a layout's targets (:class:`Slot` and
+:class:`Coupling` are plain values), and a value compared and hashed
+without its masses.  :func:`space_time_orbits` groups the
 (body, node) pairs of a quadrature grid that the model's symmetries carry
 onto each other -- the claimed ones and those of the bindings, each
 checked on every slot's unit vector -- so that the descent evaluates the
@@ -37,7 +38,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -327,14 +328,6 @@ class Slot:
     basis: str
     k: int
 
-    def __post_init__(self):
-        if self.basis not in (SIN, COS):
-            raise LayoutError(f"unknown basis {self.basis!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise LayoutError(f"harmonic must be an integer, got {self.k!r}")
-        if self.k < (1 if self.basis == SIN else 0):
-            raise LayoutError(f"basis {self.basis} cannot hold harmonic k={self.k}")
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -347,68 +340,100 @@ class Coupling:
     k: int
     sign: float
 
-    def __post_init__(self):
-        Slot(self.gen, self.channel, self.basis, self.k)
-        if self.sign not in (-1.0, 1.0):
-            raise LayoutError(f"coupling sign must be +/-1, got {self.sign}")
-
 
 @dataclass(frozen=True)
 class ParamLayout:
     """Mapping between the reduced vector and the full coefficient tables.
 
-    The one place that checks targets against the generators' channels and
-    ``k_max``, duplicates, and that each coupling ties to an existing slot
-    at that slot's harmonic (the kinetic term applies the slot's k to all
-    its coefficients).  Equality and hash exclude ``kinetic_mass``, which
-    follows from the model and the rest, and which sampling never reads;
-    the hash is computed once per layout.
+    The one place that checks a target: entry type, basis, integer (not
+    bool) indices, the basis's lowest harmonic, generator and channel, the
+    harmonic against ``k_max`` and its channel's own :class:`.Harmonics`
+    (``k_max``, parity), duplicates, and each coupling's sign (+/-1) and
+    slot (existing, at the same harmonic: the kinetic term applies the
+    slot's k to all its coefficients).  ``kinetic_mass`` follows from the
+    targets and each channel's ``channel_multiplicity``; equality and hash
+    exclude both, and the hash is computed once per layout.
     """
 
     slots: tuple[Slot, ...]
     couplings: tuple[Coupling, ...]
     k_max: int
-    gen_channels: tuple[int, ...]
-    kinetic_mass: np.ndarray = field(compare=False)
+    channels: tuple[tuple[Harmonics, ...], ...]
+    channel_multiplicity: tuple[tuple[float, ...], ...] = field(compare=False)
+    kinetic_mass: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
         object.__setattr__(self, "couplings", tuple(self.couplings))
-        object.__setattr__(self, "gen_channels", tuple(self.gen_channels))
-        km = np.asarray(self.kinetic_mass, dtype=float)
-        km.setflags(write=False)
-        object.__setattr__(self, "kinetic_mass", km)
-        if km.shape != (len(self.slots),):
-            raise LayoutError("kinetic_mass must have one entry per slot")
+        object.__setattr__(self, "channels",
+                           tuple(map(tuple, self.channels)))
+        mult = tuple(map(tuple, self.channel_multiplicity))
+        object.__setattr__(self, "channel_multiplicity", mult)
+        if tuple(map(len, mult)) != self.gen_channels:
+            raise LayoutError("channel_multiplicity must have one entry "
+                              "per channel")
+        kinetic = []   # per slot: its channel's multiplicity and its couplings'
         targets = set()
-        for t in self.slots + self.couplings:
-            if not (0 <= t.gen < len(self.gen_channels)):
+        for i, t in enumerate(self.slots + self.couplings):
+            coupled = i >= len(self.slots)
+            if not isinstance(t, Coupling if coupled else Slot):
+                raise LayoutError(f"expected a {'Coupling' if coupled else 'Slot'}, "
+                                  f"got {t!r}")
+            if t.basis not in (SIN, COS):
+                raise LayoutError(f"unknown basis {t.basis!r}")
+            for name in ("gen", "channel", "k", "slot")[:3 + coupled]:
+                value = getattr(t, name)
+                # a plain int first: the ABC check costs 25 times as much
+                if type(value) is not int and (isinstance(value, bool) or not
+                                               isinstance(value, numbers.Integral)):
+                    raise LayoutError(f"{name} must be an integer, got {value!r}")
+            if t.k < (1 if t.basis == SIN else 0):
+                raise LayoutError(f"basis {t.basis} cannot hold harmonic k={t.k}")
+            if not (0 <= t.gen < len(self.channels)):
                 raise LayoutError(f"target references missing generator {t.gen}")
-            if not (0 <= t.channel < self.gen_channels[t.gen]):
+            if not (0 <= t.channel < len(self.channels[t.gen])):
                 raise LayoutError(f"generator {t.gen} has no channel {t.channel}")
+            series = self.channels[t.gen][t.channel]
             if t.k > self.k_max:
                 raise LayoutError(f"harmonic k={t.k} exceeds layout k_max={self.k_max}")
-            if isinstance(t, Coupling) and not (0 <= t.slot < len(self.slots)
-                                                and self.slots[t.slot].k == t.k):
-                raise LayoutError(f"coupling at k={t.k} needs slot {t.slot} "
-                                  f"to exist at the same harmonic")
+            if t.k > series.k_max:
+                raise LayoutError(f"harmonic k={t.k} exceeds the k_max={series.k_max} "
+                                  f"of generator {t.gen} channel {t.channel}")
+            if not series.parity.allows(t.k):
+                raise LayoutError(f"harmonic k={t.k} is disallowed by the "
+                                  f"generator's parity mask")
             tgt = (t.gen, t.channel, t.basis, t.k)
             if tgt in targets:
                 raise LayoutError(f"duplicate target {tgt}")
             targets.add(tgt)
+            if not coupled:
+                kinetic.append(mult[t.gen][t.channel])
+                continue
+            if isinstance(t.sign, (bool, np.bool_)) or t.sign not in (-1.0, 1.0):
+                raise LayoutError(f"coupling sign must be +/-1, got {t.sign!r}")
+            if not (0 <= t.slot < len(self.slots) and self.slots[t.slot].k == t.k):
+                raise LayoutError(f"coupling at k={t.k} needs slot {t.slot} "
+                                  f"to exist at the same harmonic")
+            kinetic[t.slot] += mult[t.gen][t.channel]
+        km = np.array(kinetic, dtype=float)
+        km.setflags(write=False)
+        object.__setattr__(self, "kinetic_mass", km)
 
     def __hash__(self) -> int:
         return self._hash
 
     @functools.cached_property
     def _hash(self) -> int:
-        # hashed once, without kinetic_mass, as equality compares
-        return hash((self.slots, self.couplings, self.k_max,
-                     self.gen_channels))
+        # hashed once, without the masses, as equality compares
+        return hash((self.slots, self.couplings, self.k_max, self.channels))
 
     def __getstate__(self):
         # string hashes differ between processes: a pickle leaves it out
         return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+    @property
+    def gen_channels(self) -> tuple[int, ...]:
+        return tuple(map(len, self.channels))
 
     @property
     def n_slots(self) -> int:
@@ -422,8 +447,8 @@ class ParamLayout:
         """Reduced vector -> dense per-generator tables (channels, 2, k_max+1);
         values shaped (n_slots, B) add a trailing batch axis."""
         values = np.asarray(values, dtype=float)
-        tables = [np.zeros((nc, 2, self.k_max + 1) + values.shape[1:])
-                  for nc in self.gen_channels]
+        tables = [np.zeros((len(ch), 2, self.k_max + 1) + values.shape[1:])
+                  for ch in self.channels]
         for i, s in enumerate(self.slots):
             tables[s.gen][s.channel, _BASIS_AXIS[s.basis], s.k] = values[i]
         for c in self.couplings:
@@ -468,50 +493,18 @@ def channel_multiplicity(model: OrbitModel, gen: int, channel: int) -> float:
     return reads * sum(b.mass for b in model.bindings if b.generator == gen)
 
 
-def compute_kinetic_mass(model: OrbitModel, slots: Sequence[Slot],
-                         couplings: Sequence[Coupling]) -> np.ndarray:
-    """Per-slot effective mass summed over the slot's coupled coefficients.
-
-    The targets' generators must exist, as :func:`make_layout` checks
-    before it calls this.
-    """
-    multiplicity = functools.cache(functools.partial(channel_multiplicity,
-                                                     model))
-    out = np.zeros(len(slots))
-    for i, s in enumerate(slots):
-        out[i] += multiplicity(s.gen, s.channel)
-    for c in couplings:   # -1 would wrap
-        if not (0 <= c.slot < len(slots)):
-            raise LayoutError(f"coupling references missing slot {c.slot}")
-        out[c.slot] += multiplicity(c.gen, c.channel) * c.sign ** 2
-    return out
-
-
 def make_layout(model: OrbitModel, slots: Sequence[Slot],
                 couplings: Sequence[Coupling] = ()) -> ParamLayout:
-    """Assemble a layout for a model (custom-family hook); beyond
-    :class:`ParamLayout`'s checks, each harmonic must pass its parity mask.
-
-    The layout's own checks run first, so a target naming a missing
-    generator, channel or slot is a LayoutError before the model's
-    generators are read; the kinetic masses follow once all checks pass.
-    """
-    slots = tuple(slots)
-    layout = ParamLayout(
-        slots=slots,
-        couplings=tuple(couplings),
-        k_max=model.k_max,
-        gen_channels=tuple(g.n_channels for g in model.generators),
-        kinetic_mass=np.zeros(len(slots)),
-    )
-    for tgt in layout.slots + layout.couplings:
-        series = model.generators[tgt.gen].channel(tgt.channel)
-        if not series.parity.allows(tgt.k):
-            raise LayoutError(
-                f"harmonic k={tgt.k} is disallowed by the generator's parity mask"
-            )
-    return replace(layout, kinetic_mass=compute_kinetic_mass(
-        model, layout.slots, layout.couplings))
+    """Assemble a layout for a model (custom-family hook), with the
+    model's channel series and multiplicities for :class:`ParamLayout` to
+    check the targets against and to weigh their kinetic masses by."""
+    channels = tuple(tuple(g.channel(c) for c in range(g.n_channels))
+                     for g in model.generators)
+    multiplicity = tuple(tuple(channel_multiplicity(model, i, c)
+                               for c in range(len(ch)))
+                         for i, ch in enumerate(channels))
+    return ParamLayout(tuple(slots), tuple(couplings), model.k_max, channels,
+                       multiplicity)
 
 
 # ----------------------------------------------------------------------
@@ -962,6 +955,9 @@ def build_choreography(n: int,
         seed = {(name, bases[0], 1): 1.0 for name, bases in active.items()
                 if bases}
     for (name, basis, k), v in seed.items():
+        # a True harmonic would match slot k = 1
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise LayoutError(f"seed harmonic must be an integer, got {k!r}")
         slot = Slot(0, coords[name], basis, k)
         if slot not in slots:
             raise LayoutError(f"seed entry ({name}, {basis}, {k}) is not a free slot")

@@ -107,10 +107,15 @@ def _exact_series(coeffs, shift, t):
 
 
 def direct_full_gradient(model, params) -> list:
-    """``action.full_gradient`` with nothing shared with the sampler's
-    shifts: positions from :func:`per_column_sampler`, and each column's
-    potential projection onto sin and cos of k (t + phase + offset) taken
-    directly, one binding and column at a time."""
+    """Gradient of the action over the complete coefficient lattice, one
+    table (n_channels, 2, k_max + 1) per generator with axis 1 = (sin,
+    cos): every (channel, basis, harmonic) up to the model's k_max,
+    including coefficients outside the reduced layout, so that tests can
+    check that descent directions never leak out of the symmetric
+    subspace.  Nothing is shared with the sampler's shifts: positions
+    from :func:`per_column_sampler`, and each column's potential
+    projection onto sin and cos of k (t + phase + offset) taken directly,
+    one binding and column at a time."""
     grid = QuadratureGrid.for_kmax(model.k_max)
     t, k_max = grid.nodes, model.k_max
     ks = np.arange(k_max + 1, dtype=float)

@@ -16,7 +16,6 @@ from actionorbits import (
     build_choreography,
     build_crisscross,
     build_cubic_family,
-    full_gradient,
     gradient,
     sample_positions,
 )
@@ -356,40 +355,21 @@ class TestFullGradient:
             rng = np.random.default_rng(5)
             probe = params.with_values(params.values
                                        + 0.1 * rng.normal(size=len(params)))
-            tables = full_gradient(model, probe)
+            tables = direct_full_gradient(model, probe)
             projected = project(probe.layout, tables)
             assert np.allclose(projected, gradient(model, probe),
                                rtol=1e-9, atol=1e-9)
-
-    @pytest.mark.parametrize("builder", [
-        lambda: build_cubic_family(1, k_max=9),
-        lambda: build_cubic_family(3, k_max=9),
-        lambda: build_crisscross(k_max=9),
-        lambda: build_choreography(3, k_max=9)],
-        ids=["cubic-m1", "cubic-m3", "crisscross", "choreography3"])
-    def test_matches_the_direct_projection(self, builder):
-        # the transposed shift on one trig table against sin and cos of
-        # k (t + phase + offset) per column, with positions that share no
-        # shift with the library's sampler
-        model, params = builder()
-        rng = np.random.default_rng(7)
-        probe = params.with_values(params.values
-                                   + 0.1 * rng.normal(size=len(params)))
-        for got, expected in zip(full_gradient(model, probe),
-                                 direct_full_gradient(model, probe)):
-            assert (np.abs(got - expected).max()
-                    <= 1e-13 * np.abs(expected).max())
 
     def test_no_leakage_at_the_reduced_minimum(self, crisscross):
         # symmetric criticality: at a minimum over the symmetric subspace
         # the gradient over the complete coefficient lattice also vanishes
         model, result = crisscross
-        tables = full_gradient(model, result.params)
+        tables = direct_full_gradient(model, result.params)
         worst = max(float(np.max(np.abs(t))) for t in tables)
         assert worst < 1e-8
 
     def test_no_leakage_for_cubic(self, cubic1):
         model, result = cubic1
-        tables = full_gradient(model, result.params)
+        tables = direct_full_gradient(model, result.params)
         worst = max(float(np.max(np.abs(t))) for t in tables)
         assert worst < 1e-8

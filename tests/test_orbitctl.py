@@ -361,6 +361,47 @@ class TestRecordValidation:
             record_to_model(load_record(bad))
         _exits_as_record_error(bad, capsys)
 
+    @pytest.mark.parametrize("source, edit", [
+        (lambda: build_crisscross(k_max=5),
+         lambda lay: lay["couplings"][0].__setitem__(0, True)),
+        (lambda: build_crisscross(k_max=5),
+         lambda lay: lay["couplings"][3].__setitem__(5, True)),
+        (lambda: build_cubic_family(1, k_max=9),
+         lambda lay: lay["slots"][0].__setitem__(1, False))],
+        ids=["coupling-slot", "coupling-sign", "slot-channel"])
+    def test_boolean_layout_entry_is_record_error(self, tmp_path, capsys,
+                                                  source, edit):
+        # JSON true and false are Python bools, equal to 1 and 0: each of
+        # these used to load, with a layout equal to the builder's
+        model, params = source()
+        path = str(tmp_path / "builder.json")
+        save_record(make_record(model, params), path)
+        bad = _tampered(path, tmp_path, lambda d: edit(d["layout"]))
+        with pytest.raises(RecordError, match="must be"):
+            record_to_model(load_record(bad))
+        _exits_as_record_error(bad, capsys)
+
+    def test_harmonic_beyond_its_channels_k_max_is_record_error(
+            self, tmp_path, capsys):
+        # a custom record's layout is checked against each channel's own
+        # k_max, not only the largest one
+        odd = ao.Parity.ODD_ONLY
+        gen = ao.VectorGenerator(ao.Harmonics(1, odd), ao.Harmonics(9, odd),
+                                 ao.Harmonics(9, odd))
+        model = ao.OrbitModel((gen,), (ao.BodyBinding(
+            0, ao.OrthTransform(np.eye(3, dtype=int)), 0.0),),
+            ao.PotentialSpec(), ao.Family("custom"))
+        params = ao.ReducedParams(
+            ao.make_layout(model, [ao.Slot(0, 1, "sin", 9)]), [1.0])
+        path = str(tmp_path / "custom.json")
+        save_record(make_record(model, params), path)
+        record_to_model(load_record(path))
+        bad = _tampered(path, tmp_path, lambda d: d["layout"]["slots"][0]
+                        .__setitem__(1, 0))
+        with pytest.raises(RecordError, match="k_max=1"):
+            record_to_model(load_record(bad))
+        _exits_as_record_error(bad, capsys)
+
     @pytest.mark.parametrize("slot", [[0, 5, "sin", 1], [0, -1, "sin", 1],
                                       [0, "1", "sin", 1], 5],
                              ids=["channel-5", "channel-minus-1",

@@ -785,24 +785,103 @@ class TestChoreography:
         assert report.passed
 
 
+def _all_harmonics_model():
+    """Two bodies on one vector curve of every harmonic up to 3."""
+    return build_choreography(2, k_max=3, parity=Parity.ALL)[0]
+
+
 class TestLayout:
     def test_slot_validation(self):
-        with pytest.raises(LayoutError):
-            Slot(0, 0, "tan", 1)
-        with pytest.raises(LayoutError):
-            Slot(0, 0, SIN, 0)
-        Slot(0, 0, COS, 0)  # constant term is a valid cosine slot
+        # a slot is a plain value; make_layout checks its basis and the
+        # basis's lowest harmonic
+        model = _all_harmonics_model()
+        Slot(0, 0, "tan", 1)
+        with pytest.raises(LayoutError, match="unknown basis"):
+            make_layout(model, [Slot(0, 0, "tan", 1)])
+        with pytest.raises(LayoutError, match="harmonic k=0"):
+            make_layout(model, [Slot(0, 0, SIN, 0)])
+        with pytest.raises(LayoutError, match="expected a Slot"):
+            make_layout(model, [(0, 0, SIN, 1)])
+        # constant term is a valid cosine slot
+        make_layout(model, [Slot(0, 0, COS, 0)])
 
     def test_coupling_validation(self):
-        with pytest.raises(LayoutError):
-            Coupling(0, 0, 0, "tan", 1, 1.0)
-        with pytest.raises(LayoutError):
-            Coupling(0, 0, 0, SIN, 1, 0.5)
+        model = _all_harmonics_model()
+        slots = [Slot(0, 0, SIN, 1)]
+        Coupling(0, 0, 1, SIN, 1, 0.5)
+        with pytest.raises(LayoutError, match="unknown basis"):
+            make_layout(model, slots, [Coupling(0, 0, 1, "tan", 1, 1.0)])
+        with pytest.raises(LayoutError, match="sign"):
+            make_layout(model, slots, [Coupling(0, 0, 1, SIN, 1, 0.5)])
+        with pytest.raises(LayoutError, match="expected a Coupling"):
+            make_layout(model, slots, [Slot(0, 1, SIN, 1)])
+        make_layout(model, slots, [Coupling(0, 0, 1, SIN, 1, -1.0)])
 
     def test_coupling_target_is_a_valid_slot(self):
-        # Slot rejects a sine at k = 0, and so does a coupling to it
+        # a coupling's target is checked as a slot is: no sine at k = 0
         with pytest.raises(LayoutError, match="harmonic k=0"):
-            Coupling(0, 0, 1, SIN, 0, 1.0)
+            make_layout(_all_harmonics_model(), [Slot(0, 0, SIN, 1)],
+                        [Coupling(0, 0, 1, SIN, 0, 1.0)])
+
+    @pytest.mark.parametrize("target, name, value", [
+        ("slot", "gen", True), ("slot", "channel", False),
+        ("slot", "k", True), ("slot", "k", np.True_), ("slot", "k", 1.0),
+        ("slot", "k", "1"), ("coupling", "slot", True),
+        ("coupling", "slot", 0.0), ("coupling", "gen", False),
+        ("coupling", "channel", True), ("coupling", "k", True),
+        ("coupling", "sign", True), ("coupling", "sign", np.True_),
+        ("coupling", "sign", "1")])
+    def test_indices_and_signs_are_integers_not_bools(self, target, name,
+                                                       value):
+        # True == 1 and hashes as 1, so a bool used to pass for 0 or 1 and
+        # the layout compared equal to the one with the integer
+        model = _all_harmonics_model()
+        slots, couplings = [Slot(0, 0, SIN, 1)], [Coupling(0, 0, 1, SIN, 1, 1.0)]
+        make_layout(model, slots, couplings)
+        if target == "slot":
+            slots = [dataclasses.replace(slots[0], **{name: value})]
+        else:
+            couplings = [dataclasses.replace(couplings[0], **{name: value})]
+        with pytest.raises(LayoutError, match=f"{name} must be"):
+            make_layout(model, slots, couplings)
+
+    def test_harmonic_beyond_its_channels_k_max_rejected(self):
+        # the layout's k_max is the largest channel's; a harmonic must also
+        # fit its own channel's
+        odd = Parity.ODD_ONLY
+        gen = ao.VectorGenerator(ao.Harmonics(1, odd), ao.Harmonics(9, odd),
+                                 ao.Harmonics(9, odd))
+        model = ao.OrbitModel((gen,), (BodyBinding(0, IDENTITY, 0.0),),
+                              ao.PotentialSpec(), ao.Family("custom"))
+        make_layout(model, [Slot(0, 0, SIN, 1), Slot(0, 1, SIN, 9)],
+                    [Coupling(1, 0, 2, SIN, 9, 1.0)])
+        with pytest.raises(LayoutError,
+                           match="k_max=1 of generator 0 channel 0"):
+            make_layout(model, [Slot(0, 0, SIN, 9)])
+        with pytest.raises(LayoutError,
+                           match="k_max=1 of generator 0 channel 0"):
+            make_layout(model, [Slot(0, 1, SIN, 3)],
+                        [Coupling(0, 0, 0, SIN, 3, 1.0)])
+
+    def test_make_layout_builds_one_layout(self, monkeypatch):
+        # every target is checked once, by the one layout make_layout
+        # builds; a coupling builds no slot to check itself
+        counts = {"layout": 0, "slot": 0}
+
+        def counted(key, method):
+            def wrapper(self, *args, **kwargs):
+                counts[key] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ao.ParamLayout, "__post_init__",
+                            counted("layout", ao.ParamLayout.__post_init__))
+        monkeypatch.setattr(Slot, "__init__", counted("slot", Slot.__init__))
+        Coupling(0, 0, 1, SIN, 1, 1.0)
+        assert counts == {"layout": 0, "slot": 0}
+        _, params = build_crisscross(k_max=9)
+        assert len(params.layout.couplings) == 15
+        assert counts == {"layout": 1, "slot": params.layout.n_slots}
 
     def test_coupling_at_another_harmonic_rejected(self):
         # the kinetic term would apply slot 0's k = 1 to the tied k = 3
@@ -874,17 +953,25 @@ class TestLayout:
         lambda lay: dataclasses.replace(lay, couplings=(dataclasses.replace(
             lay.couplings[0], sign=-lay.couplings[0].sign),)
             + lay.couplings[1:]),
-        lambda lay: dataclasses.replace(lay, k_max=lay.k_max + 2)],
-        ids=["slot", "coupling", "k_max"])
+        lambda lay: dataclasses.replace(lay, k_max=lay.k_max + 2),
+        lambda lay: dataclasses.replace(lay, channels=[
+            [ao.Harmonics(lay.k_max, Parity.ALL)] * 3] * 3)],
+        ids=["slot", "coupling", "k_max", "channels"])
     def test_a_changed_field_compares_unequal(self, change):
         layout = build_crisscross(k_max=9)[1].layout
         assert change(layout) != layout
 
     def test_kinetic_mass_is_not_part_of_the_identity(self):
+        # the kinetic masses follow from the channel multiplicities, and
+        # neither is compared or hashed
         layout = build_crisscross(k_max=9)[1].layout
-        heavier = dataclasses.replace(layout,
-                                      kinetic_mass=2.0 * layout.kinetic_mass)
+        heavier = dataclasses.replace(layout, channel_multiplicity=[
+            [2.0 * m for m in ch] for ch in layout.channel_multiplicity])
+        assert heavier.kinetic_mass.tolist() == (
+            2.0 * layout.kinetic_mass).tolist()
         assert heavier == layout and hash(heavier) == hash(layout)
+        with pytest.raises(LayoutError, match="one entry per channel"):
+            dataclasses.replace(layout, channel_multiplicity=[[1.0]] * 3)
 
     def test_project_is_the_transpose_of_expand(self):
         # project is the chain-rule adjoint, so project(expand(v)) scales
