@@ -2,20 +2,23 @@
 
 One integrator advances the phase state (positions, velocities) under the
 same pair forces the action uses: the adaptive 8th-order Dormand-Prince
-method (DOP853, :mod:`.dop853`) at a fixed tight tolerance with its dense
-output.  It serves every check and export: ``return_error`` measures how
-well a converged orbit closes after one period, ``perturb_and_track``
-follows deliberately perturbed initial conditions over many periods to
-probe stability, and ``trajectory_blocks`` samples the orbit for export
-in blocks of :data:`TRAJECTORY_BLOCK` samples, made as the drive reaches
-them (``trajectory`` joins them).  At
-that tolerance one period takes a few hundred steps where fixed steps
+method (DOP853, :mod:`.dop853`) with its dense output, at one of two
+fixed tolerances.  ``return_error`` measures how well a converged orbit
+closes after one period, and ``trajectory_blocks`` samples the orbit for
+export in blocks of :data:`TRAJECTORY_BLOCK` samples, made as the drive
+reaches them (``trajectory`` joins them); both drive at
+:data:`DRIVE_TOL` = 1e-13, tight enough to read closures of 1e-11.
+``perturb_and_track`` follows deliberately perturbed initial conditions
+over many periods to probe stability at :data:`TRACK_TOL` = 1e-10: the
+global error scales with the tolerance, and there it stays below what
+the curve metric reporting the track can resolve, at well under half the
+steps.  At 1e-13 one period takes a few hundred steps where fixed steps
 take 10,000.  :func:`.dop853.drive` owns the step loop, its state and its
-failures; this module holds only the policy: the tolerance
-:data:`DRIVE_TOL`, the step budget (:data:`MAX_STEPS_PER_PERIOD` per
-period of the horizon), the sample grid and the curve metric.  A run cut
-short ends when the failure is detected: at ``CollisionError.t``, or at
-the end of a step that left a non-finite state.
+failures; this module holds only the policy: the two tolerances, the
+step budget (:data:`MAX_STEPS_PER_PERIOD` per period of the horizon),
+the sample grid and the curve metric.  A run cut short ends when the
+failure is detected: at ``CollisionError.t``, or at the end of a step
+that left a non-finite state.
 
 Each DOP853 drive gets one :meth:`~.dynamics.PairTable.accelerator` of
 its own from the model's cached :class:`.dynamics.PairTable`, the
@@ -56,8 +59,16 @@ TWO_PI = 2.0 * math.pi
 # probe takes one RK4 step and its tracer binds integrate.rk4_step; nothing
 # in the library calls them, and the tests' RK4 oracle steps through them
 DEFAULT_DT = TWO_PI * 1e-4
-# DOP853 rtol = atol of every drive (records.RETURN_TOL bounds return_error)
+# DOP853 rtol = atol of the orbit's own drives: return_error reads
+# closures of 1e-11 (records.RETURN_TOL bounds it), and trajectory
+# exports keep the bits they had
 DRIVE_TOL = 1e-13
+# DOP853 rtol = atol of perturb_and_track's drives.  The global error
+# scales with the tolerance, and at 1e-10 it stays below the curve
+# metric's own resolution (a point of the criss-cross orbit between two of
+# the CURVE_SAMPLES phases reads up to about 5e-5), so a tighter drive
+# would pay for accuracy no report can show
+TRACK_TOL = 1e-10
 # DOP853 steps per period of the horizon: over 10x the 310 of cubic m=7 at
 # k_max=27, the most a shipped orbit needs, so a non-orbit cannot crawl
 MAX_STEPS_PER_PERIOD = 4000
@@ -318,15 +329,16 @@ class _CurveMetric:
         if not math.isfinite(per_phase[j]):
             return math.inf
         m = per_phase.shape[0]
-        # parabolic refinement through the cyclic neighbors
-        f0, f1, f2 = (math.sqrt(max(per_phase[k], 0.0) / self.n)
+        # parabolic refinement through the cyclic neighbors, of the
+        # squared distance: it is quadratic in the phase near its minimum,
+        # where the distance itself has a V
+        f0, f1, f2 = (max(per_phase[k], 0.0)
                       for k in (j - 1, j, (j + 1) % m))
         denom = f0 - 2.0 * f1 + f2
         if denom > 0.0:
             offset = 0.5 * (f0 - f2) / denom
-            refined = f1 - 0.25 * (f0 - f2) * offset
-            return float(max(min(f1, refined), 0.0))
-        return float(f1)
+            f1 = max(min(f1, f1 - 0.25 * (f0 - f2) * offset), 0.0)
+        return math.sqrt(f1 / self.n)
 
 
 @functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
@@ -356,9 +368,10 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
     applied displacement; a given envelope must be positive and finite, and
-    the deviation finite.  The run is one :func:`.dop853.drive`; it
-    samples every ``samples_per_period``-th of a period and the end of the
-    horizon, on the grid :func:`_sample_grid` checks and makes.  It stops
+    the deviation finite.  The run is one :func:`.dop853.drive` at
+    :data:`TRACK_TOL`; it samples every ``samples_per_period``-th of a
+    period and the end of the horizon, on the grid :func:`_sample_grid`
+    checks and makes.  It stops
     at the first later sample outside the envelope, or at any sample, the
     start included, too far out for the metric to measure (an infinite
     ``max_deviation``).
@@ -383,7 +396,7 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     metric, base = _tracking_reference(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, base.positions + dev, base.velocities,
-                           horizon, times, DRIVE_TOL, max_steps)
+                           horizon, times, TRACK_TOL, max_steps)
     sample_times, sections, deviations = [], [], []
     exit_time = None
     try:

@@ -955,6 +955,8 @@ def build_choreography(n: int,
         seed = {(name, bases[0], 1): 1.0 for name, bases in active.items()
                 if bases}
     for (name, basis, k), v in seed.items():
+        if name not in coords:
+            raise LayoutError(f"unknown coordinate {name!r}")
         # a True harmonic would match slot k = 1
         if isinstance(k, bool) or not isinstance(k, numbers.Integral):
             raise LayoutError(f"seed harmonic must be an integer, got {k!r}")

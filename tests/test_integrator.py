@@ -42,11 +42,12 @@ def _accelerator(model):
     return dynamics.pair_table(model.potential, model.masses).accelerator()
 
 
-def _model_drive(model, pos, vel, horizon, times=()):
-    """The drive ``return_error`` and ``perturb_and_track`` make: the
-    model's pair accelerator at the return tolerance and step budget."""
-    return dop853.drive(_accelerator(model), pos, vel, horizon, times,
-                        integrate_module.DRIVE_TOL,
+def _model_drive(model, pos, vel, horizon, times=(),
+                 tol=integrate_module.DRIVE_TOL):
+    """The drive ``return_error`` makes, the model's pair accelerator at
+    the step budget and the return tolerance; at ``tol=TRACK_TOL``, the
+    drive ``perturb_and_track`` makes."""
+    return dop853.drive(_accelerator(model), pos, vel, horizon, times, tol,
                         math.ceil(integrate_module._step_budget(horizon)))
 
 
@@ -400,7 +401,8 @@ class TestDOP853Driver:
         rep = perturb_and_track(model, params, dev, 1.0, envelope=10.0)
         with pytest.raises(ao.IntegrationError) as exc:
             list(_model_drive(
-                model, base.positions + dev, base.velocities, TWO_PI))
+                model, base.positions + dev, base.velocities, TWO_PI,
+                tol=integrate_module.TRACK_TOL))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
@@ -516,12 +518,12 @@ class TestTrajectory:
             trajectory(model, result.params, 1.0, samples)
 
 
-def _scipy_drive(accelerate, pos, vel, times):
-    """Reference: scipy's DOP853 object on the drive's right-hand side
-    (q', a(q)) for the accelerator, keyed by time: the state at t = 0 and
-    at every step end, and the step's dense output at each of ``times``
-    inside a step; with the solver's count of right-hand-side
-    evaluations."""
+def _scipy_drive(accelerate, pos, vel, times, tol=integrate_module.DRIVE_TOL):
+    """Reference: scipy's DOP853 object at rtol = atol = ``tol`` on the
+    drive's right-hand side (q', a(q)) for the accelerator, keyed by time:
+    the state at t = 0 and at every step end, and the step's dense output
+    at each of ``times`` inside a step; with the solver's count of
+    right-hand-side evaluations."""
     from scipy.integrate import DOP853
 
     shape, half = pos.shape, pos.size
@@ -533,7 +535,6 @@ def _scipy_drive(accelerate, pos, vel, times):
         return out
 
     y0 = np.concatenate((pos.ravel(), vel.ravel()))
-    tol = integrate_module.DRIVE_TOL
     solver = DOP853(rhs, 0.0, y0, times[-1], rtol=tol, atol=tol)
     states, i = {0.0: y0}, 0
     while solver.status == "running":
@@ -573,15 +574,15 @@ class TestSciPyOracle:
             rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
 
     @staticmethod
-    def _assert_drive_is_scipys(accelerate, pos, vel, times):
-        """Every step end and every interior (dense) sample of a drive
-        equals scipy's, byte for byte; returns the number of step ends
-        that are not among ``times``."""
-        states, _ = _scipy_drive(accelerate, pos, vel, times)
+    def _assert_drive_is_scipys(accelerate, pos, vel, times,
+                                tol=integrate_module.DRIVE_TOL):
+        """Every step end and every interior (dense) sample of a drive at
+        ``tol`` equals scipy's, byte for byte; returns the number of step
+        ends that are not among ``times``."""
+        states, _ = _scipy_drive(accelerate, pos, vel, times, tol)
         asked = sorted(states)[1:]
         drive = list(dop853.drive(
-            accelerate, pos, vel, asked[-1], asked[:-1],
-            integrate_module.DRIVE_TOL,
+            accelerate, pos, vel, asked[-1], asked[:-1], tol,
             math.ceil(integrate_module._step_budget(asked[-1]))))
         assert [t for t, _, _ in drive] == [0.0, *asked]
         for t, p, v in drive:
@@ -610,6 +611,29 @@ class TestSciPyOracle:
                                              base.positions + dev,
                                              base.velocities, times)
         assert steps > 50    # many step ends as well
+
+    def test_tracking_drive_is_scipys_at_the_tracking_tolerance(
+            self, crisscross):
+        # perturb_and_track drives at TRACK_TOL: that drive is scipy's at
+        # rtol = atol = TRACK_TOL, and the tracker reports its positions
+        # at the tracker's sample times, to the bit
+        tol = integrate_module.TRACK_TOL
+        model, result = crisscross
+        base = extract_ics(model, result.params)
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 1e-3
+        pos = base.positions + dev
+        interval = TWO_PI / 50
+        times = [k * interval for k in range(1, 500)] + [10 * TWO_PI]
+        steps = self._assert_drive_is_scipys(_accelerator(model), pos,
+                                             base.velocities, times, tol)
+        assert steps > 50
+        drive = _model_drive(model, pos, base.velocities, times[-1],
+                             times[:-1], tol)
+        rep = perturb_and_track(model, result.params, dev, 10.0)
+        assert rep.sample_times.tolist() == [0.0, *times]
+        expected = np.array([p for _, p, _ in drive])
+        assert rep.section_points.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("softening", [0.0, 0.3])
     @pytest.mark.parametrize("alpha", [-1.0, -2.0, 0.5, 1.0])
@@ -790,10 +814,29 @@ class TestPerturbAndTrack:
         rep = perturb_and_track(model, result.params, dev, 1.0, envelope=10.0)
         with pytest.raises(CollisionError) as exc:
             list(_model_drive(
-                model, base.positions + dev, base.velocities, TWO_PI))
+                model, base.positions + dev, base.velocities, TWO_PI,
+                tol=integrate_module.TRACK_TOL))
         assert rep.verdict == EXITED
         assert rep.exit_time == exc.value.t
         assert rep.sample_times[-1] <= rep.exit_time
+
+    def test_tracking_tolerance_keeps_the_reported_deviation(
+            self, crisscross, monkeypatch):
+        # a 10-period criss-cross track displaced by 1e-3 reports what
+        # the same track at the return tolerance reports, well inside the
+        # curve metric's resolution, although the drives differ
+        model, result = crisscross
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 1e-3
+        rep = perturb_and_track(model, result.params, dev, 10.0)
+        monkeypatch.setattr(integrate_module, "TRACK_TOL",
+                            integrate_module.DRIVE_TOL)
+        tight = perturb_and_track(model, result.params, dev, 10.0)
+        assert rep.section_points.tobytes() != tight.section_points.tobytes()
+        assert rep.verdict == tight.verdict == BOUNDED
+        assert rep.exit_time == tight.exit_time
+        assert abs(rep.max_deviation - tight.max_deviation) \
+            <= 1e-4 * tight.max_deviation
 
     def test_tiny_perturbation_stays_bounded(self, circle):
         model, result = circle
@@ -835,6 +878,33 @@ class TestPerturbAndTrack:
                             [math.sin(ang), math.cos(ang), 0.0],
                             [0.0, 0.0, 1.0]])
             assert metric.distance(pos @ rot.T) < 1e-5
+
+    def test_deviation_metric_reads_on_orbit_phases_between_samples(
+            self, crisscross):
+        # halfway between two curve samples of the criss-cross, a point of
+        # the orbit read 1e-3 when the refinement fitted a parabola to the
+        # distance, a V near its minimum; the squared distance is
+        # quadratic there.  (Every phase of the circle is a rotation of
+        # every other, so the circle cannot show this.)
+        model, result = crisscross
+        metric = integrate_module._CurveMetric(model, result.params)
+        h = TWO_PI / integrate_module.CURVE_SAMPLES
+        mids = [metric.distance(ao.sample_positions(
+            model, result.params, (j + 0.5) * h))
+            for j in range(0, integrate_module.CURVE_SAMPLES, 64)]
+        assert max(mids) < 1e-4
+
+    @pytest.mark.parametrize("displacement", [1e-5, 1e-6])
+    def test_tiny_criss_cross_displacement_stays_bounded(self, crisscross,
+                                                         displacement):
+        # the envelope of 100x the displacement sits below the grid error
+        # of the old refinement, so these tracks used to read 'exited'
+        model, result = crisscross
+        dev = np.zeros((3, 3))
+        dev[0, 0] = displacement
+        rep = perturb_and_track(model, result.params, dev, 2.0)
+        assert rep.verdict == BOUNDED
+        assert rep.max_deviation <= rep.envelope
 
     def test_deviation_metric_sees_real_displacement(self, circle):
         from actionorbits.integrate import _CurveMetric

@@ -764,8 +764,13 @@ class TestChoreography:
         assert table[1, 1, 1] == 1.0    # y, cos, k = 1
         with pytest.raises(LayoutError):
             build_choreography(2, seed={("x", COS, 1): 1.0}, k_max=9)
-        with pytest.raises(LayoutError):
-            build_choreography(2, active={"w": (SIN,)})
+        # an unknown seed coordinate was a bare KeyError
+        for name in ("w", "X", 0):
+            for kwargs in ({"active": {name: (SIN,)}},
+                           {"seed": {(name, SIN, 1): 1.0}}):
+                with pytest.raises(LayoutError,
+                                   match=f"unknown coordinate {name!r}"):
+                    build_choreography(2, **kwargs)
         # each of these harmonics used to be truncated to seed k = 1
         for k in (1.5, True, "1"):
             with pytest.raises(LayoutError, match="integer"):
