@@ -119,7 +119,9 @@ def _schedule_from_args(args) -> DescentSchedule:
 def _progress(model, every: int):
     """A ``run`` callback printing every ``every``-th iterate's S, gradient
     norm and minimum pair distance on the descent grid to stderr; None for
-    ``every`` = 0."""
+    ``every`` = 0, and a usage error for a negative ``every``."""
+    if every < 0:
+        raise OrbitError(f"--log-every must be non-negative, got {every}")
     if not every:
         return None
     grid = QuadratureGrid.for_kmax(model.k_max)
@@ -288,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dz", type=float, default=0.0)
     p.add_argument("--periods", type=float, default=40.0)
     p.add_argument("--envelope", type=float, default=None,
-                   help="deviation bound (default 100x the perturbation)")
+                   help="deviation bound (default 100x the perturbation, "
+                        "at least 10x the orbit band's resolution)")
     p.add_argument("--samples", type=int, default=50,
                    help="deviation samples per period")
     p.add_argument("--out", default=None, help="sampled positions file")

@@ -29,13 +29,15 @@ the bits of :func:`.dynamics.forces` over the masses on a finite state.
 ``perturb_and_track`` measures every perturbed track of an orbit against
 one tracking reference, built once per orbit and shared by every later
 track of it: the reference band (:class:`_CurveMetric`, the orbit sampled
-at :data:`CURVE_SAMPLES` phases) and the unperturbed start state
-(:func:`extract_ics`).  Both follow from the model and the parameter
-values alone, so a small bounded cache keeps the last few orbits'
-references, every array read-only, as :func:`.dynamics.pair_table` keeps
-pair tables.  Its key is the model, the layout (a value: two equal
-layouts hit one entry, whichever built them) and the parameter values'
-bytes.  The deviation, the drive and its accelerator stay per track.
+at :data:`CURVE_SAMPLES` phases), the band's resolution (what it reads on
+the orbit between its samples, which floors the default envelope) and the
+unperturbed start state (:func:`extract_ics`).  All three follow from the
+model and the parameter values alone, so a small bounded cache keeps the
+last few orbits' references, every array read-only, as
+:func:`.dynamics.pair_table` keeps pair tables.  Its key is the model,
+the layout (a value: two equal layouts hit one entry, whichever built
+them) and the parameter values' bytes.  The deviation, the drive and its
+accelerator stay per track.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ TRACK_TOL = 1e-10
 MAX_STEPS_PER_PERIOD = 4000
 # reference-curve phases the perturbation tracker measures deviation against
 CURVE_SAMPLES = 2048
+# the default envelope is at least this multiple of the band's resolution,
+# so that a tiny displacement is not read as an exit from the band
+RESOLUTION_MARGIN = 10.0
 # orbits whose tracking reference stays cached: the stress benchmark's two
 # orbits with room to spare
 REFERENCE_CACHE_SIZE = 4
@@ -343,15 +348,22 @@ class _CurveMetric:
 
 @functools.lru_cache(maxsize=REFERENCE_CACHE_SIZE)
 def _cached_reference(model: OrbitModel, layout: ParamLayout, values: bytes
-                      ) -> tuple[_CurveMetric, PhaseState]:
+                      ) -> tuple[_CurveMetric, PhaseState, float]:
     params = ReducedParams(layout, np.frombuffer(values))
-    return _CurveMetric(model, params), extract_ics(model, params)
+    metric = _CurveMetric(model, params)
+    # the band's resolution: its largest reading of an orbit point midway
+    # between two curve samples, at every 64th pair (1.3e-5 on cubic m=1,
+    # 5e-5 on the criss-cross, 1.3e-3 on the figure-eight near t = pi)
+    mids = (np.arange(0, CURVE_SAMPLES, 64) + 0.5) * (TWO_PI / CURVE_SAMPLES)
+    resolution = max(map(metric.distance, sample_positions(
+        model, params, mids).transpose(1, 0, 2)))
+    return metric, extract_ics(model, params), resolution
 
 
 def _tracking_reference(model: OrbitModel, params: ReducedParams
-                        ) -> tuple[_CurveMetric, PhaseState]:
-    """The (cached, read-only) tracking reference of an orbit: its band
-    and its unperturbed start state."""
+                        ) -> tuple[_CurveMetric, PhaseState, float]:
+    """The (cached, read-only) tracking reference of an orbit: its band,
+    its unperturbed start state and the band's resolution."""
     return _cached_reference(model, params.layout, params.values.tobytes())
 
 
@@ -367,19 +379,20 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     configuration to the unperturbed orbit band (see :class:`_CurveMetric`:
     phase drift and, for planar orbits, slow precession are quotiented out
     as neutral directions).  The default envelope is 100x the largest
-    applied displacement; a given envelope must be positive and finite, and
-    the deviation finite.  The run is one :func:`.dop853.drive` at
-    :data:`TRACK_TOL`; it samples every ``samples_per_period``-th of a
-    period and the end of the horizon, on the grid :func:`_sample_grid`
-    checks and makes.  It stops
-    at the first later sample outside the envelope, or at any sample, the
-    start included, too far out for the metric to measure (an infinite
+    applied displacement, and at least :data:`RESOLUTION_MARGIN` times the
+    band's own resolution; a given envelope is kept as given and must be
+    positive and finite, and the deviation must be finite.  The run is one
+    :func:`.dop853.drive` at :data:`TRACK_TOL`; it samples every
+    ``samples_per_period``-th of a period and the end of the horizon, on
+    the grid :func:`_sample_grid` checks and makes.  It stops at the first
+    later sample outside the envelope, or at any sample, the start
+    included, too far out for the metric to measure (an infinite
     ``max_deviation``).
 
-    The band and the unperturbed start come from the orbit's tracking
-    reference, built on the first track of an orbit and shared by later
-    tracks of the same model and parameter values (see the module
-    docstring); nothing of a track's own is kept.
+    The band, its resolution and the unperturbed start come from the
+    orbit's tracking reference, built on the first track of an orbit and
+    shared by later tracks of the same model and parameter values (see the
+    module docstring); nothing of a track's own is kept.
     """
     horizon, times, max_steps = _sample_grid(n_periods, samples_per_period)
     dev = np.array(deviation, dtype=float)
@@ -389,11 +402,11 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     applied = float(np.abs(dev).max())   # NaN when any entry is NaN
     if not 0.0 < applied < math.inf:
         raise ValueError("perturbation must be finite and displace at least one body")
+    metric, base, resolution = _tracking_reference(model, params)
     if envelope is None:
-        envelope = 100.0 * applied
+        envelope = max(100.0 * applied, RESOLUTION_MARGIN * resolution)
     if not 0.0 < envelope < math.inf:
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
-    metric, base = _tracking_reference(model, params)
     accelerate = pair_table(model.potential, model.masses).accelerator()
     samples = dop853.drive(accelerate, base.positions + dev, base.velocities,
                            horizon, times, TRACK_TOL, max_steps)

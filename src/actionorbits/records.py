@@ -1,9 +1,9 @@
 """Self-describing orbit records and deterministic text exports.
 
-Records are schema-versioned JSON documents (human-diffable structured
-text).  They round-trip losslessly: floats are written with Python's
-shortest round-trip representation, unknown fields are rejected on load,
-and every file write is atomic (write to a temporary file, then rename).
+Records are schema-versioned JSON documents of one format, the table
+``_FORMAT``, which save and load check every record against.  They
+round-trip losslessly (floats in Python's shortest round-trip form), and
+every file write is atomic (write to a temporary file, then rename).
 
 A record may hold a seed, a failed run, or a converged orbit; only results
 whose equations-of-motion residual passes the certificate threshold are
@@ -13,10 +13,13 @@ positions) are written as ``# header`` plus ``%.12e`` rows.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import stat
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,37 +44,10 @@ VERIFY_FACTOR = 2.0
 # the orbit certificate's bound on the one-period return error
 RETURN_TOL = 1e-3
 
-_FAMILY_KEYS = {
-    "cubic": {"kind", "m"},
-    "crisscross": {"kind", "masses"},
-    "choreography": {"kind", "n", "parity"},
-    "custom": {"kind", "generators", "bindings", "symmetries"},
-}
-# the JSON types of the family fields (masses: numbers)
-_FAMILY_TYPES = {"m": "int", "n": "int", "parity": "str", "generators": "list",
-                 "bindings": "list", "symmetries": "list"}
-# the JSON types of the fields of each entry of a custom family, with two
-# list shapes of their own
-_CUSTOM_ENTRIES = {
-    "scalar": {"type": "str", "offsets": "list", "k_max": "int",
-               "parity": "str"},
-    "vector": {"type": "str", "coords": "three entries"},
-    "coord": {"k_max": "int", "parity": "str"},
-    "binding": {"generator": "int", "matrix": "3x3 int", "phase": "float",
-                "mass": "float"},
-    "symmetry": {"matrix": "3x3 int", "time_shift": "float",
-                 "time_reversal": "bool"},
-}
-_POTENTIAL_KEYS = {"alpha", "G", "softening"}
-_LAYOUT_KEYS = {"slots", "couplings"}
-_OBSERVABLE_KEYS = {"E", "J", "Q_max"}
-_DESCENT_KEYS = {"rule", "delta", "table", "grad_tol", "max_iters",
-                 "escape_radius"}
-
 
 @dataclass
 class OrbitRecord:
-    """In-memory form of one record file (plain Python containers only)."""
+    """One record file in memory, its fields those of :data:`_FORMAT`."""
 
     schema_version: int
     family: dict
@@ -89,119 +65,128 @@ class OrbitRecord:
     descent: dict | None
 
 
-_TOP_KEYS = {f.name for f in fields(OrbitRecord)}
-# the Python types of the JSON values each OrbitRecord annotation names
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-               "list": list, "dict": dict, "None": type(None)}
+_List = namedtuple("_List", "of n", defaults=(None,))
+_Null = namedtuple("_Null", "form")
+_Tagged = namedtuple("_Tagged", "tag variants")
+# the JSON scalars a form names: wording, and a test of one value (a finite
+# number is in the float range, as NaN and an int beyond every float are not)
+_SCALARS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: (isinstance(v, float) or type(v) is int)
+              and abs(v) <= sys.float_info.max),
+    "number": ("a number", lambda v: isinstance(v, float) or type(v) is int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "any": ("anything", lambda v: True),
+}
+_MATRIX = _List(_List("int", 3), 3)
+_SERIES = {"k_max": "int", "parity": "str"}
+# The record format, every field once.  A form is a scalar of _SCALARS, a
+# dict (an object with exactly those fields), a _List (n entries of one
+# form, any number when n is None), a _Null (a form or null) or a _Tagged
+# (an object whose other fields follow the value of its tag).  Layout
+# entries are checked for shape only: ParamLayout checks their values, as
+# a family's builder or the model's constructors check the family's.  The
+# descent section records settings as run, so its numbers need not be
+# finite (an infinite escape_radius turns escape detection off).
+_FORMAT = {
+    "schema_version": "int",
+    "family": _Tagged("kind", {
+        "cubic": {"m": "int"},
+        "crisscross": {"masses": _List("float")},
+        "choreography": {"n": "int", "parity": "str"},
+        "custom": {
+            "generators": _List(_Tagged("type", {
+                "scalar": {"offsets": _List("float"), **_SERIES},
+                "vector": {"coords": _List(_SERIES, 3)}})),
+            "bindings": _List({"generator": "int", "matrix": _MATRIX,
+                               "phase": "float", "mass": "float"}),
+            "symmetries": _List({"matrix": _MATRIX, "time_shift": "float",
+                                 "time_reversal": "bool"})}}),
+    "potential": {"alpha": "float", "G": "float", "softening": "float"},
+    "k_max": "int",
+    "layout": {"slots": _List(_List("any", 4)),
+               "couplings": _List(_List("any", 6))},
+    "values": _List("float"),
+    "scale": "float",
+    "converged": "bool",
+    "outcome": _Null("str"),
+    "iterations": _Null("int"),
+    "grad_norm": _Null("float"),
+    "residual": _Null("float"),
+    "observables": _Null({"E": "float", "J": _List("float", 3),
+                          "Q_max": "float"}),
+    "descent": _Null({"rule": "str", "delta": _Null("number"),
+                      "table": _Null(_List(_List("number", 2))),
+                      "grad_tol": "number", "max_iters": "int",
+                      "escape_radius": "number"}),
+}
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise RecordError(f"unknown field(s) {sorted(unknown)} in {where}")
-    missing = allowed - set(mapping)
-    if missing:
-        raise RecordError(f"missing field(s) {sorted(missing)} in {where}")
+def _check_form(value, form, where: str) -> None:
+    """Raise a RecordError naming the path ``where`` unless value has the form;
+    a list of scalars, or of rows of them, is tested in one pass."""
+    if isinstance(form, _Null):
+        if value is None:
+            return
+        form = form.form
+    if isinstance(form, str):
+        name, fits = _SCALARS[form]
+        if not fits(value):
+            raise RecordError(f"{where} must be {name}, got {value!r}")
+    elif isinstance(form, _List):
+        if not (isinstance(value, list) and form.n in (None, len(value))):
+            size = "" if form.n is None else f" of {form.n}"
+            raise RecordError(f"{where} must be a list{size}, got {value!r}")
+        of, entries = form.of, value
+        if isinstance(of, _List) and all(isinstance(row, list) and
+                                         len(row) == of.n for row in value):
+            of, entries = of.of, itertools.chain(*value)   # rows of one length
+        if isinstance(of, str) and (of == "any" or
+                                    all(map(_SCALARS[of][1], entries))):
+            return
+        for i, entry in enumerate(value):
+            _check_form(entry, form.of, f"{where}[{i}]")
+    else:
+        if not isinstance(value, dict):
+            raise RecordError(f"{where} must be an object, got {value!r}")
+        if isinstance(form, _Tagged):
+            tag = value.get(form.tag)
+            if not (isinstance(tag, str) and tag in form.variants):
+                raise RecordError(f"{where}.{form.tag} must be one of "
+                                  f"{sorted(form.variants)}, got {tag!r}")
+            form = {form.tag: "str", **form.variants[tag]}
+        unknown, missing = value.keys() - form.keys(), form.keys() - value.keys()
+        if unknown or missing:
+            raise RecordError(f"{'unknown' if unknown else 'missing'} field(s) "
+                              f"{sorted(unknown or missing)} in {where or 'record'}")
+        for key, field_form in form.items():
+            _check_form(value[key], field_form, f"{where}.{key}" if where else key)
 
 
-def _is_a(value, annotation: str) -> bool:
-    """Whether a JSON value fits an annotation such as 'float | None'; a bool
-    fits only where 'bool' is named, and a float only when it is finite."""
-    kinds = annotation.split(" | ")
-    return (isinstance(value, bool) == ("bool" in kinds) and
-            any(isinstance(value, _JSON_TYPES[k]) for k in kinds) and
-            not (isinstance(value, float) and not math.isfinite(value)))
-
-
-def _is_shape(value, shape: str) -> bool:
-    """Whether a JSON value is a list of three entries or, for "3x3 int",
-    three such lists of integers."""
-    if shape == "three entries":
-        return isinstance(value, list) and len(value) == 3
-    return (_is_shape(value, "three entries") and
-            all(_is_shape(row, "three entries") and
-                all(_is_a(v, "int") for v in row) for row in value))
-
-
-def _check_entry(entry, kind: str, where: str) -> None:
-    """Keys and JSON types of one entry of a custom family."""
-    if not isinstance(entry, dict):
-        raise RecordError(f"{where} must be an object, got {entry!r}")
-    types = _CUSTOM_ENTRIES[kind]
-    _check_keys(entry, set(types), where)
-    for key, annotation in types.items():
-        value = entry[key]
-        if not (_is_a(value, annotation) if annotation in _JSON_TYPES
-                else _is_shape(value, annotation)):
-            raise RecordError(f"{where}.{key} must be {annotation}, got {value!r}")
-
-
-def _check_custom(family: dict) -> None:
-    """Type-check each generator, binding and symmetry of a custom family;
-    the model's constructors check their values."""
-    for i, gen in enumerate(family["generators"]):
-        where = f"family.generators[{i}]"
-        kind = gen.get("type") if isinstance(gen, dict) else None
-        if kind not in ("scalar", "vector"):
-            raise RecordError(f"{where} must be a scalar or vector generator, "
-                              f"got {gen!r}")
-        _check_entry(gen, kind, where)
-        for c, coord in enumerate(gen.get("coords", [])):
-            _check_entry(coord, "coord", f"{where}.coords[{c}]")
-    for key, kind in (("bindings", "binding"), ("symmetries", "symmetry")):
-        for i, entry in enumerate(family[key]):
-            _check_entry(entry, kind, f"family.{key}[{i}]")
+def _check_document(document: dict) -> None:
+    """The schema version, every field against :data:`_FORMAT`, one value
+    per layout slot, and the certificate of a record claiming convergence."""
+    version = document.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise RecordError(f"unsupported schema version {version}; "
+                          f"this build reads version {SCHEMA_VERSION}")
+    _check_form(document, _FORMAT, "")
+    if len(document["values"]) != len(document["layout"]["slots"]):
+        raise RecordError("values and layout slots disagree in length")
+    if document["converged"]:
+        residual = document["residual"]
+        if residual is None or document["grad_norm"] is None:
+            raise RecordError("a record claiming convergence must carry "
+                              "residual and grad_norm")
+        if not residual <= RESIDUAL_CERTIFICATE:
+            raise RecordError(f"converged record fails the residual certificate: "
+                              f"{residual:.3e} > {RESIDUAL_CERTIFICATE:.1e}")
 
 
 def validate_record(record: OrbitRecord) -> None:
-    """Structural validation shared by save and load."""
-    if record.schema_version != SCHEMA_VERSION:
-        raise RecordError(
-            f"unsupported schema version {record.schema_version}; "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
-    for f in fields(OrbitRecord):
-        value = getattr(record, f.name)
-        if not _is_a(value, f.type):
-            raise RecordError(f"{f.name} must be {f.type}, got {value!r}")
-    kind = record.family.get("kind")
-    if kind not in _FAMILY_KEYS:
-        raise RecordError(f"unknown family kind {kind!r}")
-    _check_keys(record.family, _FAMILY_KEYS[kind], "family")
-    for key, annotation in _FAMILY_TYPES.items():
-        if key in record.family and not _is_a(record.family[key], annotation):
-            raise RecordError(f"family.{key} must be {annotation}, "
-                              f"got {record.family[key]!r}")
-    if kind == "custom":
-        _check_custom(record.family)
-    _check_keys(record.potential, _POTENTIAL_KEYS, "potential")
-    _check_keys(record.layout, _LAYOUT_KEYS, "layout")
-    numbers = {"potential": list(record.potential.values()),
-               "values": record.values}
-    if kind == "crisscross":
-        numbers["family.masses"] = record.family["masses"]
-    if record.observables is not None:
-        obs = record.observables
-        _check_keys(obs, _OBSERVABLE_KEYS, "observables")
-        numbers.update({"observables": [obs["E"], obs["Q_max"]],
-                        "observables.J": obs["J"]})
-    for where, group in numbers.items():
-        if not (isinstance(group, list) and all(_is_a(v, "float") for v in group)):
-            raise RecordError(f"{where} must hold finite numbers, got {group!r}")
-    if record.descent is not None:
-        _check_keys(record.descent, _DESCENT_KEYS, "descent")
-    if len(record.values) != len(record.layout["slots"]):
-        raise RecordError("values and layout slots disagree in length")
-    if record.converged:
-        if record.residual is None or record.grad_norm is None:
-            raise RecordError(
-                "a record claiming convergence must carry residual and grad_norm"
-            )
-        if not record.residual <= RESIDUAL_CERTIFICATE:
-            raise RecordError(
-                f"converged record fails the residual certificate: "
-                f"{record.residual:.3e} > {RESIDUAL_CERTIFICATE:.1e}"
-            )
+    """Check a record against the format; save and load share this check."""
+    _check_document(vars(record))
 
 
 def save_record(record: OrbitRecord, path: str) -> None:
@@ -225,10 +210,8 @@ def load_record(path: str) -> OrbitRecord:
         ) from err
     if not isinstance(data, dict):
         raise RecordError(f"record {path!r} must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "record")
-    record = OrbitRecord(**data)
-    validate_record(record)
-    return record
+    _check_document(data)
+    return OrbitRecord(**data)
 
 
 # ----------------------------------------------------------------------
@@ -281,8 +264,7 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
         active: dict[str, tuple] = {}
         for s in record.layout["slots"]:
             # the slots name the active coordinates before any layout check
-            if not (isinstance(s, list) and len(s) == 4 and _is_a(s[1], "int")
-                    and 0 <= s[1] < len(coords)):
+            if not (type(s[1]) is int and 0 <= s[1] < len(coords)):
                 raise RecordError(f"choreography slot {s!r} names no "
                                   f"coordinate channel 0, 1 or 2")
             _, channel, basis, _k = s
@@ -294,15 +276,13 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
             fam["n"], active=active or None, k_max=record.k_max,
             parity=Parity(fam["parity"]), potential=pot)
         return model, None
-    generators = []
-    for g in fam["generators"]:
-        if g["type"] == "scalar":
-            series = Harmonics(g["k_max"], Parity(g["parity"]))
-            generators.append(ScalarGenerator(series, tuple(g["offsets"])))
-        else:
-            coords = [Harmonics(c["k_max"], Parity(c["parity"]))
-                      for c in g["coords"]]
-            generators.append(VectorGenerator(*coords))
+    def series(meta: dict) -> Harmonics:   # the inverse of _series_meta
+        return Harmonics(meta["k_max"], Parity(meta["parity"]))
+
+    generators = [ScalarGenerator(series(g), tuple(g["offsets"]))
+                  if g["type"] == "scalar" else
+                  VectorGenerator(*map(series, g["coords"]))
+                  for g in fam["generators"]]
     bindings = [BodyBinding(b["generator"], OrthTransform(b["matrix"]),
                             b["phase"], b["mass"]) for b in fam["bindings"]]
     symmetries = [SpaceTimeSymmetry(OrthTransform(s["matrix"]), s["time_shift"],
@@ -312,10 +292,10 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
 
 
 def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
-    """Rebuild the orbit model and reduced parameters from a record.
-
-    A family its builder refuses (an even cubic m, a bad parity or mass)
-    is a RecordError, like any other inconsistent record.
+    """Rebuild the orbit model and reduced parameters from a record that
+    fits the format (as loaded or made).  A family its builder refuses (an
+    even cubic m, a bad parity or mass) is a RecordError, like any other
+    inconsistent record.
     """
     try:
         model, reference = _rebuild_model(record)
@@ -329,7 +309,7 @@ def record_to_model(record: OrbitRecord) -> tuple[OrbitModel, ReducedParams]:
         couplings = [Coupling(*c) for c in record.layout["couplings"]]
         layout = make_layout(model, slots, couplings)
         params = ReducedParams(layout, np.array(record.values, dtype=float))
-    except Exception as err:
+    except ValueError as err:   # a LayoutError, or a values length
         raise RecordError(f"record layout is inconsistent: {err}") from err
     if reference is not None and reference != layout:
         raise RecordError("record layout does not match its family builder")
@@ -419,7 +399,7 @@ def make_record(model: OrbitModel, params: ReducedParams,
         outcome=outcome,
         iterations=iterations,
         grad_norm=grad_norm,
-        residual=None if res is None else float(res),
+        residual=res,
         observables=_observable_summary(model, params),
         descent=_descent_dict(schedule, stop),
     )
@@ -530,28 +510,23 @@ def export_table(record: OrbitRecord) -> str:
     if scale == 0.0:
         raise RecordError("cannot normalize table: designated coefficient is zero")
     kind = model.family.kind
-    columns: list[tuple[str, tuple[int, int, str]]] = []
-    for s in params.layout.slots:
-        key = (s.gen, s.channel, s.basis)
-        name = _column_name(s, kind)
-        if (name, key) not in columns:
-            columns.append((name, key))
-    ks = sorted({s.k for s in params.layout.slots})
-    table = {key: {} for _, key in columns}
-    for i, s in enumerate(params.layout.slots):
-        table[(s.gen, s.channel, s.basis)][s.k] = params.values[i] / scale
+    # one column per (generator, channel, basis), in slot order: its name
+    # and its normalized values by harmonic
+    columns: dict[tuple[int, int, str], tuple[str, dict]] = {}
+    for s, v in zip(params.layout.slots, params.values):
+        columns.setdefault((s.gen, s.channel, s.basis),
+                           (_column_name(s, kind), {}))[1][s.k] = v / scale
     lines = [
         f"# family: {_family_label(record)}",
         f"# scale: {scale!r}",
         f"# k_max: {record.k_max}",
         f"# residual: {record.residual!r}",
-        "  k " + " ".join(f"{name:>9s}" for name, _ in columns),
+        "  k " + " ".join(f"{name:>9s}" for name, _ in columns.values()),
     ]
-    for k in ks:
+    for k in sorted({s.k for s in params.layout.slots}):
         row = [f"{k:3d}"]
-        for _, key in columns:
-            v = table[key].get(k)
-            row.append("         " if v is None else f"{v:9.5f}")
+        for _, values in columns.values():
+            row.append(f"{values[k]:9.5f}" if k in values else "         ")
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
 

@@ -893,18 +893,44 @@ class TestPerturbAndTrack:
             model, result.params, (j + 0.5) * h))
             for j in range(0, integrate_module.CURVE_SAMPLES, 64)]
         assert max(mids) < 1e-4
+        # the band's resolution is this reading, made once per reference
+        resolution = integrate_module._tracking_reference(
+            model, result.params)[2]
+        assert resolution == pytest.approx(max(mids), rel=1e-6)
 
-    @pytest.mark.parametrize("displacement", [1e-5, 1e-6])
+    @pytest.mark.parametrize("displacement", [1e-5, 1e-6, 1e-7, 1e-8])
     def test_tiny_criss_cross_displacement_stays_bounded(self, crisscross,
                                                          displacement):
         # the envelope of 100x the displacement sits below the grid error
-        # of the old refinement, so these tracks used to read 'exited'
+        # of the old refinement, so 1e-5 and 1e-6 used to read 'exited';
+        # 1e-7 and 1e-8 did too, at t = 0.126 with a deviation of 1.4e-5,
+        # until the default envelope was floored at a multiple of the
+        # band's own resolution (5e-5 here)
         model, result = crisscross
         dev = np.zeros((3, 3))
         dev[0, 0] = displacement
         rep = perturb_and_track(model, result.params, dev, 2.0)
         assert rep.verdict == BOUNDED
+        assert rep.exit_time is None
         assert rep.max_deviation <= rep.envelope
+        resolution = integrate_module._tracking_reference(
+            model, result.params)[2]
+        assert 1e-5 < resolution < 1e-4
+        assert rep.envelope == max(
+            100.0 * displacement,
+            integrate_module.RESOLUTION_MARGIN * resolution)
+
+    def test_given_envelope_is_kept_below_the_resolution(self, crisscross):
+        # only the default envelope is floored: a given one stays as
+        # given, and the band's own reading on the orbit exceeds this one
+        model, result = crisscross
+        dev = np.zeros((3, 3))
+        dev[0, 0] = 1e-8
+        rep = perturb_and_track(model, result.params, dev, 2.0,
+                                envelope=1e-6)
+        assert rep.envelope == 1e-6
+        assert rep.verdict == EXITED
+        assert rep.exit_time is not None
 
     def test_deviation_metric_sees_real_displacement(self, circle):
         from actionorbits.integrate import _CurveMetric
@@ -1027,10 +1053,10 @@ class TestTrackingReference:
         dev = np.zeros((2, 3))
         dev[0, 0] = 1e-6
         perturb_and_track(model, result.params, dev, 0.1)
-        assert len(calls) == 2          # the band and the start state
+        assert len(calls) == 3   # the band, its resolution, the start state
         dev[1, 1] = 2e-6
         perturb_and_track(model, result.params, dev, 0.1)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_one_changed_value_builds_a_new_reference(self, circle,
                                                       monkeypatch):
@@ -1042,11 +1068,11 @@ class TestTrackingReference:
         moved = result.params.with_values(values)
         first = integrate_module._tracking_reference(model, result.params)
         second = integrate_module._tracking_reference(model, moved)
-        assert len(calls) == 4
+        assert len(calls) == 6
         assert second is not first
         assert integrate_module._tracking_reference(
             model, result.params.with_values(result.params.values)) is first
-        assert len(calls) == 4
+        assert len(calls) == 6
 
     def test_cache_holds_at_most_its_bound(self, circle):
         model, result = circle
@@ -1061,8 +1087,8 @@ class TestTrackingReference:
 
     def test_cached_arrays_are_read_only(self, crisscross):
         model, result = crisscross
-        metric, base = integrate_module._tracking_reference(model,
-                                                            result.params)
+        metric, base, _ = integrate_module._tracking_reference(
+            model, result.params)
         for a in (metric.rows, metric.curve_sq, base.positions,
                   base.velocities):
             assert not a.flags.writeable

@@ -402,23 +402,78 @@ class TestRecordValidation:
             record_to_model(load_record(bad))
         _exits_as_record_error(bad, capsys)
 
-    @pytest.mark.parametrize("slot", [[0, 5, "sin", 1], [0, -1, "sin", 1],
-                                      [0, "1", "sin", 1], 5],
-                             ids=["channel-5", "channel-minus-1",
-                                  "string-channel", "int-slot"])
+    @pytest.mark.parametrize("slot, message", [
+        ([0, 5, "sin", 1], "coordinate channel"),
+        ([0, -1, "sin", 1], "coordinate channel"),
+        ([0, "1", "sin", 1], "coordinate channel"),
+        (5, r"layout\.slots\[0\] must be a list of 4")],
+        ids=["channel-5", "channel-minus-1", "string-channel", "int-slot"])
     def test_choreography_slot_without_a_channel_is_record_error(
-            self, tmp_path, capsys, slot):
+            self, tmp_path, capsys, slot, message):
         # a choreography's slots name its active coordinates, so they are
         # read before any layout check; a bad one used to end in a
-        # traceback at the coordinate lookup
+        # traceback at the coordinate lookup.  A slot that is not a list
+        # of four is refused by the record format, at load
         model, params = build_choreography(3, k_max=5)
         path = str(tmp_path / "choreography.json")
         save_record(make_record(model, params), path)
         bad = _tampered(path, tmp_path,
                         lambda d: d["layout"]["slots"].__setitem__(0, slot))
-        with pytest.raises(RecordError, match="coordinate channel"):
+        with pytest.raises(RecordError, match=message):
             record_to_model(load_record(bad))
         _exits_as_record_error(bad, capsys)
+
+    def test_record_fields_are_the_formats_top_level_fields(self):
+        # the dataclass and the format table name the same fields, in the
+        # order a record file lists them
+        assert ([f.name for f in dataclasses.fields(OrbitRecord)]
+                == list(records._FORMAT))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["descent"].update(max_iters="abc"),
+         r"descent\.max_iters must be an integer"),
+        (lambda d: d["descent"].update(rule=5),
+         r"descent\.rule must be a string"),
+        (lambda d: d["descent"].update(table="x"),
+         r"descent\.table must be a list"),
+        (lambda d: d["observables"].update(J=[0.0, 0.0]),
+         r"observables\.J must be a list of 3"),
+        (lambda d: d["observables"]["J"].__setitem__(2, math.nan),
+         r"observables\.J\[2\] must be a finite number"),
+        (lambda d: d["layout"].update(slots={"0": [0, 0, "sin", 1]}),
+         r"layout\.slots must be a list"),
+        (lambda d: d["layout"]["slots"][0].pop(),
+         r"layout\.slots\[0\] must be a list of 4"),
+        (lambda d: d["layout"]["couplings"].append([0, 0, 0, "sin", 1]),
+         r"layout\.couplings\[0\] must be a list of 6"),
+        (lambda d: d["values"].__setitem__(0, 10 ** 400),
+         r"values\[0\] must be a finite number"),
+        (lambda d: d["family"].update(kind=[]),
+         r"family\.kind must be one of")],
+        ids=["string-max_iters", "int-rule", "string-table", "two-J",
+             "nan-J", "slots-object", "three-entry-slot",
+             "five-entry-coupling", "int-beyond-float", "list-kind"])
+    def test_format_violation_is_record_error_at_load(
+            self, circle_record, tmp_path, capsys, edit, message):
+        # the four descent and J edits used to load and verify with exit
+        # 0, the short layout entries and the integer beyond every float
+        # to load and fail later, a slots object to read as a length
+        # mismatch, and a list kind to end in a traceback; now each fails
+        # at load, naming the field that breaks the format
+        bad = _tampered(circle_record, tmp_path, edit)
+        with pytest.raises(RecordError, match=message):
+            load_record(bad)
+        _exits_as_record_error(bad, capsys)
+
+    def test_infinite_descent_settings_load(self, circle_record, tmp_path):
+        # the descent section records settings as run: StopRule takes an
+        # infinite grad_tol or escape_radius, and json writes Infinity
+        bad = _tampered(circle_record, tmp_path, lambda d: d["descent"].update(
+            grad_tol=math.inf, escape_radius=math.inf))
+        assert "Infinity" in pathlib.Path(bad).read_text()
+        record = load_record(bad)
+        assert record.descent["escape_radius"] == math.inf
+        assert record.descent["grad_tol"] == math.inf
 
 
 class TestVerifyRecord:
@@ -699,6 +754,20 @@ class TestCliMinimize:
         assert code == 1
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
+        assert "minimize:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("every", ["-1", "-3"])
+    def test_negative_log_every_is_usage_error(self, circle_record, tmp_path,
+                                               capsys, every):
+        # -1 used to log every iteration and -3 every third, exiting 0
+        out = tmp_path / "out.json"
+        code = main(["minimize", circle_record, "--log-every", every,
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "--log-every must be non-negative" in captured.err
+        assert "iter=" not in captured.err
         assert "minimize:" not in captured.out
         assert not out.exists()
 
