@@ -76,6 +76,8 @@ class DescentSchedule:
         entries = tuple(sorted((int(k), float(v)) for k, v in table.items()))
         if not entries or all(v == 0.0 for _, v in entries):
             raise ValueError("custom schedule needs at least one nonzero entry")
+        if not all(math.isfinite(v) for _, v in entries):
+            raise ValueError("custom schedule needs finite steps")
         return cls(CUSTOM, table=entries)
 
     def step_sizes(self, layout: ParamLayout) -> np.ndarray:

@@ -4,12 +4,16 @@ All pair interactions follow the homogeneous law in :mod:`.potential` and
 go through one :class:`PairTable` per (potential, masses): the index pairs
 i < j, the pair-by-body difference matrix, the signed couplings c_ij (and
 -alpha * c_ij for the force), and the body-by-pair incidence matrix that
-sums pair forces onto bodies.  The table is built once and cached.  Its
-two evaluators are the only pair arithmetic, one per shape, each filling
-pair buffers it builds once.  :meth:`PairTable.accelerator` takes one
-(n, 3) configuration, with one difference-matrix product for the pair
-differences: it is the integrators' right side, which the DOP853 drive
-calls once per stage on the views of its stage plan.
+sums pair forces onto bodies.  The table is built once and cached.  It
+writes the pair law once: from the pair differences d it takes the
+squared norms r^2, the distances r, the collision test, the softening,
+the potential, r^(alpha - 2) and the pair coefficients, and the pair
+forces, in buffers each evaluator builds once.  Its two evaluators keep
+only what differs between them: how they form the differences and how
+they sum the pair forces onto bodies.  :meth:`PairTable.accelerator`
+takes one (n, 3) configuration, with one difference-matrix product for
+the differences: it is the integrators' right side, which the DOP853
+drive calls once per stage on the views of its stage plan.
 :meth:`PairTable.batch_evaluator` takes an (n, T, 3) batch, with two
 gathers: the descent's kernel builds one for the pairs of one (body,
 node) of each space-time symmetry orbit, and :func:`forces` and
@@ -17,12 +21,13 @@ node) of each space-time symmetry orbit, and :func:`forces` and
 single configuration taken as the batch ``x[:, None]`` of one.  On finite
 positions the two evaluators round alike, so the accelerator writes the
 bits of ``forces(...)[0] / masses[:, None]`` (an infinite coordinate is
-the exception, see :meth:`PairTable.accelerator`).  The evaluators skip
-the factors that are exact: force coefficients that are all -1 (equal
-unit masses at G = 1 and alpha = -1) and masses that are all 1, so no
-output changes.  Positions reach the table in the shape they come in,
-with no batching reshape, and forces and energies are evaluated
-vectorized over the batch axis with a deterministic reduction order.
+the exception, see :meth:`PairTable.accelerator`).  The law and the
+evaluators skip the factors that are exact: force coefficients that are
+all -1 (equal unit masses at G = 1 and alpha = -1) and masses that are
+all 1, so no output changes.  Positions reach the table in the shape
+they come in, with no batching reshape, and forces and energies are
+evaluated vectorized over the batch axis with a deterministic reduction
+order.
 :func:`observables` takes the same two shapes: for a batch every field
 gains a leading T axis, so a time series is one call, not a loop over
 samples; it and :func:`min_pair_distance` read distances through
@@ -86,11 +91,21 @@ class PairTable:
     """Everything about the pairs of one (potential, masses) that does not
     depend on positions.  Build through :func:`pair_table`, which caches.
 
-    Its two evaluators are the only pair arithmetic: :meth:`accelerator`
-    for one (n, 3) configuration and :meth:`batch_evaluator` for an
-    (n, T, 3) batch.  ``times`` is a scalar or one-element array (the time
-    of every configuration) or a (T,) array, used only to report a
-    collision.
+    Its pair law (:meth:`_law`) is the only pair arithmetic.  On pair
+    differences d it sums the squares in coordinate order,
+    ((dx^2 + dy^2) + dz^2), through the bound ``dot`` of a buffer's rows
+    of three, so one configuration and a batch round alike.  It tests the
+    closest true distance r against :data:`COLLISION_THRESHOLD`, read at
+    each call; a NaN distance is the closest, so a NaN never raises.  The
+    softening applies after the test.  Then come the potential, when the
+    evaluator asks for one, and the pair forces c_f r^(alpha - 2) d with
+    the force coefficients c_f = -alpha c; when every one is -1 the law
+    skips their product and the evaluators' body sums carry the sign.
+    :meth:`_collision` builds every CollisionError.  The law runs in two
+    evaluators: :meth:`accelerator` for one (n, 3) configuration and
+    :meth:`batch_evaluator` for an (n, T, 3) batch.
+    ``times`` is a scalar or one-element array (the time of every
+    configuration) or a (T,) array, used only to report a collision.
     """
 
     def __init__(self, spec: PotentialSpec, masses: np.ndarray):
@@ -116,70 +131,103 @@ class PairTable:
                   self.mass_rows, self.signed_incidence):
             a.setflags(write=False)
 
-    def _collision(self, r: np.ndarray, times, context: str):
-        """The CollisionError of the closest pair of true distances r, whose
-        rows are the table's pairs."""
-        at = np.unravel_index(np.argmin(r), r.shape)   # (pair[, time])
+    def _collision(self, r: np.ndarray, times, context: str, ends=None,
+                   columns=None):
+        """The CollisionError of the closest pair of true distances r.
+
+        By default r's rows are the table's pairs and its columns, if any,
+        the times.  ``ends``, two arrays of r's shape, name instead the
+        bodies of each distance, and ``columns`` the index into ``times``
+        of each column of r.
+        """
+        at = np.unravel_index(np.argmin(r), r.shape)   # (row[, column])
+        pair = (self.i_idx[at[0]], self.j_idx[at[0]]) if ends is None \
+            else sorted(end[at] for end in ends)
         t = None
         if times is not None:
             # one time stands for every member of a batch
             times = np.ravel(times)
-            t = float(times[at[1] if times.size > 1 else 0])
-        return CollisionError((self.i_idx[at[0]], self.j_idx[at[0]]), t=t,
-                              distance=r[at], context=context)
+            t = times[(at[1] if columns is None else columns[at[1]])
+                      if times.size > 1 else 0]
+        return CollisionError(pair, t=t, distance=r[at], context=context)
+
+    def _law(self, d: np.ndarray, pair_f: np.ndarray, coef: np.ndarray,
+             coupling=None, ends=None, columns=None):
+        """The pair law on the pair differences ``d`` (..., 3): builds
+        its buffers r^2 and r once and returns ``law(times, context)``.
+
+        A call reads ``d``, which the caller has filled, and writes the
+        pair forces into ``pair_f`` (d's shape; it holds the squares
+        first), with the pair coefficients ``coef`` (broadcast against
+        r), and returns the potential ``coupling @ r^alpha`` over r's
+        rows, or None with no ``coupling``.  ``ends`` and ``columns`` go
+        to :meth:`_collision`.
+        """
+        alpha, exponent = self.alpha, self.alpha - 2.0
+        softening2 = self.softening ** 2 if self.softening > 0.0 else None
+        unit_coef, has_pairs = self.unit_coef, d.size > 0
+        r2, r = np.empty(d.shape[:-1]), np.empty(d.shape[:-1])
+        r_col, rows = r[..., None], r.reshape(-1)
+        coef = coef.reshape(coef.shape + (1,) * (r.ndim - coef.ndim))
+        # bound methods, and argmin for the collision test: cheaper per
+        # call than np.matmul and np.minimum.reduce, at one call per
+        # DOP853 stage in the accelerator
+        squared_norms, norms = pair_f.reshape(-1, 3).dot, r2.reshape(-1)
+        closest = r.argmin
+        # coupling weighs r's rows, or, with one entry per distance, each
+        # distance as a row of its own
+        powers = (-1, 1) if coupling is not None and coupling.size > len(r) \
+            else r.shape
+
+        def law(times, context: str):
+            np.multiply(d, d, pair_f)
+            squared_norms(_ONES3, norms)
+            np.sqrt(r2, r)
+            if has_pairs and rows[closest()] < COLLISION_THRESHOLD:
+                raise self._collision(r, times, context, ends, columns)
+            if softening2 is not None:
+                np.add(r2, softening2, r)
+                np.sqrt(r, r)
+            V = None if coupling is None \
+                else coupling @ (r ** alpha).reshape(powers)
+            np.power(r, exponent, r)
+            if not unit_coef:
+                np.multiply(coef, r, r)
+            np.multiply(r_col, d, pair_f)
+            return V
+
+        return law
 
     def accelerator(self):
         """The integrator's right side for one configuration:
         ``accelerate(pos, t, out)`` writes F / m of the (n, 3) positions
         into the (n, 3) array ``out``, which may be a view.
 
-        Its pair buffers are built here, once: the differences,
-        their squares, r^2, r (then r^(alpha - 2) and the pair coefficients
-        in place), the pair forces and the body forces.  Each call fills
-        them with ``out=``, the products through the arrays' bound ``dot``
-        methods: the differences are one product with the table's
-        difference matrix, whose row adds one +x_i and one -x_j to exact
-        zeros, so a finite x_i - x_j rounds as the batch evaluator's
+        The pair differences are one product with the table's difference
+        matrix, through the bound ``dot`` of the arrays built here, as are
+        the body sums.  A row of that matrix adds one +x_i and one -x_j to
+        exact zeros, so a finite x_i - x_j rounds as the batch evaluator's
         gathers round it, and ``out`` holds the bits of
         ``forces(...)[0] / masses[:, None]``.  At an infinite coordinate
         the rows' zeros times it make that coordinate of every pair's
         difference a NaN, where the gathers keep other bodies' pairs
-        finite.  With every force coefficient -1 the pair coefficients
-        are r^(alpha - 2) and the body sums take the negated incidence;
-        with every mass 1 and a C-contiguous ``out``, as the stage plan's
-        rows are, the body sums go straight into ``out``.  Both give the
-        same bits, since the factors they drop are exact.
-        A true distance below :data:`COLLISION_THRESHOLD`, read at each
-        call, raises CollisionError (context 'integration', time ``t``),
-        tested at the closest pair, which a NaN distance is, so that a NaN
-        never raises; softening applies after the test.  A call overwrites
-        the buffers, so ``accelerate`` serves one caller at a time.
+        finite.  With every mass 1 and a C-contiguous ``out``, as the
+        stage plan's rows are, the body sums go straight into ``out``,
+        with the same bits, since the division they skip is exact.  A
+        collision is raised with context 'integration' at time ``t``.  A
+        call overwrites the buffers, so ``accelerate`` serves one caller at
+        a time.
         """
-        n_pairs = self.difference.shape[0]
-        coef, mass = self.force_coef, self.mass_rows
-        unit_coef, unit_mass = self.unit_coef, self.unit_mass
-        exponent = self.alpha - 2.0
-        softening2 = self.softening ** 2 if self.softening > 0.0 else None
-        d, d2, pair_f = (np.empty((n_pairs, 3)) for _ in range(3))
-        r2, r = np.empty(n_pairs), np.empty(n_pairs)
-        r_col, F = r[:, None], np.empty(mass.shape)
-        differences, squared_norms = self.difference.dot, d2.dot
-        body_sums, closest = self.signed_incidence.dot, r.argmin
+        mass, unit_mass = self.mass_rows, self.unit_mass
+        d, pair_f = (np.empty(self.difference.shape[:1] + (3,))
+                     for _ in range(2))
+        law = self._law(d, pair_f, self.force_coef)
+        F = np.empty(mass.shape)
+        differences, body_sums = self.difference.dot, self.signed_incidence.dot
 
         def accelerate(x: np.ndarray, t, out: np.ndarray) -> None:
             differences(x, d)
-            np.multiply(d, d, d2)
-            squared_norms(_ONES3, r2)
-            np.sqrt(r2, r)
-            if n_pairs and r[closest()] < COLLISION_THRESHOLD:
-                raise self._collision(r, t, "integration")
-            if softening2 is not None:
-                np.add(r2, softening2, r)
-                np.sqrt(r, r)
-            np.power(r, exponent, r)
-            if not unit_coef:
-                np.multiply(coef, r, r)
-            np.multiply(r_col, d, pair_f)
+            law(t, "integration")
             # a product writes only into an aligned, writeable C array
             if unit_mass and out.flags.carray:
                 body_sums(pair_f, out)
@@ -193,41 +241,33 @@ class PairTable:
         """Forces and potential of a batch: ``evaluate(x, times, context)``
         returns (F, V) of the (n, n_times, 3) positions ``x``.
 
-        By default it takes every pair at every time: F holds the forces
-        on every body (n, n_times, 3) and V the potential at every time,
-        the bits :func:`forces` returns.  ``representatives``, rows (body,
-        time, size) as :func:`.space_time_orbits` gives them with each
-        time an index into the batch, makes it take each representative's
-        pairs with every other body at its time: F holds the forces on the
-        representatives (R, 3), and V (one entry) the sum of each
-        representative's half share of its pair potentials times its
-        size.  Over the grid positions whose orbits these represent, that
-        is the full potential's grid sum.
+        By default it takes every pair at every time, by two gathers: F
+        holds the forces on every body (n, n_times, 3) and V the potential
+        at every time, the bits :func:`forces` returns.
+        ``representatives``, rows (body, time, size) as
+        :func:`.space_time_orbits` gives them with each time an index into
+        the batch, makes it take each representative's pairs with every
+        other body at its time: F holds the forces on the representatives
+        (R, 3), and V (one entry) the sum of each representative's half
+        share of its pair potentials times its size.  Over the grid
+        positions whose orbits these represent, that is the full
+        potential's grid sum.
 
-        Its buffers are built here, once: the differences d, one scratch
-        array for the second gather (then the squares and the pair
-        forces), r^2, r (then r^(alpha - 2) and the pair coefficients in
-        place) and the forces F.  With every force coefficient -1 the
-        coefficients are not applied and the body sums carry the sign:
-        the negated incidence for every pair, -1 partner weights for
-        representatives; the bits are the same.  The gathers take
-        ``mode="clip"``, since the default mode buffers its output; the
-        indices are always in range.  A true distance below
-        :data:`COLLISION_THRESHOLD`, read at each call, raises
-        CollisionError at the closest pair, named by its time in
-        ``times``.  Softening applies after the test, and r^alpha is a new
-        array from the power operator, whose scalar fast path (the
-        reciprocal at alpha = -1) rounds unlike ``np.power``.  A call
-        overwrites the buffers, F included, so ``evaluate`` serves one
+        The gathers take ``mode="clip"``, since the default mode buffers
+        its output; the indices are always in range.  With every force
+        coefficient -1 the body sums carry the sign: the negated incidence
+        for every pair, -1 partner weights for representatives.  V's
+        r^alpha is a new array from the power operator, whose scalar fast
+        path (the reciprocal at alpha = -1) rounds unlike ``np.power``.  A
+        call overwrites the buffers, F included, so ``evaluate`` serves one
         caller at a time and its F is valid until the next call; V is a
         new array.
         """
-        coupling, coef, unit_coef = self.coupling, self.force_coef, \
-            self.unit_coef
         if representatives is None:
             i_idx, j_idx = self.i_idx, self.j_idx
             incidence = self.signed_incidence
             d, scratch = (np.empty((i_idx.size, n_times, 3)) for _ in range(2))
+            law = self._law(d, scratch, self.force_coef, self.coupling)
             F = np.empty((incidence.shape[0], n_times, 3))
             pair_rows = scratch.reshape(i_idx.size, 3 * n_times)
             body_rows = F.reshape(F.shape[0], 3 * n_times)
@@ -239,9 +279,6 @@ class PairTable:
 
             def body_forces():
                 np.dot(incidence, pair_rows, body_rows)
-
-            def collision(times, context):
-                return self._collision(r, times, context)
         else:
             bodies, columns, sizes = np.asarray(representatives).T
             n = self.incidence.shape[0]
@@ -256,14 +293,17 @@ class PairTable:
             pair = pair[bodies, others]
             lead_rows = bodies * n_times + columns
             other_rows = others * n_times + columns
-            coupling = (coupling[pair] * (0.5 * sizes)).reshape(-1)
-            coef = coef[pair]
             lead = np.empty((bodies.size, 3))
             d, scratch = (np.empty(pair.shape + (3,)) for _ in range(2))
+            law = self._law(
+                d, scratch, self.force_coef[pair],
+                coupling=(self.coupling[pair] * (0.5 * sizes)).reshape(-1),
+                ends=(np.broadcast_to(bodies, others.shape), others),
+                columns=columns)
             F = np.empty((bodies.size, 3))
             # the body sums' weights: the coefficients' sign, when it is
             # all they hold
-            partner_signs = np.full(n - 1, -1.0 if unit_coef else 1.0)
+            partner_signs = np.full(n - 1, -1.0 if self.unit_coef else 1.0)
             pair_rows = scratch.reshape(n - 1, -1)
             body_rows = F.reshape(-1)
 
@@ -276,40 +316,9 @@ class PairTable:
             def body_forces():
                 np.dot(partner_signs, pair_rows, body_rows)
 
-            def collision(times, context):
-                at = np.unravel_index(np.argmin(r), r.shape)
-                i, j = sorted((int(bodies[at[1]]), int(others[at])))
-                return CollisionError(
-                    (i, j), t=float(np.ravel(times)[columns[at[1]]]),
-                    distance=r[at], context=context)
-
-        alpha, exponent = self.alpha, self.alpha - 2.0
-        softening2 = self.softening ** 2 if self.softening > 0.0 else None
-        r2, r = (np.empty(d.shape[:-1]) for _ in range(2))
-        r_col, coef = r[..., None], coef.reshape(coef.shape + (1,) * (
-            r.ndim - coef.ndim))
-        # every pair's squares and potentials in a batch of its own times,
-        # or the representatives' pairs in one block of pairs
-        squares, squared_norms, potential_shape = (scratch, r2, r.shape) \
-            if representatives is None \
-            else (scratch.reshape(-1, 3), r2.reshape(-1), (-1, 1))
-
         def evaluate(x: np.ndarray, times, context: str):
             differences(x)
-            np.multiply(d, d, scratch)
-            np.matmul(squares, _ONES3, squared_norms)
-            np.sqrt(r2, r)
-            if r.size and np.minimum.reduce(r, axis=None) \
-                    < COLLISION_THRESHOLD:
-                raise collision(times, context)
-            if softening2 is not None:
-                np.add(r2, softening2, r)
-                np.sqrt(r, r)
-            V = coupling @ (r ** alpha).reshape(potential_shape)
-            np.power(r, exponent, r)
-            if not unit_coef:
-                np.multiply(coef, r, r)
-            np.multiply(r_col, d, scratch)
+            V = law(times, context)
             body_forces()
             return F, V
 

@@ -260,21 +260,9 @@ def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]
         model, params = build_crisscross(tuple(fam["masses"]), record.k_max, pot)
         return model, params.layout
     if kind == "choreography":
-        coords = "xyz"
-        active: dict[str, tuple] = {}
-        for s in record.layout["slots"]:
-            # the slots name the active coordinates before any layout check
-            if not (type(s[1]) is int and 0 <= s[1] < len(coords)):
-                raise RecordError(f"choreography slot {s!r} names no "
-                                  f"coordinate channel 0, 1 or 2")
-            _, channel, basis, _k = s
-            name = coords[channel]
-            bases = active.setdefault(name, ())
-            if basis not in bases:
-                active[name] = bases + (basis,)
-        model, _ = build_choreography(
-            fam["n"], active=active or None, k_max=record.k_max,
-            parity=Parity(fam["parity"]), potential=pot)
+        model, _ = build_choreography(fam["n"], k_max=record.k_max,
+                                      parity=Parity(fam["parity"]),
+                                      potential=pot)
         return model, None
     def series(meta: dict) -> Harmonics:   # the inverse of _series_meta
         return Harmonics(meta["k_max"], Parity(meta["parity"]))

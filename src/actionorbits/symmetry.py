@@ -233,11 +233,16 @@ class BodyBinding:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.generator < 0:
-            raise ValueError("generator index must be non-negative")
+        g = self.generator
+        if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 0:
+            raise ValueError(
+                f"generator index must be a non-negative integer, got {g!r}")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
-        object.__setattr__(self, "phase", float(self.phase) % TWO_PI)
+        phase = float(self.phase)
+        if not math.isfinite(phase):
+            raise ValueError(f"phase must be finite, got {phase}")
+        object.__setattr__(self, "phase", phase % TWO_PI)
 
 
 @dataclass(frozen=True)

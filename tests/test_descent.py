@@ -58,6 +58,14 @@ class TestScheduleConstruction:
         with pytest.raises(ValueError):
             DescentSchedule.custom({1: 0.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_custom_rejects_non_finite_steps(self, bad):
+        # a NaN or infinite entry, as uniform and preconditioned refuse it,
+        # beside finite ones and alone
+        for table in ({1: bad, 3: 1e-2, 5: 1e-2}, {1: bad}):
+            with pytest.raises(ValueError, match="finite"):
+                DescentSchedule.custom(table)
+
     def test_custom_missing_harmonic(self):
         model, params = build_cubic_family(1, k_max=5)
         sched = DescentSchedule.custom({1: 1e-3})

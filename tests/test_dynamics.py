@@ -440,6 +440,84 @@ def test_each_layer_reaches_pair_arithmetic_through_one_evaluator(
     assert calls == {"_separations": 2}
 
 
+def test_every_evaluator_runs_the_one_pair_law(circle, monkeypatch):
+    # accelerator() and batch_evaluator(), over every pair and over
+    # representatives, each build the table's one pair law once and run
+    # it on every call; forces, potential_energy, a reduced kernel and
+    # return_error reach their pairs through it
+    model, result = circle
+    params, spec, masses = result.params, model.potential, model.masses
+    builds, runs = collections.Counter(), collections.Counter()
+    law = dynamics.PairTable._law
+
+    def counted(table, *args, **kwargs):
+        builds["law"] += 1
+        run = law(table, *args, **kwargs)
+
+        def call(*call_args):
+            runs["law"] += 1
+            return run(*call_args)
+        return call
+
+    def counts(call):
+        # (builds, runs) of the law during call()
+        builds.clear()
+        runs.clear()
+        call()
+        return builds["law"], runs["law"]
+
+    monkeypatch.setattr(dynamics.PairTable, "_law", counted)
+    table = pair_table(spec, masses)
+    x = sample_positions(model, params, np.linspace(0.0, 1.0, 4))
+    for build, run in (
+            (table.accelerator,
+             lambda f: f(x[:, 0], 0.0, np.empty((2, 3)))),
+            (lambda: table.batch_evaluator(4),
+             lambda f: f(x, np.arange(4.0), "")),
+            (lambda: table.batch_evaluator(2, [[0, 0, 1], [1, 1, 1]]),
+             lambda f: f(x[:, :2], np.arange(2.0), ""))):
+        built = []
+        assert counts(lambda: built.append(build())) == (1, 0)
+        assert counts(lambda: (run(built[0]), run(built[0]))) == (0, 2)
+    kernel = EvalKernel(model, params)
+    assert kernel.nodes.size < kernel.grid.n
+    pos = kernel.positions(params.values)
+    assert counts(lambda: forces(spec, masses, x)) == (1, 1)
+    assert counts(lambda: potential_energy(spec, masses, x[:, 0])) == (1, 1)
+    assert counts(lambda: kernel.forces(pos, "")) == (0, 1)
+    made, ran = counts(lambda: integrate.return_error(model, params))
+    assert made == 1 and ran > 100
+
+
+def test_one_collision_report_names_every_evaluators_collision(monkeypatch):
+    # the accelerator, the batch evaluator over every pair and the one
+    # over representatives build their CollisionError through the table's
+    # one _collision
+    reports = collections.Counter()
+    collision = dynamics.PairTable._collision
+
+    def counted(table, *args, **kwargs):
+        reports["_collision"] += 1
+        return collision(table, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics.PairTable, "_collision", counted)
+    a = 1e-9
+    model, params = build_choreography(
+        2, seed={("x", "sin", 1): a, ("y", "cos", 1): a}, k_max=9)
+    kernel = EvalKernel(model, params)
+    x = kernel.full_positions(params.values)
+    table = pair_table(model.potential, model.masses)
+    for call in (
+            lambda: table.accelerator()(x[:, 0], 0.5, np.empty((2, 3))),
+            lambda: forces(model.potential, model.masses, x),
+            lambda: kernel._evaluate(kernel.positions(params.values),
+                                     kernel._times, "")):
+        reports.clear()
+        with pytest.raises(CollisionError):
+            call()
+        assert reports == {"_collision": 1}
+
+
 @pytest.mark.parametrize("n", [2, 3, 28])
 def test_pair_differences_match_the_gather_bit_for_bit(n):
     # a difference-matrix row adds one +x_i and one -x_j to exact zeros,

@@ -403,17 +403,16 @@ class TestRecordValidation:
         _exits_as_record_error(bad, capsys)
 
     @pytest.mark.parametrize("slot, message", [
-        ([0, 5, "sin", 1], "coordinate channel"),
-        ([0, -1, "sin", 1], "coordinate channel"),
-        ([0, "1", "sin", 1], "coordinate channel"),
+        ([0, 5, "sin", 1], "generator 0 has no channel 5"),
+        ([0, -1, "sin", 1], "generator 0 has no channel -1"),
+        ([0, "1", "sin", 1], "channel must be an integer, got '1'"),
         (5, r"layout\.slots\[0\] must be a list of 4")],
         ids=["channel-5", "channel-minus-1", "string-channel", "int-slot"])
     def test_choreography_slot_without_a_channel_is_record_error(
             self, tmp_path, capsys, slot, message):
-        # a choreography's slots name its active coordinates, so they are
-        # read before any layout check; a bad one used to end in a
-        # traceback at the coordinate lookup.  A slot that is not a list
-        # of four is refused by the record format, at load
+        # a slot on a channel the choreography's generator does not have
+        # is refused by the layout check.  A slot that is not a list of
+        # four is refused by the record format, at load
         model, params = build_choreography(3, k_max=5)
         path = str(tmp_path / "choreography.json")
         save_record(make_record(model, params), path)
@@ -741,6 +740,21 @@ class TestCliMinimize:
         code = main(["minimize", seed, "--table", table])
         assert code == 0
         assert load_record(seed).converged
+
+    @pytest.mark.parametrize("table", ["1=nan,3=0.01,5=0.01",
+                                       "1=0.01,3=inf,5=0.01"])
+    def test_non_finite_table_step_is_usage_error(self, tmp_path, capsys,
+                                                  table):
+        seed, out = str(tmp_path / "seed.json"), tmp_path / "out.json"
+        assert main(["seed", "--family", "cubic", "--m", "1", "--k-max", "5",
+                     "--out", seed]) == 0
+        capsys.readouterr()
+        code = main(["minimize", seed, "--table", table, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: custom schedule needs finite steps" in captured.err
+        assert "minimize:" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("option", [
         ["--escape-radius", "-1"], ["--escape-radius", "0"],

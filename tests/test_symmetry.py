@@ -1040,6 +1040,26 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             BodyBinding(0, IDENTITY, 0.0, 0.0)
 
+    @pytest.mark.parametrize("generator,phase,match", [
+        (True, 0.0, "generator index"), (False, 0.0, "generator index"),
+        (1.5, 0.0, "generator index"), (1.0, 0.0, "generator index"),
+        ("0", 0.0, "generator index"), (None, 0.0, "generator index"),
+        (0, math.nan, "phase"), (0, math.inf, "phase"),
+        (0, -math.inf, "phase")],
+        ids=["true", "false", "float-1.5", "float-1.0", "string", "none",
+             "nan-phase", "inf-phase", "minus-inf-phase"])
+    def test_binding_refuses_a_bad_generator_or_phase(self, generator, phase,
+                                                      match):
+        # a generator that is not a non-negative integer (a bool is not
+        # one) and a phase that is not finite are refused, not stored
+        with pytest.raises(ValueError, match=match):
+            BodyBinding(generator, IDENTITY, phase)
+
+    def test_binding_takes_numpy_integers(self):
+        binding = BodyBinding(np.int64(2), IDENTITY, -0.5)
+        assert binding.generator == 2
+        assert binding.phase == -0.5 % (2 * math.pi)
+
     def test_model_needs_bodies(self):
         model, _ = build_cubic_family(1, k_max=5)
         with pytest.raises(ValueError):
