@@ -30,10 +30,9 @@ from .errors import (CollisionError, IntegrationError, OrbitError, RecordError)
 from .integrate import BOUNDED, perturb_and_track, trajectory_blocks
 from .quadrature import QuadratureGrid
 from .records import (RESIDUAL_CERTIFICATE, _text_rows, _trajectory_chunks,
-                      certify, export_table, load_record, make_record,
-                      record_to_model, save_record, write_text)
-from .symmetry import (build_choreography, build_crisscross,
-                       build_cubic_family, sample_positions)
+                      build_family, certify, export_table, load_record,
+                      make_record, record_to_model, save_record, write_text)
+from .symmetry import sample_positions
 from .potential import PotentialSpec
 
 EXIT_OK = 0
@@ -79,20 +78,16 @@ def _emit(text, out: str | None) -> None:
 
 def cmd_seed(args) -> int:
     potential = PotentialSpec(alpha=args.alpha, G=args.G)
-    if args.family == "cubic":
-        if args.m is None:
-            raise OrbitError("--family cubic requires --m")
-        model, params = build_cubic_family(args.m, args.k_max, potential)
-    elif args.family == "crisscross":
-        masses = _parse_masses(args.masses)
-        if len(masses) != 3:
+    family = {"kind": args.family, "m": args.m, "n": args.n}
+    if args.family == "cubic" and args.m is None:
+        raise OrbitError("--family cubic requires --m")
+    if args.family == "crisscross":
+        family["masses"] = _parse_masses(args.masses)
+        if len(family["masses"]) != 3:
             raise OrbitError("crisscross takes exactly three masses")
-        model, params = build_crisscross(masses, args.k_max, potential)
-    else:
-        if args.n is None:
-            raise OrbitError("--family choreography requires --n")
-        model, params = build_choreography(args.n, k_max=args.k_max,
-                                           potential=potential)
+    if args.family == "choreography" and args.n is None:
+        raise OrbitError("--family choreography requires --n")
+    model, params = build_family(family, args.k_max, potential)
     record = make_record(model, params)
     save_record(record, args.out)
     print(f"seed: family={args.family} bodies={model.n_bodies} "
@@ -108,11 +103,9 @@ def _schedule_from_args(args) -> DescentSchedule:
     if args.dtau is not None:
         return DescentSchedule.uniform(args.dtau)
     if args.table:
-        entries = {}
-        for item in args.table.split(","):
-            k, _, v = item.partition("=")
-            entries[int(k)] = float(v)
-        return DescentSchedule.custom(entries)
+        entries = [item.partition("=") for item in args.table.split(",")]
+        return DescentSchedule.custom([(int(k), float(v))
+                                       for k, _, v in entries])
     return DescentSchedule.preconditioned(args.delta)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -72,8 +72,20 @@ class DescentSchedule:
         return cls(PRECONDITIONED, delta=float(delta))
 
     @classmethod
-    def custom(cls, table: Mapping[int, float]) -> "DescentSchedule":
-        entries = tuple(sorted((int(k), float(v)) for k, v in table.items()))
+    def custom(cls, table: Mapping[int, float] | Iterable[tuple[int, float]]
+               ) -> "DescentSchedule":
+        """Steps by harmonic, from a mapping or from (harmonic, step) pairs;
+        each harmonic an integer (not a bool), given once."""
+        pairs = list(table.items() if isinstance(table, Mapping) else table)
+        for k, _ in pairs:
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+                raise ValueError(f"custom schedule harmonic must be an "
+                                 f"integer, got {k!r}")
+        entries = tuple(sorted((int(k), float(v)) for k, v in pairs))
+        repeated = sorted({k for (k, _), (j, _) in zip(entries, entries[1:])
+                           if k == j})
+        if repeated:
+            raise ValueError(f"custom schedule repeats harmonics {repeated}")
         if not entries or all(v == 0.0 for _, v in entries):
             raise ValueError("custom schedule needs at least one nonzero entry")
         if not all(math.isfinite(v) for _, v in entries):

@@ -224,13 +224,14 @@ def _series_meta(series: Harmonics) -> dict:
 
 
 def _family_dict(model: OrbitModel) -> dict:
+    """The record's family: a built-in family's kind and the fields its
+    builder set on :class:`.Family` (tuples as lists), which
+    :func:`build_family` reads back; a custom family's generators,
+    bindings and symmetries."""
     fam = model.family
-    if fam.kind == "cubic":
-        return {"kind": "cubic", "m": fam.m}
-    if fam.kind == "crisscross":
-        return {"kind": "crisscross", "masses": list(fam.masses)}
-    if fam.kind == "choreography":
-        return {"kind": "choreography", "n": fam.n, "parity": fam.parity}
+    if fam.kind != "custom":
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f in fields(fam) if (v := getattr(fam, f.name)) is not None}
     gens = []
     for gen in model.generators:
         if isinstance(gen, ScalarGenerator):
@@ -248,22 +249,30 @@ def _family_dict(model: OrbitModel) -> dict:
             "symmetries": symmetries}
 
 
+def build_family(family: dict, k_max: int, potential: PotentialSpec
+                 ) -> tuple[OrbitModel, ReducedParams]:
+    """The model and seed of a built-in family from its record fields:
+    ``m`` for ``cubic``, ``masses`` for ``crisscross``, and ``n`` and
+    ``parity`` (odd harmonics when absent) for ``choreography``."""
+    kind = family["kind"]
+    if kind == "cubic":
+        return build_cubic_family(family["m"], k_max, potential)
+    if kind == "crisscross":
+        return build_crisscross(family["masses"], k_max, potential)
+    if kind == "choreography":
+        return build_choreography(
+            family["n"], k_max=k_max, potential=potential,
+            parity=Parity(family.get("parity", Parity.ODD_ONLY.value)))
+    raise ValueError(f"no builder for family kind {kind!r}")
+
+
 def _rebuild_model(record: OrbitRecord) -> tuple[OrbitModel, ParamLayout | None]:
     """The record's model, plus the builder's layout for cubic and criss-cross."""
     fam = record.family
     pot = PotentialSpec(**record.potential)
-    kind = fam["kind"]
-    if kind == "cubic":
-        model, params = build_cubic_family(fam["m"], record.k_max, pot)
-        return model, params.layout
-    if kind == "crisscross":
-        model, params = build_crisscross(tuple(fam["masses"]), record.k_max, pot)
-        return model, params.layout
-    if kind == "choreography":
-        model, _ = build_choreography(fam["n"], k_max=record.k_max,
-                                      parity=Parity(fam["parity"]),
-                                      potential=pot)
-        return model, None
+    if fam["kind"] != "custom":
+        model, params = build_family(fam, record.k_max, pot)
+        return model, None if fam["kind"] == "choreography" else params.layout
     def series(meta: dict) -> Harmonics:   # the inverse of _series_meta
         return Harmonics(meta["k_max"], Parity(meta["parity"]))
 

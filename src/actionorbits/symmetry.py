@@ -223,6 +223,13 @@ class VectorGenerator:
         return (self.x, self.y, self.z)[c]
 
 
+def _is_real(value) -> bool:
+    """A real number: a bool or a string is not one, a NumPy float is (a
+    plain float or int is tested first, as the ABC check is much slower)."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                           and not isinstance(value, bool))
+
+
 @dataclass(frozen=True)
 class BodyBinding:
     """Places one body on a generator: x(t) = transform . g(t + phase)."""
@@ -237,6 +244,10 @@ class BodyBinding:
         if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 0:
             raise ValueError(
                 f"generator index must be a non-negative integer, got {g!r}")
+        for name in ("mass", "phase"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, "
+                                 f"got {getattr(self, name)!r}")
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
         phase = float(self.phase)
@@ -254,6 +265,14 @@ class SpaceTimeSymmetry:
     transform: OrthTransform
     time_shift: float = 0.0
     time_reversal: bool = False
+
+    def __post_init__(self):
+        if not (_is_real(self.time_shift) and math.isfinite(self.time_shift)):
+            raise ValueError(f"time_shift must be a finite number, "
+                             f"got {self.time_shift!r}")
+        if not isinstance(self.time_reversal, bool):
+            raise ValueError(f"time_reversal must be a bool, "
+                             f"got {self.time_reversal!r}")
 
 
 @dataclass(frozen=True)

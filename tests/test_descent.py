@@ -66,6 +66,28 @@ class TestScheduleConstruction:
             with pytest.raises(ValueError, match="finite"):
                 DescentSchedule.custom(table)
 
+    @pytest.mark.parametrize("table,match", [
+        ({1.5: 0.01, 3: 0.01}, "integer, got 1.5"),
+        ({True: 0.01, 3: 0.01}, "integer, got True"),
+        ({"1": 0.01}, "integer, got '1'"),
+        ({1.5: 0.01, True: 0.02}, "integer"),
+        ([(1, 0.01), (1, 0.02), (3, 0.01)], r"repeats harmonics \[1\]"),
+        ([(3, 0.01), (1, 0.01), (3, 0.02), (1, 0.02)],
+         r"repeats harmonics \[1, 3\]")],
+        ids=["float", "bool", "string", "float-and-bool", "repeated",
+             "two-repeated"])
+    def test_custom_refuses_bad_or_repeated_harmonics(self, table, match):
+        # a harmonic that is not an integer, or one given twice, is refused
+        # rather than cast to an integer or overwritten by its last step
+        with pytest.raises(ValueError, match=match):
+            DescentSchedule.custom(table)
+
+    def test_custom_takes_pairs_and_numpy_integers(self):
+        expected = ((1, 0.01), (3, 0.02))
+        assert DescentSchedule.custom([(3, 0.02), (1, 0.01)]).table == expected
+        assert DescentSchedule.custom(
+            {np.int64(1): 0.01, np.int32(3): 0.02}).table == expected
+
     def test_custom_missing_harmonic(self):
         model, params = build_cubic_family(1, k_max=5)
         sched = DescentSchedule.custom({1: 1e-3})

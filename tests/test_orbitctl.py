@@ -164,6 +164,32 @@ class TestRecordRoundTrip:
                                                           s.time_reversal)
             assert np.array_equal(s2.transform.matrix, s.transform.matrix)
 
+    @pytest.mark.parametrize("build", [
+        lambda pot: build_cubic_family(1, 9, pot),
+        lambda pot: build_cubic_family(3, 9, pot),
+        lambda pot: build_crisscross((1.0, 1.0, 1.0), 9, pot),
+        lambda pot: build_crisscross((1.0, 2.0, 3.0), 9, pot),
+        lambda pot: build_choreography(3, k_max=9, potential=pot),
+        lambda pot: build_choreography(4, k_max=9, potential=pot,
+                                       parity=ao.Parity.ALL)],
+        ids=["cubic-m1", "cubic-m3", "crisscross", "crisscross-123",
+             "choreography-odd", "choreography-all"])
+    def test_build_family_rebuilds_a_records_family(self, build):
+        # a built-in family's record fields are what records.build_family
+        # reads: the model it builds from them is the builder's own, equal
+        # and hash-equal, with the same seed
+        pot = ao.PotentialSpec(alpha=-2.0, G=0.5)
+        model, params = build(pot)
+        family = make_record(model, params).family
+        model2, params2 = records.build_family(family, 9, pot)
+        assert model2 == model and hash(model2) == hash(model)
+        assert params2.layout == params.layout
+        assert params2.values.tobytes() == params.values.tobytes()
+
+    def test_build_family_refuses_a_custom_family(self):
+        with pytest.raises(ValueError, match="no builder"):
+            records.build_family({"kind": "custom"}, 9, ao.PotentialSpec())
+
     def test_invalid_save_leaves_no_file(self, circle, tmp_path):
         model, result = circle
         record = make_record(model, result.params, result)
@@ -753,6 +779,23 @@ class TestCliMinimize:
         captured = capsys.readouterr()
         assert code == 1
         assert "error: custom schedule needs finite steps" in captured.err
+        assert "minimize:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("table,message", [
+        ("1=0.01,1=0.02,3=0.01,5=0.01", "repeats harmonics [1]"),
+        ("1.5=0.01,3=0.01,5=0.01", "invalid literal for int()")])
+    def test_bad_table_harmonic_is_usage_error(self, tmp_path, capsys, table,
+                                               message):
+        # a repeated harmonic is refused, not overwritten by its last step
+        seed, out = str(tmp_path / "seed.json"), tmp_path / "out.json"
+        assert main(["seed", "--family", "cubic", "--m", "1", "--k-max", "5",
+                     "--out", seed]) == 0
+        capsys.readouterr()
+        code = main(["minimize", seed, "--table", table, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: " in captured.err and message in captured.err
         assert "minimize:" not in captured.out
         assert not out.exists()
 

@@ -1060,6 +1060,38 @@ class TestModelValidation:
         assert binding.generator == 2
         assert binding.phase == -0.5 % (2 * math.pi)
 
+    @pytest.mark.parametrize("mass,phase,match", [
+        ("1", 0.0, "mass"), (True, 0.0, "mass"), (np.bool_(True), 0.0, "mass"),
+        (None, 0.0, "mass"), (1.0, "0.5", "phase"), (1.0, True, "phase"),
+        (1.0, None, "phase")],
+        ids=["string-mass", "true-mass", "numpy-bool-mass", "none-mass",
+             "string-phase", "true-phase", "none-phase"])
+    def test_binding_mass_and_phase_are_numbers(self, mass, phase, match):
+        # a string, a bool or None is not a mass or a phase: refused with a
+        # ValueError, not a TypeError, and never stored
+        with pytest.raises(ValueError, match=match):
+            BodyBinding(0, IDENTITY, phase, mass)
+
+    def test_binding_takes_numpy_floats(self):
+        binding = BodyBinding(0, IDENTITY, np.float64(0.5), np.float32(2.0))
+        assert (binding.phase, binding.mass) == (0.5, 2.0)
+
+    @pytest.mark.parametrize("change", [
+        {"time_shift": math.nan}, {"time_shift": math.inf},
+        {"time_shift": "0.5"}, {"time_shift": True}, {"time_shift": None},
+        {"time_reversal": 1}, {"time_reversal": "yes"},
+        {"time_reversal": None}],
+        ids=["nan-shift", "inf-shift", "string-shift", "bool-shift",
+             "none-shift", "int-reversal", "string-reversal",
+             "none-reversal"])
+    def test_symmetry_checks_its_fields(self, change):
+        # a claimed element with a time shift that is not a finite number,
+        # or a time reversal that is not a bool, is refused where it is
+        # made, before descent or verify_symmetry reads it
+        model, _ = build_choreography(3, k_max=9)
+        with pytest.raises(ValueError, match=next(iter(change))):
+            dataclasses.replace(model.symmetries[0], **change)
+
     def test_model_needs_bodies(self):
         model, _ = build_cubic_family(1, k_max=5)
         with pytest.raises(ValueError):

@@ -178,3 +178,23 @@ def test_samplers_go_through_the_traced_bindings(monkeypatch, circle):
     assert len(by_dynamics) == 1           # positions and accelerations
     dynamics.observables_series(model, result.params, np.linspace(0, 1, 5))
     assert len(by_dynamics) == 2           # positions and velocities
+
+
+def test_seed_and_record_loading_build_through_the_traced_bindings(
+        monkeypatch, tmp_path):
+    # the tracer times ``symmetry.build`` by rebinding the builders in
+    # ``records``, so ``orbitctl seed`` and ``record_to_model`` must both
+    # build a family through those module globals
+    records = importlib.import_module("actionorbits.records")
+    cli = importlib.import_module("actionorbits.cli")
+    for family, builder in (
+            (["cubic", "--m", "1"], "build_cubic_family"),
+            (["crisscross", "--masses", "1:2:3"], "build_crisscross"),
+            (["choreography", "--n", "3"], "build_choreography")):
+        calls = _counted(monkeypatch, records, builder)
+        path = str(tmp_path / f"{builder}.json")
+        assert cli.main(["seed", "--family", *family, "--k-max", "5",
+                         "--out", path]) == 0
+        assert len(calls) == 1
+        records.record_to_model(records.load_record(path))
+        assert len(calls) == 2
