@@ -96,13 +96,13 @@ def cmd_seed(args) -> int:
 
 
 def _schedule_from_args(args) -> DescentSchedule:
-    chosen = [name for name, v in
-              (("--dtau", args.dtau), ("--table", args.table)) if v]
-    if len(chosen) > 1:
+    if args.dtau is not None and args.table is not None:
         raise OrbitError("pick one of --dtau, --table")
     if args.dtau is not None:
         return DescentSchedule.uniform(args.dtau)
-    if args.table:
+    if args.table is not None:
+        if not args.table.strip():
+            raise OrbitError("--table needs at least one harmonic=step entry")
         entries = [item.partition("=") for item in args.table.split(",")]
         return DescentSchedule.custom([(int(k), float(v))
                                        for k, _, v in entries])

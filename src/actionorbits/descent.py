@@ -28,7 +28,6 @@ preconditioner removes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .action import EvalKernel, _with_gradient
 from .dynamics import forces, residual
-from .errors import CollisionError, LayoutError
+from .errors import CollisionError, LayoutError, integer, real
 from .potential import PotentialSpec
 from .symmetry import OrbitModel, ParamLayout, ReducedParams
 
@@ -61,27 +60,28 @@ class DescentSchedule:
 
     @classmethod
     def uniform(cls, dtau: float) -> "DescentSchedule":
+        dtau = float(real(dtau, "dtau"))
         if dtau == 0.0 or not math.isfinite(dtau):
             raise ValueError("uniform schedule needs a nonzero finite step")
-        return cls(UNIFORM, delta=float(dtau))
+        return cls(UNIFORM, delta=dtau)
 
     @classmethod
     def preconditioned(cls, delta: float = 0.15) -> "DescentSchedule":
+        delta = float(real(delta, "delta"))
         if delta == 0.0 or not math.isfinite(delta):
             raise ValueError("preconditioned schedule needs a nonzero finite delta")
-        return cls(PRECONDITIONED, delta=float(delta))
+        return cls(PRECONDITIONED, delta=delta)
 
     @classmethod
     def custom(cls, table: Mapping[int, float] | Iterable[tuple[int, float]]
                ) -> "DescentSchedule":
         """Steps by harmonic, from a mapping or from (harmonic, step) pairs;
-        each harmonic an integer (not a bool), given once."""
-        pairs = list(table.items() if isinstance(table, Mapping) else table)
-        for k, _ in pairs:
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-                raise ValueError(f"custom schedule harmonic must be an "
-                                 f"integer, got {k!r}")
-        entries = tuple(sorted((int(k), float(v)) for k, v in pairs))
+        each harmonic an integer (not a bool), given once, and each step a
+        number."""
+        pairs = table.items() if isinstance(table, Mapping) else table
+        entries = tuple(sorted((integer(k, "custom schedule harmonic"),
+                                float(real(v, "custom schedule step")))
+                               for k, v in pairs))
         repeated = sorted({k for (k, _), (j, _) in zip(entries, entries[1:])
                            if k == j})
         if repeated:
@@ -143,8 +143,10 @@ class StopRule:
     Raises ValueError for settings that could only end in a false or silent
     outcome: a NaN or negative ``grad_tol``, a ``max_iters`` that is not a
     non-negative integer, and an ``escape_radius`` that is NaN or not
-    positive (``inf`` turns escape detection off).  Collisions are judged
-    by :data:`.dynamics.COLLISION_THRESHOLD`, as in every other layer.
+    positive (``inf`` turns escape detection off), and for a field that is
+    not a number; each is stored as a plain int or float, which a record
+    writes.  Collisions are judged by :data:`.dynamics.COLLISION_THRESHOLD`,
+    as in every other layer.
     """
 
     grad_tol: float = 1e-10
@@ -152,13 +154,12 @@ class StopRule:
     escape_radius: float = 50.0
 
     def __post_init__(self):
+        for name in ("grad_tol", "escape_radius"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not self.grad_tol >= 0.0:
             raise ValueError(f"grad_tol must be non-negative, got {self.grad_tol}")
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 0):
-            raise ValueError(
-                f"max_iters must be a non-negative integer, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters",
+                           integer(self.max_iters, "max_iters", least=0))
         if not self.escape_radius > 0.0:
             raise ValueError(
                 f"escape_radius must be positive, got {self.escape_radius}")
@@ -353,13 +354,12 @@ def naive_time_descent(paths: np.ndarray, masses, spec: PotentialSpec,
     x = np.array(paths, dtype=float)
     if x.ndim != 3 or x.shape[2] != 3:
         raise ValueError(f"paths must have shape (n, T, 3), got {x.shape}")
-    if iters < 0:
-        raise ValueError("iteration count must be non-negative")
+    iters = integer(iters, "iteration count", least=0)
     masses = np.asarray(masses, dtype=float)
     n_t = x.shape[1]
     h = 2.0 * math.pi / n_t
     amplitudes = [_nyquist_amplitude(x)]
-    for _ in range(int(iters)):
+    for _ in range(iters):
         acc = (np.roll(x, -1, axis=1) - 2.0 * x + np.roll(x, 1, axis=1)) / (h * h)
         F, _ = forces(spec, masses, x, context="naive descent")
         x = x + delta_tau * (masses[:, None, None] * acc - F)

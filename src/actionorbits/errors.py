@@ -1,6 +1,37 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+number argument: :func:`integer` and :func:`real`."""
 
 from __future__ import annotations
+
+import numbers
+
+_AT_LEAST = {None: "an integer", 0: "a non-negative integer",
+             1: "a positive integer"}
+
+
+def integer(value, name: str, least: int | None = None,
+            error: type[Exception] = ValueError) -> int:
+    """``value`` as a plain int: an integral number (a NumPy integer is
+    one, a bool is not) of at least ``least`` (None, 0 or 1); else raise
+    ``error`` naming ``name``."""
+    number = value if type(value) is int else (   # the ABC check costs ~1 us
+        int(value) if isinstance(value, numbers.Integral)
+        and not isinstance(value, bool) else None)
+    if number is None or least is not None and number < least:
+        raise error(f"{name} must be {_AT_LEAST[least]}, got {value!r}")
+    return number
+
+
+def real(value, name: str) -> float | int:
+    """``value`` as a plain number: a real number that is not a bool (a str
+    is not one), an int when it is integral and a float otherwise, so a
+    record writes it as given; else raise ValueError naming ``name``.
+    Range and finiteness are the caller's to check."""
+    if type(value) in (float, int):   # the ABC check costs ~1 us
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 class OrbitError(Exception):

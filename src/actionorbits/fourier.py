@@ -14,11 +14,12 @@ and are evaluated by :func:`trig_table` and :func:`contract`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .errors import integer, real
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,10 +110,7 @@ class Harmonics:
     parity: Parity = Parity.ALL
 
     def __post_init__(self):
-        if (isinstance(self.k_max, bool) or not isinstance(self.k_max, numbers.Integral)
-                or self.k_max < 0):
-            raise ValueError(f"k_max must be a non-negative int, got {self.k_max!r}")
-        object.__setattr__(self, "k_max", int(self.k_max))
+        object.__setattr__(self, "k_max", integer(self.k_max, "k_max", least=0))
         if not isinstance(self.parity, Parity):
             raise ValueError(f"parity must be a Parity, got {self.parity!r}")
 
@@ -133,6 +131,8 @@ class ScalingLaw:
     period: float
 
     def __post_init__(self):
+        for name in ("alpha", "period"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not math.isfinite(self.alpha) or self.alpha >= 2.0 or self.alpha == 0.0:
             raise ValueError(f"scaling requires alpha < 2 and alpha != 0, got {self.alpha}")
         if not (self.period > 0.0 and math.isfinite(self.period)):

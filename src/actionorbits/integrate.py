@@ -52,7 +52,7 @@ import numpy as np
 from . import dop853
 from .dynamics import observables, pair_table
 from .dynamics import forces  # noqa: F401  (kept bound: perfbench traces integrate.forces)
-from .errors import CollisionError, IntegrationError
+from .errors import CollisionError, IntegrationError, integer, real
 from .potential import PotentialSpec
 from .symmetry import OrbitModel, ParamLayout, ReducedParams, sample_positions
 
@@ -172,19 +172,17 @@ def _sample_grid(n_periods: float, samples_per_period: int):
     (a bool is neither), or when the horizon, the sample count or the step
     budget overflows a float.
     """
-    if isinstance(n_periods, bool) or not 0.0 < n_periods < math.inf:
+    n_periods = real(n_periods, "n_periods")
+    if not 0.0 < n_periods < math.inf:
         raise ValueError(f"n_periods must be positive and finite, "
                          f"got {n_periods!r}")
-    if (isinstance(samples_per_period, bool)
-            or not isinstance(samples_per_period, (int, np.integer))
-            or samples_per_period < 1):
-        raise ValueError(f"samples_per_period must be a positive integer, "
-                         f"got {samples_per_period!r}")
+    samples_per_period = integer(samples_per_period, "samples_per_period",
+                                 least=1)
     if samples_per_period > MAX_SAMPLES_PER_PERIOD:
         raise ValueError(f"samples_per_period must be at most "
                          f"{MAX_SAMPLES_PER_PERIOD}, got {samples_per_period!r}")
     horizon = n_periods * TWO_PI
-    n_samples = n_periods * int(samples_per_period)
+    n_samples = n_periods * samples_per_period
     budget = _step_budget(horizon)
     for name, x in (("horizon", horizon), ("sample count", n_samples),
                     ("step budget", budget)):
@@ -403,8 +401,8 @@ def perturb_and_track(model: OrbitModel, params: ReducedParams,
     if not 0.0 < applied < math.inf:
         raise ValueError("perturbation must be finite and displace at least one body")
     metric, base, resolution = _tracking_reference(model, params)
-    if envelope is None:
-        envelope = max(100.0 * applied, RESOLUTION_MARGIN * resolution)
+    envelope = (max(100.0 * applied, RESOLUTION_MARGIN * resolution)
+                if envelope is None else real(envelope, "envelope"))
     if not 0.0 < envelope < math.inf:
         raise ValueError(f"envelope must be positive and finite, got {envelope!r}")
     accelerate = pair_table(model.potential, model.masses).accelerator()

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import real
+
 
 @dataclass(frozen=True)
 class PotentialSpec:
@@ -32,6 +34,8 @@ class PotentialSpec:
     softening: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "G", "softening"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not math.isfinite(self.alpha) or self.alpha >= 2.0 or self.alpha == 0.0:
             raise ValueError(f"potential requires alpha < 2 and alpha != 0, got {self.alpha}")
         if not (math.isfinite(self.G) and self.G >= 0.0):

@@ -9,19 +9,14 @@ potential terms spectrally accurate.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .errors import integer
+
 TWO_PI = 2.0 * np.pi
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -31,7 +26,7 @@ class QuadratureGrid:
     n: int
 
     def __post_init__(self):
-        n = _integer(self.n, "grid node count")
+        n = integer(self.n, "grid node count")
         if n < 4:
             raise ValueError(f"grid needs at least 4 nodes, got {n}")
         object.__setattr__(self, "n", n)
@@ -39,7 +34,7 @@ class QuadratureGrid:
     @classmethod
     def for_kmax(cls, k_max: int) -> "QuadratureGrid":
         """Default grid for series truncated at k_max: N = 4*k_max + 4."""
-        return cls(4 * _integer(k_max, "k_max") + 4)
+        return cls(4 * integer(k_max, "k_max") + 4)
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -53,7 +48,7 @@ class QuadratureGrid:
 
     def supports(self, k_max: int) -> bool:
         """Whether the grid meets the resolution floor N >= 4*k_max + 2."""
-        return self.n >= 4 * _integer(k_max, "k_max") + 2
+        return self.n >= 4 * integer(k_max, "k_max") + 2
 
     def require(self, k_max: int) -> None:
         if not self.supports(k_max):

@@ -484,13 +484,17 @@ def _check(value: float | None, tol: float, passed, failure: str) -> Check:
 # ----------------------------------------------------------------------
 
 
-def _column_name(slot: Slot, family_kind: str) -> str:
-    if family_kind == "cubic":
+def _column_name(slot: Slot, model: OrbitModel) -> str:
+    """``a`` (cubic), ``a_i``/``b_i`` (criss-cross), else coordinate and
+    basis, led by the generator index when the model has more than one."""
+    kind = model.family.kind
+    if kind == "cubic":
         return "a"
-    if family_kind == "crisscross":
+    if kind == "crisscross":
         letter = "a" if slot.basis == COS else "b"
         return f"{letter}_{slot.gen + 1}"
-    return f"{'xyz'[slot.channel]}.{slot.basis}"
+    name = f"{'xyz'[slot.channel]}.{slot.basis}"
+    return f"g{slot.gen}.{name}" if len(model.generators) > 1 else name
 
 
 def export_table(record: OrbitRecord) -> str:
@@ -506,13 +510,12 @@ def export_table(record: OrbitRecord) -> str:
     scale = designated_scale(model, params)
     if scale == 0.0:
         raise RecordError("cannot normalize table: designated coefficient is zero")
-    kind = model.family.kind
     # one column per (generator, channel, basis), in slot order: its name
     # and its normalized values by harmonic
     columns: dict[tuple[int, int, str], tuple[str, dict]] = {}
     for s, v in zip(params.layout.slots, params.values):
         columns.setdefault((s.gen, s.channel, s.basis),
-                           (_column_name(s, kind), {}))[1][s.k] = v / scale
+                           (_column_name(s, model), {}))[1][s.k] = v / scale
     lines = [
         f"# family: {_family_label(record)}",
         f"# scale: {scale!r}",

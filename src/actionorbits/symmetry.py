@@ -37,14 +37,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CollisionError, LayoutError
+from .errors import CollisionError, LayoutError, integer, real
 from .fourier import (COS, SIN, Harmonics, Parity, contract, shift,
                       shift_table, trig_table)
 from .potential import PotentialSpec
@@ -169,8 +168,7 @@ def collision_parity_check(m: int) -> Verdict:
     parameters differ by half a period; with bodies at phases 2*pi*j/m that
     happens exactly when m is even, so even m forces a collision.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m <= 0:
-        raise ValueError(f"loop occupancy m must be a positive integer, got {m!r}")
+    m = integer(m, "loop occupancy m", least=1)
     return Verdict.COLLISION if m % 2 == 0 else Verdict.SAFE
 
 
@@ -190,10 +188,8 @@ class ScalarGenerator:
     n_channels = 1
 
     def __post_init__(self):
-        offsets = tuple(self.offsets)
-        if not (len(offsets) == 3 and all(
-                isinstance(o, (int, float)) and not isinstance(o, bool)
-                and math.isfinite(o) for o in offsets)):
+        offsets = tuple(real(o, "offset") for o in self.offsets)
+        if not (len(offsets) == 3 and all(map(math.isfinite, offsets))):
             raise ValueError(f"a scalar generator needs three finite offsets, "
                              f"got {self.offsets!r}")
         object.__setattr__(self, "offsets", offsets)
@@ -223,13 +219,6 @@ class VectorGenerator:
         return (self.x, self.y, self.z)[c]
 
 
-def _is_real(value) -> bool:
-    """A real number: a bool or a string is not one, a NumPy float is (a
-    plain float or int is tested first, as the ABC check is much slower)."""
-    return type(value) in (float, int) or (isinstance(value, numbers.Real)
-                                           and not isinstance(value, bool))
-
-
 @dataclass(frozen=True)
 class BodyBinding:
     """Places one body on a generator: x(t) = transform . g(t + phase)."""
@@ -240,17 +229,12 @@ class BodyBinding:
     mass: float = 1.0
 
     def __post_init__(self):
-        g = self.generator
-        if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 0:
-            raise ValueError(
-                f"generator index must be a non-negative integer, got {g!r}")
-        for name in ("mass", "phase"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, "
-                                 f"got {getattr(self, name)!r}")
+        object.__setattr__(self, "generator",
+                           integer(self.generator, "generator index", least=0))
+        object.__setattr__(self, "mass", real(self.mass, "mass"))
+        phase = float(real(self.phase, "phase"))
         if not (self.mass > 0.0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive, got {self.mass}")
-        phase = float(self.phase)
         if not math.isfinite(phase):
             raise ValueError(f"phase must be finite, got {phase}")
         object.__setattr__(self, "phase", phase % TWO_PI)
@@ -267,9 +251,10 @@ class SpaceTimeSymmetry:
     time_reversal: bool = False
 
     def __post_init__(self):
-        if not (_is_real(self.time_shift) and math.isfinite(self.time_shift)):
-            raise ValueError(f"time_shift must be a finite number, "
-                             f"got {self.time_shift!r}")
+        shift = real(self.time_shift, "time_shift")
+        if not math.isfinite(shift):
+            raise ValueError(f"time_shift must be a finite number, got {shift!r}")
+        object.__setattr__(self, "time_shift", shift)
         if not isinstance(self.time_reversal, bool):
             raise ValueError(f"time_reversal must be a bool, "
                              f"got {self.time_reversal!r}")
@@ -387,8 +372,6 @@ class ParamLayout:
     kinetic_mass: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-        object.__setattr__(self, "couplings", tuple(self.couplings))
         object.__setattr__(self, "channels",
                            tuple(map(tuple, self.channels)))
         mult = tuple(map(tuple, self.channel_multiplicity))
@@ -397,9 +380,12 @@ class ParamLayout:
             raise LayoutError("channel_multiplicity must have one entry "
                               "per channel")
         kinetic = []   # per slot: its channel's multiplicity and its couplings'
-        targets = set()
-        for i, t in enumerate(self.slots + self.couplings):
-            coupled = i >= len(self.slots)
+        # slots, then couplings: one with a NumPy index is replaced by a copy
+        # with plain ints, which a record writes
+        targets, seen = [*self.slots, *self.couplings], set()
+        n_slots = len(targets) - len(self.couplings)
+        for i, t in enumerate(targets):
+            coupled = i >= n_slots
             if not isinstance(t, Coupling if coupled else Slot):
                 raise LayoutError(f"expected a {'Coupling' if coupled else 'Slot'}, "
                                   f"got {t!r}")
@@ -407,10 +393,9 @@ class ParamLayout:
                 raise LayoutError(f"unknown basis {t.basis!r}")
             for name in ("gen", "channel", "k", "slot")[:3 + coupled]:
                 value = getattr(t, name)
-                # a plain int first: the ABC check costs 25 times as much
-                if type(value) is not int and (isinstance(value, bool) or not
-                                               isinstance(value, numbers.Integral)):
-                    raise LayoutError(f"{name} must be an integer, got {value!r}")
+                if type(value) is not int:   # a plain int, the usual case, skips it
+                    t = targets[i] = replace(t, **{name: integer(
+                        value, name, error=LayoutError)})
             if t.k < (1 if t.basis == SIN else 0):
                 raise LayoutError(f"basis {t.basis} cannot hold harmonic k={t.k}")
             if not (0 <= t.gen < len(self.channels)):
@@ -427,18 +412,20 @@ class ParamLayout:
                 raise LayoutError(f"harmonic k={t.k} is disallowed by the "
                                   f"generator's parity mask")
             tgt = (t.gen, t.channel, t.basis, t.k)
-            if tgt in targets:
+            if tgt in seen:
                 raise LayoutError(f"duplicate target {tgt}")
-            targets.add(tgt)
+            seen.add(tgt)
             if not coupled:
                 kinetic.append(mult[t.gen][t.channel])
                 continue
             if isinstance(t.sign, (bool, np.bool_)) or t.sign not in (-1.0, 1.0):
                 raise LayoutError(f"coupling sign must be +/-1, got {t.sign!r}")
-            if not (0 <= t.slot < len(self.slots) and self.slots[t.slot].k == t.k):
+            if not (0 <= t.slot < n_slots and targets[t.slot].k == t.k):
                 raise LayoutError(f"coupling at k={t.k} needs slot {t.slot} "
                                   f"to exist at the same harmonic")
             kinetic[t.slot] += mult[t.gen][t.channel]
+        object.__setattr__(self, "slots", tuple(targets[:n_slots]))
+        object.__setattr__(self, "couplings", tuple(targets[n_slots:]))
         km = np.array(kinetic, dtype=float)
         km.setflags(write=False)
         object.__setattr__(self, "kinetic_mass", km)
@@ -867,7 +854,7 @@ def build_crisscross(masses: Sequence[float] = (1.0, 1.0, 1.0), k_max: int = 27,
     coefficient is free and the seed is the same pattern with its
     center-of-mass component removed once.
     """
-    masses = tuple(float(v) for v in masses)
+    masses = tuple(float(real(v, "mass")) for v in masses)
     if len(masses) != 3 or any(not (v > 0 and math.isfinite(v)) for v in masses):
         raise ValueError(f"criss-cross needs three positive masses, got {masses}")
     potential = potential or PotentialSpec()
@@ -946,8 +933,7 @@ def build_choreography(n: int,
         seed: sparse initial values keyed by (coordinate, basis, k).
         parity: harmonic mask of the shared curve.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"choreography needs a positive body count, got {n!r}")
+    n = integer(n, "choreography body count n", least=1)
     potential = potential or PotentialSpec()
     if active is None:
         active = {"x": (SIN,), "y": (COS,)}
@@ -965,7 +951,7 @@ def build_choreography(n: int,
         generators=(gen,),
         bindings=bindings,
         potential=potential,
-        family=Family(kind="choreography", n=int(n), parity=parity.value),
+        family=Family(kind="choreography", n=n, parity=parity.value),
         symmetries=tuple(symmetries),
     )
     ks = _odd_harmonics(k_max) if parity is Parity.ODD_ONLY else list(range(1, k_max + 1))
@@ -982,12 +968,11 @@ def build_choreography(n: int,
         if name not in coords:
             raise LayoutError(f"unknown coordinate {name!r}")
         # a True harmonic would match slot k = 1
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise LayoutError(f"seed harmonic must be an integer, got {k!r}")
-        slot = Slot(0, coords[name], basis, k)
+        slot = Slot(0, coords[name], basis,
+                    integer(k, "seed harmonic", error=LayoutError))
         if slot not in slots:
             raise LayoutError(f"seed entry ({name}, {basis}, {k}) is not a free slot")
-        values[slots.index(slot)] = float(v)
+        values[slots.index(slot)] = real(v, "seed value")
     return model, ReducedParams(layout, values)
 
 

@@ -610,6 +610,20 @@ class TestExportTable:
         first = lines[5].split()
         assert first == ["1", "1.00000", "0.00000", "-1.00000"]
 
+    def test_custom_columns_name_their_generator(self):
+        # a custom model with more than one generator names each column by
+        # its generator; with one generator the names stay coordinate and
+        # basis
+        model, params = build_crisscross((1.0, 2.0, 3.0), k_max=5)
+        custom = dataclasses.replace(model, family=ao.Family(kind="custom"))
+        header = export_table(make_record(custom, params)).split("\n")[4]
+        assert header.split() == ["k", "g0.x.cos", "g0.y.sin", "g1.x.cos",
+                                  "g1.y.sin", "g2.x.cos", "g2.y.sin"]
+        model, params = build_choreography(3, k_max=5)
+        custom = dataclasses.replace(model, family=ao.Family(kind="custom"))
+        header = export_table(make_record(custom, params)).split("\n")[4]
+        assert header.split() == ["k", "x.sin", "y.cos"]
+
     def test_zero_scale_rejected(self):
         model, params = build_cubic_family(1, k_max=9)
         params = params.with_values(np.zeros(len(params)))
@@ -796,6 +810,31 @@ class TestCliMinimize:
         captured = capsys.readouterr()
         assert code == 1
         assert "error: " in captured.err and message in captured.err
+        assert "minimize:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("options,message", [
+        (["--table", ""], "error: --table needs at least one harmonic=step"),
+        (["--table", " "], "error: --table needs at least one harmonic=step"),
+        (["--dtau", "0", "--table", "1=0.1"],
+         "error: pick one of --dtau, --table"),
+        (["--dtau", "0.0001", "--table", ""],
+         "error: pick one of --dtau, --table")],
+        ids=["empty-table", "blank-table", "zero-dtau-and-table",
+             "dtau-and-empty-table"])
+    def test_schedule_follows_the_flags_given(self, tmp_path, capsys,
+                                              options, message):
+        # a schedule flag counts when it is given, whatever its value: an
+        # empty table is refused, not replaced by the preconditioned
+        # default, and --dtau 0 beside --table is a conflict
+        seed, out = str(tmp_path / "seed.json"), tmp_path / "out.json"
+        assert main(["seed", "--family", "cubic", "--m", "1", "--k-max", "5",
+                     "--out", seed]) == 0
+        capsys.readouterr()
+        code = main(["minimize", seed, *options, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
         assert "minimize:" not in captured.out
         assert not out.exists()
 
