@@ -117,10 +117,12 @@ def stability_bound(schedule: DescentSchedule, k_max: int, mass: float) -> float
     Derived from the kinetic-only update factor 1 - dtau * pi * mass * k^2:
     uniform steps must keep the highest harmonic stable, preconditioned
     steps are harmonic-independent, and a custom table is scaled by its
-    most restrictive entry.
+    most restrictive entry.  ValueError unless ``k_max`` is a positive
+    integer and ``mass`` a positive number (a bool or str is neither).
     """
-    if k_max < 1 or mass <= 0.0:
-        raise ValueError("stability bound needs k_max >= 1 and mass > 0")
+    k_max, mass = integer(k_max, "k_max", least=1), real(mass, "mass")
+    if not mass > 0.0:
+        raise ValueError(f"stability bound needs mass > 0, got {mass!r}")
     if schedule.rule == UNIFORM:
         return 2.0 / (math.pi * mass * k_max ** 2)
     if schedule.rule == PRECONDITIONED:
@@ -350,11 +352,14 @@ def naive_time_descent(paths: np.ndarray, masses, spec: PotentialSpec,
     grid.  Each iteration applies x <- x + dtau (m x'' - F) with a periodic
     three-point second difference.  Returns the updated paths and a
     diagnostic tracing the Nyquist-mode amplitude per iteration.
+    ValueError unless ``delta_tau`` is a number and ``iters`` a
+    non-negative integer (a bool or str is neither).
     """
     x = np.array(paths, dtype=float)
     if x.ndim != 3 or x.shape[2] != 3:
         raise ValueError(f"paths must have shape (n, T, 3), got {x.shape}")
     iters = integer(iters, "iteration count", least=0)
+    delta_tau = real(delta_tau, "delta_tau")
     masses = np.asarray(masses, dtype=float)
     n_t = x.shape[1]
     h = 2.0 * math.pi / n_t

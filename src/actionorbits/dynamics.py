@@ -407,6 +407,14 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=0)[-1] if len(a) else a.sum(axis=0)
 
 
+def _moments(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum m x x^T, (T, 3, 3), and sum m |x|^2, (T, 1, 1), of an (n, T, 3)
+    batch, summed body after body (:func:`_sum_rows`)."""
+    xxt = _sum_rows(m[:, None, None, None] * x[..., :, None] * x[..., None, :])
+    r2 = _sum_rows(m[:, None] * np.einsum("itc,itc->it", x, x))[:, None, None]
+    return xxt, r2
+
+
 def observables(spec: PotentialSpec, masses, positions, velocities) -> Observables:
     """E, J, P, I, Q and the center of mass of an (n, 3) configuration or
     an (n, T, 3) batch, with velocities of the same shape.
@@ -435,8 +443,7 @@ def observables(spec: PotentialSpec, masses, positions, velocities) -> Observabl
     r = np.sqrt(r2 + table.softening ** 2) if table.softening > 0.0 \
         else np.sqrt(r2)
     pot = _sum_rows(table.coupling[:, None] * r ** table.alpha)
-    xxt = _sum_rows(mw[..., None] * x[..., :, None] * x[..., None, :])
-    r2 = _sum_rows(m[:, None] * np.einsum("itc,itc->it", x, x))[:, None, None]
+    xxt, r2 = _moments(m, x)
     return Observables(E=kin + pot, kinetic=kin, potential=pot,
                        J=(mw * np.cross(x, v)).sum(axis=0),
                        P=(mw * v).sum(axis=0),
@@ -449,6 +456,19 @@ def observables_series(model: OrbitModel, params: ReducedParams, times):
     t, _ = _as_times(times)
     pos, vel = sample_positions(model, params, t, deriv=(0, 1))
     return t, observables(model.potential, model.masses, pos, vel)
+
+
+def start_and_quadrupole(model: OrbitModel, params: ReducedParams, times
+                         ) -> tuple[Observables, np.ndarray]:
+    """The observables of the configuration at the first of ``times`` and
+    the quadrupole Q, (T, 3, 3), at every one of them, from one sampling:
+    the bits of the first sample of :func:`observables_series` and of its
+    Q, without the energies and momenta of the other samples."""
+    t, _ = _as_times(times)
+    pos, vel = sample_positions(model, params, t, deriv=(0, 1))
+    start = observables(model.potential, model.masses, pos[:, 0], vel[:, 0])
+    xxt, r2 = _moments(np.asarray(model.masses, dtype=float), pos)
+    return start, 3.0 * xxt - r2 * np.eye(3)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,16 @@ export in blocks of :data:`TRAJECTORY_BLOCK` samples, made as the drive
 reaches them (``trajectory`` joins them); both drive at
 :data:`DRIVE_TOL` = 1e-13, tight enough to read closures of 1e-11.
 ``perturb_and_track`` follows deliberately perturbed initial conditions
-over many periods to probe stability at :data:`TRACK_TOL` = 1e-10: the
+over many periods to probe stability at :data:`TRACK_TOL` = 1e-9: the
 global error scales with the tolerance, and there it stays below what
-the curve metric reporting the track can resolve, at well under half the
-steps.  At 1e-13 one period takes a few hundred steps where fixed steps
-take 10,000.  :func:`.dop853.drive` owns the step loop, its state and its
-failures; this module holds only the policy: the two tolerances, the
-step budget (:data:`MAX_STEPS_PER_PERIOD` per period of the horizon),
-the sample grid and the curve metric.  A run cut short ends when the
-failure is detected: at ``CollisionError.t``, or at the end of a step
-that left a non-finite state.
+the curve metric reporting the track can resolve, at a third of the
+accepted steps.  At 1e-13 one period takes a few hundred steps where
+fixed steps take 10,000.  :func:`.dop853.drive` owns the step loop, its
+state and its failures; this module holds only the policy: the two
+tolerances, the step budget (:data:`MAX_STEPS_PER_PERIOD` per period of
+the horizon), the sample grid and the curve metric.  A run cut short
+ends when the failure is detected: at ``CollisionError.t``, or at the
+end of a step that left a non-finite state.
 
 Each DOP853 drive gets one :meth:`~.dynamics.PairTable.accelerator` of
 its own from the model's cached :class:`.dynamics.PairTable`, the
@@ -66,11 +66,14 @@ DEFAULT_DT = TWO_PI * 1e-4
 # exports keep the bits they had
 DRIVE_TOL = 1e-13
 # DOP853 rtol = atol of perturb_and_track's drives.  The global error
-# scales with the tolerance, and at 1e-10 it stays below the curve
-# metric's own resolution (a point of the criss-cross orbit between two of
-# the CURVE_SAMPLES phases reads up to about 5e-5), so a tighter drive
-# would pay for accuracy no report can show
-TRACK_TOL = 1e-10
+# scales with the tolerance, and at 1e-9 it stays below the curve metric's
+# own resolution (a point of the criss-cross orbit between two of the
+# CURVE_SAMPLES phases reads up to about 5e-5): criterion 7's 40-period
+# criss-cross tracks read within 4.4e-5 relative (1.1e-7 absolute) of the
+# same tracks at DRIVE_TOL, so a tighter drive would pay for accuracy no
+# report can show.  1e-8 moves those readings up to 3.1e-4 relative, and a
+# 10-period track's 7.2e-5, near the 1e-4 its regression test allows
+TRACK_TOL = 1e-9
 # DOP853 steps per period of the horizon: over 10x the 310 of cubic m=7 at
 # k_max=27, the most a shipped orbit needs, so a non-orbit cannot crawl
 MAX_STEPS_PER_PERIOD = 4000
@@ -299,17 +302,14 @@ class _CurveMetric:
         self.n = curve.shape[1]
         self.planar = bool(np.abs(curve[:, :, 2]).max() < 1e-9)
         self.curve_sq = np.einsum("mic,mic->m", curve, curve)
-        # rows of 2c, so that one product gives 2 p.c per phase; for a
-        # planar curve, the in-plane dot and cross products of p with c,
-        # whose norm is the largest 2 p.c over rotations about the normal
+        # rows of 2c, so that one product gives 2 p.c per phase.  For a
+        # planar curve, rows 2(cx - i cy) against px + i py give
+        # 2(p.c + i (c x p).z), whose modulus is the largest 2 p.c over
+        # rotations of p about the normal
         if self.planar:
-            zero = np.zeros_like(curve[:, :, 0])
-            rows = np.concatenate((
-                np.stack((curve[:, :, 0], curve[:, :, 1], zero), axis=-1),
-                np.stack((curve[:, :, 1], -curve[:, :, 0], zero), axis=-1)))
+            self.rows = 2.0 * (curve[:, :, 0] - 1j * curve[:, :, 1])
         else:
-            rows = curve
-        self.rows = 2.0 * rows.reshape(rows.shape[0], -1)
+            self.rows = 2.0 * curve.reshape(curve.shape[0], -1)
         self.curve_sq.setflags(write=False)
         self.rows.setflags(write=False)
 
@@ -317,10 +317,10 @@ class _CurveMetric:
         """n times the squared rms distance from pos to each curve sample
         (rotated optimally for a planar curve): |p|^2 + |c|^2 - 2 p.c."""
         p = pos.ravel()
-        dots = np.dot(self.rows, p)
         if self.planar:
-            along, cross = dots[:CURVE_SAMPLES], dots[CURVE_SAMPLES:]
-            dots = np.sqrt(along * along + cross * cross)
+            dots = np.abs(np.dot(self.rows, pos[:, 0] + 1j * pos[:, 1]))
+        else:
+            dots = np.dot(self.rows, p)
         return (np.dot(p, p) + self.curve_sq) - dots
 
     def distance(self, pos: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .descent import CONVERGED, DescentSchedule, RunResult, StopRule
-from .dynamics import observables_series, residual
+from .dynamics import residual, start_and_quadrupole
 from .errors import CollisionError, RecordError
 from .integrate import Trajectory, return_error
 from .fourier import COS, SIN, Harmonics, Parity
@@ -326,10 +326,12 @@ def designated_scale(model: OrbitModel, params: ReducedParams) -> float:
 
 
 def _observable_summary(model: OrbitModel, params: ReducedParams) -> dict | None:
+    """E and J at t = 0 and the largest |Q| over 64 nodes."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        _, obs = observables_series(model, params, QuadratureGrid(64))
-    q_max = float(np.abs(obs.Q).max())
-    summary = {"E": float(obs.E[0]), "J": [float(v) for v in obs.J[0]],
+        start, quadrupole = start_and_quadrupole(model, params,
+                                                 QuadratureGrid(64))
+    q_max = float(np.abs(quadrupole).max())
+    summary = {"E": start.E, "J": [float(v) for v in start.J],
                "Q_max": q_max}
     flat = [summary["E"], q_max, *summary["J"]]
     if not all(math.isfinite(v) for v in flat):

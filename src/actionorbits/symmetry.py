@@ -357,11 +357,12 @@ class ParamLayout:
     The one place that checks a target: entry type, basis, integer (not
     bool) indices, the basis's lowest harmonic, generator and channel, the
     harmonic against ``k_max`` and its channel's own :class:`.Harmonics`
-    (``k_max``, parity), duplicates, and each coupling's sign (+/-1) and
-    slot (existing, at the same harmonic: the kinetic term applies the
-    slot's k to all its coefficients).  ``kinetic_mass`` follows from the
-    targets and each channel's ``channel_multiplicity``; equality and hash
-    exclude both, and the hash is computed once per layout.
+    (``k_max``, parity), duplicates, and each coupling's sign (+/-1, kept
+    as a plain int or float) and slot (existing, at the same harmonic: the
+    kinetic term applies the slot's k to all its coefficients).
+    ``kinetic_mass`` follows from the targets and each channel's
+    ``channel_multiplicity``; equality and hash exclude both, and the hash
+    is computed once per layout.
     """
 
     slots: tuple[Slot, ...]
@@ -380,8 +381,8 @@ class ParamLayout:
             raise LayoutError("channel_multiplicity must have one entry "
                               "per channel")
         kinetic = []   # per slot: its channel's multiplicity and its couplings'
-        # slots, then couplings: one with a NumPy index is replaced by a copy
-        # with plain ints, which a record writes
+        # slots, then couplings: one with a NumPy index or sign is replaced
+        # by a copy with plain numbers, which a record writes
         targets, seen = [*self.slots, *self.couplings], set()
         n_slots = len(targets) - len(self.couplings)
         for i, t in enumerate(targets):
@@ -420,6 +421,8 @@ class ParamLayout:
                 continue
             if isinstance(t.sign, (bool, np.bool_)) or t.sign not in (-1.0, 1.0):
                 raise LayoutError(f"coupling sign must be +/-1, got {t.sign!r}")
+            if type(t.sign) not in (int, float):
+                t = targets[i] = replace(t, sign=real(t.sign, "sign"))
             if not (0 <= t.slot < n_slots and targets[t.slot].k == t.k):
                 raise LayoutError(f"coupling at k={t.k} needs slot {t.slot} "
                                   f"to exist at the same harmonic")

@@ -736,6 +736,27 @@ class TestObservables:
         assert [line.split()[2:] for line in runs[0][:3]] == [
             ["True", "True"]] * 3
 
+    @pytest.mark.parametrize("name", [
+        "cubic-m1", "cubic-m3", "cubic-m5", "cubic-m7", "crisscross",
+        "crisscross-123", "figure-eight"])
+    def test_record_summary_keeps_the_bits_of_one_batch(self, name,
+                                                        workloads):
+        # a record's E and J at t = 0 and its largest |Q| over 64 nodes
+        # were read off one observables batch over all 64 nodes; the first
+        # configuration's observables and the positions' Q give those bits
+        model, params = workloads.ORBITS[name]()
+        params = workloads.seeded_params(name, params, 1)
+        grid = QuadratureGrid(64)
+        _, batch = observables_series(model, params, grid)
+        start, quadrupole = dynamics.start_and_quadrupole(model, params, grid)
+        assert np.float64(start.E).tobytes() == batch.E[0].tobytes()
+        assert start.J.tobytes() == batch.J[0].tobytes()
+        assert quadrupole.tobytes() == batch.Q.tobytes()
+        summary = ao.make_record(model, params).observables
+        assert repr(summary) == repr({
+            "E": float(batch.E[0]), "J": [float(v) for v in batch.J[0]],
+            "Q_max": float(np.abs(batch.Q).max())})
+
     def test_shape_validation(self):
         spec = PotentialSpec()
         with pytest.raises(ValueError):

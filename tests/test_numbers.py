@@ -3,6 +3,7 @@ stores plain Python numbers, so a model built from them saves as a record;
 a bool, a str or None is refused with a ValueError."""
 
 import ast
+import json
 import math
 import pathlib
 
@@ -118,6 +119,37 @@ def _model():
     return build_cubic_family(1, k_max=5)
 
 
+@pytest.mark.parametrize("number", list(NUMBERS))
+def test_coupling_signs_of_any_number_type_save(number, tmp_path):
+    # a layout whose coupling signs are NumPy scalars saves the record of
+    # the same signs as Python numbers (a float32 sign ended the save in a
+    # TypeError), and loads back equal and hash-equal to the layout with
+    # int signs; an int sign keeps its bytes
+    numpy_type, python_type = NUMBERS[number]
+    model, params = build_crisscross(k_max=9)
+
+    def layout(sign_type):
+        couplings = [ao.Coupling(c.slot, c.gen, c.channel, c.basis, c.k,
+                                 sign_type(c.sign))
+                     for c in params.layout.couplings]
+        return ao.make_layout(model, params.layout.slots, couplings)
+
+    numpy_layout, ints = layout(numpy_type), layout(int)
+    assert {type(c.sign) for c in numpy_layout.couplings} == {python_type}
+    texts = {}
+    for key, each in (("numpy", numpy_layout), ("python", layout(python_type)),
+                      ("int", ints)):
+        texts[key] = _saved(tmp_path / f"{key}.json", model,
+                            ao.ReducedParams(each, params.values))
+        loaded = record_to_model(load_record(str(tmp_path / f"{key}.json")))[1]
+        assert loaded.layout == ints and hash(loaded.layout) == hash(ints)
+    assert texts["numpy"] == texts["python"]
+    signs = [entry[-1] for entry in
+             json.loads(texts["int"])["layout"]["couplings"]]
+    assert signs == [c.sign for c in ints.couplings]
+    assert {type(sign) for sign in signs} == {int}
+
+
 def _paths():
     t = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     base = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
@@ -151,6 +183,16 @@ REFUSED = {
     "naive-iters-true": (lambda: ao.naive_time_descent(
         _paths(), np.ones(2), ao.PotentialSpec(), 1e-5, True),
         "iteration count"),
+    "naive-delta_tau-true": (lambda: ao.naive_time_descent(
+        _paths(), np.ones(2), ao.PotentialSpec(), True, 2), "delta_tau"),
+    "naive-delta_tau-str": (lambda: ao.naive_time_descent(
+        _paths(), np.ones(2), ao.PotentialSpec(), "1e-5", 2), "delta_tau"),
+    "stability-k_max-true": (lambda: ao.stability_bound(
+        ao.DescentSchedule.uniform(1e-4), True, 1.0), "k_max"),
+    "stability-k_max-str": (lambda: ao.stability_bound(
+        ao.DescentSchedule.uniform(1e-4), "27", 1.0), "k_max"),
+    "stability-mass-str": (lambda: ao.stability_bound(
+        ao.DescentSchedule.uniform(1e-4), 27, "1"), "mass"),
     "track-n_periods-str": (lambda: ao.perturb_and_track(
         *_model(), np.full((4, 3), 1e-6), "1"), "n_periods"),
     "track-envelope-str": (lambda: ao.perturb_and_track(
